@@ -41,7 +41,7 @@ ROUTING_POLICIES = ("kpaths", "ecmp", "flowlet")
 class Path:
     """A simple directed path, stored as the sequence of links it uses."""
 
-    __slots__ = ("links", "nodes")
+    __slots__ = ("links",)
 
     def __init__(self, links: tuple[Link, ...]) -> None:
         if not links:
@@ -51,15 +51,20 @@ class Path:
                 raise ValueError(
                     f"links do not chain: {first.dst} != {second.src}")
         self.links = links
-        self.nodes = (links[0].src,) + tuple(link.dst for link in links)
+
+    @property
+    def nodes(self) -> tuple[str, ...]:
+        """Datacenters visited, derived on demand: route tables hold a
+        path per datacenter pair, so paths stay one tuple each."""
+        return (self.src,) + tuple(link.dst for link in self.links)
 
     @property
     def src(self) -> str:
-        return self.nodes[0]
+        return self.links[0].src
 
     @property
     def dst(self) -> str:
-        return self.nodes[-1]
+        return self.links[-1].dst
 
     @property
     def hop_count(self) -> int:
@@ -92,6 +97,11 @@ def k_shortest_paths(topology: Topology, src: str, dst: str,
 
     Returns fewer than ``k`` paths when the graph does not contain that
     many, and an empty list when ``dst`` is unreachable.
+
+    Served from the topology's compiled route table: the graph is built
+    once, and each pair keeps the longest candidate list computed so far.
+    Every ``k`` is a prefix of the same ``shortest_simple_paths`` order,
+    so a shorter query slices it and only a longer one recomputes.
     """
     if k <= 0:
         raise ValueError(f"k must be positive, got {k}")
@@ -99,18 +109,25 @@ def k_shortest_paths(topology: Topology, src: str, dst: str,
         raise KeyError(f"unknown endpoint in {src}->{dst}")
     if src == dst:
         raise ValueError("src and dst must differ")
-    graph = topology.to_networkx()
-    try:
-        node_paths = list(islice(
-            nx.shortest_simple_paths(graph, src, dst), k))
-    except nx.NetworkXNoPath:
-        return []
-    paths = []
-    for node_path in node_paths:
-        links = tuple(topology.link_between(u, v)
-                      for u, v in zip(node_path, node_path[1:]))
-        paths.append(Path(links))
-    return paths
+    if topology.route_table is None:
+        # The table carries the graph, so a query never re-asks for it.
+        topology.route_table = (topology.to_networkx(), {}, set())
+    graph, found, dry = topology.route_table
+    by_dst = found.setdefault(src, {})
+    paths = by_dst.get(dst, ())
+    if len(paths) < k and (src, dst) not in dry:
+        try:
+            node_paths = list(islice(
+                nx.shortest_simple_paths(graph, src, dst), k))
+        except nx.NetworkXNoPath:
+            node_paths = []
+        paths = by_dst[dst] = tuple(
+            Path(tuple(topology.link_between(u, v)
+                       for u, v in zip(node_path, node_path[1:])))
+            for node_path in node_paths)
+        if len(paths) < k:
+            dry.add((src, dst))
+    return list(paths[:k])
 
 
 def _flowlet_hash(src: str, dst: str, rid: int, epoch: int) -> int:
@@ -124,11 +141,13 @@ def _flowlet_hash(src: str, dst: str, rid: int, epoch: int) -> int:
 
 
 class PathCache:
-    """Memoised admissible-route sets per (src, dst) pair.
+    """A routing policy's view of the topology's route table.
 
-    The cache is shared by the admission interface, the schedule adjuster
-    and every baseline so that all schemes optimise over the same route
-    sets (as in the paper's evaluation).  ``policy`` selects how a
+    Candidates come from :func:`k_shortest_paths`, so caches over the
+    same topology share one computation per pair.  One cache is shared
+    by the admission interface, the schedule adjuster and every baseline
+    so that all schemes optimise over the same route sets (as in the
+    paper's evaluation).  ``policy`` selects how a
     request's admissible set is derived from the k-shortest candidates
     (see :data:`ROUTING_POLICIES`); the default ``"kpaths"`` reproduces
     the pre-policy behaviour exactly.

@@ -80,6 +80,12 @@ class Topology:
         self._by_key: dict[tuple[str, str], Link] = {}
         self._out: dict[str, list[Link]] = {}
         self._regions: dict[str, str] = {}
+        self._graph: Optional[nx.DiGraph] = None
+        #: Compiled routing plane ``(graph, {src: {dst: candidates}},
+        #: pairs with no further candidates)``, filled by
+        #: :func:`repro.network.paths.k_shortest_paths` and dropped with
+        #: the graph whenever a node or link is added.
+        self.route_table: Optional[tuple[nx.DiGraph, dict, set]] = None
 
     # -- construction ---------------------------------------------------
     def add_node(self, node: str, region: Optional[str] = None) -> None:
@@ -88,6 +94,7 @@ class Topology:
             self._node_set.add(node)
             self._nodes.append(node)
             self._out[node] = []
+            self._graph = self.route_table = None
         if region is not None:
             self._regions[node] = region
 
@@ -103,6 +110,7 @@ class Topology:
         self._links.append(link)
         self._by_key[(src, dst)] = link
         self._out[src].append(link)
+        self._graph = self.route_table = None
         return link
 
     def add_duplex_link(self, u: str, v: str, capacity: float,
@@ -166,14 +174,20 @@ class Topology:
 
     # -- interop ----------------------------------------------------------
     def to_networkx(self) -> nx.DiGraph:
-        """Directed networkx view (used for path computation)."""
-        graph = nx.DiGraph()
-        graph.add_nodes_from(self._nodes)
-        for link in self._links:
-            graph.add_edge(link.src, link.dst, index=link.index,
-                           capacity=link.capacity, metered=link.metered,
-                           cost_per_unit=link.cost_per_unit)
-        return graph
+        """Directed networkx view (used for path computation).
+
+        Built once and shared, hence frozen; adding a node or link drops
+        it, so the next call sees the new graph.
+        """
+        if self._graph is None:
+            graph = nx.DiGraph()
+            graph.add_nodes_from(self._nodes)
+            for link in self._links:
+                graph.add_edge(link.src, link.dst, index=link.index,
+                               capacity=link.capacity, metered=link.metered,
+                               cost_per_unit=link.cost_per_unit)
+            self._graph = nx.freeze(graph)
+        return self._graph
 
     def is_strongly_connected(self) -> bool:
         """Whether every node can reach every other node."""

@@ -52,11 +52,26 @@ class RequestParameters:
     min_size: float = 0.5
 
 
-def _lognormal_with_mean(rng: np.random.Generator, mean: float, sigma: float,
-                         size: int) -> np.ndarray:
-    """Lognormal samples with the requested arithmetic mean."""
-    mu = np.log(mean) - 0.5 * sigma ** 2
-    return rng.lognormal(mean=mu, sigma=sigma, size=size)
+def _lognormal_mu(mean: float, sigma: float) -> float:
+    """Log-mean of the lognormal with the requested arithmetic mean."""
+    return float(np.log(mean) - 0.5 * sigma ** 2)
+
+
+def _arrival_cdf(pmf: np.ndarray) -> np.ndarray:
+    """The CDF ``Generator.choice(p=pmf)`` inverts, validated as it does.
+
+    ``choice`` re-validates ``p`` and rebuilds this on every call; one
+    ``cdf.searchsorted(rng.random(), side="right")`` per draw consumes
+    the same uniform and returns the same index.
+    """
+    cdf = pmf.cumsum()
+    # 1.5e-8 ~ sqrt(float64 eps), choice's own tolerance; ``not <=`` so
+    # that a NaN anywhere (hence in the running sum) fails too.
+    if (pmf < 0).any() or not abs(cdf[-1] - 1.0) <= 1.5e-8:
+        raise ValueError("arrival probabilities must be non-negative "
+                         "and sum to 1")
+    cdf /= cdf[-1]
+    return cdf
 
 
 def synthesize_requests(series: TrafficMatrixSeries,
@@ -90,6 +105,8 @@ def synthesize_requests(series: TrafficMatrixSeries,
     mix = None if resolved is None else ClassMix(resolved)
     rng = np.random.default_rng(seed)
     horizon = series.n_steps
+    size_mu = _lognormal_mu(params.mean_size, params.size_sigma)
+    duration_mu = _lognormal_mu(params.mean_duration, params.duration_sigma)
     requests: list[ByteRequest] = []
     rid = first_rid
 
@@ -101,19 +118,18 @@ def synthesize_requests(series: TrafficMatrixSeries,
             total = float(pair_series.sum())
             if total <= params.min_size:
                 continue
-            pmf = pair_series / total
+            cdf = _arrival_cdf(pair_series / total)
 
             remaining = total
             n_drawn = 0
             while remaining > 1e-9 and n_drawn < max_requests_per_pair:
-                size = float(_lognormal_with_mean(
-                    rng, params.mean_size, params.size_sigma, 1)[0])
+                size = rng.lognormal(size_mu, params.size_sigma)
                 size = max(params.min_size, min(size, remaining))
                 if remaining - size < params.min_size:
                     size = remaining
-                arrival = int(rng.choice(horizon, p=pmf))
-                duration = max(1, int(round(_lognormal_with_mean(
-                    rng, params.mean_duration, params.duration_sigma, 1)[0])))
+                arrival = int(cdf.searchsorted(rng.random(), side="right"))
+                duration = max(1, int(round(rng.lognormal(
+                    duration_mu, params.duration_sigma))))
                 deadline = min(horizon - 1, arrival + duration - 1)
                 value = values.sample_one(rng)
                 cls_name = "default"

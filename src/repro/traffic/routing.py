@@ -32,10 +32,10 @@ def route_series_on_shortest_paths(topology: Topology,
             routes = cache.routes(src, dst)
             if not routes:
                 continue
-            indices = list(routes[0].link_indices())
-            pair_demand = series.demand[:, i, j]
-            for index in indices:
-                loads[:, index] += pair_demand
+            # Link indices on a simple path are unique, so one
+            # fancy-indexed add equals the per-link loop bit for bit.
+            loads[:, routes[0].link_indices()] += \
+                series.demand[:, i, j][:, None]
     return loads
 
 

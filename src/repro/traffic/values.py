@@ -28,6 +28,11 @@ class ValueDistribution(ABC):
         """Draw ``size`` positive values."""
 
     def sample_one(self, rng: np.random.Generator) -> float:
+        """One value, consuming exactly what ``sample(rng, 1)`` would.
+
+        The built-in distributions override this with the scalar form of
+        the same draw, which skips the array round trip per request.
+        """
         return float(self.sample(rng, 1)[0])
 
 
@@ -48,6 +53,9 @@ class NormalValues(ValueDistribution):
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return np.maximum(rng.normal(self.mean, self.sigma, size),
                           VALUE_FLOOR)
+
+    def sample_one(self, rng: np.random.Generator) -> float:
+        return max(rng.normal(self.mean, self.sigma), VALUE_FLOOR)
 
 
 class ParetoValues(ValueDistribution):
@@ -72,6 +80,9 @@ class ParetoValues(ValueDistribution):
         # classical Pareto with minimum = scale.
         return self.scale * (1.0 + rng.pareto(self.alpha, size))
 
+    def sample_one(self, rng: np.random.Generator) -> float:
+        return self.scale * (1.0 + rng.pareto(self.alpha))
+
 
 class ExponentialValues(ValueDistribution):
     """Exponential values (used in the Figure 5 traffic-model validation)."""
@@ -84,6 +95,9 @@ class ExponentialValues(ValueDistribution):
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return np.maximum(rng.exponential(self.mean, size), VALUE_FLOOR)
+
+    def sample_one(self, rng: np.random.Generator) -> float:
+        return max(rng.exponential(self.mean), VALUE_FLOOR)
 
 
 class UniformValues(ValueDistribution):
@@ -99,6 +113,9 @@ class UniformValues(ValueDistribution):
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return rng.uniform(self.low, self.high, size)
 
+    def sample_one(self, rng: np.random.Generator) -> float:
+        return rng.uniform(self.low, self.high)
+
 
 class FixedValues(ValueDistribution):
     """Degenerate distribution (every request worth the same); for tests."""
@@ -111,6 +128,9 @@ class FixedValues(ValueDistribution):
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return np.full(size, self.value)
+
+    def sample_one(self, rng: np.random.Generator) -> float:
+        return float(self.value)
 
 
 def normal_with_ratio(mu_over_sigma: float, mean: float = 1.0) -> NormalValues:

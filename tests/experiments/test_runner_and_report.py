@@ -3,15 +3,16 @@
 import numpy as np
 import pytest
 
-from repro.experiments import (SCHEME_FACTORIES, format_series, format_table,
+from repro.experiments import (format_series, format_table,
                                make_scheme, quick_scenario, run_scheme,
                                run_schemes, standard_scenario,
                                standard_topology, summaries)
+from repro.registry import SCHEMES
 from repro.sim import metrics
 
 
 def test_all_factories_instantiable():
-    for name in SCHEME_FACTORIES:
+    for name in SCHEMES.names():
         scheme = make_scheme(name)
         assert scheme is not None
 
@@ -109,5 +110,8 @@ def test_scheme_specs_are_picklable():
 def test_scheme_factories_alias_keeps_callable_idiom():
     # Historical call sites do SCHEME_FACTORIES[name]() — specs are
     # callable, so the lambda-era idiom keeps working.
-    scheme = SCHEME_FACTORIES["NoPrices"]()
+    from repro.experiments import runner
+    with pytest.warns(DeprecationWarning, match="repro.registry.SCHEMES"):
+        factories = runner.SCHEME_FACTORIES
+    scheme = factories["NoPrices"]()
     assert scheme.name == "NoPrices"

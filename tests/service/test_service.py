@@ -157,12 +157,15 @@ class BlockingEngine:
         self.options = options
         self.scheme = SimpleNamespace()      # no admission interface
         self.release = threading.Event()
+        #: Set on the first admit(): the loop thread is now blocked.
+        self.entered = threading.Event()
         self.processed = []
 
     def start(self):
         return self
 
     def admit(self, request, step=None):
+        self.entered.set()
         self.release.wait(timeout=30)
         self.processed.append(request)
         return SimpleNamespace(rid=request, step=0, admitted=True,
@@ -202,6 +205,9 @@ def test_bursts_are_micro_batched_in_fifo_order():
     with use_registry():
         svc = AdmissionService(engine, options).start()
         first = svc.submit("r0")             # loop blocks processing this
+        # Without this the burst can land before the loop has drained
+        # r0, which then shares its batch with r1 (max == 4).
+        assert engine.entered.wait(timeout=30)
         burst = [svc.submit(f"r{n}") for n in range(1, 6)]
         engine.release.set()
         for future in [first, *burst]:

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.network import line_network, small_wan, wan_topology
+from repro.network import (PathCache, line_network, small_wan,
+                           wan_topology)
 from repro.traffic import (TrafficMatrixSeries, gravity_weights,
                            route_series_on_shortest_paths,
                            synthesize_tm_series,
@@ -117,6 +118,22 @@ def test_routing_on_line_network():
     loads = route_series_on_shortest_paths(topo, series)
     assert loads.shape == (2, 2)
     assert np.allclose(loads, 4.0)
+
+
+def test_routing_equals_the_per_link_accumulation_bit_for_bit():
+    """One fancy-indexed add per pair == the old loop over its links."""
+    topo = wan_topology(n_nodes=12, n_regions=3, seed=2)
+    series = synthesize_tm_series(topo, 30, 10, flash_crowd_rate=0.1, seed=2)
+    series.demand[:, 0, 1] = 0.0                    # a zero-demand pair
+    cache = PathCache(topo, k=1)
+    expected = np.zeros((series.n_steps, topo.num_links))
+    for i, src in enumerate(series.nodes):
+        for j, dst in enumerate(series.nodes):
+            if i != j and series.demand[:, i, j].sum() > 0:
+                for index in cache.routes(src, dst)[0].link_indices():
+                    expected[:, index] += series.demand[:, i, j]
+    loads = route_series_on_shortest_paths(topo, series)
+    assert np.array_equal(loads, expected)
 
 
 def test_utilization_ratio_excludes_idle_links():
