@@ -17,8 +17,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from ..core.request import ByteRequest
-from ..lp import LE, Model, add_sum_topk, add_sum_topk_coo, quicksum
-from ..lp.grouping import PairGroups
+from ..lp import LE, Model, add_sum_topk, quicksum
+from ..lp.grouping import PairGroups, add_demand_blocks, \
+    add_percentile_costs, route_incidence
 from ..network import PathCache
 from ..sim.engine import RunResult
 from ..traffic.workload import Workload
@@ -124,14 +125,9 @@ def _solve_offline_schedule_coo(workload: Workload,
     paths = paths or PathCache(topology, k=route_count)
     model = Model(sense="max", name="offline-schedule")
 
-    obj_cols: list[np.ndarray] = []
-    obj_vals: list[np.ndarray] = []
-    request_entries: list[tuple[int, np.ndarray, np.ndarray]] = []
-    inc_links: list[np.ndarray] = []
-    inc_steps: list[np.ndarray] = []
-    inc_vars: list[np.ndarray] = []
-    has_value_terms = False
-    n_value_arrays = 0
+    entries: list[tuple[int, int, np.ndarray]] = []
+    counts, caps, weights = [], [], []
+    incidences: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
     for item in items:
         request = item.request
         if item.cap <= EPS:
@@ -141,90 +137,35 @@ def _solve_offline_schedule_coo(workload: Workload,
         steps = np.arange(request.start, min(request.deadline + 1, n_steps))
         if item.allowed_steps is not None:
             steps = steps[[t in item.allowed_steps for t in steps.tolist()]]
-        n_vars = len(routes) * steps.size
-        if n_vars == 0:
+        if len(routes) * steps.size == 0:
             continue
-        block = model.add_variables_array(
-            n_vars, f"x[{request.rid}]", lb=0.0)
-        flows = block.indices.reshape(len(routes), steps.size)
-        if item.weight:
-            has_value_terms = True
-            n_value_arrays += 1
-            obj_cols.append(flows.ravel())
-            obj_vals.append(np.full(n_vars, float(item.weight)))
-        for r, path in enumerate(routes):
-            request_entries.append((request.rid, steps, flows[r]))
-            link_indices = np.asarray(path.link_indices())
-            inc_links.append(np.tile(link_indices, steps.size))
-            inc_steps.append(np.repeat(steps, link_indices.size))
-            inc_vars.append(np.repeat(flows[r], link_indices.size))
-        model.add_constraints_coo(
-            np.zeros(n_vars, dtype=np.int64), flows.ravel(),
-            np.ones(n_vars), LE, item.cap, name=f"cap[{request.rid}]")
+        entries.append((request.rid, len(routes), steps))
+        counts.append(len(routes) * steps.size)
+        caps.append(item.cap)
+        weights.append(float(item.weight))
+        incidences.append(route_incidence(routes, steps))
+    starts, flows, _slacks = add_demand_blocks(model, counts, caps)
+    values = np.repeat(weights, counts)
 
-    groups = PairGroups(
-        np.concatenate(inc_links) if inc_links else np.zeros(0, np.int64),
-        np.concatenate(inc_steps) if inc_steps else np.zeros(0, np.int64),
-        np.concatenate(inc_vars) if inc_vars else np.zeros(0, np.int64),
-        n_steps)
+    groups = PairGroups.of_contracts(incidences, starts, n_steps)
     capacities = np.array([link.capacity for link in topology.links])
     if groups.n:
         model.add_constraints_coo(
             groups.rows, groups.values, np.ones(groups.rows.size), LE,
             capacities[groups.links].astype(float), name="edge")
 
-    n_cost_terms = 0
-    if include_costs:
-        billing = workload.steps_per_day
-        touched_links = set(groups.links.tolist())
-        for link in topology.metered_links():
-            if link.index not in touched_links:
-                continue
-            link_steps = groups.steps[groups.links == link.index]
-            window_starts = sorted({
-                (int(t) // billing) * billing for t in link_steps})
-            for window_start in window_starts:
-                window_end = min(window_start + billing, n_steps)
-                length = window_end - window_start
-                k = max(1, int(round(topk_fraction * length)))
-                window = np.arange(window_start, window_end)
-                ranks = [groups.rank_of(link.index, int(t)) for t in window]
-                flow_steps = np.array([rank is not None for rank in ranks])
-                ubs = np.zeros(length)
-                ubs[flow_steps] = np.inf
-                loads = model.add_variables_array(
-                    length, f"load[{link.index}]", lb=0.0, ub=ubs)
-                rows, cols, vals = [], [], []
-                row = 0
-                for j in np.nonzero(flow_steps)[0]:
-                    members = groups.members(ranks[j])
-                    rows.extend([row] * (1 + members.size))
-                    cols.append(loads.start + j)
-                    cols.extend(members.tolist())
-                    vals.extend([1.0] + [-1.0] * members.size)
-                    row += 1
-                if row:
-                    model.add_constraints_coo(
-                        rows, cols, vals, "==", np.zeros(row),
-                        name=f"load[{link.index}]")
-                bound = add_sum_topk_coo(
-                    model, loads.indices, k,
-                    name=f"z[{link.index},{window_start}]",
-                    encoding=topk_encoding)
-                obj_cols.append(np.array([bound]))
-                obj_vals.append(np.array([-(link.cost_per_unit / k)]))
-                n_cost_terms += 1
+    costs = add_percentile_costs(
+        model, groups, topology.metered_links() if include_costs else (),
+        workload.steps_per_day, n_steps, topk_fraction, topk_encoding)
 
-    if not has_value_terms and n_cost_terms == 0:
+    if not values.any() and not costs.bounds.size:
         return OfflineSchedule(np.zeros((n_steps, topology.num_links)), {},
                                {}, 0.0)
 
-    if objective == "bytes_then_cost" and has_value_terms and n_cost_terms:
-        priority = _lexicographic_priority(topology)
-        obj_vals = [vals * priority if i < n_value_arrays else vals
-                    for i, vals in enumerate(obj_vals)]
-    model.set_objective_coo(np.concatenate(obj_cols),
-                            np.concatenate(obj_vals))
+    if objective == "bytes_then_cost" and values.any() and costs.bounds.size:
+        values = values * _lexicographic_priority(topology)
+    model.set_objective_coo(np.concatenate([flows, costs.bounds]),
+                            np.concatenate([values, costs.weights]))
     solution = model.solve()
 
     x = solution.x
@@ -236,9 +177,11 @@ def _solve_offline_schedule_coo(workload: Workload,
     delivered: dict[int, float] = {}
     per_step: dict[int, np.ndarray] = {}
     series_by_rid: dict[int, np.ndarray] = {}
-    for rid, steps, variables in request_entries:
+    for (rid, n_routes, steps), start in zip(entries, starts.tolist()):
         series = series_by_rid.setdefault(rid, np.zeros(n_steps))
-        np.add.at(series, steps, x[variables])
+        for r in range(n_routes):
+            first = start + r * steps.size
+            np.add.at(series, steps, x[first:first + steps.size])
     for rid, series in series_by_rid.items():
         if series.sum() > EPS:
             delivered[rid] = float(series.sum())

@@ -25,9 +25,9 @@ from __future__ import annotations
 import numpy as np
 
 from ..faults.resilience import RetryPolicy, resilient_solve
-from ..lp import LE, Model, add_sum_topk, add_sum_topk_coo, quicksum, \
-    session_for
-from ..lp.grouping import PairGroups
+from ..lp import LE, Model, add_sum_topk, quicksum, session_for
+from ..lp.grouping import PairGroups, add_demand_blocks, \
+    add_percentile_costs, route_incidence
 from ..telemetry import ledger
 from .admission import EPS, Contract
 from .state import NetworkState
@@ -130,41 +130,23 @@ class PriceComputer:
         period_len = period_end - period_start
         model = Model(sense="max", name=f"pc@{period_end}")
 
-        obj_cols: list[np.ndarray] = []
-        obj_vals: list[np.ndarray] = []
-        inc_links: list[np.ndarray] = []
-        inc_steps: list[np.ndarray] = []
-        inc_vars: list[np.ndarray] = []
+        counts, caps, values = [], [], []
+        incidences: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
         for contract in contracts:
             request = contract.request
             routes = state.paths.routes(request.src, request.dst,
                                         rid=request.rid)
-            first = max(request.start, period_start)
-            last = min(request.deadline, period_end - 1)
-            steps = np.arange(first, last + 1)
-            n_vars = len(routes) * steps.size
-            if n_vars == 0:
+            steps = np.arange(max(request.start, period_start),
+                              min(request.deadline, period_end - 1) + 1)
+            if len(routes) * steps.size == 0:
                 continue
-            block = model.add_variables_array(
-                n_vars, f"x[{contract.rid}]", lb=0.0)
-            flows = block.indices.reshape(len(routes), steps.size)
-            obj_cols.append(flows.ravel())
-            obj_vals.append(np.full(n_vars, contract.marginal_price))
-            for r, path in enumerate(routes):
-                link_indices = np.asarray(path.link_indices())
-                inc_links.append(np.tile(link_indices, steps.size))
-                inc_steps.append(np.repeat(steps, link_indices.size))
-                inc_vars.append(np.repeat(flows[r], link_indices.size))
-            model.add_constraints_coo(
-                np.zeros(n_vars, dtype=np.int64), flows.ravel(),
-                np.ones(n_vars), LE, contract.chosen,
-                name=f"demand[{contract.rid}]")
+            counts.append(len(routes) * steps.size)
+            caps.append(contract.chosen)
+            values.append(contract.marginal_price)
+            incidences.append(route_incidence(routes, steps))
+        starts, flows, _slacks = add_demand_blocks(model, counts, caps)
 
-        groups = PairGroups(
-            np.concatenate(inc_links) if inc_links else np.zeros(0, np.int64),
-            np.concatenate(inc_steps) if inc_steps else np.zeros(0, np.int64),
-            np.concatenate(inc_vars) if inc_vars else np.zeros(0, np.int64),
-            state.n_steps)
+        groups = PairGroups.of_contracts(incidences, starts, state.n_steps)
         cap_block = None
         if groups.n:
             caps = state.capacity[groups.steps, groups.links].astype(float)
@@ -175,46 +157,14 @@ class PriceComputer:
         # Percentile-cost proxy; one load-coupling equality per window
         # step (its dual carries the cost gradient — see the reference
         # builder for why the LP dual, not a top-k rule, is used).
-        load_blocks: list[tuple[int, int, np.ndarray, object]] = []
-        touched_links = set(groups.links.tolist())
-        for link in state.topology.metered_links():
-            if link.index not in touched_links:
-                continue
-            link_steps = groups.steps[groups.links == link.index]
-            window_starts = sorted({
-                (int(t) // self.billing_window) * self.billing_window
-                for t in link_steps})
-            for window_start in window_starts:
-                window_end = min(window_start + self.billing_window,
-                                 state.n_steps)
-                length = window_end - window_start
-                k = max(1, int(round(config.topk_fraction * length)))
-                window = np.arange(window_start, window_end)
-                loads = model.add_variables_array(
-                    length, f"load[{link.index}]", lb=0.0)
-                rows, cols, vals = [], [], []
-                for j, t in enumerate(window):
-                    rank = groups.rank_of(link.index, int(t))
-                    members = groups.members(rank) if rank is not None \
-                        else np.zeros(0, np.int64)
-                    rows.extend([j] * (1 + members.size))
-                    cols.append(loads.start + j)
-                    cols.extend(members.tolist())
-                    vals.extend([1.0] + [-1.0] * members.size)
-                block = model.add_constraints_coo(
-                    rows, cols, vals, "==", np.zeros(length),
-                    name=f"load[{link.index}]")
-                load_blocks.append((link.index, window_start, window, block))
-                bound = add_sum_topk_coo(
-                    model, loads.indices, k,
-                    name=f"z[{link.index},{window_start}]",
-                    encoding=config.topk_encoding)
-                obj_cols.append(np.array([bound]))
-                obj_vals.append(np.array([-(link.cost_per_unit / k)]))
+        costs = add_percentile_costs(
+            model, groups, state.topology.metered_links(),
+            self.billing_window, state.n_steps, config.topk_fraction,
+            config.topk_encoding, couple_idle=True)
 
         model.set_objective_coo(
-            np.concatenate(obj_cols) if obj_cols else np.zeros(0, np.int64),
-            np.concatenate(obj_vals) if obj_vals else np.zeros(0))
+            np.concatenate([flows, costs.bounds]),
+            np.concatenate([np.repeat(values, counts), costs.weights]))
         solution = self._solve_lp(model, period_end)
 
         duals = np.zeros((period_len, n_links))
@@ -231,13 +181,16 @@ class PriceComputer:
         leveling = config.initial_metered_leveling
         unit_cost = {link.index: link.cost_per_unit
                      for link in state.topology.metered_links()}
-        for index, _window_start, window, block in load_blocks:
+        for index, window_start, length, row in zip(
+                costs.links.tolist(), costs.starts.tolist(),
+                costs.lengths.tolist(), costs.load_rows.tolist()):
             mass = float(np.maximum(
-                0.0, -solution.dual_array(block)).sum())
-            uniform = min(mass / window.size, unit_cost[index] / leveling)
-            sel = (window >= period_start) & (window < period_end)
-            duals[window[sel] - period_start, index] += uniform
-            covered[window[sel] - period_start, index] = True
+                0.0, -solution.duals[row:row + length]).sum())
+            uniform = min(mass / length, unit_cost[index] / leveling)
+            inside = slice(max(window_start - period_start, 0),
+                           max(window_start + length - period_start, 0))
+            duals[inside, index] += uniform
+            covered[inside, index] = True
         return duals, covered
 
     def _solve_offline_expr(self, contracts: list[Contract],

@@ -25,9 +25,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..faults.resilience import RetryPolicy, resilient_solve
-from ..lp import GE, LE, InfeasibleError, Model, add_sum_topk, \
-    add_sum_topk_coo, quicksum, session_for
-from ..lp.grouping import PairGroups
+from ..lp import GE, LE, InfeasibleError, Model, add_sum_topk, quicksum, \
+    session_for
+from ..lp.grouping import PairGroups, add_demand_blocks, \
+    add_percentile_costs, route_incidence
+from ..lp.model import SENSE_CODES
 from ..network import Path
 from ..telemetry import get_registry, ledger
 from .admission import EPS, Contract
@@ -64,11 +66,16 @@ class _ContractSkeleton:
     The arrays are never mutated — every reuse slices fresh copies — and
     the assembled fragments are bit-identical to a fresh build, which
     the hypothesis suite asserts over arbitrary patch sequences.
+
+    A skeleton is only valid for the routes it was built over: a link
+    kill can re-pin a flowlet to a *different* single route, and rows
+    built from the old route's links would then constrain links the plan
+    no longer uses.  ``routes`` is kept so reuse can check identity.
     """
 
     first: int
     deadline: int
-    n_routes: int
+    routes: tuple[Path, ...]
     steps: np.ndarray        # arange(first, deadline + 1)
     rel_links: np.ndarray    # link index per incidence entry
     rel_steps: np.ndarray    # timestep per incidence entry
@@ -78,23 +85,17 @@ class _ContractSkeleton:
     @classmethod
     def build(cls, routes, first: int, deadline: int) -> "_ContractSkeleton":
         steps = np.arange(first, deadline + 1)
-        n_steps = steps.size
-        links_parts, steps_parts, vars_parts, route_parts = [], [], [], []
-        for r, path in enumerate(routes):
-            link_indices = np.asarray(path.link_indices())
-            links_parts.append(np.tile(link_indices, n_steps))
-            steps_parts.append(np.repeat(steps, link_indices.size))
-            vars_parts.append(np.repeat(
-                np.arange(r * n_steps, (r + 1) * n_steps), link_indices.size))
-            route_parts.append(np.full(link_indices.size * n_steps, r,
-                                       dtype=np.int64))
-        concat = lambda parts: np.concatenate(parts) if parts \
-            else np.zeros(0, dtype=np.int64)  # noqa: E731
-        return cls(first=first, deadline=deadline, n_routes=len(routes),
-                   steps=steps, rel_links=concat(links_parts),
-                   rel_steps=concat(steps_parts),
-                   rel_vars=concat(vars_parts),
-                   entry_route=concat(route_parts))
+        rel_links, rel_steps, rel_vars = route_incidence(routes, steps)
+        return cls(first=first, deadline=deadline, routes=tuple(routes),
+                   steps=steps, rel_links=rel_links, rel_steps=rel_steps,
+                   rel_vars=rel_vars,
+                   entry_route=rel_vars // max(steps.size, 1))
+
+    def covers(self, routes, first: int, deadline: int) -> bool:
+        """Whether the fragments can serve ``[first, deadline]`` over
+        exactly ``routes``."""
+        return self.deadline == deadline and self.first <= first \
+            and self.routes == tuple(routes)
 
     def sliced(self, first: int):
         """Fragment arrays for the remaining span ``[first, deadline]``.
@@ -285,11 +286,13 @@ class ScheduleAdjuster:
                    enforce_guarantees: bool) -> list[Transmission]:
         """Array-native twin of :meth:`_solve_expr`.
 
-        Variables and constraints are emitted in exactly the reference
+        Variables and constraints are laid out in exactly the reference
         order (contract flows + demand/guarantee rows, then capacity and
         smoothing rows per first-encountered (link, timestep) pair, then
         the per-window percentile-cost proxy), so HiGHS sees the
-        identical LP and returns the identical plan and duals.
+        identical LP and returns the identical plan and duals.  The
+        per-contract loop only gathers numbers; every model call covers
+        all contracts, pairs or windows at once (:mod:`repro.lp.grouping`).
 
         With ``config.sam_skeleton_cache`` on, each contract's incidence
         fragments come from a :class:`_ContractSkeleton` cached at the
@@ -303,22 +306,17 @@ class ScheduleAdjuster:
         registry = get_registry()
         cache = self._skeletons if config.sam_skeleton_cache else None
 
-        obj_cols: list[np.ndarray] = []
-        obj_vals: list[np.ndarray] = []
-        plan_entries: list[tuple[Contract, Path, np.ndarray, np.ndarray]] = []
-        inc_links: list[np.ndarray] = []
-        inc_steps: list[np.ndarray] = []
-        inc_vars: list[np.ndarray] = []
+        entries: list[tuple[Contract, list[Path], np.ndarray]] = []
+        caps, values, needs, soft = [], [], [], []
+        incidences: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
         for contract in active:
             request = contract.request
             routes = state.paths.routes(request.src, request.dst,
                                         rid=request.rid)
             first = max(request.start, now)
             skeleton = None if cache is None else cache.get(contract.rid)
-            if skeleton is not None and (
-                    skeleton.deadline != request.deadline
-                    or skeleton.n_routes != len(routes)
-                    or skeleton.first > first):
+            if skeleton is not None and not skeleton.covers(
+                    routes, first, request.deadline):
                 skeleton = None
             if skeleton is None:
                 skeleton = _ContractSkeleton.build(routes, first,
@@ -331,55 +329,23 @@ class ScheduleAdjuster:
             else:
                 registry.counter("sam.skeleton.trims").inc()
             steps, rel_links, rel_steps, rel_vars = skeleton.sliced(first)
-            n_vars = len(routes) * steps.size
-            if n_vars == 0:
+            if len(routes) * steps.size == 0:
                 continue
-            remaining_cap = contract.chosen - delivered.get(contract.rid, 0.0)
+            done = delivered.get(contract.rid, 0.0)
             cls = state.class_for(request)
-            value = contract.marginal_price if cls.weight == 1.0 \
-                else cls.weight * contract.marginal_price
-            block = model.add_variables_array(
-                n_vars, f"x[{contract.rid}]", lb=0.0, ub=remaining_cap)
-            flows = block.indices.reshape(len(routes), steps.size)
-            obj_cols.append(flows.ravel())
-            obj_vals.append(np.full(n_vars, value))
-            for r, path in enumerate(routes):
-                plan_entries.append((contract, path, steps, flows[r]))
-            inc_links.append(rel_links)
-            inc_steps.append(rel_steps)
-            inc_vars.append(rel_vars + block.start)
-            rows = [np.zeros(n_vars, dtype=np.int64)]
-            cols = [flows.ravel()]
-            vals = [np.ones(n_vars)]
-            senses = [LE]
-            rhs = [remaining_cap]
-            if enforce_guarantees:
-                need = contract.guaranteed - delivered.get(contract.rid, 0.0)
-                if need > EPS:
-                    rows.append(np.ones(n_vars, dtype=np.int64))
-                    cols.append(flows.ravel())
-                    vals.append(np.ones(n_vars))
-                    senses.append(GE)
-                    rhs.append(need)
-                    if cls.preemptible:
-                        # Soft guarantee: a slack variable lets the LP
-                        # renege on a preemptible contract's remaining
-                        # guarantee, at a penalty steep enough (twice
-                        # the weighted value plus the floor) that it
-                        # only pays off when the capacity is worth more
-                        # to non-preemptible traffic.
-                        slack = model.add_variables_array(
-                            1, f"preempt[{contract.rid}]", lb=0.0)
-                        rows.append(np.ones(1, dtype=np.int64))
-                        cols.append(slack.indices)
-                        vals.append(np.ones(1))
-                        obj_cols.append(slack.indices)
-                        obj_vals.append(np.array(
-                            [-(2.0 * value + config.price_floor)]))
-            model.add_constraints_coo(
-                np.concatenate(rows), np.concatenate(cols),
-                np.concatenate(vals), senses, rhs,
-                name=f"demand[{contract.rid}]")
+            entries.append((contract, routes, steps))
+            caps.append(contract.chosen - done)
+            values.append(contract.marginal_price if cls.weight == 1.0
+                          else cls.weight * contract.marginal_price)
+            # A preemptible contract's guarantee is soft: a slack
+            # variable lets the LP renege on what remains of it, at a
+            # penalty steep enough (twice the weighted value plus the
+            # floor) that it only pays off when the capacity is worth
+            # more to non-preemptible traffic.
+            need = contract.guaranteed - done
+            needs.append(need if enforce_guarantees and need > EPS else 0.0)
+            soft.append(cls.preemptible)
+            incidences.append((rel_links, rel_steps, rel_vars))
 
         if cache is not None:
             # Settlement patch: contracts that left the active set
@@ -389,16 +355,21 @@ class ScheduleAdjuster:
             for rid in [r for r in cache if r not in active_rids]:
                 del cache[rid]
 
-        groups = PairGroups(
-            np.concatenate(inc_links) if inc_links else np.zeros(0, np.int64),
-            np.concatenate(inc_steps) if inc_steps else np.zeros(0, np.int64),
-            np.concatenate(inc_vars) if inc_vars else np.zeros(0, np.int64),
-            state.n_steps)
+        counts = np.array([len(routes) * steps.size
+                           for _c, routes, steps in entries], dtype=np.int64)
+        values = np.array(values)
+        starts, flows, slacks = add_demand_blocks(
+            model, counts, caps, ub=caps, need=needs, soft=soft)
+        slacked = slacks >= 0
+        obj_cols = [flows, slacks[slacked]]
+        obj_vals = [np.repeat(values, counts),
+                    -(2.0 * values[slacked] + config.price_floor)]
+        groups = PairGroups.of_contracts(incidences, starts, state.n_steps)
 
         # Capacity per touched (link, timestep) pair, with the smoothing
         # overflow nudge interleaved exactly as the reference builder
         # emits it (see _solve_expr for the rationale).
-        caps = state.capacity[groups.steps, groups.links].astype(float)
+        capacity = state.capacity[groups.steps, groups.links].astype(float)
         smoothing_weight = config.price_floor * 0.1
         smoothing = config.short_term_adjustment and smoothing_weight > 0 \
             and groups.n > 0
@@ -411,90 +382,43 @@ class ScheduleAdjuster:
                                    over.indices])
             vals = np.concatenate([np.ones(n_entries), -np.ones(n_entries),
                                    np.ones(groups.n)])
-            senses = np.tile(np.array([LE, GE]), groups.n)
+            senses = np.tile(np.array([SENSE_CODES[LE], SENSE_CODES[GE]],
+                                      dtype=np.int8), groups.n)
             rhs = np.empty(2 * groups.n)
-            rhs[0::2] = caps
-            rhs[1::2] = -(config.congestion_threshold * caps)
+            rhs[0::2] = capacity
+            rhs[1::2] = -(config.congestion_threshold * capacity)
             model.add_constraints_coo(rows, cols, vals, senses, rhs,
                                       name="cap")
             obj_cols.append(over.indices)
             obj_vals.append(np.full(groups.n, -smoothing_weight))
         elif groups.n:
             model.add_constraints_coo(groups.rows, groups.values,
-                                      np.ones(n_entries), LE, caps,
+                                      np.ones(n_entries), LE, capacity,
                                       name="cap")
 
-        self._cost_proxy_coo(model, groups, realized_loads, now,
-                             obj_cols, obj_vals)
+        costs = add_percentile_costs(
+            model, groups, state.topology.metered_links(),
+            self.billing_window, state.n_steps, config.topk_fraction,
+            config.topk_encoding, now=now, realized=realized_loads)
+        obj_cols.append(costs.bounds)
+        obj_vals.append(costs.weights)
 
-        model.set_objective_coo(
-            np.concatenate(obj_cols) if obj_cols else np.zeros(0, np.int64),
-            np.concatenate(obj_vals) if obj_vals else np.zeros(0))
+        model.set_objective_coo(np.concatenate(obj_cols),
+                                np.concatenate(obj_vals))
         solution = self._solve_lp(model, now)
 
         x = solution.x
         plan = []
-        for contract, path, steps, variables in plan_entries:
-            volumes = x[variables]
-            links = path.link_indices()
-            for j in np.nonzero(volumes > EPS)[0]:
-                plan.append(Transmission(contract.rid, links,
-                                         int(steps[j]), float(volumes[j])))
+        for (contract, routes, steps), start in zip(entries, starts.tolist()):
+            volumes = x[start:start + len(routes) * steps.size] \
+                .reshape(len(routes), steps.size)
+            for path, route_volumes in zip(routes, volumes):
+                links = path.link_indices()
+                for j in np.nonzero(route_volumes > EPS)[0]:
+                    plan.append(Transmission(contract.rid, links,
+                                             int(steps[j]),
+                                             float(route_volumes[j])))
         return plan
-
-    def _cost_proxy_coo(self, model: Model, groups: PairGroups,
-                        realized_loads: np.ndarray, now: int,
-                        obj_cols: list[np.ndarray],
-                        obj_vals: list[np.ndarray]) -> None:
-        """COO twin of :meth:`_cost_proxy_terms` (same emission order)."""
-        state = self.state
-        config = state.config
-        touched_links = set(groups.links.tolist())
-        for link in state.topology.metered_links():
-            if link.index not in touched_links:
-                continue
-            link_steps = groups.steps[groups.links == link.index]
-            window_starts = sorted({
-                (int(t) // self.billing_window) * self.billing_window
-                for t in link_steps})
-            for window_start in window_starts:
-                window_end = min(window_start + self.billing_window,
-                                 state.n_steps)
-                length = window_end - window_start
-                k = max(1, int(round(config.topk_fraction * length)))
-                window = np.arange(window_start, window_end)
-                ranks = [groups.rank_of(link.index, int(t)) for t in window]
-                # Load variables per window step: realised past steps are
-                # pinned (lb == ub), steps without flows pinned to zero.
-                lbs = np.zeros(length)
-                ubs = np.zeros(length)
-                past = window < now
-                lbs[past] = realized_loads[window[past], link.index]
-                ubs[past] = lbs[past]
-                flow_steps = np.array([rank is not None for rank in ranks]) \
-                    & ~past
-                ubs[flow_steps] = np.inf
-                loads = model.add_variables_array(
-                    length, f"load[{link.index}]", lb=lbs, ub=ubs)
-                rows, cols, vals = [], [], []
-                row = 0
-                for j in np.nonzero(flow_steps)[0]:
-                    flows = groups.members(ranks[j])
-                    rows.extend([row] * (1 + flows.size))
-                    cols.append(loads.start + j)
-                    cols.extend(flows.tolist())
-                    vals.extend([1.0] + [-1.0] * flows.size)
-                    row += 1
-                if row:
-                    model.add_constraints_coo(
-                        rows, cols, vals, "==", np.zeros(row),
-                        name=f"load[{link.index}]")
-                bound = add_sum_topk_coo(
-                    model, loads.indices, k,
-                    name=f"z[{link.index},{window_start}]",
-                    encoding=config.topk_encoding)
-                obj_cols.append(np.array([bound]))
-                obj_vals.append(np.array([-(link.cost_per_unit / k)]))
 
     def _solve_expr(self, active: list[Contract],
                     delivered: dict[int, float],

@@ -1,6 +1,6 @@
 """Linear-programming substrate.
 
-A compact algebraic modelling layer over scipy's HiGHS solver, plus the
+A compact algebraic modelling layer over the HiGHS solver scipy ships, plus the
 top-k (percentile-cost proxy) encodings from Section 4.2 of the paper.
 This replaces the Gurobi dependency of the original Pretium implementation.
 """
@@ -13,9 +13,8 @@ from .solver import (HIGHSPY_AVAILABLE, SOLVER_BACKENDS, HighsSession,
                      ScipySession, Solution, SolverSession, session_for,
                      solve_model)
 from .topk import (TOPK_ENCODINGS, add_sum_topk, add_sum_topk_coo,
-                   add_sum_topk_cvar, add_sum_topk_cvar_coo,
-                   add_sum_topk_sorting, add_sum_topk_sorting_coo,
-                   sum_topk_exact, topk_constraint_count)
+                   add_sum_topk_cvar, add_sum_topk_sorting, sum_topk_exact,
+                   topk_constraint_count, topk_template)
 
 __all__ = [
     "Constraint", "ConstraintBlock", "EQ", "GE", "HIGHSPY_AVAILABLE",
@@ -25,7 +24,7 @@ __all__ = [
     "SolverSession", "SolverTimeout", "TOPK_ENCODINGS", "UnboundedError",
     "Variable", "VariableBlock",
     "add_sum_topk", "add_sum_topk_coo", "add_sum_topk_cvar",
-    "add_sum_topk_cvar_coo", "add_sum_topk_sorting",
-    "add_sum_topk_sorting_coo", "quicksum", "session_for", "solve_model",
-    "sum_topk_exact", "topk_constraint_count", "weighted_sum",
+    "add_sum_topk_sorting", "quicksum", "session_for", "solve_model",
+    "sum_topk_exact", "topk_constraint_count", "topk_template",
+    "weighted_sum",
 ]

@@ -4,7 +4,8 @@ The paper's modules (request admission, schedule adjustment, price
 computation and the offline baselines) are all linear programs.  The
 original system used Gurobi; this reproduction is offline-only, so we build
 the modelling vocabulary we need — variables, linear expressions,
-constraints, duals — on top of :func:`scipy.optimize.linprog` (HiGHS).
+constraints, duals — on top of HiGHS (handed the arrays directly; see
+:mod:`repro.lp.solver`).
 
 The API is deliberately close to common algebraic modelling layers::
 
@@ -292,8 +293,8 @@ class VariableBlock:
         if not 0 <= i < self.count:
             raise IndexError(f"block index {i} out of range 0..{self.count - 1}")
         index = self.start + i
-        return Variable(index, f"{self.prefix}[{i}]",
-                        self._model._lb[index], self._model._ub[index],
+        lb, ub = self._model.bounds(index, index + 1)[0]
+        return Variable(index, f"{self.prefix}[{i}]", lb, ub,
                         self._model._model_id)
 
     def __iter__(self):
@@ -350,22 +351,18 @@ class ConstraintBlock:
                 f"{len(self.vals)} entries)")
 
 
-def _bound_list(value, count: int) -> list:
-    """Normalise a scalar-or-array bound spec to a per-variable list.
-
-    ``None``/``±inf`` mean unbounded (stored as ``None``, which is what
-    scipy's ``linprog`` expects).
-    """
+def _bound_array(value, count: int, unbounded: float) -> np.ndarray:
+    """Normalise a scalar-or-array bound spec to ``count`` floats, with
+    ``None`` (no bound on that side) stored as the ``unbounded`` infinity."""
     if value is None:
-        return [None] * count
+        return np.full(count, unbounded)
     if isinstance(value, (int, float)):
-        v = None if math.isinf(value) else float(value)
-        return [v] * count
-    arr = np.asarray(value, dtype=float)
+        return np.full(count, float(value))
+    arr = np.asarray(value, dtype=np.float64)
     if arr.shape != (count,):
         raise ModelError(f"bound array has shape {arr.shape}, "
                          f"expected ({count},)")
-    return [None if math.isinf(v) else float(v) for v in arr]
+    return arr
 
 
 class Model:
@@ -402,8 +399,10 @@ class Model:
                                             float]] = None
         self._num_vars = 0
         self._num_cons = 0
-        self._lb: list = []
-        self._ub: list = []
+        #: Bounds as float arrays (``±inf`` = unbounded) with spare
+        #: capacity; the first ``_num_vars`` entries are live.
+        self._lb = np.empty(64)
+        self._ub = np.empty(64)
         #: Constraint | ConstraintBlock, in global creation order.
         self._records: list = []
         Model._next_model_id += 1
@@ -420,9 +419,33 @@ class Model:
         """Total constraints (expression + COO rows)."""
         return self._num_cons
 
-    def bounds(self) -> list[tuple]:
-        """Per-variable ``(lb, ub)`` pairs (``None`` = unbounded)."""
-        return list(zip(self._lb, self._ub))
+    @property
+    def lb(self) -> np.ndarray:
+        """Lower bounds as a float array (``-inf`` = unbounded); a view."""
+        return self._lb[:self._num_vars]
+
+    @property
+    def ub(self) -> np.ndarray:
+        """Upper bounds as a float array (``+inf`` = unbounded); a view."""
+        return self._ub[:self._num_vars]
+
+    def bounds(self, start: int = 0, stop: int | None = None) -> list[tuple]:
+        """``(lb, ub)`` pairs with ``None`` = unbounded, as the expression
+        API spells them; derived from the arrays the solver reads."""
+        return [(None if math.isinf(lo) else lo, None if math.isinf(hi) else hi)
+                for lo, hi in zip(self.lb[start:stop].tolist(),
+                                  self.ub[start:stop].tolist())]
+
+    def _append_bounds(self, lbs, ubs, count: int) -> None:
+        """Store ``count`` new variables' bounds, doubling capacity."""
+        end = self._num_vars + count
+        if end > self._lb.size:
+            capacity = max(end, 2 * self._lb.size)
+            self._lb = np.resize(self._lb, capacity)
+            self._ub = np.resize(self._ub, capacity)
+        self._lb[self._num_vars:end] = lbs
+        self._ub[self._num_vars:end] = ubs
+        self._num_vars = end
 
     # -- building ------------------------------------------------------
     def add_variable(self, name: str = "", lb: Optional[float] = 0.0,
@@ -433,9 +456,8 @@ class Model:
         var = Variable(self._num_vars, name or f"x{self._num_vars}",
                        lb, ub, self._model_id)
         self.variables.append(var)
-        self._lb.append(lb)
-        self._ub.append(ub)
-        self._num_vars += 1
+        self._append_bounds(-np.inf if lb is None else lb,
+                            np.inf if ub is None else ub, 1)
         return var
 
     def add_variables(self, count: int, prefix: str = "x",
@@ -450,22 +472,23 @@ class Model:
         """Create ``count`` variables at once, returning an index block.
 
         ``lb``/``ub`` may be scalars (shared by all variables) or arrays of
-        length ``count`` (per-variable bounds; ``±inf`` means unbounded).
+        length ``count`` (per-variable bounds; ``None``, ``-inf`` below and
+        ``+inf`` above mean unbounded).
         No :class:`Variable` objects are created — use the returned
         :class:`VariableBlock`'s ``indices`` with the COO constraint and
         objective builders, or ``block[i]`` to materialise one lazily.
         """
         if count < 0:
             raise ModelError(f"variable count must be >= 0, got {count}")
-        lbs = _bound_list(lb, count)
-        ubs = _bound_list(ub, count)
-        for i, (lo, hi) in enumerate(zip(lbs, ubs)):
-            if lo is not None and hi is not None and lo > hi + 1e-12:
-                raise ModelError(f"variable {prefix}[{i}]: lb {lo} > ub {hi}")
+        lbs = _bound_array(lb, count, -np.inf)
+        ubs = _bound_array(ub, count, np.inf)
+        crossed = lbs > ubs + 1e-12
+        if crossed.any():
+            i = int(np.argmax(crossed))
+            raise ModelError(f"variable {prefix}[{i}]: "
+                             f"lb {lbs[i]} > ub {ubs[i]}")
         block = VariableBlock(self._num_vars, count, prefix, self)
-        self._lb.extend(lbs)
-        self._ub.extend(ubs)
-        self._num_vars += count
+        self._append_bounds(lbs, ubs, count)
         return block
 
     def add_constraint(self, constraint: Constraint, name: str = "") -> Constraint:
@@ -496,7 +519,8 @@ class Model:
             ``rows[i]``.  Duplicate (row, col) entries are summed.
         senses:
             One sense string (``"<="``, ``">="`` or ``"=="``) shared by
-            every row, or a sequence with one sense per row.
+            every row, a sequence with one sense string per row, or a
+            ready integer array of :data:`SENSE_CODES` values per row.
         rhs:
             Right-hand side per row (scalar or array).  Its length defines
             the number of rows in the block.
@@ -517,6 +541,13 @@ class Model:
             if senses not in SENSE_CODES:
                 raise ModelError(f"unknown constraint sense {senses!r}")
             codes = np.full(count, SENSE_CODES[senses], dtype=np.int8)
+        elif isinstance(senses, np.ndarray) and senses.dtype.kind in "iu":
+            if senses.shape != (count,):
+                raise ModelError(f"got {senses.size} senses for {count} rows")
+            if count and not (0 <= senses.min()
+                              and senses.max() < len(SENSE_CODES)):
+                raise ModelError("unknown constraint sense code")
+            codes = senses.astype(np.int8, copy=False)
         else:
             sense_list = list(senses)
             if len(sense_list) != count:

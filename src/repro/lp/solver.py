@@ -1,25 +1,33 @@
 """HiGHS backend: assemble a :class:`~repro.lp.model.Model` and solve it.
 
-The assembly produces sparse ``A_ub``/``A_eq`` matrices and calls
-:func:`scipy.optimize.linprog` with ``method="highs"``.  Dual values are
-re-oriented so that callers always see them in the model's own sense (see
+:func:`_assemble` stacks a model into the row-bounded form HiGHS takes
+(``lhs <= A x <= rhs``, ``lb <= x <= ub``, ``A`` one canonical CSC) and
+:func:`solve_model` hands those arrays to the HiGHS bindings scipy ships
+(``scipy.optimize._highspy._core``, which ``scipy.optimize.linprog``
+itself drives).  The layout is the one ``linprog(method="highs")`` built
+from the same model, so HiGHS receives the same bytes and returns the
+same vertex of a degenerate LP, and every guard ``linprog`` applied is
+kept: non-finite inputs are rejected before the solver runs, HiGHS's
+statuses map onto this package's errors, and an "optimal" point is
+re-checked against bounds and rows.  Dual values are re-oriented so that
+callers always see them in the model's own sense (see
 :class:`Solution.dual`).
 
 Assembly is fully vectorised: expression constraints are flattened into
 COO triplets once, batched :class:`~repro.lp.model.ConstraintBlock`
-triplets are concatenated as-is, and the GE-row flip, the eq/ub row split
-and the dual re-orientation are all numpy operations.  The two paths feed
-the same arrays, so a model built through either API assembles to the
-identical matrix.
+triplets are concatenated as-is, and the GE-row flip, the row stacking
+and the dual re-orientation are all numpy operations.  The two
+construction paths feed the same arrays, so a model built through either
+API assembles to the identical matrix.
 """
 
 from __future__ import annotations
 
 import importlib.util
+from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import linprog
 
 from ..telemetry import get_registry, get_tracer
 from .errors import InfeasibleError, ModelError, SolverError, SolverTimeout, \
@@ -35,12 +43,45 @@ HIGHSPY_AVAILABLE = importlib.util.find_spec("highspy") is not None
 #: Recognised values of the ``solver_backend`` knob.
 SOLVER_BACKENDS = ("scipy", "highs", "auto")
 
-#: linprog status codes (scipy docs): 0 ok, 1 iteration limit, 2 infeasible,
-#: 3 unbounded, 4 numerical trouble.
-_STATUS_OK = 0
-_STATUS_LIMIT = 1
-_STATUS_INFEASIBLE = 2
-_STATUS_UNBOUNDED = 3
+#: The classes, enums and namespaces read off scipy's HiGHS bindings.  The
+#: module is private to scipy, so they are checked once, at import: a
+#: scipy without one fails there, naming it, instead of mid-solve.
+_BINDINGS = ("HighsLp", "HighsOptions", "_Highs", "HighsStatus",
+             "HighsModelStatus", "MatrixFormat", "HighsDebugLevel",
+             "simplex_constants")
+
+
+def _load_bindings(names=_BINDINGS):
+    """Import scipy's HiGHS bindings — the only place that does."""
+    needs = "repro.lp needs scipy>=1.15 (scipy.optimize._highspy._core"
+    try:
+        from scipy.optimize._highspy import _core
+    except ImportError as exc:
+        raise ImportError(f"{needs} is missing)") from exc
+    for name in names:
+        if not hasattr(_core, name):
+            raise ImportError(f"{needs} has no {name!r})")
+    return _core
+
+
+_core = _load_bindings()
+
+#: What ``linprog``'s post-solve check allowed at its default ``tol=1e-9``
+#: (``sqrt(tol) * 10``): how far outside a bound or a row an "optimal"
+#: point may sit before it is rejected.
+_FEASIBILITY_TOL = float(np.sqrt(1e-9) * 10)
+
+#: HiGHS model status -> (``lp.solve`` span status, error raised).  The
+#: span codes are ``linprog``'s, which traces already carry: 0 ok, 1
+#: budget hit, 2 infeasible, 3 unbounded, 4 anything else.
+_OUTCOMES = {
+    _core.HighsModelStatus.kOptimal: (0, None),
+    _core.HighsModelStatus.kTimeLimit: (1, SolverTimeout),
+    _core.HighsModelStatus.kIterationLimit: (1, SolverTimeout),
+    _core.HighsModelStatus.kInfeasible: (2, InfeasibleError),
+    _core.HighsModelStatus.kModelError: (2, InfeasibleError),
+    _core.HighsModelStatus.kUnbounded: (3, UnboundedError),
+}
 
 _CODE_GE = SENSE_CODES[GE]
 _CODE_EQ = SENSE_CODES[EQ]
@@ -109,6 +150,11 @@ class Solution:
         """Raw primal vector indexed by variable index."""
         return self._x
 
+    @property
+    def duals(self) -> np.ndarray:
+        """Raw dual vector indexed by global constraint index."""
+        return self._duals
+
 
 def _objective_vector(model: Model, n: int) -> tuple[np.ndarray, float]:
     """Dense objective coefficients and the constant term."""
@@ -175,12 +221,30 @@ def _collect_entries(model: Model):
     return codes, rhs, entry_con, entry_col, entry_val
 
 
-def _assemble(model: Model):
-    """Build (c, A_ub, b_ub, A_eq, b_eq, bounds, row maps) from a model.
+class AssembledLP(NamedTuple):
+    """``min c @ x`` s.t. ``lhs <= matrix @ x <= rhs``, ``lb <= x <= ub``.
+    Row ``i`` is the model's constraint ``order[i]`` (times ``flip``, -1
+    on ``>=`` rows); the first ``n_ub`` rows are the inequalities."""
 
-    Returns, besides the linprog inputs, the per-constraint arrays
-    (``eq_mask``, ``eq_row``, ``ub_row``, ``flip``) needed to re-orient
-    duals.
+    c: np.ndarray
+    constant: float
+    matrix: sparse.csc_array
+    lhs: np.ndarray
+    rhs: np.ndarray
+    lb: np.ndarray
+    ub: np.ndarray
+    order: np.ndarray
+    flip: np.ndarray
+    n_ub: int
+
+
+def _assemble(model: Model) -> AssembledLP:
+    """Stack a model into one row-bounded LP, in ``linprog``'s layout.
+
+    ``>=`` rows are negated into ``<=`` rows; inequality rows come first
+    and equality rows after them, each group in creation order; the
+    matrix is one canonical CSC (row indices sorted, duplicates summed)
+    with 32-bit indices, as HiGHS stores it.
     """
     n = model.num_variables
     m = model.num_constraints
@@ -193,33 +257,101 @@ def _assemble(model: Model):
 
     eq_mask = codes == _CODE_EQ
     flip = np.where(codes == _CODE_GE, -1.0, 1.0)
-    # Row number of each constraint within its (eq | ub) matrix, assigned
-    # in creation order — exactly the numbering the per-constraint loop
-    # used to produce.
-    eq_row = np.cumsum(eq_mask) - 1
-    ub_row = np.cumsum(~eq_mask) - 1
-    n_eq = int(eq_mask.sum())
-    n_ub = m - n_eq
+    order = np.concatenate([np.flatnonzero(~eq_mask),
+                            np.flatnonzero(eq_mask)])
+    n_ub = m - int(np.count_nonzero(eq_mask))
+    row_of = np.empty(m, dtype=np.int32)
+    row_of[order] = np.arange(m, dtype=np.int32)
+    matrix = sparse.csc_array(
+        (entry_val * flip[entry_con],
+         (row_of[entry_con], entry_col.astype(np.int32))), shape=(m, n))
+    upper = (rhs * flip)[order]
+    lower = upper.copy()
+    lower[:n_ub] = -np.inf
+    return AssembledLP(c, obj_constant, matrix, lower, upper,
+                       model.lb, model.ub, order, flip, n_ub)
 
-    entry_eq = eq_mask[entry_con]
-    A_eq = None
-    if n_eq:
-        sel = entry_eq
-        A_eq = sparse.csr_matrix(
-            (entry_val[sel], (eq_row[entry_con[sel]], entry_col[sel])),
-            shape=(n_eq, n))
-    A_ub = None
-    if n_ub:
-        sel = ~entry_eq
-        con = entry_con[sel]
-        A_ub = sparse.csr_matrix(
-            (entry_val[sel] * flip[con], (ub_row[con], entry_col[sel])),
-            shape=(n_ub, n))
-    b_eq = rhs[eq_mask]
-    b_ub = rhs[~eq_mask] * flip[~eq_mask]
-    bounds = model.bounds()
-    return c, obj_constant, A_ub, b_ub, A_eq, b_eq, bounds, \
-        (eq_mask, eq_row, ub_row, flip)
+
+def _highs_options(time_limit: float | None, maxiter: int | None):
+    """The options ``linprog(method="highs")`` set: presolve on, dual
+    simplex, silent; budgets only when given."""
+    options = _core.HighsOptions()
+    options.presolve = "on"
+    options.highs_debug_level = _core.HighsDebugLevel.kHighsDebugLevelNone
+    options.log_to_console = False
+    options.output_flag = False
+    options.simplex_strategy = \
+        _core.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    if time_limit is not None:
+        options.time_limit = float(time_limit)
+    if maxiter is not None:
+        options.simplex_iteration_limit = int(maxiter)
+        options.ipm_iteration_limit = int(maxiter)
+    return options
+
+
+def _run_highs(c, indptr, indices, data, lhs, rhs, lb, ub, options):
+    """One cold HiGHS solve of the row-bounded LP (``A`` in CSC).
+
+    Returns ``(model_status, message, iterations, solution)``, where
+    ``solution`` is ``(x, row_value, row_dual, objective)`` at
+    ``kOptimal`` and ``None`` otherwise (only an optimum is safe to
+    read).  A model HiGHS refuses to load reports ``kModelError``.
+    """
+    lp = _core.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = c.size
+    lp.num_row_ = lp.a_matrix_.num_row_ = rhs.size
+    lp.a_matrix_.format_ = _core.MatrixFormat.kColwise
+    # Lists cross the binding's vector converters faster than arrays.
+    lp.col_cost_ = c.tolist()
+    lp.col_lower_ = lb.tolist()
+    lp.col_upper_ = ub.tolist()
+    lp.row_lower_ = lhs.tolist()
+    lp.row_upper_ = rhs.tolist()
+    lp.a_matrix_.start_ = indptr.tolist()
+    lp.a_matrix_.index_ = indices.tolist()
+    lp.a_matrix_.value_ = data.tolist()
+
+    highs = _core._Highs()
+    status = None
+    if highs.passOptions(options) != _core.HighsStatus.kError:
+        if highs.passModel(lp) == _core.HighsStatus.kError:
+            status = _core.HighsModelStatus.kModelError
+        else:
+            highs.run()
+    if status is None:
+        status = highs.getModelStatus()
+    info = highs.getInfo()
+    iterations = info.simplex_iteration_count or info.ipm_iteration_count
+    solution = None
+    if status == _core.HighsModelStatus.kOptimal:
+        point = highs.getSolution()
+        solution = (np.array(point.col_value), np.array(point.row_value),
+                    np.array(point.row_dual), info.objective_function_value)
+    return status, highs.modelStatusToString(status), iterations, solution
+
+
+def _check_finite(model: Model, lp: AssembledLP) -> None:
+    """``linprog``'s input guard: no NaN anywhere, and nothing infinite
+    but a bound (where it means unbounded)."""
+    if lp.c.size == 0:
+        raise ModelError(f"model {model.name!r} has no variables")
+    finite = np.isfinite(lp.c).all() and np.isfinite(lp.rhs).all() \
+        and np.isfinite(lp.matrix.data).all()
+    if not finite or np.isnan(lp.lb).any() or np.isnan(lp.ub).any():
+        raise ModelError(f"model {model.name!r} holds a NaN, or an "
+                         "infinite coefficient or right-hand side")
+
+
+def _is_feasible(lp: AssembledLP, x, row_value, objective) -> bool:
+    """``linprog``'s post-solve check of a point HiGHS called optimal."""
+    slack = lp.rhs - row_value
+    if np.isnan(x).any() or np.isnan(objective) or np.isnan(slack).any():
+        return False
+    tol = _FEASIBILITY_TOL
+    return bool((x >= lp.lb - tol).all() and (x <= lp.ub + tol).all()
+                and (slack[:lp.n_ub] >= -tol).all()
+                and (np.abs(slack[lp.n_ub:]) <= tol).all())
 
 
 def solve_model(model: Model, time_limit: float | None = None,
@@ -234,60 +366,45 @@ def solve_model(model: Model, time_limit: float | None = None,
     ------
     InfeasibleError, UnboundedError, SolverTimeout, SolverError
         On the corresponding solver outcomes.
+    ModelError
+        When the model holds a NaN (or an infinite coefficient).
     """
-    options = {}
-    if time_limit is not None:
-        options["time_limit"] = float(time_limit)
-    if maxiter is not None:
-        options["maxiter"] = int(maxiter)
     with get_tracer().span("lp.solve", model=model.name,
                            sense=model.sense) as span:
         with get_tracer().span("lp.assemble", model=model.name):
-            c, obj_constant, A_ub, b_ub, A_eq, b_eq, bounds, row_maps = \
-                _assemble(model)
+            lp = _assemble(model)
         span.set(n_vars=model.num_variables,
                  n_constraints=model.num_constraints)
+        _check_finite(model, lp)
 
-        result = linprog(c, A_ub=A_ub,
-                         b_ub=b_ub if A_ub is not None else None,
-                         A_eq=A_eq, b_eq=b_eq if A_eq is not None else None,
-                         bounds=bounds, method="highs",
-                         options=options or None)
-        span.set(status=int(result.status),
-                 iterations=int(getattr(result, "nit", 0)))
+        highs_status, message, iterations, solution = _run_highs(
+            lp.c, lp.matrix.indptr, lp.matrix.indices, lp.matrix.data,
+            lp.lhs, lp.rhs, lp.lb, lp.ub,
+            _highs_options(time_limit, maxiter))
+        status, error = _OUTCOMES.get(highs_status, (4, SolverError))
+        if error is None:
+            x, row_value, row_dual, fun = solution
+            if not _is_feasible(lp, x, row_value, fun):
+                status, error = 4, SolverError
+                message = ("the reported optimum violates the constraints "
+                           f"by more than {_FEASIBILITY_TOL:.2e}")
+        span.set(status=status, iterations=int(iterations))
+        if error is not None:
+            raise error(f"model {model.name!r}: {message} (HiGHS status "
+                        f"{int(highs_status)}; time_limit={time_limit}, "
+                        f"maxiter={maxiter})")
 
-        if result.status == _STATUS_INFEASIBLE:
-            raise InfeasibleError(f"model {model.name!r} is infeasible")
-        if result.status == _STATUS_UNBOUNDED:
-            raise UnboundedError(f"model {model.name!r} is unbounded")
-        if result.status == _STATUS_LIMIT:
-            raise SolverTimeout(
-                f"model {model.name!r}: budget exhausted before convergence "
-                f"(time_limit={time_limit}, maxiter={maxiter}: "
-                f"{result.message})")
-        if result.status != _STATUS_OK:
-            raise SolverError(f"model {model.name!r}: solver failed "
-                              f"(status {result.status}: {result.message})")
-
-    # linprog minimises; flip back for a max model.
+    # HiGHS minimises; flip back for a max model.
     sign = -1.0 if model.sense == "max" else 1.0
-    objective = sign * float(result.fun) + obj_constant
+    objective = sign * float(fun) + lp.constant
 
-    # scipy marginals are d(min objective)/d(rhs).  Convert to the user's
-    # orientation: for max models d(max objective)/d(rhs) = -marginal; a
-    # flipped (>=) row additionally changes the rhs sign.
-    eq_mask, eq_row, ub_row, flip = row_maps
-    duals = np.zeros(model.num_constraints)
-    sense_sign = -1.0 if model.sense == "max" else 1.0
-    if A_ub is not None:
-        ub_marginals = np.asarray(result.ineqlin.marginals)
-        sel = ~eq_mask
-        duals[sel] = sense_sign * flip[sel] * ub_marginals[ub_row[sel]]
-    if A_eq is not None:
-        eq_marginals = np.asarray(result.eqlin.marginals)
-        duals[eq_mask] = sense_sign * eq_marginals[eq_row[eq_mask]]
-
-    return Solution(model, np.asarray(result.x), objective, duals)
+    # Row duals are d(min objective)/d(rhs) of the stacked rows.  Convert
+    # to the user's orientation: for max models d(max objective)/d(rhs) =
+    # -dual; a flipped (>=) row additionally changes the rhs sign.
+    duals = np.empty(model.num_constraints)
+    duals[lp.order] = row_dual
+    duals *= sign * lp.flip
+    return Solution(model, x, objective, duals)
 
 
 def _assemble_native(model: Model):
@@ -306,12 +423,8 @@ def _assemble_native(model: Model):
     row_upper = np.where(codes == SENSE_CODES[GE], np.inf, rhs)
     matrix = sparse.csc_matrix((entry_val, (entry_con, entry_col)),
                                shape=(m, n))
-    col_lower = np.array([-np.inf if lb is None else float(lb)
-                          for lb, _ub in model.bounds()])
-    col_upper = np.array([np.inf if ub is None else float(ub)
-                          for _lb, ub in model.bounds()])
     return c, obj_constant, matrix, row_lower, row_upper, \
-        col_lower, col_upper
+        model.lb.copy(), model.ub.copy()
 
 
 class SolverSession:
@@ -350,8 +463,8 @@ class SolverSession:
 class ScipySession(SolverSession):
     """The always-available fallback backend: stateless scipy solves.
 
-    Every call delegates to :func:`solve_model` — ``scipy.optimize.linprog``
-    offers no warm-start surface, so each solve is cold by construction.
+    Every call delegates to :func:`solve_model`, which builds a fresh
+    HiGHS instance per solve, so each solve is cold by construction.
     This is the reference backend: results are bit-identical to the
     historical non-session path.
     """

@@ -28,11 +28,12 @@ the paper and is selectable through :class:`repro.core.config.PretiumConfig`.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ModelError
-from .model import EQ, GE, LE, Model, Variable, quicksum
+from .model import EQ, GE, LE, SENSE_CODES, Model, Variable, quicksum
 
 #: Selectable encodings, used by PretiumConfig.topk_encoding.
 TOPK_ENCODINGS = ("cvar", "sorting")
@@ -146,108 +147,113 @@ def add_sum_topk_sorting(model: Model, variables: Sequence[Variable], k: int,
     return total
 
 
+class TopkTemplate(NamedTuple):
+    """One encoding of "sum of the top ``k`` of ``T`` inputs" as COO
+    triplets over *relative* columns: ``0 .. T-1`` are the inputs,
+    ``T .. T+n_aux-1`` the auxiliary variables the encoding creates (all
+    ``>= 0``), ``bound`` the column of ``S``.  Every row has rhs 0.
+    """
+
+    n_aux: int
+    n_rows: int
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+    codes: np.ndarray
+    bound: int
+
+
+def topk_template(T: int, k: int, encoding: str = "cvar") -> TopkTemplate:
+    """The encoding's triplets, with variables and rows numbered in
+    exactly the order the expression encodings create them."""
+    if not 0 < k <= T:
+        raise ValueError(f"k must be in 1..{T}, got {k}")
+    if encoding == "cvar":
+        return _cvar_template(T, k)
+    if encoding == "sorting":
+        return _sorting_template(T, k)
+    raise ValueError(f"unknown top-k encoding {encoding!r}; "
+                     f"expected one of {TOPK_ENCODINGS}")
+
+
+def _template(n_aux, rows, cols, vals, codes, bound) -> TopkTemplate:
+    codes = np.asarray(codes, dtype=np.int8)
+    return TopkTemplate(n_aux, codes.size, np.asarray(rows, dtype=np.int64),
+                        np.asarray(cols, dtype=np.int64),
+                        np.asarray(vals, dtype=np.float64), codes, bound)
+
+
+def _cvar_template(T: int, k: int) -> TopkTemplate:
+    """CVaR: aux = eta, u_0..u_{T-1}, S; ``u_t - x_t + eta >= 0`` per
+    sample, then ``S - k*eta - sum(u) >= 0``."""
+    t = np.arange(T)
+    eta, u, total = T, T + 1 + t, 2 * T + 1
+    return _template(
+        T + 2,
+        rows=np.concatenate([t, t, t, np.full(T + 2, T)]),
+        cols=np.concatenate([u, t, np.full(T, eta), [total, eta], u]),
+        vals=np.concatenate([np.ones(T), -np.ones(T), np.ones(T),
+                             [1.0, -float(k)], -np.ones(T)]),
+        codes=np.full(T + 1, SENSE_CODES[GE]), bound=total)
+
+
+def _sorting_template(T: int, k: int) -> TopkTemplate:
+    """Theorem 4.2's network: per pass, comparator pairs (m, M)
+    interleaved and three rows per comparator; then ``S``."""
+    rows, cols, vals, codes = [], [], [], []
+    current = list(range(T))
+    pass_maxima = current if k == T else []
+    next_var, row = T, 0
+    for _ in range(k if k < T else 0):
+        running_max = current[0]
+        next_values = []
+        for incoming in current[1:]:
+            low, high = next_var, next_var + 1
+            next_var += 2
+            # running + incoming - low - high == 0
+            rows += [row] * 4
+            cols += [running_max, incoming, low, high]
+            vals += [1.0, 1.0, -1.0, -1.0]
+            # low - running <= 0 ; low - incoming <= 0
+            rows += [row + 1, row + 1, row + 2, row + 2]
+            cols += [low, running_max, low, incoming]
+            vals += [1.0, -1.0, 1.0, -1.0]
+            codes += [SENSE_CODES[EQ], SENSE_CODES[LE], SENSE_CODES[LE]]
+            row += 3
+            next_values.append(low)
+            running_max = high
+        pass_maxima.append(running_max)
+        current = next_values
+    # S - sum(pass maxima) >= 0
+    rows += [row] * (1 + len(pass_maxima))
+    cols += [next_var, *pass_maxima]
+    vals += [1.0] + [-1.0] * len(pass_maxima)
+    codes.append(SENSE_CODES[GE])
+    return _template(next_var + 1 - T, rows, cols, vals, codes, next_var)
+
+
 def add_sum_topk_coo(model: Model, var_indices, k: int, name: str = "topk",
                      encoding: str = "cvar") -> int:
     """Array-native :func:`add_sum_topk`: indices in, bound index out.
 
     Takes the variable *indices* of the samples (e.g. a
     :class:`~repro.lp.model.VariableBlock`'s ``indices``) and emits the
-    encoding through :meth:`Model.add_constraints_coo`.  Variables and
-    constraints are created in exactly the order of the expression
-    encodings, so a model built either way assembles to the same matrix.
-    Returns the index of the bound variable ``S``.
+    encoding's :func:`topk_template` through
+    :meth:`Model.add_constraints_coo`.  Variables and constraints are
+    created in exactly the order of the expression encodings, so a model
+    built either way assembles to the same matrix.  Returns the index of
+    the bound variable ``S``.
     """
-    if encoding == "cvar":
-        return add_sum_topk_cvar_coo(model, var_indices, k, name)
-    if encoding == "sorting":
-        return add_sum_topk_sorting_coo(model, var_indices, k, name)
-    raise ValueError(f"unknown top-k encoding {encoding!r}; "
-                     f"expected one of {TOPK_ENCODINGS}")
-
-
-def add_sum_topk_cvar_coo(model: Model, var_indices, k: int,
-                          name: str = "topk") -> int:
-    """COO twin of :func:`add_sum_topk_cvar` (vectorised, no loops)."""
     x = np.asarray(var_indices, dtype=np.int64)
-    T = x.size
-    if not 0 < k <= T:
-        raise ValueError(f"k must be in 1..{T}, got {k}")
-    if np.unique(x).size != T:
+    template = topk_template(x.size, k, encoding)
+    if np.unique(x).size != x.size:
         raise ModelError("top-k inputs must be distinct variables")
-    eta = model.add_variables_array(1, f"{name}.eta", lb=0.0).start
-    u = model.add_variables_array(T, f"{name}.u", lb=0.0)
-    # u_t - x_t + eta >= 0 for every sample t (three entries per row).
-    t = np.arange(T)
-    model.add_constraints_coo(
-        rows=np.concatenate([t, t, t]),
-        cols=np.concatenate([u.indices, x, np.full(T, eta)]),
-        vals=np.concatenate([np.ones(T), -np.ones(T), np.ones(T)]),
-        senses=GE, rhs=np.zeros(T), name=f"{name}.exc")
-    total = model.add_variables_array(1, f"{name}.S", lb=0.0).start
-    # S - k*eta - sum(u) >= 0.
-    model.add_constraints_coo(
-        rows=np.zeros(T + 2, dtype=np.int64),
-        cols=np.concatenate([[total, eta], u.indices]),
-        vals=np.concatenate([[1.0, -float(k)], -np.ones(T)]),
-        senses=GE, rhs=0.0, name=f"{name}.bound")
-    return total
-
-
-def add_sum_topk_sorting_coo(model: Model, var_indices, k: int,
-                             name: str = "topk") -> int:
-    """COO twin of :func:`add_sum_topk_sorting` (Theorem 4.2 network)."""
-    x = np.asarray(var_indices, dtype=np.int64)
-    T = x.size
-    if not 0 < k <= T:
-        raise ValueError(f"k must be in 1..{T}, got {k}")
-    if np.unique(x).size != T:
-        raise ModelError("top-k inputs must be distinct variables")
-    if k == T:
-        total = model.add_variables_array(1, f"{name}.S", lb=0.0).start
-        model.add_constraints_coo(
-            rows=np.zeros(T + 1, dtype=np.int64),
-            cols=np.concatenate([[total], x]),
-            vals=np.concatenate([[1.0], -np.ones(T)]),
-            senses=GE, rhs=0.0, name=f"{name}.bound")
-        return total
-
-    current = x.tolist()
-    pass_maxima = []
-    for i in range(k):
-        nc = len(current) - 1
-        pairs = model.add_variables_array(2 * nc, f"{name}.mM[{i}]", lb=0.0)
-        rows, cols, vals, senses = [], [], [], []
-        running_max = current[0]
-        next_values = []
-        row = 0
-        for j in range(nc):
-            incoming = current[j + 1]
-            low = pairs.start + 2 * j
-            high = pairs.start + 2 * j + 1
-            # running + incoming - low - high == 0
-            rows += [row] * 4
-            cols += [running_max, incoming, low, high]
-            vals += [1.0, 1.0, -1.0, -1.0]
-            senses.append(EQ)
-            # low - running <= 0 ; low - incoming <= 0
-            rows += [row + 1, row + 1, row + 2, row + 2]
-            cols += [low, running_max, low, incoming]
-            vals += [1.0, -1.0, 1.0, -1.0]
-            senses += [LE, LE]
-            row += 3
-            next_values.append(low)
-            running_max = high
-        model.add_constraints_coo(rows, cols, vals, senses,
-                                  np.zeros(3 * nc), name=f"{name}.pass[{i}]")
-        pass_maxima.append(running_max)
-        current = next_values
-    total = model.add_variables_array(1, f"{name}.S", lb=0.0).start
-    model.add_constraints_coo(
-        rows=np.zeros(1 + len(pass_maxima), dtype=np.int64),
-        cols=np.concatenate([[total], pass_maxima]),
-        vals=np.concatenate([[1.0], -np.ones(len(pass_maxima))]),
-        senses=GE, rhs=0.0, name=f"{name}.bound")
-    return total
+    aux = model.add_variables_array(template.n_aux, f"{name}.aux", lb=0.0)
+    columns = np.concatenate([x, aux.indices])
+    model.add_constraints_coo(template.rows, columns[template.cols],
+                              template.vals, template.codes,
+                              np.zeros(template.n_rows), name=name)
+    return int(columns[template.bound])
 
 
 def topk_constraint_count(T: int, k: int, encoding: str) -> int:

@@ -35,10 +35,10 @@ from repro.core import (ByteRequest, NetworkState, PretiumConfig,
 from repro.core.sam import _ContractSkeleton
 from repro.experiments.scenarios import tiny_scenario
 from repro.faults import FaultInjector
-from repro.lp.solver import _assemble
 from repro.network import parallel_paths_network
 from repro.options import RunOptions
 from repro.telemetry import MetricsRegistry, use_registry
+from tests.reference.lp import assert_models_identical
 
 
 def setup(n_steps=6, billing_window=6, **config_kwargs):
@@ -70,22 +70,6 @@ class CapturingAdjuster(ScheduleAdjuster):
     def _solve_lp(self, model, now):
         self.models.append(model)
         return super()._solve_lp(model, now)
-
-
-def assert_models_identical(a, b):
-    """The two models assemble to the same linprog inputs, bit for bit."""
-    ca, consta, A_ub_a, b_ub_a, A_eq_a, b_eq_a, bounds_a, _ = _assemble(a)
-    cb, constb, A_ub_b, b_ub_b, A_eq_b, b_eq_b, bounds_b, _ = _assemble(b)
-    np.testing.assert_array_equal(ca, cb)
-    assert consta == constb
-    assert bounds_a == bounds_b
-    for Ma, Mb, va, vb in ((A_ub_a, A_ub_b, b_ub_a, b_ub_b),
-                           (A_eq_a, A_eq_b, b_eq_a, b_eq_b)):
-        assert (Ma is None) == (Mb is None)
-        if Ma is not None:
-            assert Ma.shape == Mb.shape
-            assert (Ma != Mb).nnz == 0
-            np.testing.assert_array_equal(va, vb)
 
 
 # -- skeleton patching: hypothesis differential -----------------------------
@@ -162,6 +146,39 @@ def test_skeleton_trim_matches_fresh_build():
         np.testing.assert_array_equal(links, fresh.rel_links)
         np.testing.assert_array_equal(rel_steps, fresh.rel_steps)
         np.testing.assert_array_equal(rel_vars, fresh.rel_vars)
+
+
+def test_skeleton_rebuilt_when_routes_change_but_count_does_not():
+    """A link kill re-pins a flowlet from one route to a *different* one
+    route.  Deadline, route count and first step all still match, so a
+    skeleton keyed on those alone would keep constraining the old
+    route's links while the plan transmits on the new one's (the
+    ``--routing flowlet --link-kills`` CapacityViolation)."""
+    with use_registry(MetricsRegistry()) as registry:
+        state, ra, _ = setup(n_steps=6, routing="flowlet")
+        cached = CapturingAdjuster(state, 6)
+        req = ByteRequest(1, "S", "T", 12.0, 0, 0, 4, 5.0)
+        contract = admit(ra, req)
+        (before,) = state.paths.routes("S", "T", rid=1)
+        cached.adjust([contract], {}, loads_for(state), 0, arrivals_since=1)
+        assert registry.counter("sam.skeleton.misses").value == 1
+
+        first_link = before.links[0]
+        state.fail_link(first_link.src, first_link.dst, 1)
+        (after,) = state.paths.routes("S", "T", rid=1)
+        assert after != before
+
+        cold = CapturingAdjuster(state, 6)
+        for sam in (cached, cold):
+            plan = sam.adjust([contract], {}, loads_for(state), 1,
+                              arrivals_since=1)
+            assert plan and {tx.links for tx in plan} == \
+                {after.link_indices()}
+        # rebuilt, not reused: the old skeleton's step-0 build plus two
+        # fresh ones (cached at step 1, cold at step 1), never a trim.
+        assert registry.counter("sam.skeleton.misses").value == 3
+        assert "sam.skeleton.trims" not in registry
+        assert_models_identical(cached.models[-1], cold.models[-1])
 
 
 # -- quiet-step fast path ---------------------------------------------------

@@ -136,3 +136,19 @@ def test_runner_threads_kills_through_options():
     # rides the dead link after the kill step.
     assert killed.loads[1:, link.index].max() <= 1e-6
     assert killed.loads.tolist() != base.loads.tolist()
+
+
+@pytest.mark.parametrize("routing", ["flowlet", "ecmp"])
+def test_kill_that_repins_routes_runs_clean_end_to_end(routing, tmp_path,
+                                                       capsys):
+    """The pinned seed of ROADMAP's scenario fuzzer: this command died
+    with ``CapacityViolation: request 893: link 24 at step 5`` under
+    flowlet routing while SAM reused skeletons across a re-pin."""
+    from repro.cli import main
+    trace, summary = tmp_path / "trace.jsonl", tmp_path / "summary.json"
+    assert main(["run", "--scheme", "Pretium", "--routing", routing,
+                 "--link-kills", "dc000>dc008@5", "--telemetry", str(trace),
+                 "--out", str(summary)]) == 0
+    assert main(["telemetry", "audit", str(trace),
+                 "--summary", str(summary)]) == 0
+    assert "audit clean" in capsys.readouterr().out

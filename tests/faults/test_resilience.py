@@ -1,5 +1,6 @@
 """Unit tests for retry-with-backoff and solver budgets."""
 
+import numpy as np
 import pytest
 
 from repro.faults import (MAX_BACKOFF, FaultInjector, RetryPolicy,
@@ -94,40 +95,49 @@ def test_zero_backoff_never_sleeps(monkeypatch):
                         policy=RetryPolicy(retries=3), injector=injector)
 
 
-def test_budget_exhaustion_maps_to_solver_timeout(monkeypatch):
-    # A backend that reports status 1 (iteration/time limit reached).
-    class _Result:
-        status = 1
-        message = "iteration limit"
-        nit = 7
+def hard_model(n=30) -> Model:
+    """A dense random LP presolve cannot finish: the simplex must pivot."""
+    rng = np.random.default_rng(7)
+    m = Model(sense="max", name="hard")
+    x = m.add_variables_array(n, "x", lb=0.0, ub=10.0)
+    rows, cols = np.divmod(np.arange(n * n), n)
+    m.add_constraints_coo(rows, x.start + cols, rng.uniform(0.1, 1.0, n * n),
+                          "<=", rng.uniform(5.0, 10.0, n))
+    m.set_objective_coo(x.indices, rng.uniform(0.5, 1.5, n))
+    return m
 
-    monkeypatch.setattr("repro.lp.solver.linprog",
-                        lambda *args, **kwargs: _Result())
+
+def test_budget_exhaustion_maps_to_solver_timeout():
+    # A real LP that needs many simplex iterations, allowed one: HiGHS
+    # stops at its iteration limit.
+    assert hard_model().solve().objective > 0.0
     with use_registry(MetricsRegistry()) as registry:
         with pytest.raises(SolverTimeout):
-            resilient_solve(tiny_model(), "pc", 0,
-                            policy=RetryPolicy(retries=1, maxiter=7),
+            resilient_solve(hard_model(), "pc", 0,
+                            policy=RetryPolicy(retries=1, maxiter=1),
                             injector=FaultInjector())
         # timeouts are transient by policy: the budget was retried once
         assert registry.counter("resilience.retries.pc").value == 1
 
 
 def test_budgets_are_forwarded_to_the_backend(monkeypatch):
-    seen = {}
+    seen = []
 
     import repro.lp.solver as solver_module
-    real_linprog = solver_module.linprog
+    real_run = solver_module._run_highs
 
-    def spying_linprog(*args, **kwargs):
-        seen.update(kwargs.get("options") or {})
-        return real_linprog(*args, **kwargs)
+    def spying_run(*args):
+        seen.append(args[-1])  # the HighsOptions the solver is given
+        return real_run(*args)
 
-    monkeypatch.setattr("repro.lp.solver.linprog", spying_linprog)
+    monkeypatch.setattr("repro.lp.solver._run_highs", spying_run)
     policy = RetryPolicy(time_limit=30.0, maxiter=5000)
     resilient_solve(tiny_model(), "sam", 0, policy=policy,
                     injector=FaultInjector())
-    assert seen.get("time_limit") == 30.0
-    assert seen.get("maxiter") == 5000
+    (options,) = seen
+    assert options.time_limit == 30.0
+    assert options.simplex_iteration_limit == 5000
+    assert options.ipm_iteration_limit == 5000
 
 
 def test_policy_from_config_reads_solver_knobs():
