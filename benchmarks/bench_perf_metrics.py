@@ -11,9 +11,10 @@ each metric carries a lock.  This bench measures that lock's price:
 - **contended** — ``n_threads`` threads hammering the *same* metric
   (the worst case: service loop + snapshotter + scraper all active).
 
-Recorded ops/sec land in ``BENCH_PERF.json`` (``_per_s`` keys are
-higher-is-better for the perf gate); ``contention_slowdown`` is the
-uncontended/contended ratio for the counter.  Correctness is asserted —
+Recorded ops/sec land in ``benchmarks/results/bench_perf_metrics.json``
+(the repo benchmark, ``benchmarks/e2e``, has no row for lock
+contention); ``contention_slowdown`` is the uncontended/contended ratio
+for the counter.  Correctness is asserted —
 the contended counter must equal exactly ``n_threads * n_ops`` (the
 whole point of the lock).
 

@@ -8,20 +8,13 @@ reports, and saves them as JSON under ``benchmarks/results/``.
 
 from __future__ import annotations
 
-import datetime
 import json
-import platform
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 RESULTS_DIR = Path(__file__).parent / "results"
-REPO_ROOT = Path(__file__).parent.parent
-BENCH_PERF_PATH = REPO_ROOT / "BENCH_PERF.json"
-
-#: node names of perf benchmarks that ran (and passed) this session.
-_perf_runs: set[str] = set()
 
 
 def _coerce(obj):
@@ -43,44 +36,6 @@ def record(request):
         path = RESULTS_DIR / f"{name}.json"
         path.write_text(json.dumps(data, indent=2, default=_coerce))
     return _save
-
-
-def pytest_runtest_logreport(report):
-    """Track which perf benchmarks ran, for the BENCH_PERF.json roll-up."""
-    if (report.when == "call" and report.passed
-            and "bench_perf" in report.nodeid):
-        _perf_runs.add(report.nodeid)
-
-
-def pytest_sessionfinish(session, exitstatus):
-    """Aggregate perf-benchmark results into a repo-root BENCH_PERF.json.
-
-    Only rewritten when a perf benchmark actually ran this session, so
-    figure/table benchmark runs never clobber the checked-in roll-up.
-    Collects every ``results/bench_perf_*.json`` (freshly written by the
-    ``record`` fixture) plus interpreter/platform metadata, giving CI one
-    machine-readable artifact to diff run-over-run.
-    """
-    if not _perf_runs:
-        return
-    results = {}
-    for path in sorted(RESULTS_DIR.glob("bench_perf_*.json")):
-        try:
-            results[path.stem] = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError):
-            continue
-    scales = {data.get("scale") for data in results.values()
-              if isinstance(data, dict)}
-    payload = {
-        "generated_by": "benchmarks/conftest.py::pytest_sessionfinish",
-        "timestamp": datetime.datetime.now(
-            datetime.timezone.utc).isoformat(timespec="seconds"),
-        "python": platform.python_version(),
-        "platform": platform.platform(),
-        "scale": sorted(s for s in scales if s),
-        "benchmarks": results,
-    }
-    BENCH_PERF_PATH.write_text(json.dumps(payload, indent=2) + "\n")
 
 
 def run_once(benchmark, func, *args, **kwargs):

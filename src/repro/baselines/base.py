@@ -17,7 +17,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from ..core.request import ByteRequest
-from ..lp import LE, Model, add_sum_topk, quicksum
+from ..lp import LE, Model
 from ..lp.grouping import PairGroups, add_demand_blocks, \
     add_percentile_costs, route_incidence
 from ..network import PathCache
@@ -59,7 +59,6 @@ def solve_offline_schedule(workload: Workload, items: list[ScheduleItem],
                            include_costs: bool = True,
                            objective: str = "weighted",
                            paths: PathCache | None = None,
-                           builder: str = "coo",
                            routing: str = "kpaths"
                            ) -> OfflineSchedule:
     """Solve the offline routing LP over the full horizon.
@@ -76,25 +75,17 @@ def solve_offline_schedule(workload: Workload, items: list[ScheduleItem],
     bytes away to save cost.
 
     Both are subject to per-request caps and per-(link, timestep)
-    capacities.  ``builder`` selects the construction path — ``"coo"``
-    (batched numpy triplets, the default) or ``"expr"`` (the reference
-    expression builder); both assemble the identical LP.  ``routing``
-    selects the admissible-set policy when no explicit ``paths`` cache is
-    supplied (see :data:`repro.network.ROUTING_POLICIES`), so offline
-    baselines optimise over the same route sets an online scheme under
-    the same policy would quote over.
+    capacities.  ``routing`` selects the admissible-set policy when no
+    explicit ``paths`` cache is supplied (see
+    :data:`repro.network.ROUTING_POLICIES`), so offline baselines
+    optimise over the same route sets an online scheme under the same
+    policy would quote over.
     """
     if objective not in ("weighted", "bytes_then_cost"):
         raise ValueError(f"unknown objective {objective!r}")
-    if builder not in ("coo", "expr"):
-        raise ValueError(f"unknown builder {builder!r}")
     if paths is None:
         paths = PathCache(workload.topology, k=route_count, policy=routing)
-    if builder == "coo":
-        return _solve_offline_schedule_coo(
-            workload, items, route_count, topk_fraction, topk_encoding,
-            include_costs, objective, paths)
-    return _solve_offline_schedule_expr(
+    return _solve_offline_schedule_coo(
         workload, items, route_count, topk_fraction, topk_encoding,
         include_costs, objective, paths)
 
@@ -118,8 +109,10 @@ def _solve_offline_schedule_coo(workload: Workload,
                                 topk_encoding: str, include_costs: bool,
                                 objective: str,
                                 paths: PathCache | None) -> OfflineSchedule:
-    """Array-native twin of :func:`_solve_offline_schedule_expr` (same
-    emission order, so the solved schedule is identical)."""
+    """Build and solve the offline LP from batched COO triplets, in the
+    emission order of the term-by-term reference
+    (``tests/reference/expr_builders.py``), so the solved schedule is
+    identical."""
     topology = workload.topology
     n_steps = workload.n_steps
     paths = paths or PathCache(topology, k=route_count)
@@ -163,6 +156,8 @@ def _solve_offline_schedule_coo(workload: Workload,
                                {}, 0.0)
 
     if objective == "bytes_then_cost" and values.any() and costs.bounds.size:
+        # Lexicographic big-M: one solve instead of a (degenerate, slow)
+        # two-stage formulation.
         values = values * _lexicographic_priority(topology)
     model.set_objective_coo(np.concatenate([flows, costs.bounds]),
                             np.concatenate([values, costs.weights]))
@@ -186,116 +181,6 @@ def _solve_offline_schedule_coo(workload: Workload,
         if series.sum() > EPS:
             delivered[rid] = float(series.sum())
             per_step[rid] = series
-
-    return OfflineSchedule(loads=loads, delivered=delivered,
-                           per_step=per_step,
-                           objective=float(solution.objective))
-
-
-def _solve_offline_schedule_expr(workload: Workload,
-                                 items: list[ScheduleItem],
-                                 route_count: int, topk_fraction: float,
-                                 topk_encoding: str, include_costs: bool,
-                                 objective: str,
-                                 paths: PathCache | None) -> OfflineSchedule:
-    """Reference expression-API builder (differential-test baseline)."""
-    topology = workload.topology
-    n_steps = workload.n_steps
-    paths = paths or PathCache(topology, k=route_count)
-    model = Model(sense="max", name="offline-schedule")
-
-    by_link_step: dict[tuple[int, int], list] = {}
-    per_request_vars: dict[int, list[tuple[int, object]]] = {}
-    value_terms = []
-    for item in items:
-        request = item.request
-        if item.cap <= EPS:
-            continue
-        routes = paths.routes(request.src, request.dst,
-                              rid=request.rid)
-        flows = []
-        for path in routes:
-            for t in range(request.start, min(request.deadline + 1, n_steps)):
-                if item.allowed_steps is not None and \
-                        t not in item.allowed_steps:
-                    continue
-                var = model.add_variable(f"x[{request.rid}]", lb=0.0)
-                flows.append(var)
-                per_request_vars.setdefault(request.rid, []).append((t, var))
-                for index in path.link_indices():
-                    by_link_step.setdefault((index, t), []).append(var)
-                if item.weight:
-                    value_terms.append(item.weight * var)
-        if flows:
-            model.add_constraint(quicksum(flows) <= item.cap,
-                                 name=f"cap[{request.rid}]")
-
-    capacities = np.array([link.capacity for link in topology.links])
-    for (index, t), variables in by_link_step.items():
-        model.add_constraint(quicksum(variables) <= float(capacities[index]),
-                             name=f"edge[{index},{t}]")
-
-    value_expr = quicksum(value_terms) if value_terms else None
-
-    cost_terms = []
-    if include_costs:
-        billing = workload.steps_per_day
-        for link in topology.metered_links():
-            steps = sorted(t for (index, t) in by_link_step
-                           if index == link.index)
-            if not steps:
-                continue
-            window_starts = sorted({(t // billing) * billing for t in steps})
-            for window_start in window_starts:
-                window_end = min(window_start + billing, n_steps)
-                length = window_end - window_start
-                k = max(1, int(round(topk_fraction * length)))
-                loads = []
-                for t in range(window_start, window_end):
-                    flows = by_link_step.get((link.index, t))
-                    if flows:
-                        load = model.add_variable(
-                            f"load[{link.index},{t}]", lb=0.0)
-                        model.add_constraint(load == quicksum(flows))
-                        loads.append(load)
-                    else:
-                        loads.append(model.add_variable(
-                            f"zero[{link.index},{t}]", lb=0.0, ub=0.0))
-                bound = add_sum_topk(model, loads, k,
-                                     name=f"z[{link.index},{window_start}]",
-                                     encoding=topk_encoding)
-                cost_terms.append((link.cost_per_unit / k) * bound)
-
-    if value_expr is None and not cost_terms:
-        return OfflineSchedule(np.zeros((n_steps, topology.num_links)), {},
-                               {}, 0.0)
-
-    if objective == "weighted" or value_expr is None or not cost_terms:
-        model.set_objective((value_expr - quicksum(cost_terms))
-                            if cost_terms else value_expr)
-    else:
-        # Lexicographic big-M: one solve instead of a (degenerate, slow)
-        # two-stage formulation.
-        priority = _lexicographic_priority(topology)
-        model.set_objective(priority * value_expr - quicksum(cost_terms))
-    solution = model.solve()
-
-    loads = np.zeros((n_steps, topology.num_links))
-    delivered: dict[int, float] = {}
-    per_step: dict[int, np.ndarray] = {}
-    for item in items:
-        rid = item.request.rid
-        entries = per_request_vars.get(rid, [])
-        if not entries:
-            continue
-        series = np.zeros(n_steps)
-        for t, var in entries:
-            series[t] += solution.value(var)
-        if series.sum() > EPS:
-            delivered[rid] = float(series.sum())
-            per_step[rid] = series
-    for (index, t), variables in by_link_step.items():
-        loads[t, index] = sum(solution.value(v) for v in variables)
 
     return OfflineSchedule(loads=loads, delivered=delivered,
                            per_step=per_step,

@@ -24,12 +24,11 @@ class OfflineOptimal(OfflineScheme):
     name = "OPT"
 
     def __init__(self, route_count: int = 3, topk_fraction: float = 0.1,
-                 topk_encoding: str = "cvar", builder: str = "coo",
+                 topk_encoding: str = "cvar",
                  routing: str = "kpaths") -> None:
         self.route_count = route_count
         self.topk_fraction = topk_fraction
         self.topk_encoding = topk_encoding
-        self.builder = builder
         self.routing = routing
 
     def run(self, workload: Workload) -> RunResult:
@@ -39,6 +38,6 @@ class OfflineOptimal(OfflineScheme):
             workload, items, route_count=self.route_count,
             topk_fraction=self.topk_fraction,
             topk_encoding=self.topk_encoding, include_costs=True,
-            builder=self.builder, routing=self.routing)
+            routing=self.routing)
         return run_result(workload, self.name, schedule,
                           extras={"objective": schedule.objective})

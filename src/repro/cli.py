@@ -45,11 +45,6 @@ Commands
     Aggregate a trace's span trees into self-time attribution and emit
     collapsed-stack flamegraph lines (``--format collapsed``, the
     flamegraph.pl / speedscope input) or a self-time ranking table.
-``perfgate``
-    Diff a fresh ``BENCH_PERF.json`` against the committed
-    ``benchmarks/baseline.json`` with per-benchmark tolerances; exits
-    nonzero on regression and appends to ``BENCH_HISTORY.jsonl`` (the
-    CI perf gate).
 """
 
 from __future__ import annotations
@@ -139,10 +134,6 @@ def build_parser() -> argparse.ArgumentParser:
                           "separated SRC>DST@START[-END] clauses, e.g. "
                           "'S>M1@3' (dynamic routing policies re-route "
                           "and re-hash around the dead link)")
-    run.add_argument("--workers", type=int, default=1,
-                     help="worker processes recorded in RunOptions (a "
-                          "single run executes in-process; see 'sweep' "
-                          "for parallel grids)")
     _add_knob_flags(run)
 
     swp = sub.add_parser("sweep", help="run a scheme x scenario x seed "
@@ -163,10 +154,6 @@ def build_parser() -> argparse.ArgumentParser:
                           "reference path)")
     swp.add_argument("--chunk-size", type=int, metavar="N",
                      help="cells per worker task (default: adaptive)")
-    swp.add_argument("--worker-start", default="auto",
-                     choices=["auto", "spawn", "forkserver"],
-                     help="worker start method (default: forkserver "
-                          "where available, else spawn)")
     swp.add_argument("--telemetry", metavar="PATH",
                      help="write one merged, audit-ready JSONL trace of "
                           "every cell to PATH")
@@ -292,34 +279,11 @@ def build_parser() -> argparse.ArgumentParser:
                           "(stack <microseconds>); table: spans ranked "
                           "by self time")
     flm.add_argument("--out", help="write here instead of stdout")
-
-    gate = sub.add_parser("perfgate",
-                          help="diff a BENCH_PERF.json roll-up against "
-                               "the committed perf baseline; nonzero "
-                               "exit on regression")
-    gate.add_argument("--current", default="BENCH_PERF.json",
-                      metavar="PATH",
-                      help="fresh roll-up to judge (default: "
-                           "./BENCH_PERF.json)")
-    gate.add_argument("--baseline", default="benchmarks/baseline.json",
-                      metavar="PATH",
-                      help="committed baseline (default: "
-                           "./benchmarks/baseline.json)")
-    gate.add_argument("--history", metavar="PATH",
-                      help="append this run to a BENCH_HISTORY.jsonl "
-                           "trajectory file")
-    gate.add_argument("--update", action="store_true",
-                      help="rewrite the baseline from --current instead "
-                           "of judging (the deliberate-ratchet path)")
     return parser
 
 
 def _add_knob_flags(parser: argparse.ArgumentParser) -> None:
     """The consolidated RunOptions knobs shared by ``run`` and ``sweep``."""
-    parser.add_argument("--lp-builder", choices=["coo", "expr"],
-                        help="LP construction path (default: coo)")
-    parser.add_argument("--quote-path", choices=["heap", "scan"],
-                        help="RA quote implementation (default: heap)")
     parser.add_argument("--solver-backend", choices=["scipy", "highs",
                                                      "auto"],
                         help="LP solver session backend: scipy (the "
@@ -327,16 +291,6 @@ def _add_knob_flags(parser: argparse.ArgumentParser) -> None:
                              "session with warm starts; falls back to "
                              "scipy when highspy is absent), or auto "
                              "(default: scipy, or REPRO_SOLVER_BACKEND)")
-    parser.add_argument("--sam-skeleton-cache",
-                        action=argparse.BooleanOptionalAction, default=None,
-                        help="cache per-contract COO skeletons across SAM "
-                             "steps and patch instead of rebuilding "
-                             "(default: on)")
-    parser.add_argument("--sam-fast-path",
-                        action=argparse.BooleanOptionalAction, default=None,
-                        help="reuse the previous plan's tail on steps with "
-                             "no new arrivals, skipping the LP entirely "
-                             "(default: on)")
     parser.add_argument("--solver-retries", type=int, metavar="N",
                         help="extra solve attempts after a transient "
                              "solver failure (default: 2)")
@@ -357,10 +311,7 @@ def _add_knob_flags(parser: argparse.ArgumentParser) -> None:
 def _options_from_args(args) -> RunOptions:
     """Build the run's :class:`RunOptions` from parsed CLI flags."""
     return RunOptions(
-        lp_builder=args.lp_builder, quote_path=args.quote_path,
         solver_backend=args.solver_backend,
-        sam_skeleton_cache=args.sam_skeleton_cache,
-        sam_fast_path=args.sam_fast_path,
         solver_retries=args.solver_retries,
         routing=getattr(args, "routing", None),
         classes=getattr(args, "classes", None),
@@ -369,8 +320,7 @@ def _options_from_args(args) -> RunOptions:
         link_kills=getattr(args, "link_kills", None),
         telemetry=args.telemetry,
         workers=getattr(args, "workers", 1),
-        chunk_size=getattr(args, "chunk_size", None),
-        worker_start=getattr(args, "worker_start", "auto"))
+        chunk_size=getattr(args, "chunk_size", None))
 
 
 def _parse_csv(raw: str, kind, what: str) -> list:
@@ -712,12 +662,6 @@ def _cmd_telemetry(args) -> int:
         f"unhandled telemetry command {args.telemetry_command!r}")
 
 
-def _cmd_perfgate(args) -> int:
-    from .telemetry.perfgate import gate
-    return gate(args.current, args.baseline, history_path=args.history,
-                update_baseline=args.update)
-
-
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
     args = build_parser().parse_args(argv)
@@ -739,8 +683,6 @@ def main(argv: list[str] | None = None) -> int:
         return _cmd_list_figures()
     if args.command == "telemetry":
         return _cmd_telemetry(args)
-    if args.command == "perfgate":
-        return _cmd_perfgate(args)
     raise AssertionError(f"unhandled command {args.command!r}")
 
 

@@ -11,7 +11,6 @@ the short-term price adjustment.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 from ..network import Path
@@ -137,12 +136,11 @@ class RequestAdmission:
         the demand would never be purchased).  Marginal prices only rise
         as segments fill, so the menu is convex by construction.
 
-        Dispatches on ``config.quote_path``: the heap-based fast path
-        (:mod:`repro.core.quote_fast`) by default, or the reference
-        full-rescan greedy — both produce the same menu.  A configured
-        warm menu cache is consulted first (hits skip the greedy and the
-        budget check entirely); a configured quote budget that is already
-        spent raises :class:`QuoteBudgetExceeded` instead of quoting.
+        The greedy itself is :func:`repro.core.quote_fast.quote_heap`.
+        A configured warm menu cache is consulted first (hits skip the
+        greedy and the budget check entirely); a configured quote budget
+        that is already spent raises :class:`QuoteBudgetExceeded`
+        instead of quoting.
         """
         cache = self.cache
         if cache is not None:
@@ -155,54 +153,10 @@ class RequestAdmission:
             raise QuoteBudgetExceeded(
                 f"request {request.rid}: quote latency budget exhausted "
                 "before quoting started")
-        if self.state.config.quote_path == "heap":
-            menu = quote_heap(self.state, request, now)
-        else:
-            menu = self.quote_reference(request, now)
+        menu = quote_heap(self.state, request, now)
         if cache is not None:
             cache.put(request, now, menu)
         return self._apply_class_price(request, menu)
-
-    def quote_reference(self, request: ByteRequest, now: int) -> PriceMenu:
-        """The reference O(routes x window) rescan-per-segment greedy."""
-        routes = self.state.paths.routes(request.src, request.dst,
-                                         rid=request.rid)
-        config = self.state.config
-        if not routes:
-            return PriceMenu([], best_effort=config.allow_best_effort)
-        first = max(request.start, now)
-        steps = [t for t in range(first, request.deadline + 1)
-                 if t < self.state.n_steps]
-        if not steps:
-            return PriceMenu([], best_effort=config.allow_best_effort)
-
-        # Scratch reservations so that quoting never mutates real state.
-        involved: set[int] = set()
-        for path in routes:
-            involved.update(path.link_indices())
-        scratch = {(index, t): float(self.state.reserved[t, index])
-                   for index in involved for t in steps}
-
-        segments: list[MenuSegment] = []
-        covered = 0.0
-        while covered < request.demand - EPS:
-            best: tuple[float, float, Path, int] | None = None
-            for path in routes:
-                for t in steps:
-                    price, available = self._path_head(path, t, scratch)
-                    if available <= EPS:
-                        continue
-                    if best is None or price < best[0] - EPS:
-                        best = (price, available, path, t)
-            if best is None:
-                break
-            price, available, path, t = best
-            take = min(available, request.demand - covered)
-            segments.append(MenuSegment(take, price, path, t))
-            covered += take
-            for index in path.link_indices():
-                scratch[(index, t)] += take
-        return PriceMenu(segments, best_effort=config.allow_best_effort)
 
     def quote_degraded(self, request: ByteRequest, now: int) -> PriceMenu:
         """Conservative fallback menu straight off current prices.
@@ -270,27 +224,6 @@ class RequestAdmission:
                                 seg.path, seg.timestep)
                     for seg in menu.segments]
         return PriceMenu(segments, best_effort=menu.best_effort)
-
-    def _path_head(self, path: Path, t: int,
-                   scratch: dict[tuple[int, int], float]
-                   ) -> tuple[float, float]:
-        """Marginal price and volume available at it for (path, t).
-
-        The price is the sum of each link's *current* segment price given
-        the scratch reservations; the volume is the bottleneck of each
-        link's current segment.
-        """
-        price = 0.0
-        available = math.inf
-        for index in path.link_indices():
-            segments = self.state.price_segments(
-                index, t, reserved_override=scratch[(index, t)])
-            if not segments:
-                return 0.0, 0.0
-            quantity, unit_price = segments[0]
-            price += unit_price
-            available = min(available, quantity)
-        return price, available
 
     # -- contracting -------------------------------------------------------
     def admit(self, request: ByteRequest, menu: PriceMenu, chosen: float,

@@ -82,16 +82,6 @@ class PretiumConfig:
     allow_best_effort:
         Whether users may ask for volume beyond the guarantee bound
         ``x̄`` (routed best-effort at the marginal price, §4.1).
-    quote_path:
-        Implementation of the RA quote: ``"heap"`` (default; vectorised
-        precompute + lazy-invalidation min-heap, O(log n) per greedy
-        segment) or ``"scan"`` (the reference full rescan per segment).
-        Both produce the same menus.
-    lp_builder:
-        Construction path for the SAM/PC/offline LPs: ``"coo"`` (default;
-        batched numpy triplets through ``Model.add_constraints_coo``) or
-        ``"expr"`` (the reference term-by-term expression builder).  Both
-        assemble the identical matrix.
     solver_backend:
         LP backend behind :func:`~repro.faults.resilience.resilient_solve`:
         ``"scipy"`` (default; stateless reference, always available),
@@ -99,17 +89,6 @@ class PretiumConfig:
         degrading to scipy when the bindings are absent) or ``"auto"``
         (highs when available).  Defaults to the ``REPRO_SOLVER_BACKEND``
         environment variable when set.
-    sam_skeleton_cache:
-        Reuse cached per-contract COO fragments between SAM steps,
-        patching only what changed (arrivals append, settlements and
-        elapsed timesteps trim).  The patched build is bit-identical to
-        a fresh one — this knob exists so the differential suite can
-        compare the two.
-    sam_fast_path:
-        Serve provably-quiet SAM steps (no arrivals offered, capacity
-        unchanged, previous plan executed exactly, guarantees enforced)
-        from the previous plan's tail without solving the LP; any
-        violated precondition falls back to the exact solve.
     solver_retries:
         Additional solve attempts after a transient backend failure
         (``SolverError``/``SolverTimeout``) before the module-level
@@ -147,11 +126,7 @@ class PretiumConfig:
     short_term_adjustment: bool = True
     allow_best_effort: bool = True
     initial_leveling_steps: int | None = None
-    quote_path: str = "heap"
-    lp_builder: str = "coo"
     solver_backend: str = field(default_factory=_default_solver_backend)
-    sam_skeleton_cache: bool = True
-    sam_fast_path: bool = True
     solver_retries: int = 2
     solver_backoff: float = 0.0
     solver_time_limit: float | None = None
@@ -200,10 +175,6 @@ class PretiumConfig:
             raise ValueError("percentile out of range")
         if not 0.0 <= self.highpri_fraction < 1.0:
             raise ValueError("highpri_fraction must be in [0, 1)")
-        if self.quote_path not in ("heap", "scan"):
-            raise ValueError(f"unknown quote_path {self.quote_path!r}")
-        if self.lp_builder not in ("coo", "expr"):
-            raise ValueError(f"unknown lp_builder {self.lp_builder!r}")
         from ..lp.solver import SOLVER_BACKENDS
         if self.solver_backend not in SOLVER_BACKENDS:
             raise ValueError(

@@ -50,8 +50,8 @@ class PretiumController:
         Field overrides applied (via ``dataclasses.replace``) to the
         resolved config at :meth:`begin` — on top of either an explicit
         ``config`` or the workload-derived default.  This is how
-        :class:`~repro.options.RunOptions` knobs (``lp_builder``,
-        ``quote_path``, solver budgets) reach a controller without
+        :class:`~repro.options.RunOptions` knobs (``routing``,
+        ``solver_backend``, solver budgets) reach a controller without
         callers re-deriving the window/lookback defaults.
     """
 

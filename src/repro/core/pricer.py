@@ -25,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..faults.resilience import RetryPolicy, resilient_solve
-from ..lp import LE, Model, add_sum_topk, quicksum, session_for
+from ..lp import LE, Model, session_for
 from ..lp.grouping import PairGroups, add_demand_blocks, \
     add_percentile_costs, route_incidence
 from ..telemetry import ledger
@@ -88,8 +88,8 @@ class PriceComputer:
         if not relevant:
             return False
 
-        duals, covered = self._solve_offline(relevant, period_start,
-                                             period_end)
+        duals, covered = self._solve_offline_coo(relevant, period_start,
+                                                 period_end)
         prices = self._effective_prices(duals, covered)
 
         reference = prices[period_end - window - period_start:
@@ -100,30 +100,20 @@ class PriceComputer:
         return True
 
     # -- offline hindsight LP ---------------------------------------------
-    def _solve_offline(self, contracts: list[Contract], period_start: int,
-                       period_end: int) -> tuple[np.ndarray, np.ndarray]:
-        """Welfare LP over the lookback period.
+    def _solve_offline_coo(self, contracts: list[Contract],
+                           period_start: int, period_end: int
+                           ) -> tuple[np.ndarray, np.ndarray]:
+        """Welfare LP over the lookback period, from batched COO triplets.
 
         Returns per-(timestep, link) marginal prices (capacity dual plus
         metered cost gradient) and a boolean mask of the (timestep, link)
         pairs whose cost gradient the LP actually modelled; both arrays
         are ``(period_len, n_links)`` with period-relative rows.
 
-        Dispatches on ``config.lp_builder`` between the batched COO twin
-        and the reference expression builder; both assemble the identical
-        matrix, so duals (and therefore prices) agree exactly.
+        Variables and constraints are emitted in the order of the
+        term-by-term reference (``tests/reference/expr_builders.py``),
+        so HiGHS returns the same degenerate dual vertex.
         """
-        if self.state.config.lp_builder == "coo":
-            return self._solve_offline_coo(contracts, period_start,
-                                           period_end)
-        return self._solve_offline_expr(contracts, period_start, period_end)
-
-    def _solve_offline_coo(self, contracts: list[Contract],
-                           period_start: int, period_end: int
-                           ) -> tuple[np.ndarray, np.ndarray]:
-        """Array-native twin of :meth:`_solve_offline_expr` (same
-        variable/constraint emission order, so HiGHS returns the same
-        degenerate dual vertex)."""
         state = self.state
         config = state.config
         n_links = state.topology.num_links
@@ -154,9 +144,12 @@ class PriceComputer:
                 groups.rows, groups.values, np.ones(groups.rows.size),
                 LE, caps, name="cap")
 
-        # Percentile-cost proxy; one load-coupling equality per window
-        # step (its dual carries the cost gradient — see the reference
-        # builder for why the LP dual, not a top-k rule, is used).
+        # Percentile-cost proxy per billing window intersecting the
+        # period.  The equality tying each load variable to its flows
+        # carries the cost gradient as its dual: at a levelled optimum the
+        # top-k subgradient spreads fractionally over tied steps, which the
+        # LP dual captures exactly (a hand-rolled "C_e/k on the top-k
+        # steps" rule would overprice flat schedules ~W/k-fold).
         costs = add_percentile_costs(
             model, groups, state.topology.metered_links(),
             self.billing_window, state.n_steps, config.topk_fraction,
@@ -174,9 +167,18 @@ class PriceComputer:
                 & (groups.steps < period_end)
             duals[groups.steps[in_period] - period_start,
                   groups.links[in_period]] = cap_duals[in_period]
-        # Cost gradients, redistributed uniformly per billing window and
-        # capped at the levelled marginal cost (same policy and rationale
-        # as the reference builder).
+        # Cost gradients (the equality is written load - flows == 0, so
+        # gradient = -dual) are redistributed uniformly within each
+        # billing window.  At a levelled optimum the dual is a degenerate
+        # vertex: HiGHS may put the whole mass C_e on a few steps and zero
+        # on the rest, and menus would then route through the "free"
+        # steps, systematically undercharging.  Spreading the window's
+        # total mass evenly keeps exact cost recovery for levelled use
+        # while closing the free-riding hole.  The uniform gradient is
+        # additionally capped at the *levelled* marginal cost C_e / L: on
+        # a window the LP left idle, every step's first-unit marginal is
+        # C_e/k, so the raw mass can reach W * C_e/k and would lock the
+        # link out permanently.
         covered = np.zeros((period_len, n_links), dtype=bool)
         leveling = config.initial_metered_leveling
         unit_cost = {link.index: link.cost_per_unit
@@ -191,122 +193,6 @@ class PriceComputer:
                            max(window_start + length - period_start, 0))
             duals[inside, index] += uniform
             covered[inside, index] = True
-        return duals, covered
-
-    def _solve_offline_expr(self, contracts: list[Contract],
-                            period_start: int, period_end: int
-                            ) -> tuple[np.ndarray, np.ndarray]:
-        """Reference expression-API builder (differential-test baseline)."""
-        state = self.state
-        config = state.config
-        n_links = state.topology.num_links
-        period_len = period_end - period_start
-        model = Model(sense="max", name=f"pc@{period_end}")
-
-        by_link_step: dict[tuple[int, int], list] = {}
-        value_terms = []
-        for contract in contracts:
-            request = contract.request
-            routes = state.paths.routes(request.src, request.dst,
-                                        rid=request.rid)
-            first = max(request.start, period_start)
-            last = min(request.deadline, period_end - 1)
-            flows = []
-            for path in routes:
-                for t in range(first, last + 1):
-                    var = model.add_variable(f"x[{contract.rid}]", lb=0.0)
-                    flows.append(var)
-                    for index in path.link_indices():
-                        by_link_step.setdefault((index, t), []).append(var)
-                    value_terms.append(contract.marginal_price * var)
-            if flows:
-                model.add_constraint(quicksum(flows) <= contract.chosen,
-                                     name=f"demand[{contract.rid}]")
-
-        cap_constraints: dict[tuple[int, int], object] = {}
-        for (index, t), variables in by_link_step.items():
-            cap_constraints[(index, t)] = model.add_constraint(
-                quicksum(variables) <= float(state.capacity[t, index]),
-                name=f"cap[{index},{t}]")
-
-        # Percentile-cost proxy per billing window intersecting the period.
-        # The equality constraint tying each load variable to its flows
-        # carries the cost gradient as its dual: at a levelled optimum the
-        # top-k subgradient spreads fractionally over tied steps, which the
-        # LP dual captures exactly (a hand-rolled "C_e/k on the top-k
-        # steps" rule would overprice flat schedules ~W/k-fold).
-        load_constraints: dict[tuple[int, int], object] = {}
-        cost_terms = []
-        for link in state.topology.metered_links():
-            steps = [t for (index, t) in by_link_step if index == link.index]
-            if not steps:
-                continue
-            window_starts = sorted({(t // self.billing_window)
-                                    * self.billing_window for t in steps})
-            for window_start in window_starts:
-                window_end = min(window_start + self.billing_window,
-                                 state.n_steps)
-                length = window_end - window_start
-                k = max(1, int(round(config.topk_fraction * length)))
-                loads = []
-                for t in range(window_start, window_end):
-                    flows = by_link_step.get((link.index, t))
-                    load = model.add_variable(
-                        f"load[{link.index},{t}]", lb=0.0)
-                    constraint = model.add_constraint(
-                        load == (quicksum(flows) if flows else 0.0))
-                    load_constraints[(link.index, t)] = constraint
-                    loads.append(load)
-                bound = add_sum_topk(model, loads, k,
-                                     name=f"z[{link.index},{window_start}]",
-                                     encoding=config.topk_encoding)
-                cost_terms.append((link.cost_per_unit / k) * bound)
-
-        model.set_objective(quicksum(value_terms) - quicksum(cost_terms)
-                            if cost_terms else quicksum(value_terms))
-        solution = self._solve_lp(model, period_end)
-
-        duals = np.zeros((period_len, n_links))
-        for (index, t), constraint in cap_constraints.items():
-            if period_start <= t < period_end:
-                duals[t - period_start, index] = max(
-                    0.0, solution.dual(constraint))
-        # Cost gradients: the equality is written load - flows == 0, so
-        # raising its rhs injects phantom load; the objective falls by the
-        # marginal cost, i.e. gradient = -dual.
-        # Cost gradients are redistributed uniformly within each billing
-        # window.  At a levelled optimum the dual is a degenerate vertex:
-        # HiGHS may put the whole mass C_e on a few steps and zero on the
-        # rest, and menus would then route through the "free" steps,
-        # systematically undercharging.  Spreading the window's total
-        # gradient mass evenly keeps exact cost recovery for levelled use
-        # while closing the free-riding hole.
-        covered = np.zeros((period_len, n_links), dtype=bool)
-        gradient_mass: dict[tuple[int, int], float] = {}
-        window_steps: dict[tuple[int, int], list[int]] = {}
-        for (index, t), constraint in load_constraints.items():
-            window_start = (t // self.billing_window) * self.billing_window
-            key = (index, window_start)
-            gradient_mass[key] = gradient_mass.get(key, 0.0) + max(
-                0.0, -solution.dual(constraint))
-            window_steps.setdefault(key, []).append(t)
-        # The uniform gradient is additionally capped at the *levelled*
-        # marginal cost C_e / L: on a window the LP left idle, every
-        # step's first-unit marginal is C_e/k, so the raw mass can reach
-        # W * C_e/k and would lock the link out permanently.  The
-        # coordinated (levelled) price keeps idle links purchasable; the
-        # schedule adjuster levels the resulting aggregate so realised
-        # percentile costs track what was charged.
-        leveling = self.state.config.initial_metered_leveling
-        unit_cost = {link.index: link.cost_per_unit
-                     for link in self.state.topology.metered_links()}
-        for (index, window_start), mass in gradient_mass.items():
-            steps = window_steps[(index, window_start)]
-            uniform = min(mass / len(steps), unit_cost[index] / leveling)
-            for t in steps:
-                if period_start <= t < period_end:
-                    duals[t - period_start, index] += uniform
-                    covered[t - period_start, index] = True
         return duals, covered
 
     # -- dual -> price mapping ----------------------------------------------

@@ -1,6 +1,6 @@
 """Heap-based request-admission quoting (the RA fast path).
 
-The reference quote (:meth:`RequestAdmission.quote_reference`) rescans
+The reference quote (``tests/reference/quote.py``) rescans
 every (route, timestep) pair per menu segment — O(routes x window) work
 per segment, per arrival.  This module replaces the scan with:
 

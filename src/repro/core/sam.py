@@ -25,8 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..faults.resilience import RetryPolicy, resilient_solve
-from ..lp import GE, LE, InfeasibleError, Model, add_sum_topk, quicksum, \
-    session_for
+from ..lp import GE, LE, InfeasibleError, Model, session_for
 from ..lp.grouping import PairGroups, add_demand_blocks, \
     add_percentile_costs, route_incidence
 from ..lp.model import SENSE_CODES
@@ -124,16 +123,16 @@ class ScheduleAdjuster:
     back to the process-wide injector at solve time.
 
     Incremental machinery (all three proven equivalent to a cold solve
-    by the differential suite):
+    by the differential suite, ``tests/core/test_sam_incremental.py``):
 
     - a persistent :class:`~repro.lp.solver.SolverSession` (per
       ``config.solver_backend``) carries warm-start state across steps;
-    - per-contract COO fragments are cached between steps
-      (``config.sam_skeleton_cache``) and patched instead of rebuilt;
+    - per-contract COO fragments are cached between steps and patched
+      instead of rebuilt;
     - provably-quiet steps are served from the previous plan's tail
-      without solving (``config.sam_fast_path``): when no arrival was
-      offered, capacity is unchanged and the previous step executed its
-      plan exactly, the new LP equals the old one with the executed
+      without solving: when no arrival was offered, capacity is
+      unchanged and the previous step executed its plan exactly, the
+      new LP equals the old one with the executed
       step's variables pinned at their solved values — so the old
       optimum's tail is feasible and optimal for it (a better tail would
       contradict the old optimality), guarantees included.  Any failed
@@ -190,8 +189,7 @@ class ScheduleAdjuster:
             self._disarm()
             return []
 
-        config = self.state.config
-        if config.sam_fast_path and arrivals_since == 0:
+        if arrivals_since == 0:
             if self._fast_path_ok(delivered, now):
                 get_registry().counter("sam.fast_path.hits").inc()
                 tail = [tx for tx in self._last_plan if tx.timestep >= now]
@@ -202,8 +200,8 @@ class ScheduleAdjuster:
         self._disarm()
 
         try:
-            plan = self._solve(active, delivered, realized_loads, now,
-                               enforce_guarantees=True)
+            plan = self._solve_coo(active, delivered, realized_loads, now,
+                                   enforce_guarantees=True)
         except InfeasibleError:
             # A fault broke feasibility of the outstanding guarantees;
             # degrade to best effort rather than dropping the step.  The
@@ -213,8 +211,8 @@ class ScheduleAdjuster:
             get_registry().counter("resilience.guarantee_drops.sam").inc()
             ledger.record("GUARANTEES_DROPPED", step=now,
                           n_active=len(active))
-            return self._solve(active, delivered, realized_loads, now,
-                               enforce_guarantees=False)
+            return self._solve_coo(active, delivered, realized_loads, now,
+                                   enforce_guarantees=False)
         self._arm(plan, delivered, now)
         return plan
 
@@ -241,8 +239,6 @@ class ScheduleAdjuster:
     def _arm(self, plan: list[Transmission], delivered: dict[int, float],
              now: int) -> None:
         """Snapshot what the next step must look like for tail reuse."""
-        if not self.state.config.sam_fast_path:
-            return
         expected = dict(delivered)
         for tx in plan:
             # Accumulated in plan order — the same float additions the
@@ -270,41 +266,31 @@ class ScheduleAdjuster:
             injector=self.injector, session=self._session)
 
     # -- LP construction ---------------------------------------------------
-    def _solve(self, active: list[Contract], delivered: dict[int, float],
-               realized_loads: np.ndarray, now: int,
-               enforce_guarantees: bool) -> list[Transmission]:
-        """Dispatch on ``config.lp_builder``: batched COO (default) or the
-        reference expression builder.  Both assemble the same matrix."""
-        if self.state.config.lp_builder == "coo":
-            return self._solve_coo(active, delivered, realized_loads, now,
-                                   enforce_guarantees)
-        return self._solve_expr(active, delivered, realized_loads, now,
-                                enforce_guarantees)
-
     def _solve_coo(self, active: list[Contract], delivered: dict[int, float],
                    realized_loads: np.ndarray, now: int,
                    enforce_guarantees: bool) -> list[Transmission]:
-        """Array-native twin of :meth:`_solve_expr`.
+        """Build and solve the SAM LP from batched COO triplets.
 
-        Variables and constraints are laid out in exactly the reference
-        order (contract flows + demand/guarantee rows, then capacity and
+        Variables and constraints are laid out in the order of the
+        term-by-term reference (``tests/reference/expr_builders.py``:
+        contract flows + demand/guarantee rows, then capacity and
         smoothing rows per first-encountered (link, timestep) pair, then
         the per-window percentile-cost proxy), so HiGHS sees the
         identical LP and returns the identical plan and duals.  The
         per-contract loop only gathers numbers; every model call covers
         all contracts, pairs or windows at once (:mod:`repro.lp.grouping`).
 
-        With ``config.sam_skeleton_cache`` on, each contract's incidence
-        fragments come from a :class:`_ContractSkeleton` cached at the
-        contract's first build and patched (elapsed steps trimmed) on
-        reuse; settled/expired contracts are evicted.  Either way the
-        assembled arrays are identical.
+        Each contract's incidence fragments come from a
+        :class:`_ContractSkeleton` cached at the contract's first build
+        and patched (elapsed steps trimmed) on reuse; settled/expired
+        contracts are evicted.  The assembled arrays are identical to a
+        fresh build's.
         """
         state = self.state
         config = state.config
         model = Model(sense="max", name=f"sam@{now}")
         registry = get_registry()
-        cache = self._skeletons if config.sam_skeleton_cache else None
+        cache = self._skeletons
 
         entries: list[tuple[Contract, list[Path], np.ndarray]] = []
         caps, values, needs, soft = [], [], [], []
@@ -314,16 +300,12 @@ class ScheduleAdjuster:
             routes = state.paths.routes(request.src, request.dst,
                                         rid=request.rid)
             first = max(request.start, now)
-            skeleton = None if cache is None else cache.get(contract.rid)
-            if skeleton is not None and not skeleton.covers(
+            skeleton = cache.get(contract.rid)
+            if skeleton is None or not skeleton.covers(
                     routes, first, request.deadline):
-                skeleton = None
-            if skeleton is None:
-                skeleton = _ContractSkeleton.build(routes, first,
-                                                  request.deadline)
-                if cache is not None:
-                    cache[contract.rid] = skeleton
-                    registry.counter("sam.skeleton.misses").inc()
+                skeleton = cache[contract.rid] = _ContractSkeleton.build(
+                    routes, first, request.deadline)
+                registry.counter("sam.skeleton.misses").inc()
             elif skeleton.first == first:
                 registry.counter("sam.skeleton.hits").inc()
             else:
@@ -347,13 +329,12 @@ class ScheduleAdjuster:
             soft.append(cls.preemptible)
             incidences.append((rel_links, rel_steps, rel_vars))
 
-        if cache is not None:
-            # Settlement patch: contracts that left the active set
-            # (delivered in full, expired, or never admitted here) are
-            # deactivated by eviction — the next build simply skips them.
-            active_rids = {c.rid for c in active}
-            for rid in [r for r in cache if r not in active_rids]:
-                del cache[rid]
+        # Settlement patch: contracts that left the active set
+        # (delivered in full, expired, or never admitted here) are
+        # deactivated by eviction — the next build simply skips them.
+        active_rids = {c.rid for c in active}
+        for rid in [r for r in cache if r not in active_rids]:
+            del cache[rid]
 
         counts = np.array([len(routes) * steps.size
                            for _c, routes, steps in entries], dtype=np.int64)
@@ -366,9 +347,11 @@ class ScheduleAdjuster:
                     -(2.0 * values[slacked] + config.price_floor)]
         groups = PairGroups.of_contracts(incidences, starts, state.n_steps)
 
-        # Capacity per touched (link, timestep) pair, with the smoothing
-        # overflow nudge interleaved exactly as the reference builder
-        # emits it (see _solve_expr for the rationale).
+        # Capacity per touched (link, timestep) pair, interleaved with a
+        # tiny penalty on volume in the congested segment: SAM's LP has
+        # many degenerate optima, and without this nudge the solver may
+        # bunch traffic into few steps, pushing later arrivals into the
+        # doubled-price segments the admission interface quotes from.
         capacity = state.capacity[groups.steps, groups.links].astype(float)
         smoothing_weight = config.price_floor * 0.1
         smoothing = config.short_term_adjustment and smoothing_weight > 0 \
@@ -419,144 +402,6 @@ class ScheduleAdjuster:
                                              int(steps[j]),
                                              float(route_volumes[j])))
         return plan
-
-    def _solve_expr(self, active: list[Contract],
-                    delivered: dict[int, float],
-                    realized_loads: np.ndarray, now: int,
-                    enforce_guarantees: bool) -> list[Transmission]:
-        """Reference expression-API builder (differential-test baseline)."""
-        state = self.state
-        config = state.config
-        horizon = min(state.n_steps - 1,
-                      max(c.request.deadline for c in active))
-        model = Model(sense="max", name=f"sam@{now}")
-
-        # Decision variables per (contract, route, timestep).
-        entries: list[tuple[Contract, Path, int, object]] = []
-        by_link_step: dict[tuple[int, int], list[object]] = {}
-        value_terms = []
-        for contract in active:
-            request = contract.request
-            routes = state.paths.routes(request.src, request.dst,
-                                        rid=request.rid)
-            first = max(request.start, now)
-            remaining_cap = contract.chosen - delivered.get(contract.rid, 0.0)
-            cls = state.class_for(request)
-            value = contract.marginal_price if cls.weight == 1.0 \
-                else cls.weight * contract.marginal_price
-            flows = []
-            for path in routes:
-                for t in range(first, request.deadline + 1):
-                    var = model.add_variable(
-                        f"x[{contract.rid}]", lb=0.0, ub=remaining_cap)
-                    entries.append((contract, path, t, var))
-                    flows.append(var)
-                    for index in path.link_indices():
-                        by_link_step.setdefault((index, t), []).append(var)
-                    value_terms.append(value * var)
-            if not flows:
-                continue
-            total = quicksum(flows)
-            model.add_constraint(total <= remaining_cap,
-                                 name=f"demand[{contract.rid}]")
-            if enforce_guarantees:
-                need = contract.guaranteed - delivered.get(contract.rid, 0.0)
-                if need > EPS:
-                    if cls.preemptible:
-                        # Same soft guarantee as the COO builder: the
-                        # slack's penalty makes reneging strictly worse
-                        # than delivering unless the freed capacity is
-                        # worth more elsewhere.
-                        slack = model.add_variable(
-                            f"preempt[{contract.rid}]", lb=0.0)
-                        model.add_constraint(
-                            quicksum([*flows, slack]) >= need,
-                            name=f"guarantee[{contract.rid}]")
-                        value_terms.append(
-                            -(2.0 * value + config.price_floor) * slack)
-                    else:
-                        model.add_constraint(
-                            total >= need,
-                            name=f"guarantee[{contract.rid}]")
-
-        # Capacity per (link, timestep) actually used by any variable, plus
-        # a tiny penalty on volume in the congested segment: SAM's LP has
-        # many degenerate optima, and without this nudge the solver may
-        # bunch traffic into few steps, pushing later arrivals into the
-        # doubled-price segments the admission interface quotes from.
-        smoothing_terms = []
-        smoothing_weight = config.price_floor * 0.1
-        for (index, t), variables in by_link_step.items():
-            cap = float(state.capacity[t, index])
-            model.add_constraint(quicksum(variables) <= cap,
-                                 name=f"cap[{index},{t}]")
-            if config.short_term_adjustment and smoothing_weight > 0:
-                over = model.add_variable(f"over[{index},{t}]", lb=0.0)
-                model.add_constraint(
-                    over >= quicksum(variables)
-                    - config.congestion_threshold * cap)
-                smoothing_terms.append(smoothing_weight * over)
-
-        cost_terms = self._cost_proxy_terms(model, by_link_step,
-                                            realized_loads, now, horizon)
-        cost_terms = cost_terms + smoothing_terms
-
-        model.set_objective(quicksum(value_terms) - quicksum(cost_terms)
-                            if cost_terms else quicksum(value_terms))
-        solution = self._solve_lp(model, now)
-
-        plan = [Transmission(contract.rid, path.link_indices(), t,
-                             solution.value(var))
-                for contract, path, t, var in entries
-                if solution.value(var) > EPS]
-        return plan
-
-    def _cost_proxy_terms(self, model: Model,
-                          by_link_step: dict[tuple[int, int], list[object]],
-                          realized_loads: np.ndarray, now: int,
-                          horizon: int) -> list[object]:
-        """Top-k percentile-cost proxy over every touched billing window.
-
-        For each metered link with decision variables in some billing
-        window, build load variables for every step of the window —
-        realised past steps become fixed variables — and charge
-        ``C_e / k`` per unit of the sum-of-top-k bound.
-        """
-        state = self.state
-        config = state.config
-        touched_links = {index for (index, _t) in by_link_step}
-        cost_terms = []
-        for link in state.topology.metered_links():
-            if link.index not in touched_links:
-                continue
-            window_starts = sorted({
-                (t // self.billing_window) * self.billing_window
-                for (index, t) in by_link_step if index == link.index})
-            for window_start in window_starts:
-                window_end = min(window_start + self.billing_window,
-                                 state.n_steps)
-                length = window_end - window_start
-                k = max(1, int(round(config.topk_fraction * length)))
-                loads = []
-                for t in range(window_start, window_end):
-                    flows = by_link_step.get((link.index, t))
-                    if t < now:
-                        past = float(realized_loads[t, link.index])
-                        loads.append(model.add_variable(
-                            f"past[{link.index},{t}]", lb=past, ub=past))
-                    elif flows:
-                        load = model.add_variable(
-                            f"load[{link.index},{t}]", lb=0.0)
-                        model.add_constraint(load == quicksum(flows))
-                        loads.append(load)
-                    else:
-                        loads.append(model.add_variable(
-                            f"zero[{link.index},{t}]", lb=0.0, ub=0.0))
-                bound = add_sum_topk(model, loads, k,
-                                     name=f"z[{link.index},{window_start}]",
-                                     encoding=config.topk_encoding)
-                cost_terms.append((link.cost_per_unit / k) * bound)
-        return cost_terms
 
 
 def transmissions_now(plan: list[Transmission], now: int

@@ -17,19 +17,6 @@ from .sweep import (CellResult, SweepCell, SweepGrid, SweepResult,
                     cached_scenario, clear_scenario_cache, run_cell,
                     run_sweep, scenario_cache_stats)
 
-
-def __getattr__(name: str):
-    # Forward the deprecated table aliases (with their warnings) so old
-    # ``from repro.experiments import SCHEME_FACTORIES`` imports still
-    # work; the canonical home is repro.registry.
-    if name == "SCHEME_FACTORIES":
-        from . import runner
-        return runner.SCHEME_FACTORIES
-    if name == "SCENARIO_BUILDERS":
-        from . import scenarios
-        return scenarios.SCENARIO_BUILDERS
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 __all__ = [
     "CAMPAIGN_PRESETS", "CampaignResult", "CampaignSpec",
     "CampaignSweepSpec", "CellResult", "DEFAULT_SEED", "DEVIATIONS",

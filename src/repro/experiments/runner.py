@@ -23,7 +23,7 @@ from typing import Callable
 from ..core import PretiumController
 from ..baselines import (NoPrices, OfflineOptimal, PeakOracle,
                          PretiumNoMenu, PretiumNoSAM, RegionOracle, VCGLike)
-from ..options import RunOptions, coerce_options, run_context
+from ..options import RunOptions, run_context
 from ..sim import RunResult, simulate, summarize
 from ..telemetry import get_tracer
 from .scenarios import Scenario
@@ -36,8 +36,7 @@ class SchemeSpec:
     ``kwargs`` is a sorted tuple of ``(key, value)`` pairs (not a dict)
     so specs hash, compare and pickle predictably — the property the
     process-parallel sweep relies on.  Calling a spec builds a fresh
-    scheme instance, which keeps the historical
-    ``SCHEME_FACTORIES[name]()`` idiom working.
+    scheme instance.
     """
 
     name: str
@@ -69,8 +68,8 @@ def _options_kwargs(factory: Callable, options: RunOptions | None) -> dict:
 
     Config-bearing schemes (the Pretium family) take the overrides dict
     whole via ``config_overrides``; offline schemes only understand the
-    LP construction path (their ``builder`` kwarg).  Knobs a factory has
-    no parameter for are silently inapplicable — e.g. ``quote_path``
+    routing policy (their ``routing`` kwarg).  Knobs a factory has no
+    parameter for are silently inapplicable — e.g. solver retry budgets
     cannot mean anything to OPT.
     """
     if options is None:
@@ -81,12 +80,9 @@ def _options_kwargs(factory: Callable, options: RunOptions | None) -> dict:
     parameters = inspect.signature(factory).parameters
     if "config_overrides" in parameters:
         return {"config_overrides": overrides}
-    kwargs = {}
-    if "builder" in parameters and "lp_builder" in overrides:
-        kwargs["builder"] = overrides["lp_builder"]
     if "routing" in parameters and "routing" in overrides:
-        kwargs["routing"] = overrides["routing"]
-    return kwargs
+        return {"routing": overrides["routing"]}
+    return {}
 
 
 #: Every named scheme in the evaluation, as picklable specs.  NoPrices
@@ -108,20 +104,6 @@ SCHEME_SPECS = {
     "Pretium-NoMenu": SchemeSpec.of("Pretium-NoMenu", PretiumNoMenu),
     "Pretium-NoSAM": SchemeSpec.of("Pretium-NoSAM", PretiumNoSAM),
 }
-
-def __getattr__(name: str):
-    # Deprecated alias kept for old import paths; the canonical home is
-    # repro.registry.SCHEMES (re-exported from repro.api).  The values
-    # are callable (a SchemeSpec invoked with no arguments builds the
-    # scheme), so existing ``SCHEME_FACTORIES[name]()`` sites still work.
-    if name == "SCHEME_FACTORIES":
-        import warnings
-        warnings.warn(
-            "repro.experiments.runner.SCHEME_FACTORIES is deprecated; "
-            "use repro.registry.SCHEMES (register/get/names) instead",
-            DeprecationWarning, stacklevel=2)
-        return SCHEME_SPECS
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def scheme_spec(scheme: str | SchemeSpec) -> SchemeSpec:
@@ -155,21 +137,16 @@ def make_scheme(name: str, **kwargs):
 
 
 def run_scheme(scheme, scenario: Scenario,
-               options: RunOptions | None = None, **legacy) -> RunResult:
+               options: RunOptions | None = None) -> RunResult:
     """Run a scheme (name, :class:`SchemeSpec` or instance) on a scenario.
 
     With ``options`` the run executes inside the environment the bundle
     asks for — a seeded fault injector and/or a JSONL telemetry trace —
     and, when the scheme is built here (by name or spec), the
-    config-mapped knobs (``lp_builder``, ``quote_path``, solver budgets)
-    are applied to it.  A pre-built scheme instance keeps whatever
-    config it was constructed with.
-
-    Old-style flat keyword options (``faults=...``, ``telemetry=...``)
-    are deprecated; they still work but emit a
-    :class:`DeprecationWarning`.
+    config-mapped knobs (``routing``, ``solver_backend``, solver
+    budgets) are applied to it.  A pre-built scheme instance keeps
+    whatever config it was constructed with.
     """
-    options = coerce_options(options, legacy, "run_scheme()")
     with run_context(options) as env:
         if isinstance(scheme, (str, SchemeSpec)):
             scheme = scheme_spec(scheme).build(options)

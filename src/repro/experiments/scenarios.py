@@ -146,7 +146,7 @@ def multiclass_scenario(load_factor: float = 2.0,
 #: :meth:`ScenarioSpec.of`.  The canonical registry is
 #: :data:`repro.registry.SCENARIOS`; this module-private dict is the
 #: backing store it is populated from.
-_SCENARIO_BUILDERS = {
+_BUILDERS = {
     "standard": standard_scenario,
     "quick": quick_scenario,
     "tiny": tiny_scenario,
@@ -231,17 +231,4 @@ def production_scenario(load_factor: float = 1.0,
                     LinkCostModel(topology, billing_window=steps_per_day))
 
 
-_SCENARIO_BUILDERS["production"] = production_scenario
-
-
-def __getattr__(name: str):
-    # Deprecated alias kept for old import paths; the canonical home is
-    # repro.registry.SCENARIOS (re-exported from repro.api).
-    if name == "SCENARIO_BUILDERS":
-        import warnings
-        warnings.warn(
-            "repro.experiments.scenarios.SCENARIO_BUILDERS is deprecated; "
-            "use repro.registry.SCENARIOS (register/get/names) instead",
-            DeprecationWarning, stacklevel=2)
-        return _SCENARIO_BUILDERS
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+_BUILDERS["production"] = production_scenario

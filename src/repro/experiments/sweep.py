@@ -71,7 +71,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from ..options import RunOptions, coerce_options
+from ..options import RunOptions
 from ..sim import summarize
 from ..telemetry import get_registry, merge_traces, use_registry
 from ..telemetry.fleet import fleet_registry_from_cells
@@ -478,24 +478,22 @@ def _chunk_cells(cells: list[SweepCell], workers: int,
             for i in range(0, len(cells), chunk_size)]
 
 
-def _pool_context(options: RunOptions):
+def _pool_context():
     """The multiprocessing context the worker pool starts from.
 
-    ``worker_start="auto"`` prefers **forkserver** where the platform
-    offers it: the server imports this module (and with it numpy, scipy
-    and the repro package) exactly once, then every worker forks from
-    that warm image — the per-worker cost drops from a cold interpreter
-    start plus full import chain to a bare ``fork()``.  Elsewhere
+    **forkserver** where the platform offers it: the server imports
+    this module (and with it numpy, scipy and the repro package)
+    exactly once, then every worker forks from that warm image — the
+    per-worker cost drops from a cold interpreter start plus full
+    import chain to a bare ``fork()``.  Elsewhere
     (Windows, macOS builds without forkserver) the pool falls back to
     spawn, which is slower to start but equally isolated.  Neither
     start method inherits run state: tracers, registries and injectors
     are installed per cell by ``run_context``, never at import time.
     """
-    method = options.worker_start
-    if method == "auto":
-        method = ("forkserver"
-                  if "forkserver" in multiprocessing.get_all_start_methods()
-                  else "spawn")
+    method = ("forkserver"
+              if "forkserver" in multiprocessing.get_all_start_methods()
+              else "spawn")
     context = get_context(method)
     if method == "forkserver":
         # Idempotent; ignored once the server is already running (the
@@ -548,18 +546,17 @@ def _run_cells_isolated(cells: list[SweepCell], options: RunOptions,
 
 
 def run_sweep(grid: SweepGrid, options: RunOptions | None = None,
-              progress: Callable[[int, int, CellResult], None] | None = None,
-              **legacy) -> SweepResult:
+              progress: Callable[[int, int, CellResult], None] | None = None
+              ) -> SweepResult:
     """Run every cell of ``grid``, serially or across worker processes.
 
     ``options.workers`` selects the degree of process parallelism
     (1 = in-process serial execution, the reference path).  Parallel
-    sweeps run on a pool of persistent workers started via
-    ``options.worker_start`` (forkserver with this module preloaded
-    where available); run options ship once through the pool
-    initializer, scenarios build once per worker per (scenario, seed)
-    column, and cells travel in contiguous chunks
-    (``options.chunk_size``, adaptive by default).
+    sweeps run on a pool of persistent workers (forkserver with this
+    module preloaded where available, spawn elsewhere); run options
+    ship once through the pool initializer, scenarios build once per
+    worker per (scenario, seed) column, and cells travel in contiguous
+    chunks (``options.chunk_size``, adaptive by default).
 
     With ``options.telemetry`` set, per-cell shards are merged (in cell
     order) into that path when the sweep completes and the shards are
@@ -570,7 +567,6 @@ def run_sweep(grid: SweepGrid, options: RunOptions | None = None,
     ``progress`` is invoked exactly once per finished cell with
     ``(done, total, result)``.
     """
-    options = coerce_options(options, legacy, "run_sweep()")
     opts = options or RunOptions()
     cells = grid.cells()
     total = len(cells)
@@ -599,7 +595,7 @@ def run_sweep(grid: SweepGrid, options: RunOptions | None = None,
             _collect(run_cell(cell, opts, trace_base))
     else:
         chunks = _chunk_cells(cells, workers, opts.chunk_size)
-        context = _pool_context(opts)
+        context = _pool_context()
         shared = (opts, None if trace_base is None else str(trace_base))
         #: chunks whose futures raised: a worker death breaks the whole
         #: pool, so these cannot be attributed yet — they go through the

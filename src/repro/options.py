@@ -1,7 +1,7 @@
 """Run-level options: one typed bundle for every knob a run accepts.
 
 Before this module, the knobs of a run were scattered: solver budgets
-and builder choices lived on :class:`~repro.core.config.PretiumConfig`,
+and the routing policy lived on :class:`~repro.core.config.PretiumConfig`,
 fault injection and telemetry were wired up by hand at every call site
 (the CLI, the chaos conftest, ad-hoc scripts).  :class:`RunOptions`
 consolidates them into one picklable dataclass accepted by the engine
@@ -11,9 +11,9 @@ consolidates them into one picklable dataclass accepted by the engine
 
 Two kinds of fields:
 
-- **config-mapped** (``lp_builder``, ``quote_path``, ``solver_*``) —
+- **config-mapped** (``routing``, ``solver_*``) —
   overrides applied to a scheme's :class:`PretiumConfig` (or an offline
-  scheme's ``builder`` kwarg) when the scheme is built from a
+  scheme's ``routing`` kwarg) when the scheme is built from a
   :class:`~repro.experiments.runner.SchemeSpec`; ``None`` means "keep
   the scheme's default";
 - **environment** (``faults``/``fault_seed``, ``telemetry``,
@@ -21,24 +21,18 @@ Two kinds of fields:
   (:func:`run_context`) every run executes inside: a seeded fault
   injector, a per-run metrics registry, and a JSONL trace writer whose
   events can be stamped with sweep worker/cell ids.
-
-Old-style flat keyword arguments on :func:`simulate`/``run_scheme``
-still work through :func:`coerce_options`, which folds them into a
-:class:`RunOptions` and emits a :class:`DeprecationWarning`.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import warnings
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
 #: RunOptions fields that map onto PretiumConfig attributes of the same
 #: name (applied via ``config_overrides`` when a scheme is built).
-CONFIG_FIELDS = ("lp_builder", "quote_path", "routing", "solver_backend",
-                 "sam_skeleton_cache", "sam_fast_path", "solver_retries",
+CONFIG_FIELDS = ("routing", "solver_backend", "solver_retries",
                  "solver_backoff", "solver_time_limit", "solver_maxiter")
 
 
@@ -48,11 +42,6 @@ class RunOptions:
 
     Attributes
     ----------
-    lp_builder:
-        LP construction path override (``"coo"``/``"expr"``); also maps
-        to the offline schemes' ``builder`` kwarg.
-    quote_path:
-        RA quote implementation override (``"heap"``/``"scan"``).
     routing:
         Routing-policy override (``"kpaths"``/``"ecmp"``/``"flowlet"``,
         see :data:`repro.network.ROUTING_POLICIES`); maps onto
@@ -68,11 +57,6 @@ class RunOptions:
     solver_backend:
         LP backend override (``"scipy"``/``"highs"``/``"auto"``; see
         :class:`~repro.core.config.PretiumConfig.solver_backend`).
-    sam_skeleton_cache / sam_fast_path:
-        Incremental-SAM overrides: cached COO fragment reuse between
-        steps and the quiet-step no-solve fast path.  ``None`` keeps the
-        scheme's defaults (both on); the differential benches turn them
-        off to obtain the cold-solve reference.
     solver_retries / solver_backoff / solver_time_limit / solver_maxiter:
         Resilience budgets (see :class:`~repro.core.config.PretiumConfig`).
     faults:
@@ -101,19 +85,11 @@ class RunOptions:
         sizes chunks adaptively from the grid and worker count; an
         explicit value forces it (the differential suite pins 1, 3 and
         8 to prove chunk boundaries are unobservable).
-    worker_start:
-        Worker process start method: ``"auto"`` (forkserver with the
-        sweep module preloaded where the platform offers it, else
-        spawn), ``"forkserver"``, or ``"spawn"``.
     """
 
-    lp_builder: str | None = None
-    quote_path: str | None = None
     routing: str | None = None
     classes: object = None
     solver_backend: str | None = None
-    sam_skeleton_cache: bool | None = None
-    sam_fast_path: bool | None = None
     solver_retries: int | None = None
     solver_backoff: float | None = None
     solver_time_limit: float | None = None
@@ -125,13 +101,8 @@ class RunOptions:
     trace_tags: tuple[tuple[str, object], ...] = ()
     workers: int = 1
     chunk_size: int | None = None
-    worker_start: str = "auto"
 
     def __post_init__(self) -> None:
-        if self.lp_builder not in (None, "coo", "expr"):
-            raise ValueError(f"unknown lp_builder {self.lp_builder!r}")
-        if self.quote_path not in (None, "heap", "scan"):
-            raise ValueError(f"unknown quote_path {self.quote_path!r}")
         if self.routing is not None:
             from .network.paths import ROUTING_POLICIES
             if self.routing not in ROUTING_POLICIES:
@@ -159,10 +130,6 @@ class RunOptions:
         if self.chunk_size is not None and self.chunk_size < 1:
             raise ValueError("chunk_size must be >= 1 (or None for "
                              "adaptive chunking)")
-        if self.worker_start not in ("auto", "spawn", "forkserver"):
-            raise ValueError(
-                f"unknown worker_start {self.worker_start!r}; expected "
-                "'auto', 'spawn' or 'forkserver'")
         if self.faults is not None:
             # Fail at construction, not silently mid-run (same contract
             # as PretiumConfig's eager spec validation).
@@ -269,32 +236,6 @@ class RunEnvironment:
 
     tracer: object | None = None
     injector: object | None = None
-
-
-def coerce_options(options: RunOptions | None, legacy: dict,
-                   where: str) -> RunOptions | None:
-    """Fold deprecated flat keyword options into a :class:`RunOptions`.
-
-    ``legacy`` is the ``**kwargs`` dict an old-style caller passed (e.g.
-    ``run_scheme(..., faults="sam:solver@5")``).  Unknown names raise
-    ``TypeError``; known names are merged over ``options`` with a
-    :class:`DeprecationWarning` pointing at the replacement.
-    """
-    if not legacy:
-        return options
-    field_names = {f.name for f in dataclasses.fields(RunOptions)}
-    unknown = sorted(set(legacy) - field_names)
-    if unknown:
-        raise TypeError(f"{where} got unexpected keyword argument(s) "
-                        f"{', '.join(map(repr, unknown))}")
-    replacement = ", ".join(f"{name}={value!r}"
-                            for name, value in sorted(legacy.items()))
-    warnings.warn(
-        f"passing flat keyword options to {where} is deprecated; "
-        f"pass options=RunOptions({replacement}) instead",
-        DeprecationWarning, stacklevel=3)
-    base = options if options is not None else RunOptions()
-    return dataclasses.replace(base, **legacy)
 
 
 @contextmanager

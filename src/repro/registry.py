@@ -1,9 +1,9 @@
 """One typed registry for schemes and scenarios.
 
 Historically the two name->factory tables lived in separate modules with
-separate idioms: ``SCHEME_FACTORIES`` (a dict of
+separate idioms: the scheme table (a dict of
 :class:`~repro.experiments.runner.SchemeSpec`) raised a bare ``KeyError``
-on unknown names, while ``SCENARIO_BUILDERS`` (a dict of builder
+on unknown names, while the scenario table (a dict of builder
 callables) was validated ad hoc with ``ValueError`` at each call site.
 This module gives both the same surface — ``register`` / ``get`` /
 ``names`` — with typed errors that preserve the historical exception
@@ -24,8 +24,7 @@ pretium,noprices``).
 The registries are populated lazily: the first lookup on
 :data:`SCHEMES` or :data:`SCENARIOS` imports the defining module
 (:mod:`repro.experiments.runner` / :mod:`repro.experiments.scenarios`)
-and registers its table.  The old dict attributes remain available as
-:class:`DeprecationWarning` aliases.
+and registers its table.
 """
 
 from __future__ import annotations
@@ -141,8 +140,8 @@ def _load_schemes() -> None:
 
 
 def _load_scenarios() -> None:
-    from .experiments.scenarios import _SCENARIO_BUILDERS
-    for name, builder in _SCENARIO_BUILDERS.items():
+    from .experiments.scenarios import _BUILDERS
+    for name, builder in _BUILDERS.items():
         SCENARIOS.register(name, builder, replace=True)
 
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from ..core.admission import EPS
 from ..lp import LPError
-from ..options import RunOptions, coerce_options, run_context
+from ..options import RunOptions, run_context
 from ..telemetry import get_registry, get_tracer, ledger
 from ..traffic.workload import Workload
 
@@ -116,7 +116,7 @@ class ModuleRuntimes:
 
 
 def simulate(scheme, workload: Workload,
-             options: RunOptions | None = None, **legacy) -> RunResult:
+             options: RunOptions | None = None) -> RunResult:
     """Run ``scheme`` online over ``workload`` and settle payments.
 
     Per-module timing (Table 4) is captured through telemetry spans
@@ -127,12 +127,10 @@ def simulate(scheme, workload: Workload,
     ``options`` scopes the run environment (fault injector, telemetry
     trace) for this run; see :class:`~repro.options.RunOptions`.  The
     scheme is already constructed by the time the engine sees it, so
-    config-mapped option fields (``lp_builder`` etc.) do not apply here
+    config-mapped option fields (``routing`` etc.) do not apply here
     — build the scheme through :func:`repro.experiments.runner.run_scheme`
-    (or :func:`repro.api.run`) for those.  Old-style flat keyword
-    options are deprecated but still accepted.
+    (or :func:`repro.api.run`) for those.
     """
-    options = coerce_options(options, legacy, "simulate()")
     link_kills = None
     if options is not None and options.link_kills is not None:
         from ..faults.links import LinkKillSchedule

@@ -30,9 +30,7 @@ The observability layer for the whole stack (see DESIGN.md
   sweep cells or trace shards into one fleet-wide registry (counters
   sum, histograms merge by bucket, gauges per-worker);
 - :mod:`~repro.telemetry.profile` — span-tree self-time attribution and
-  collapsed-stack flamegraph export (``telemetry flame``);
-- :mod:`~repro.telemetry.perfgate` — the CI perf-regression gate over
-  BENCH_PERF.json roll-ups vs. ``benchmarks/baseline.json``.
+  collapsed-stack flamegraph export (``telemetry flame``).
 
 Instrumented call sites: :func:`repro.lp.solver.solve_model` emits
 ``lp.solve`` spans (LP size, status, iterations); the simulation engine

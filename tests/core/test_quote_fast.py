@@ -1,4 +1,5 @@
-"""Differential tests: heap-based RA quote vs the reference scan.
+"""Differential tests: heap-based RA quote vs the reference scan
+(``tests/reference/quote.py``).
 
 The heap path must reproduce the reference menu *exactly* — same
 segments, same volumes, prices, paths, timesteps, in the same order —
@@ -14,6 +15,7 @@ from repro.core import (ByteRequest, NetworkState, PretiumConfig,
                         RequestAdmission)
 from repro.network import parallel_paths_network, small_wan
 from repro.telemetry import get_registry
+from tests.reference.quote import quote_scan
 
 
 def exact_key(menu):
@@ -32,7 +34,7 @@ def test_heap_quote_matches_scan_simple():
     ra = RequestAdmission(state)
     req = ByteRequest(1, "S", "T", 40.0, 0, 0, 5, 1.0)
     heap_menu = ra.quote(req, now=0)
-    scan_menu = ra.quote_reference(req, now=0)
+    scan_menu = quote_scan(state, req, now=0)
     assert exact_key(heap_menu) == exact_key(scan_menu)
     assert heap_menu.segments  # non-trivial menu
 
@@ -52,7 +54,7 @@ def test_heap_quote_matches_scan_randomised(short_term):
         req = ByteRequest(rid, src, dst, rng.uniform(1.0, 50.0), 0,
                           start, deadline, 1.0)
         heap_menu = ra.quote(req, now=min(start, 11))
-        scan_menu = ra.quote_reference(req, now=min(start, 11))
+        scan_menu = quote_scan(state, req, now=min(start, 11))
         assert exact_key(heap_menu) == exact_key(scan_menu), f"rid={rid}"
         n_segments += len(heap_menu.segments)
         # Admit some so later quotes see non-trivial reservations.
@@ -77,7 +79,7 @@ def test_heap_quote_empty_cases_match_scan():
     # Window entirely before `now` has no steps left.
     req = ByteRequest(1, "S", "T", 5.0, 0, 0, 2, 1.0)
     assert exact_key(ra.quote(req, now=11)) == \
-        exact_key(ra.quote_reference(req, now=11))
+        exact_key(quote_scan(state, req, now=11))
     assert not ra.quote(req, now=11).segments
 
 
@@ -89,11 +91,3 @@ def test_heap_counters_increment():
     ra.quote(ByteRequest(1, "S", "T", 40.0, 0, 0, 5, 1.0), now=0)
     assert registry.counter("ra.quote.heap_pops").value > before
 
-
-def test_scan_config_uses_reference_path():
-    state = make_state(parallel_paths_network(10.0, 6.0),
-                       quote_path="scan")
-    ra = RequestAdmission(state)
-    req = ByteRequest(1, "S", "T", 12.0, 0, 0, 4, 1.0)
-    assert exact_key(ra.quote(req, now=0)) == \
-        exact_key(ra.quote_reference(req, now=0))

@@ -3,7 +3,8 @@
 Three layers, matching the three incremental paths:
 
 - **skeleton patching** — a hypothesis property drives two adjusters
-  (skeleton cache on / off) through arbitrary arrival/settlement
+  (``src/``'s, and ``tests/reference/cold_sam.py``'s which forgets its
+  skeletons before every step) through arbitrary arrival/settlement
   sequences and asserts the models they hand the solver assemble to the
   *identical* matrix, step by step.  Patching is pure assembly reuse;
   any difference at all is a bug.
@@ -22,6 +23,7 @@ Three layers, matching the three incremental paths:
 
 import dataclasses
 import math
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -38,6 +40,7 @@ from repro.faults import FaultInjector
 from repro.network import parallel_paths_network
 from repro.options import RunOptions
 from repro.telemetry import MetricsRegistry, use_registry
+from tests.reference.cold_sam import ColdAdjuster, cold_sam
 from tests.reference.lp import assert_models_identical
 
 
@@ -60,8 +63,8 @@ def loads_for(state):
     return np.zeros((state.n_steps, state.topology.num_links))
 
 
-class CapturingAdjuster(ScheduleAdjuster):
-    """ScheduleAdjuster that keeps every model it hands the solver."""
+class Capturing:
+    """Mixin keeping every model an adjuster hands the solver."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -70,6 +73,14 @@ class CapturingAdjuster(ScheduleAdjuster):
     def _solve_lp(self, model, now):
         self.models.append(model)
         return super()._solve_lp(model, now)
+
+
+class CapturingAdjuster(Capturing, ScheduleAdjuster):
+    pass
+
+
+class CapturingColdAdjuster(Capturing, ColdAdjuster):
+    pass
 
 
 # -- skeleton patching: hypothesis differential -----------------------------
@@ -95,15 +106,14 @@ def test_patched_models_assemble_identically(pattern):
     n_steps = 8
     with use_registry(MetricsRegistry()):
         worlds = {}
-        for key, cached in (("cached", True), ("fresh", False)):
+        for key, adjuster in (("cached", CapturingAdjuster),
+                              ("fresh", CapturingColdAdjuster)):
             topology = parallel_paths_network(10.0, 10.0)
             config = PretiumConfig(window=3, lookback=3, initial_price=1.0,
-                                   short_term_adjustment=False,
-                                   sam_skeleton_cache=cached,
-                                   sam_fast_path=False)
+                                   short_term_adjustment=False)
             state = NetworkState(topology, n_steps, config)
             worlds[key] = (state, RequestAdmission(state),
-                           CapturingAdjuster(state, n_steps))
+                           adjuster(state, n_steps))
 
         contracts = {"cached": [], "fresh": []}
         delivered = {}
@@ -299,9 +309,10 @@ def test_guarantee_drop_never_arms():
         assert registry.counter("sam.fast_path.misses").value == 1
 
 
-def test_fast_path_disabled_by_config():
+def test_cold_adjuster_never_takes_the_fast_path():
     with use_registry(MetricsRegistry()) as registry:
-        state, ra, sam = setup(n_steps=6, sam_fast_path=False)
+        state, ra, _ = setup(n_steps=6)
+        sam = ColdAdjuster(state, 6)
         req = ByteRequest(1, "S", "T", 12.0, 0, 0, 4, 5.0)
         contract = admit(ra, req)
         plan = sam.adjust([contract], {}, loads_for(state), 0,
@@ -315,11 +326,9 @@ def test_fast_path_disabled_by_config():
 
 # -- end-to-end differentials ----------------------------------------------
 
-COLD = dict(sam_skeleton_cache=False, sam_fast_path=False)
-
-
-def _run(scenario, **knobs):
-    with use_registry(MetricsRegistry()) as registry:
+def _run(scenario, cold=False, **knobs):
+    with (cold_sam() if cold else nullcontext()), \
+            use_registry(MetricsRegistry()) as registry:
         result = run("Pretium", scenario,
                      options=RunOptions(solver_backend="scipy",
                                         **knobs)).result
@@ -340,7 +349,7 @@ def assert_bit_identical(a, b):
 def test_stock_run_bit_identical_to_cold():
     """Arrivals every step: the fast path never fires and the whole
     incremental stack must reproduce the cold reference bit for bit."""
-    cold, _ = _run(tiny_scenario(seed=0), **COLD)
+    cold, _ = _run(tiny_scenario(seed=0), cold=True)
     warm, counters = _run(tiny_scenario(seed=0))
     assert_bit_identical(warm, cold)
     assert counters.get("sam.fast_path.hits", 0) == 0
@@ -350,7 +359,7 @@ def test_faulted_run_bit_identical_to_cold():
     """Injected fault schedules (solver retries, timeouts, a dropped
     guarantee) must not change what the incremental paths compute."""
     faults = "sam:solver@2x1,pc:timeout@3x1,sam:infeasible@4x1"
-    cold, _ = _run(tiny_scenario(seed=0), faults=faults, **COLD)
+    cold, _ = _run(tiny_scenario(seed=0), cold=True, faults=faults)
     warm, _ = _run(tiny_scenario(seed=0), faults=faults)
     assert_bit_identical(warm, cold)
 
@@ -373,7 +382,7 @@ def gapped_tiny(seed=0):
 
 
 def test_gapped_run_fast_path_fires_and_preserves_economics():
-    cold, _ = _run(gapped_tiny(), **COLD)
+    cold, _ = _run(gapped_tiny(), cold=True)
     fast, counters = _run(gapped_tiny())
     assert counters["sam.fast_path.hits"] > 0
     # Decisions are pinned; totals are pinned; per-request splits may

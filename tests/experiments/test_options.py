@@ -7,10 +7,11 @@ import pytest
 from repro.experiments.runner import run_scheme
 from repro.experiments.scenarios import tiny_scenario
 from repro.faults import FaultSpecError
-from repro.options import (RunOptions, coerce_options, run_context)
+from repro.options import RunOptions, run_context
 from repro.sim import simulate
-from repro.sim.engine import RunResult
 from repro.telemetry import read_trace
+from tests.reference.expr_builders import expr_builders
+from tests.reference.quote import scan_quotes
 
 
 @pytest.fixture(scope="module")
@@ -25,12 +26,11 @@ def test_defaults_ask_for_nothing():
     assert options.config_overrides() == {}
     assert options.faults is None and options.telemetry is None
     assert options.workers == 1
-    assert options.chunk_size is None and options.worker_start == "auto"
+    assert options.chunk_size is None
 
 
 @pytest.mark.parametrize("kwargs", [
-    dict(lp_builder="dense"),
-    dict(quote_path="binary"),
+    dict(solver_backend="cplex"),
     dict(solver_retries=-1),
     dict(solver_backoff=-0.5),
     dict(solver_time_limit=0),
@@ -38,7 +38,6 @@ def test_defaults_ask_for_nothing():
     dict(workers=0),
     dict(chunk_size=0),
     dict(chunk_size=-3),
-    dict(worker_start="fork"),
 ])
 def test_invalid_values_rejected_eagerly(kwargs):
     with pytest.raises(ValueError):
@@ -51,35 +50,19 @@ def test_bad_fault_spec_rejected_at_construction():
 
 
 def test_config_overrides_collects_non_none_config_fields():
-    options = RunOptions(quote_path="scan", solver_retries=0,
+    options = RunOptions(solver_backend="scipy", solver_retries=0,
                          faults="sam:solver@1", telemetry="t.jsonl")
-    assert options.config_overrides() == {"quote_path": "scan",
+    assert options.config_overrides() == {"solver_backend": "scipy",
                                           "solver_retries": 0}
 
 
 def test_replace_and_pickle_roundtrip():
-    options = RunOptions(lp_builder="expr", workers=4,
+    options = RunOptions(routing="ecmp", workers=4,
                          trace_tags=(("cell", 3),))
     clone = pickle.loads(pickle.dumps(options))
     assert clone == options
     assert options.replace(workers=1).workers == 1
     assert options.workers == 4  # frozen original untouched
-
-
-# -- coercion of legacy flat kwargs -------------------------------------------
-
-def test_coerce_options_passthrough_and_merge():
-    assert coerce_options(None, {}, "f()") is None
-    base = RunOptions(workers=2)
-    with pytest.warns(DeprecationWarning, match="deprecated"):
-        merged = coerce_options(base, {"faults": "pc:timeout@1"}, "f()")
-    assert merged.workers == 2
-    assert merged.faults == "pc:timeout@1"
-
-
-def test_coerce_options_rejects_unknown_names():
-    with pytest.raises(TypeError, match="retries"):
-        coerce_options(None, {"retries": 3}, "f()")
 
 
 # -- run_context --------------------------------------------------------------
@@ -101,51 +84,43 @@ def test_run_context_scopes_injector_and_tagged_trace(tmp_path):
     assert events and all(event["cell"] == 7 for event in events)
 
 
-# -- deprecation shims on the public entry points -----------------------------
-
-def test_run_scheme_flat_kwargs_deprecated_but_functional(scenario,
-                                                          tmp_path):
-    trace = tmp_path / "t.jsonl"
-    with pytest.warns(DeprecationWarning, match="run_scheme"):
-        result = run_scheme("Pretium", scenario,
-                            faults="sam:solver@2x1", telemetry=trace)
-    assert isinstance(result, RunResult)
-    assert result.extras["faults_injected"] == 1
-    assert trace.exists()
-
+# -- options are the only way in: flat keywords are plain TypeErrors ------------
 
 def test_run_scheme_unknown_kwarg_is_type_error(scenario):
     with pytest.raises(TypeError, match="fault_spec"):
         run_scheme("NoPrices", scenario, fault_spec="sam:solver@1")
+    with pytest.raises(TypeError, match="faults"):
+        run_scheme("NoPrices", scenario, faults="sam:solver@1")
 
 
-def test_simulate_accepts_options_and_flat_kwargs(scenario, tmp_path):
+def test_simulate_accepts_options_and_rejects_flat_kwargs(scenario,
+                                                          tmp_path):
     from repro.core import PretiumController
     options = RunOptions(telemetry=tmp_path / "a.jsonl")
-    with_options = simulate(PretiumController(), scenario.workload,
-                            options=options)
-    with pytest.warns(DeprecationWarning, match="simulate"):
-        with_flat = simulate(PretiumController(), scenario.workload,
-                             telemetry=tmp_path / "b.jsonl")
-    assert with_options.delivered == with_flat.delivered
+    simulate(PretiumController(), scenario.workload, options=options)
     assert (tmp_path / "a.jsonl").exists()
-    assert (tmp_path / "b.jsonl").exists()
+    with pytest.raises(TypeError, match="telemetry"):
+        simulate(PretiumController(), scenario.workload,
+                 telemetry=tmp_path / "b.jsonl")
+    assert not (tmp_path / "b.jsonl").exists()
 
 
-def test_options_quote_path_reaches_the_controller(scenario):
-    scan = run_scheme("Pretium", scenario,
-                      options=RunOptions(quote_path="scan"))
-    heap = run_scheme("Pretium", scenario,
-                      options=RunOptions(quote_path="heap"))
+# -- whole runs against the tests/reference twins ---------------------------------
+
+def test_scan_quote_reference_matches_heap_over_a_run(scenario):
+    with scan_quotes():
+        scan = run_scheme("Pretium", scenario)
+    heap = run_scheme("Pretium", scenario)
     # Both quote paths are exact: same economics, different machinery.
     assert scan.payments == heap.payments
     assert scan.delivered == heap.delivered
 
 
-def test_options_lp_builder_reaches_offline_schemes(scenario):
-    coo = run_scheme("OPT", scenario, options=RunOptions(lp_builder="coo"))
-    expr = run_scheme("OPT", scenario,
-                      options=RunOptions(lp_builder="expr"))
+def test_expr_builder_reference_matches_emitters_for_offline_schemes(
+        scenario):
+    coo = run_scheme("OPT", scenario)
+    with expr_builders():
+        expr = run_scheme("OPT", scenario)
     assert coo.delivered == pytest.approx(expr.delivered)
 
 
@@ -163,14 +138,3 @@ def test_invalid_routing_classes_and_kills_rejected_eagerly():
     assert "classes" not in options.config_overrides()
     assert "link_kills" not in options.config_overrides()
 
-
-def test_coerce_options_warning_spells_out_the_replacement():
-    """The deprecation message must hand back copy-pasteable code."""
-    with pytest.warns(DeprecationWarning) as caught:
-        coerce_options(None, {"workers": 2, "faults": "pc:timeout@1"},
-                       "simulate()")
-    (message,) = {str(w.message) for w in caught}
-    assert "pass options=RunOptions(faults='pc:timeout@1', workers=2) " \
-        "instead" in message
-    assert message.startswith(
-        "passing flat keyword options to simulate() is deprecated")

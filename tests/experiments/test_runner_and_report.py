@@ -105,13 +105,3 @@ def test_scheme_specs_are_picklable():
         assert clone == spec
         assert clone.name == name
         assert clone.build() is not None
-
-
-def test_scheme_factories_alias_keeps_callable_idiom():
-    # Historical call sites do SCHEME_FACTORIES[name]() — specs are
-    # callable, so the lambda-era idiom keeps working.
-    from repro.experiments import runner
-    with pytest.warns(DeprecationWarning, match="repro.registry.SCHEMES"):
-        factories = runner.SCHEME_FACTORIES
-    scheme = factories["NoPrices"]()
-    assert scheme.name == "NoPrices"

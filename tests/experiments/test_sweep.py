@@ -245,8 +245,7 @@ def test_sweep_without_sink_writes_no_shard_files(tmp_path, monkeypatch):
     assert list(tmp_path.rglob("*.jsonl")) == []
 
 
-def test_legacy_flat_kwargs_still_work_with_warning():
+def test_flat_kwargs_are_a_type_error():
     grid = SweepGrid(schemes=["NoPrices"], scenarios=["tiny"])
-    with pytest.warns(DeprecationWarning, match="workers"):
-        result = run_sweep(grid, workers=1)
-    assert result.ok
+    with pytest.raises(TypeError, match="workers"):
+        run_sweep(grid, workers=1)

@@ -19,6 +19,7 @@ section below:
    chunk), and the CLI per-cell table matches the cell count.
 """
 
+import multiprocessing
 import os
 
 import numpy as np
@@ -29,8 +30,9 @@ from hypothesis import strategies as st
 from repro.experiments.runner import SCHEME_SPECS, SchemeSpec, run_scheme
 from repro.experiments.scenarios import ScenarioSpec
 from repro.experiments.sweep import (SCENARIO_CACHE_CAPACITY, SweepGrid,
-                                     cached_scenario, clear_scenario_cache,
-                                     run_sweep, scenario_cache_stats)
+                                     _pool_context, cached_scenario,
+                                     clear_scenario_cache, run_sweep,
+                                     scenario_cache_stats)
 from repro.options import RunOptions
 from repro.sim import summarize
 from repro.telemetry import read_trace
@@ -72,18 +74,21 @@ def test_persistent_sweep_bit_identical_under_faults_and_chunking():
         assert_cells_identical(serial.cells, parallel.cells)
 
 
-def test_explicit_start_methods_agree_with_serial():
+def test_explicit_start_methods_agree_with_serial(monkeypatch):
+    """Both branches of ``_pool_context``: the platform's own choice
+    (forkserver where offered), then spawn, forced by hiding forkserver
+    from the lookup the function makes."""
     grid = SweepGrid(schemes=["Pretium", "NoPrices"], scenarios=["tiny"],
                      seeds=[0])
     serial = run_sweep(grid, options=RunOptions(workers=1))
-    import multiprocessing
-    methods = ["spawn"]
-    if "forkserver" in multiprocessing.get_all_start_methods():
-        methods.append("forkserver")
-    for method in methods:
-        parallel = run_sweep(
-            grid, options=RunOptions(workers=2, worker_start=method))
-        assert_cells_identical(serial.cells, parallel.cells)
+    parallel = run_sweep(grid, options=RunOptions(workers=2))
+    assert_cells_identical(serial.cells, parallel.cells)
+
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                        lambda: ["spawn"])
+    assert _pool_context().get_start_method() == "spawn"
+    parallel = run_sweep(grid, options=RunOptions(workers=2))
+    assert_cells_identical(serial.cells, parallel.cells)
 
 
 def test_cache_reuse_is_flagged_but_unobservable_in_results():

@@ -1,11 +1,14 @@
 """Differential tests: fast and reference paths degrade identically.
 
 The heap-based RA quoting and COO LP assembly are pure optimisations of
-the scan/expression reference paths, so under the *same deterministic
+the scan/expression reference paths (``tests/reference/quote.py``,
+``tests/reference/expr_builders.py``), so under the *same deterministic
 fault schedule* both stacks must produce the same contracts, the same
 deliveries and the same degradation trail — otherwise a fault could
 expose a divergence the clean-path equivalence tests never see.
 """
+
+from contextlib import contextmanager, nullcontext
 
 import numpy as np
 import pytest
@@ -14,16 +17,26 @@ from repro.sim import simulate
 from repro.telemetry import MetricsRegistry, use_registry
 
 from repro.core import PretiumController
+from tests.reference.expr_builders import expr_builders
+from tests.reference.quote import scan_quotes
 
 from .conftest import chaos_config
 
-FAST = {"quote_path": "heap", "lp_builder": "coo"}
-REFERENCE = {"quote_path": "scan", "lp_builder": "expr"}
+
+@contextmanager
+def reference_stack():
+    """Scan quoting and expression LP builders, installed together."""
+    with scan_quotes(), expr_builders():
+        yield
 
 
-def run_variant(scenario, spec, overrides):
+FAST = nullcontext
+REFERENCE = reference_stack
+
+
+def run_variant(scenario, spec, stack, **overrides):
     controller = PretiumController(chaos_config(spec, **overrides))
-    with use_registry(MetricsRegistry()) as registry:
+    with stack(), use_registry(MetricsRegistry()) as registry:
         result = simulate(controller, scenario.workload)
         snapshot = registry.snapshot()
     return controller, result, snapshot
@@ -64,10 +77,10 @@ def test_probabilistic_schedule_is_shared_across_variants(chaos_scenario):
     # A seeded probabilistic rule draws the same schedule in both stacks
     # because injection points are identical call sites.
     spec = "sam:solver@p0.3"
-    _, fast, fast_metrics = run_variant(chaos_scenario, spec,
-                                        dict(FAST, fault_seed=11))
-    _, ref, ref_metrics = run_variant(chaos_scenario, spec,
-                                      dict(REFERENCE, fault_seed=11))
+    _, fast, fast_metrics = run_variant(chaos_scenario, spec, FAST,
+                                        fault_seed=11)
+    _, ref, ref_metrics = run_variant(chaos_scenario, spec, REFERENCE,
+                                      fault_seed=11)
     assert fast_metrics.get("faults.injected.sam", 0) == \
         ref_metrics.get("faults.injected.sam", 0) > 0
     assert fast.extras.get("degradation", []) == \

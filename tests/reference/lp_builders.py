@@ -4,8 +4,9 @@
 window) emitting load variables, load-coupling rows and the top-k
 encoding, in three copies (SAM, PC, the offline baselines).  Kept
 verbatim as the oracle the emitters must assemble identical models to;
-the only edit is SAM's skeleton validity test, which calls the current
-``_ContractSkeleton.covers`` (the parent's ignored route identity).
+the only edits are SAM's skeleton validity test, which calls the current
+``_ContractSkeleton.covers`` (the parent's ignored route identity), and
+its skeleton cache, which is always on now that the knob is gone.
 """
 
 import numpy as np
@@ -167,17 +168,16 @@ class ReferenceAdjuster(ScheduleAdjuster):
         the per-window percentile-cost proxy), so HiGHS sees the
         identical LP and returns the identical plan and duals.
 
-        With ``config.sam_skeleton_cache`` on, each contract's incidence
-        fragments come from a :class:`_ContractSkeleton` cached at the
-        contract's first build and patched (elapsed steps trimmed) on
-        reuse; settled/expired contracts are evicted.  Either way the
-        assembled arrays are identical.
+        Each contract's incidence fragments come from a
+        :class:`_ContractSkeleton` cached at the contract's first build
+        and patched (elapsed steps trimmed) on reuse; settled/expired
+        contracts are evicted.
         """
         state = self.state
         config = state.config
         model = Model(sense="max", name=f"sam@{now}")
         registry = get_registry()
-        cache = self._skeletons if config.sam_skeleton_cache else None
+        cache = self._skeletons
 
         obj_cols: list[np.ndarray] = []
         obj_vals: list[np.ndarray] = []

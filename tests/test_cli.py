@@ -315,15 +315,23 @@ def test_sweep_reports_cell_failures(tmp_path, capsys, monkeypatch):
     assert "explode" in captured.err
 
 
-def test_run_accepts_workers_and_knob_flags(tmp_path, capsys):
+def test_run_accepts_knob_flags_and_rejects_removed_ones(tmp_path, capsys):
     wl_path = tmp_path / "wl.json"
     main(["generate-workload", "--out", str(wl_path), "--nodes", "8",
           "--days", "1", "--steps-per-day", "6", "--seed", "1"])
     capsys.readouterr()
     assert main(["run", "--scheme", "Pretium", "--workload", str(wl_path),
-                 "--workers", "2", "--quote-path", "scan",
-                 "--solver-retries", "1"]) == 0
+                 "--routing", "ecmp", "--solver-retries", "1"]) == 0
     assert "welfare" in capsys.readouterr().out
+    for gone in (["--workers", "2"], ["--quote-path", "scan"],
+                 ["--lp-builder", "expr"], ["--no-sam-fast-path"],
+                 ["--no-sam-skeleton-cache"]):
+        with pytest.raises(SystemExit):
+            main(["run", "--workload", str(wl_path), *gone])
+    with pytest.raises(SystemExit):
+        main(["sweep", "--scenario", "tiny", "--worker-start", "spawn"])
+    with pytest.raises(SystemExit):
+        main(["perfgate"])
 
 
 # -- campaign subcommand ------------------------------------------------------
@@ -426,7 +434,7 @@ def test_serve_runs_load_and_writes_report(tmp_path, capsys):
 def test_serve_accepts_service_knobs_and_rejects_bad_ones(capsys):
     assert main(["serve", "--scenario", "tiny", "--seed", "0",
                  "--cache-size", "0", "--max-pending", "8",
-                 "--quote-deadline", "5", "--quote-path", "scan"]) == 0
+                 "--quote-deadline", "5", "--solver-retries", "1"]) == 0
     capsys.readouterr()
     assert main(["serve", "--scenario", "tiny",
                  "--quote-deadline", "-1"]) == 2

@@ -3,9 +3,7 @@
 One registry type, two instances: ``SCHEMES`` and ``SCENARIOS`` expose
 the same register/get/names surface, raise *typed* errors that are also
 the stdlib exception callers historically caught (``KeyError`` for
-schemes, ``ValueError`` for scenarios), and the old access paths
-(``SCHEME_FACTORIES`` / ``SCENARIO_BUILDERS``) keep working behind a
-:class:`DeprecationWarning`.
+schemes, ``ValueError`` for scenarios).
 """
 
 import pytest
@@ -100,29 +98,3 @@ def test_api_reexports_the_registry_surface():
     assert api.UnknownSchemeError is UnknownSchemeError
     assert api.UnknownScenarioError is UnknownScenarioError
 
-
-# -- deprecated aliases -------------------------------------------------------
-
-def test_scheme_factories_alias_warns_but_works():
-    from repro.experiments import runner
-    with pytest.warns(DeprecationWarning, match="repro.registry.SCHEMES"):
-        factories = runner.SCHEME_FACTORIES
-    assert factories["Pretium"] is SCHEMES.get("Pretium")
-
-
-def test_scenario_builders_alias_warns_but_works():
-    from repro.experiments import scenarios
-    with pytest.warns(DeprecationWarning,
-                      match="repro.registry.SCENARIOS"):
-        builders = scenarios.SCENARIO_BUILDERS
-    assert builders["tiny"] is SCENARIOS.get("tiny")
-
-
-def test_package_level_aliases_forward_with_warning():
-    import repro.experiments as experiments
-    with pytest.warns(DeprecationWarning):
-        assert experiments.SCHEME_FACTORIES["Pretium"] is \
-            SCHEMES.get("Pretium")
-    with pytest.warns(DeprecationWarning):
-        assert experiments.SCENARIO_BUILDERS["tiny"] is \
-            SCENARIOS.get("tiny")
