@@ -65,6 +65,7 @@ class PretiumController:
         self._user_model = user_model
         self.state: NetworkState | None = None
         self.contracts: list[Contract] = []
+        self._by_rid: dict[int, Contract] = {}
         self.menus: dict[int, object] = {}
         self.price_updates: int = 0
         #: Structured degradation events, in order (see _record_degradation).
@@ -104,6 +105,7 @@ class PretiumController:
         self.pricer = PriceComputer(self.state, workload.steps_per_day,
                                     injector=self.injector)
         self.contracts = []
+        self._by_rid = {}
         self.menus = {}
         self.price_updates = 0
         self.failure_events = []
@@ -192,7 +194,7 @@ class PretiumController:
         self._arrivals_since_step += 1
         if request.scavenger:
             contract = Contract.scavenger(request, request.value, t)
-            self.contracts.append(contract)
+            self._record_contract(contract)
             metrics.counter("pretium.scavenger").inc()
             ledger.record("ADMITTED", rid=request.rid, step=t,
                           chosen=float(contract.chosen), guaranteed=0.0,
@@ -225,7 +227,7 @@ class PretiumController:
         chosen = self.user.choose(request, menu)
         contract = self.admission.admit(request, menu, chosen, t)
         if contract is not None:
-            self.contracts.append(contract)
+            self._record_contract(contract)
             metrics.counter("pretium.admitted").inc()
             ledger.record("ADMITTED", rid=request.rid, step=t,
                           chosen=float(contract.chosen),
@@ -316,12 +318,14 @@ class PretiumController:
                         step_loads[index] += take
         return transmissions
 
+    def _record_contract(self, contract: Contract) -> None:
+        self.contracts.append(contract)
+        # First contract wins, as a scan of ``contracts`` would find it.
+        self._by_rid.setdefault(contract.rid, contract)
+
     # -- introspection -------------------------------------------------------
     def contract_for(self, rid: int) -> Contract | None:
-        for contract in self.contracts:
-            if contract.rid == rid:
-                return contract
-        return None
+        return self._by_rid.get(rid)
 
     def price_series(self, src: str, dst: str) -> np.ndarray:
         """Internal price over time on the direct link src->dst (Fig 7a)."""

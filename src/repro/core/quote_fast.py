@@ -4,15 +4,26 @@ The reference quote (``tests/reference/quote.py``) rescans
 every (route, timestep) pair per menu segment — O(routes x window) work
 per segment, per arrival.  This module replaces the scan with:
 
-1. a vectorised precompute of the *current segment* price/availability
-   of every involved (link, timestep) via
-   :meth:`NetworkState.head_price_grid` — one array pass instead of a
-   ``price_segments`` call each;
+1. *one* array pass per quote: the window's rows of capacity / price /
+   reserved over the route set's links, read by row slice, and the
+   *current segment* price/availability of every (link, timestep) from
+   :meth:`NetworkState.head_price_grid`.  The route set's static
+   structure comes compiled from :meth:`PathCache.shape`;
 2. a min-heap over (route, timestep) marginal path prices with *lazy
-   invalidation*: taking volume on a path only touches its own links, so
-   only entries of routes sharing a link at that timestep can change.
-   Those are version-bumped; a popped entry whose version is stale is
-   recomputed (arrays, O(path length)) and pushed back.
+   invalidation*, run on Python floats: taking volume on a path only
+   touches its own links, so only entries of routes sharing a link at
+   that timestep can change.  The taken path's 2-4 link heads are
+   refreshed through :meth:`NetworkState.price_segments` — the scalar
+   definition the grid vectorises — and the co-located routes are
+   version-bumped; a popped entry whose version is stale is repriced
+   (O(path length)) and pushed back.  The grids are ~10 steps x ~7
+   links, so past the first pass numpy dispatch, not arithmetic, is the
+   cost.
+
+**Price contract:** a path's price is the sum of its links' current
+segment prices added left to right in path order, starting from 0.0 —
+the reference's loop, bit for bit (a pairwise ``ndarray.sum`` differs in
+the last place from 8 links up); its availability is their minimum.
 
 Marginal prices only rise and availability only falls as the greedy
 take fills segments, so a popped *fresh* entry is a true minimum and
@@ -23,14 +34,14 @@ menu (verified by the differential tests in
 ``tests/core/test_quote_fast.py``).
 
 Heap traffic is counted in the process metrics registry
-(``ra.quote.heap_pops`` / ``ra.quote.heap_invalidations``).
+(``ra.quote.heap_pops`` / ``ra.quote.heap_invalidations``), once per
+quote by its totals.
 """
 
 from __future__ import annotations
 
-import heapq
-
-import numpy as np
+from heapq import heapify, heappop, heappush
+from math import inf
 
 from ..telemetry import get_registry
 from .menu import MenuSegment, PriceMenu
@@ -52,87 +63,77 @@ def quote_heap(state: NetworkState, request: ByteRequest,
     config = state.config
     routes = state.paths.routes(request.src, request.dst,
                                 rid=request.rid)
-    if not routes:
-        return PriceMenu([], best_effort=config.allow_best_effort)
     first = max(request.start, now)
-    steps = np.arange(first, min(request.deadline + 1, state.n_steps))
-    if steps.size == 0:
+    last = min(request.deadline + 1, state.n_steps)
+    if not routes or first >= last:
         return PriceMenu([], best_effort=config.allow_best_effort)
-
-    links = sorted({index for path in routes
-                    for index in path.link_indices()})
-    position = {link: j for j, link in enumerate(links)}
-    path_cols = [np.array([position[i] for i in path.link_indices()],
-                          dtype=np.intp) for path in routes]
+    links, path_cols, touches = state.paths.shape(routes)
 
     # Scratch reservations so that quoting never mutates real state.
-    scratch = state.reserved[np.ix_(steps, links)].copy()
-    head_price, head_avail = state.head_price_grid(steps, links, scratch)
+    rows = slice(first, last)
+    scratch = state.reserved[rows, links]
+    head_price, head_avail = state.head_price_grid(rows, links, scratch)
 
-    # Routes whose price can change when route p takes volume (shared
-    # links), including p itself.
-    col_sets = [set(cols.tolist()) for cols in path_cols]
-    touches = [[q for q, other in enumerate(col_sets) if other & mine]
-               for mine in col_sets]
+    # From here on Python floats only: past the one array pass, numpy
+    # dispatch would cost more than the arithmetic it dispatches.
+    head_price = head_price.tolist()
+    head_avail = head_avail.tolist()
+    scratch = scratch.tolist()
+    links = links.tolist()
 
-    registry = get_registry()
-    pops = registry.counter("ra.quote.heap_pops")
-    invalidations = registry.counter("ra.quote.heap_invalidations")
+    def path_head(cols, ti):
+        """(price, availability) of a path at one timestep: link by link
+        in path order (the price contract above)."""
+        row_price = head_price[ti]
+        row_avail = head_avail[ti]
+        price = 0.0
+        avail = inf
+        for c in cols:
+            price += row_price[c]
+            avail = min(avail, row_avail[c])
+        return price, avail
 
-    n_paths = len(routes)
-    version = np.zeros((n_paths, steps.size), dtype=np.int64)
-
-    def entry(p: int, ti: int):
-        """Current (price, p, ti, version, avail) tuple, or None if dead."""
-        cols = path_cols[p]
-        avail = head_avail[ti, cols].min()
-        if avail <= EPS:
-            return None
-        price = float(head_price[ti, cols].sum())
-        return (price, p, ti, int(version[p, ti]), float(avail))
-
-    # Initial heap: per path, one vectorised pass over all timesteps
-    # (price = row sum over its links, avail = row min).
+    n_steps = last - first
     heap = []
     for p, cols in enumerate(path_cols):
-        prices = head_price[:, cols].sum(axis=1)
-        avails = head_avail[:, cols].min(axis=1)
-        alive = np.nonzero(avails > EPS)[0]
-        heap.extend(zip(prices[alive].tolist(), [p] * alive.size,
-                        alive.tolist(), [0] * alive.size,
-                        avails[alive].tolist()))
-    heapq.heapify(heap)
-
+        for ti in range(n_steps):
+            price, avail = path_head(cols, ti)
+            if avail > EPS:
+                heap.append((price, p, ti, 0, avail))
+    heapify(heap)
+    version = [[0] * n_steps for _ in routes]
     segments: list[MenuSegment] = []
     covered = 0.0
     demand = request.demand
+    pops = invalidations = 0
     while covered < demand - EPS and heap:
-        price, p, ti, ver, avail = heapq.heappop(heap)
-        pops.inc()
-        if ver != version[p, ti]:
-            # Stale: links along this path were touched since the push.
-            # Reprice from the arrays and reinsert; prices only rise, so
-            # correctness of the next pop is preserved.
-            invalidations.inc()
-            fresh = entry(p, ti)
-            if fresh is not None:
-                heapq.heappush(heap, fresh)
-            continue
-        take = min(avail, demand - covered)
-        segments.append(MenuSegment(take, price, routes[p], int(steps[ti])))
-        covered += take
+        price, p, ti, ver, avail = heappop(heap)
+        pops += 1
         cols = path_cols[p]
-        scratch[ti, cols] += take
-        # Refresh the touched link heads (one vectorised row) and bump
-        # every co-located route's version at this timestep.
-        sub_links = [links[c] for c in cols]
-        hp, ha = state.head_price_grid(steps[ti:ti + 1], sub_links,
-                                       scratch[ti:ti + 1, cols])
-        head_price[ti, cols] = hp[0]
-        head_avail[ti, cols] = ha[0]
-        for q in touches[p]:
-            version[q, ti] += 1
-        fresh = entry(p, ti)
-        if fresh is not None:
-            heapq.heappush(heap, fresh)
+        if ver != version[p][ti]:
+            # Stale: links along this path were touched since the push.
+            # Reprice below and reinsert; prices only rise, so
+            # correctness of the next pop is preserved.
+            invalidations += 1
+        else:
+            take = min(avail, demand - covered)
+            segments.append(MenuSegment(take, price, routes[p], first + ti))
+            covered += take
+            # Refresh the touched link heads and bump every co-located
+            # route's version at this timestep.
+            row_scratch = scratch[ti]
+            for c in cols:
+                row_scratch[c] += take
+                head = state.price_segments(
+                    links[c], first + ti, reserved_override=row_scratch[c])
+                head_avail[ti][c], head_price[ti][c] = \
+                    head[0] if head else (0.0, 0.0)
+            for q in touches[p]:
+                version[q][ti] += 1
+        price, avail = path_head(cols, ti)
+        if avail > EPS:
+            heappush(heap, (price, p, ti, version[p][ti], avail))
+    registry = get_registry()
+    registry.counter("ra.quote.heap_pops").inc(pops)
+    registry.counter("ra.quote.heap_invalidations").inc(invalidations)
     return PriceMenu(segments, best_effort=config.allow_best_effort)

@@ -161,20 +161,20 @@ class NetworkState:
                              price * self.config.congestion_multiplier))
         return segments
 
-    def head_price_grid(self, steps, link_indices, reserved
+    def head_price_grid(self, rows: slice, link_indices, reserved
                         ) -> tuple[np.ndarray, np.ndarray]:
         """Vectorised first segments of :meth:`price_segments`.
 
-        For every (timestep, link) in ``steps × link_indices``, given the
-        (scratch) ``reserved`` grid of the same shape, return two arrays:
-        the marginal price of the link's *current* segment and the volume
+        For every (timestep, link) in ``rows × link_indices`` (``rows`` a
+        slice: a quote's window is contiguous), given the (scratch)
+        ``reserved`` grid of the same shape, return two arrays: the
+        marginal price of the link's *current* segment and the volume
         available at it.  Exhausted link-steps get availability 0.  This
         is the precomputation behind the heap-based quote: one array pass
         replaces a ``price_segments`` call per (link, timestep).
         """
-        grid = np.ix_(np.asarray(steps), np.asarray(link_indices))
-        capacity = self.capacity[grid]
-        price = self.prices[grid]
+        capacity = self.capacity[rows, link_indices]
+        price = self.prices[rows, link_indices]
         reserved = np.asarray(reserved, dtype=float)
         available = capacity - reserved
         if self.config.short_term_adjustment:

@@ -29,8 +29,10 @@ from __future__ import annotations
 
 import zlib
 from itertools import islice
+from typing import NamedTuple
 
 import networkx as nx
+import numpy as np
 
 from .topology import Link, Topology
 
@@ -41,7 +43,7 @@ ROUTING_POLICIES = ("kpaths", "ecmp", "flowlet")
 class Path:
     """A simple directed path, stored as the sequence of links it uses."""
 
-    __slots__ = ("links",)
+    __slots__ = ("links", "_indices")
 
     def __init__(self, links: tuple[Link, ...]) -> None:
         if not links:
@@ -51,6 +53,7 @@ class Path:
                 raise ValueError(
                     f"links do not chain: {first.dst} != {second.src}")
         self.links = links
+        self._indices = None
 
     @property
     def nodes(self) -> tuple[str, ...]:
@@ -71,8 +74,16 @@ class Path:
         return len(self.links)
 
     def link_indices(self) -> tuple[int, ...]:
-        """Dense link ids along the path (for utilisation updates)."""
-        return tuple(link.index for link in self.links)
+        """Dense link ids along the path (for utilisation updates).
+
+        Built on first use and kept: links are frozen, and every quote,
+        reservation, ``==`` and ``hash`` asks for the same tuple.
+        """
+        indices = self._indices
+        if indices is None:
+            indices = self._indices = tuple(link.index
+                                            for link in self.links)
+        return indices
 
     def __len__(self) -> int:
         return len(self.links)
@@ -89,6 +100,18 @@ class Path:
 
     def __repr__(self) -> str:
         return "Path(" + "->".join(self.nodes) + ")"
+
+
+class RouteShape(NamedTuple):
+    """What a quote needs to know about a route set besides link state,
+    compiled once per distinct set (:meth:`PathCache.shape`)."""
+
+    #: Sorted ids of every link some route uses (read-only array).
+    links: np.ndarray
+    #: Per route, its links' positions in ``links``, in path order.
+    cols: tuple[tuple[int, ...], ...]
+    #: Per route, the routes sharing a link with it (itself included).
+    touches: tuple[tuple[int, ...], ...]
 
 
 def k_shortest_paths(topology: Topology, src: str, dst: str,
@@ -171,6 +194,8 @@ class PathCache:
         self._dead: set[tuple[str, str]] = set()
         #: Post-failure candidate sets (dead links routed around).
         self._live: dict[tuple[str, str], list[Path]] = {}
+        #: Compiled route-set shapes, keyed by the routes' link ids.
+        self._shapes: dict[tuple, RouteShape] = {}
 
     def routes(self, src: str, dst: str, rid: int | None = None
                ) -> list[Path]:
@@ -192,6 +217,28 @@ class PathCache:
             return [candidates[index % len(candidates)]]
         return list(candidates)
 
+    def shape(self, routes: list[Path]) -> RouteShape:
+        """The compiled :class:`RouteShape` of a list :meth:`routes` returned.
+
+        Keyed by the routes' link-index tuples, so every flowlet pinned
+        to one candidate shares its entry, and a set re-derived after a
+        refresh can never be handed another set's shape.
+        """
+        key = tuple(path.link_indices() for path in routes)
+        shape = self._shapes.get(key)
+        if shape is None:
+            links = sorted({index for indices in key for index in indices})
+            position = {link: j for j, link in enumerate(links)}
+            cols = tuple(tuple(position[index] for index in indices)
+                         for indices in key)
+            col_sets = [set(route_cols) for route_cols in cols]
+            touches = tuple(tuple(q for q, other in enumerate(col_sets)
+                                  if other & mine) for mine in col_sets)
+            array = np.array(links, dtype=np.intp)
+            array.flags.writeable = False  # shared with cached menus
+            shape = self._shapes[key] = RouteShape(array, cols, touches)
+        return shape
+
     def refresh(self, dead=()) -> None:
         """Record failed links and rebuild the dynamic candidate sets.
 
@@ -207,6 +254,7 @@ class PathCache:
             return
         self._dead.update(tuple(pair) for pair in dead)
         self._live.clear()
+        self._shapes.clear()
         self.epoch += 1
 
     def _candidates(self, src: str, dst: str) -> list[Path]:

@@ -81,13 +81,11 @@ class MenuCache:
         return base
 
     def _involved_links(self, request) -> np.ndarray:
-        """Indices of every link any route for (src, dst) can touch."""
-        routes = self.state.paths.routes(request.src, request.dst,
-                                         rid=request.rid)
-        return np.fromiter(
-            sorted({index for path in routes
-                    for index in path.link_indices()}),
-            dtype=np.intp)
+        """Indices of every link any route for (src, dst) can touch (the
+        route set's compiled, shared, read-only array)."""
+        paths = self.state.paths
+        return paths.shape(paths.routes(request.src, request.dst,
+                                        rid=request.rid)).links
 
     # -- lookup / store -----------------------------------------------------
     def get(self, request, now: int):
@@ -95,7 +93,8 @@ class MenuCache:
         if self.state is None:
             raise RuntimeError("menu cache is not bound to a NetworkState")
         registry = get_registry()
-        entry = self._entries.get(self._key(request, now))
+        key = self._key(request, now)
+        entry = self._entries.get(key)
         if entry is None:
             registry.counter("service.menu_cache.misses").inc()
             return None
@@ -106,10 +105,10 @@ class MenuCache:
             # is dead, never served stale.
             registry.counter("service.menu_cache.invalidations").inc()
             registry.counter("service.menu_cache.misses").inc()
-            del self._entries[self._key(request, now)]
+            del self._entries[key]
             return None
         registry.counter("service.menu_cache.hits").inc()
-        self._entries.move_to_end(self._key(request, now))
+        self._entries.move_to_end(key)
         return menu
 
     def put(self, request, now: int, menu) -> None:
@@ -118,8 +117,9 @@ class MenuCache:
             raise RuntimeError("menu cache is not bound to a NetworkState")
         links = self._involved_links(request)
         versions = self.state.link_versions[links].copy()
-        self._entries[self._key(request, now)] = (links, versions, menu)
-        self._entries.move_to_end(self._key(request, now))
+        key = self._key(request, now)
+        self._entries[key] = (links, versions, menu)
+        self._entries.move_to_end(key)
         while len(self._entries) > self.max_entries:
             self._entries.popitem(last=False)
             get_registry().counter("service.menu_cache.evictions").inc()

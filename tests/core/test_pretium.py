@@ -158,3 +158,27 @@ def test_fault_recovery_reroutes():
     assert delivered[0] == pytest.approx(18.0, rel=1e-6)
     top_index = topo.link_between("S", "M1").index
     assert loads[1:, top_index].max() <= 1e-6
+
+
+def test_contract_for_agrees_with_a_scan_of_contracts():
+    """The rid index answers what walking ``contracts`` would: admitted,
+    rejected (value below any price: no contract) and scavenger rids."""
+    wl = tiny_workload(requests=[
+        ByteRequest(0, "S", "T", 8.0, 0, 0, 2, 2.0),
+        ByteRequest(1, "S", "T", 5.0, 1, 1, 4, 1e-9),
+        ByteRequest(2, "S", "T", 3.0, 3, 3, 5, 0.5, scavenger=True),
+        ByteRequest(3, "S", "T", 3.0, 3, 3, 5, 3.0),
+    ])
+    ctl = PretiumController(config())
+    simulate(ctl, wl)
+
+    def scan(rid):
+        return next((c for c in ctl.contracts if c.rid == rid), None)
+
+    assert [ctl.contract_for(rid) is scan(rid) for rid in range(5)] == \
+        [True] * 5
+    assert [ctl.contract_for(rid) is None for rid in range(5)] == \
+        [False, True, False, False, True]
+    assert ctl.contract_for(2).flat_price == 0.5
+    ctl.begin(wl)  # a new run starts with an empty index
+    assert ctl.contract_for(0) is None

@@ -1,5 +1,7 @@
 """Unit tests for path computation and the route cache."""
 
+import pickle
+
 import pytest
 
 from repro.network import (Path, PathCache, Topology, k_shortest_paths,
@@ -101,3 +103,46 @@ def test_path_cache_warm():
 def test_path_cache_validates_k():
     with pytest.raises(ValueError):
         PathCache(parallel_paths_network(), k=0)
+
+
+def test_path_memoises_link_indices_and_survives_pickling():
+    """Sweep workers receive paths pickled; the memo rides along (or is
+    rebuilt) and identity is still the link-index tuple."""
+    t = line_network(4)
+    p = k_shortest_paths(t, "n0", "n3", k=1)[0]
+    for path in (p, pickle.loads(pickle.dumps(p))):  # memo unset, then set
+        clone = pickle.loads(pickle.dumps(path))
+        assert clone == p and hash(clone) == hash(p)
+        assert clone.link_indices() == (0, 1, 2)
+        assert clone.link_indices() is clone.link_indices()
+    assert p.link_indices() is p.link_indices()
+
+
+def test_shape_is_compiled_once_per_route_set_and_dropped_by_refresh():
+    cache = PathCache(parallel_paths_network(), k=2, policy="flowlet")
+    both = cache.routes("S", "T")
+    shape = cache.shape(both)
+    assert shape.links.tolist() == [0, 1, 2, 3]
+    assert not shape.links.flags.writeable
+    assert shape.cols == ((0, 1), (2, 3))
+    assert shape.touches == ((0,), (1,))  # disjoint routes
+    assert cache.shape(cache.routes("S", "T")) is shape
+    # Flowlets pinned to the same candidate share one entry.
+    pinned = {id(cache.shape(cache.routes("S", "T", rid=rid)))
+              for rid in range(20)}
+    assert len(pinned) == 2
+    cache.refresh(dead=[("S", "M1")])
+    assert cache.shape(cache.routes("S", "T")) is not shape
+    assert cache.shape(cache.routes("S", "T")).links.tolist() == [2, 3]
+
+
+def test_shape_touches_lists_routes_sharing_a_link():
+    t = Topology(name="shared-tail")
+    for src, dst in (("A", "B"), ("A", "C"), ("C", "B"), ("B", "D")):
+        t.add_link(src, dst, 10.0)
+    cache = PathCache(t, k=2)
+    direct, detour = cache.routes("A", "D")
+    assert (direct.hop_count, detour.hop_count) == (2, 3)
+    shape = cache.shape([direct, detour])
+    assert shape.cols == ((0, 3), (1, 2, 3))
+    assert shape.touches == ((0, 1), (0, 1))

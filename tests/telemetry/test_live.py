@@ -3,6 +3,7 @@ endpoints — plus the end-to-end scrape of a running AdmissionService."""
 
 import json
 import threading
+import time
 import urllib.request
 
 import pytest
@@ -206,6 +207,14 @@ def test_scrape_admission_service_mid_run_and_reconcile(tmp_path):
             scraper.start()
             report = generate_load(svc.service, requests, price_checks=1)
             scraper.join()
+
+            # The snapshotter samples one full period after start, so a
+            # replay shorter than that leaves the ring empty: wait
+            # (bounded) for the first sample rather than for a slow run.
+            deadline = time.monotonic() + 2.0
+            while time.monotonic() < deadline and not json.loads(
+                    _get(live.url + "/snapshot")[2])["history"]:
+                time.sleep(0.01)
 
             # A final scrape after the load drains but with the service
             # (and its exporter) still up: totals must be settled.
