@@ -268,10 +268,11 @@ def serve(scheme, scenario, *, options: RunOptions | None = None,
     """Start a live admission service for ``scheme`` on ``scenario``.
 
     The scenario contributes the world being priced — topology, horizon,
-    steps per day (its workload's requests are *not* pre-loaded; they
-    make a convenient replay stream for the load generator).  ``options``
-    scopes the same run environment :func:`run` would (fault injector,
-    telemetry trace) for the **lifetime of the service**;
+    steps per day, traffic classes (its workload's requests are *not*
+    pre-loaded; they make a convenient replay stream for the load
+    generator).  ``options`` scopes the same run environment :func:`run`
+    would (fault injector, telemetry trace, link-kill schedule) for the
+    **lifetime of the service**;
     ``service_options`` shapes the event loop — micro-batch window, menu
     cache size, quote deadline budget, backpressure bound
     (:class:`~repro.options.ServiceOptions`).
@@ -283,17 +284,14 @@ def serve(scheme, scenario, *, options: RunOptions | None = None,
     options = options or RunOptions()
     service_options = service_options or ServiceOptions()
     scenario = _as_scenario(scenario, options)
-    workload = scenario.workload
     stack = ExitStack()
     try:
         stack.enter_context(run_context(options))
         if isinstance(scheme, (str, SchemeSpec)):
             scheme = scheme_spec(scheme).build(options)
-        engine = AdmissionEngine(
-            scheme, workload.topology, n_steps=workload.n_steps,
-            steps_per_day=workload.steps_per_day, options=service_options,
-            load_factor=workload.load_factor,
-            description=f"service:{workload.description}")
+        engine = AdmissionEngine(scheme, scenario.workload,
+                                 options=service_options,
+                                 link_kills=options.link_kills)
         service = AdmissionService(engine, service_options).start()
     except BaseException:
         stack.close()

@@ -58,7 +58,7 @@ import sys
 
 from . import api
 from .costs import LinkCostModel
-from .experiments import format_series, format_table, standard_scenario
+from .experiments import format_series, format_table
 from .experiments import figures as figures_module
 from .experiments.scenarios import Scenario, ScenarioSpec
 from .experiments.sweep import SweepGrid
@@ -129,11 +129,6 @@ def build_parser() -> argparse.ArgumentParser:
                           "step, STEP-STEP range, * or pPROB)")
     run.add_argument("--fault-seed", type=int, default=0,
                      help="seed for probabilistic fault rules")
-    run.add_argument("--link-kills", metavar="SPEC",
-                     help="schedule link failures; SPEC is comma-"
-                          "separated SRC>DST@START[-END] clauses, e.g. "
-                          "'S>M1@3' (dynamic routing policies re-route "
-                          "and re-hash around the dead link)")
     _add_knob_flags(run)
 
     swp = sub.add_parser("sweep", help="run a scheme x scenario x seed "
@@ -283,7 +278,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _add_knob_flags(parser: argparse.ArgumentParser) -> None:
-    """The consolidated RunOptions knobs shared by ``run`` and ``sweep``."""
+    """The consolidated RunOptions knobs shared by ``run``, ``sweep`` and
+    ``serve``."""
     parser.add_argument("--solver-backend", choices=["scipy", "highs",
                                                      "auto"],
                         help="LP solver session backend: scipy (the "
@@ -306,6 +302,11 @@ def _add_knob_flags(parser: argparse.ArgumentParser) -> None:
                              "name, e.g. 'qos3' (interactive/elastic/"
                              "background); overrides the scenario "
                              "builder's default mix")
+    parser.add_argument("--link-kills", metavar="SPEC",
+                        help="schedule link failures; SPEC is comma-"
+                             "separated SRC>DST@START[-END] clauses, e.g. "
+                             "'S>M1@3' (dynamic routing policies re-route "
+                             "and re-hash around the dead link)")
 
 
 def _options_from_args(args) -> RunOptions:
@@ -317,7 +318,7 @@ def _options_from_args(args) -> RunOptions:
         classes=getattr(args, "classes", None),
         faults=args.faults,
         fault_seed=args.fault_seed,
-        link_kills=getattr(args, "link_kills", None),
+        link_kills=args.link_kills,
         telemetry=args.telemetry,
         workers=getattr(args, "workers", 1),
         chunk_size=getattr(args, "chunk_size", None))
@@ -354,7 +355,9 @@ def _cmd_run(args) -> int:
                                    billing_window=workload.steps_per_day)
         scenario = Scenario(workload.topology, workload, cost_model)
     else:
-        scenario = standard_scenario(load_factor=args.load, seed=args.seed)
+        # A spec, not a built scenario: api.run folds --classes into it.
+        scenario = ScenarioSpec.of("standard", load_factor=args.load,
+                                   seed=args.seed)
     try:
         options = _options_from_args(args)
     except FaultSpecError as exc:
@@ -490,15 +493,16 @@ def _cmd_serve(args) -> int:
     except (FaultSpecError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    scenario = ScenarioSpec.of(args.scenario).build(seed=args.seed)
-    requests = sorted(scenario.workload.requests,
-                      key=lambda r: (r.arrival, r.rid))
-    print(f"serving {args.scheme} on {args.scenario} (seed {args.seed}): "
-          f"{len(requests)} requests, rate="
-          f"{'max' if args.rate <= 0 else args.rate}, "
-          f"price_checks={args.price_checks}")
+    scenario = ScenarioSpec.of(args.scenario, seed=args.seed)
     with api.serve(args.scheme, scenario, options=options,
                    service_options=service_options) as svc:
+        # Replay the served world's own stream (built with --classes).
+        requests = sorted(svc.scenario.workload.requests,
+                          key=lambda r: (r.arrival, r.rid))
+        print(f"serving {args.scheme} on {args.scenario} (seed "
+              f"{args.seed}): {len(requests)} requests, rate="
+              f"{'max' if args.rate <= 0 else args.rate}, "
+              f"price_checks={args.price_checks}")
         if svc.service.metrics_server is not None:
             print(f"live metrics at {svc.service.metrics_server.url}"
                   "/metrics (also /healthz, /snapshot)", file=sys.stderr)

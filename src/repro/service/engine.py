@@ -1,45 +1,35 @@
-"""The synchronous admission-engine core.
+"""The synchronous admission-engine core: live arrivals into the step loop.
 
-:class:`AdmissionEngine` is the deterministic heart of the online
-service: it owns the same ground truth the batch simulator owns (realised
-loads, delivered volume, the request ledger) and drives an online scheme
-through the *identical* per-step sequence —
-
-    window_start(t)  →  arrivals for t  →  step(t)  →  apply
-
-— except that arrivals are pushed in by callers one at a time instead of
-being read off a pre-built workload.  Every accounting helper is shared
-with :mod:`repro.sim.engine` (:func:`apply_transmissions`,
-:func:`settle_contracts`, ...), so a replayed arrival stream produces a
-:class:`~repro.sim.engine.RunResult` bit-identical to ``simulate()`` on
-the same scenario and seed — admit/reject decisions, settlements, loads
-and ledger events included.  The asyncio service layer
+:class:`AdmissionEngine` drives :class:`repro.sim.engine.Engine`, the
+step loop batch :func:`~repro.sim.engine.simulate` drives, with arrivals
+pushed in by callers one at a time — so a replayed stream's
+:class:`~repro.sim.engine.RunResult` and ledger are bit-identical to
+``simulate()``'s.  It adds only what a service needs: an
+:class:`AdmissionDecision` per arrival, price checks
+(:meth:`AdmissionEngine.quote_only`), the warm menu cache and protocol
+checks (:class:`ServiceStateError`).  The asyncio layer
 (:mod:`repro.service.service`) adds batching, backpressure and latency
-budgets on top without touching this core.
+budgets on top.
 """
 
 from __future__ import annotations
 
 import time
-from collections import defaultdict
-from contextlib import ExitStack
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-import numpy as np
-
-from ..lp import LPError
 from ..options import ServiceOptions
-from ..sim.engine import (FailureEvent, ModuleRuntimes, RunResult,
-                          apply_transmissions, capacity_view,
-                          record_failure, settle_contracts, window_of)
-from ..telemetry import get_registry, get_tracer, ledger
+from ..sim.engine import Engine, RunResult
+# Not called here: benchmarks/e2e/shims.TARGETS patches both names in
+# this module by name, so they stay importable from it.
+from ..sim.engine import apply_transmissions, settle_contracts  # noqa: F401
+from ..telemetry import get_registry
 from ..traffic.workload import Workload
 from .cache import MenuCache
 
 
 class ServiceStateError(RuntimeError):
     """The engine was driven out of protocol (not started, time moved
-    backwards, past the horizon, ...)."""
+    backwards, past the horizon, after a failed step, ...)."""
 
 
 @dataclass(frozen=True)
@@ -80,113 +70,44 @@ class AdmissionEngine:
         An online scheme (the Pretium controller or an ablation) — any
         object implementing the simulator protocol (``begin`` /
         ``window_start`` / ``arrival`` / ``step`` / ``contracts``).
-    topology, n_steps, steps_per_day:
-        The world the service prices: fixed at engine construction, like
-        a workload's header without its request list.  Streamed requests
-        are appended to the engine's workload as they arrive, so
-        :func:`~repro.sim.recorder.summarize` works on the result
-        unchanged.
+    workload:
+        The header of the world the service prices (topology, horizon,
+        traffic classes, ...), usually the scenario's workload.  Its
+        requests are not pre-loaded: streamed ones are appended to the
+        engine's own copy, so ``summarize()`` works on the result.
     options:
-        :class:`~repro.options.ServiceOptions`; the engine itself uses
-        ``cache_size`` (warm menu cache, 0 = cold quoting) — the
-        batching/backpressure knobs belong to the asyncio layer.
+        :class:`~repro.options.ServiceOptions`; only ``cache_size`` (warm
+        menu cache, 0 = cold quoting) matters here.
+    link_kills:
+        Scheduled link failures (``RunOptions.link_kills`` grammar),
+        applied as the clock reaches them.
+
+    A non-LP exception escaping a step (a
+    :class:`~repro.sim.engine.CapacityViolation`, a scheme bug) fails
+    the engine: it propagates once, and every later call raises
+    :class:`ServiceStateError` chained to it.
     """
 
-    def __init__(self, scheme, topology, *, n_steps: int,
-                 steps_per_day: int, options: ServiceOptions | None = None,
-                 load_factor: float = 1.0,
-                 description: str = "service") -> None:
+    def __init__(self, scheme, workload: Workload, *,
+                 options: ServiceOptions | None = None,
+                 link_kills: str | None = None) -> None:
         self.scheme = scheme
         self.options = options or ServiceOptions()
-        self.workload = Workload(topology, [], n_steps, steps_per_day,
-                                 load_factor=load_factor,
-                                 description=description)
+        self.workload = replace(workload, requests=[])
         self.decisions: list[AdmissionDecision] = []
-        self._started = False
-        self._finished = False
-        self._t = -1              # last step entered; -1 = before step 0
-        self._stack = ExitStack()
+        self._run = Engine(scheme, self.workload, link_kills)
 
     # -- lifecycle -----------------------------------------------------------
     def start(self) -> "AdmissionEngine":
         """Initialise the scheme and enter timestep 0."""
-        if self._started:
+        run = self._run
+        if run.t >= 0 or run.error is not None:
             raise ServiceStateError("engine already started")
-        scheme, workload = self.scheme, self.workload
-        if self.options.cache_size > 0 and hasattr(scheme, "menu_cache"):
-            scheme.menu_cache = MenuCache(self.options.cache_size)
-        scheme.begin(workload)
-        self._scheme_name = getattr(scheme, "name", type(scheme).__name__)
-        n_links = workload.topology.num_links
-        self.loads = np.zeros((workload.n_steps, n_links))
-        self.delivered: dict[int, float] = defaultdict(float)
-        self.delivery_log: dict[int, list[tuple[int, float]]] = \
-            defaultdict(list)
-        self.runtimes = ModuleRuntimes()
-        self.failures: list[FailureEvent] = []
-        self._capacity = capacity_view(scheme, workload)
-        self._window = window_of(scheme, workload)
-        state = getattr(scheme, "state", None)
-        self._prices = state.prices if state is not None else None
-        tracer = get_tracer()
-        if tracer.enabled:
-            ledger.record("RUN_STARTED", scheme=self._scheme_name,
-                          n_steps=workload.n_steps, n_links=n_links,
-                          n_requests=0,
-                          capacity=np.asarray(self._capacity).tolist())
-        self._run_span = self._stack.enter_context(
-            tracer.span("run", scheme=self._scheme_name,
-                        n_steps=workload.n_steps, service=True))
-        self._started = True
-        self._enter_step(0)
+        if self.options.cache_size > 0 and hasattr(self.scheme,
+                                                   "menu_cache"):
+            self.scheme.menu_cache = MenuCache(self.options.cache_size)
+        run.start()
         return self
-
-    @property
-    def now(self) -> int:
-        """The timestep currently accepting arrivals."""
-        if not self._started:
-            raise ServiceStateError("engine not started")
-        return self._t
-
-    # -- the per-step state machine -----------------------------------------
-    # Between _enter_step(t) and _leave_step(), the engine is in step t's
-    # "arrivals phase": window_start(t) has run, step(t) has not.  This
-    # is exactly the gap in which simulate() delivers arrivals, so every
-    # arrival streamed at t sees the same state it would in batch.
-
-    def _enter_step(self, t: int) -> None:
-        scheme, tracer = self.scheme, get_tracer()
-        self._t = t
-        if t % self._window == 0:
-            with tracer.span("pc", step=t) as span:
-                try:
-                    scheme.window_start(t)
-                except LPError as exc:
-                    span.set(degraded=True, error=type(exc).__name__)
-                    record_failure(self.failures, "pc", t, exc)
-            if span.duration > 0:
-                self.runtimes.pc.append(span.duration)
-        else:
-            try:
-                scheme.window_start(t)
-            except LPError as exc:
-                record_failure(self.failures, "pc", t, exc)
-
-    def _leave_step(self) -> None:
-        scheme, tracer, t = self.scheme, get_tracer(), self._t
-        with tracer.span("sam", step=t) as span:
-            try:
-                transmissions = scheme.step(t, dict(self.delivered),
-                                            self.loads)
-            except LPError as exc:
-                span.set(degraded=True, error=type(exc).__name__)
-                record_failure(self.failures, "sam", t, exc)
-                transmissions = []
-            span.set(n_transmissions=len(transmissions))
-        self.runtimes.sam.append(span.duration)
-        apply_transmissions(transmissions, t, self.loads, self.delivered,
-                            self._capacity, self.delivery_log,
-                            prices=self._prices, emit=tracer.enabled)
 
     def advance_to(self, step: int) -> None:
         """Run the clock forward so ``step`` is accepting arrivals.
@@ -195,18 +116,16 @@ class AdmissionEngine:
         window boundaries) with no arrivals, exactly as batch simulation
         would for an arrival-free step.
         """
-        if not self._started or self._finished:
-            raise ServiceStateError("engine not accepting ticks")
-        if step < self._t:
+        self._check_live()
+        if step < self._run.t:
             raise ServiceStateError(
-                f"time cannot move backwards (at {self._t}, asked {step})")
+                f"time cannot move backwards (at {self._run.t}, "
+                f"asked {step})")
         if step >= self.workload.n_steps:
             raise ServiceStateError(
                 f"step {step} is past the service horizon "
                 f"({self.workload.n_steps} steps)")
-        while self._t < step:
-            self._leave_step()
-            self._enter_step(self._t + 1)
+        self._run.advance_to(step)
 
     # -- streamed operations -------------------------------------------------
     def admit(self, request, step: int | None = None) -> AdmissionDecision:
@@ -217,46 +136,28 @@ class AdmissionEngine:
         step already ticked past) is served at the current step — late,
         but never out of order.
         """
-        t = self._clock_for(request if step is None else step)
-        registry = get_registry()
-        tracer = get_tracer()
-        request = self._validated(request)
+        t = self._clock_for(request, step)
+        if request.deadline >= self.workload.n_steps:
+            raise ValueError(
+                f"request {request.rid}: deadline {request.deadline} is "
+                f"past the service horizon ({self.workload.n_steps} steps)")
         self.workload.requests.append(request)
-        if tracer.enabled:
-            ledger.record("ARRIVED", rid=request.rid, step=t,
-                          src=request.src, dst=request.dst,
-                          demand=float(request.demand),
-                          value=float(request.value),
-                          start=int(request.start),
-                          deadline=int(request.deadline),
-                          scavenger=bool(request.scavenger))
-        events_before = len(getattr(self.scheme, "failure_events", ()))
-        began = time.perf_counter()
-        contract = None
-        with tracer.span("ra", step=t, rid=request.rid) as span:
-            try:
-                contract = self.scheme.arrival(request, t)
-            except LPError as exc:
-                span.set(degraded=True, error=type(exc).__name__)
-                record_failure(self.failures, "ra", t, exc,
-                               rid=request.rid)
-        self.runtimes.ra.append(span.duration)
+        scheme, registry = self.scheme, get_registry()
+        events_before = len(getattr(scheme, "failure_events", ()))
+        contract = self._run.arrive(request)
         registry.histogram("service.quote_ms").observe(
-            (time.perf_counter() - began) * 1e3)
-        if contract is None and hasattr(self.scheme, "contract_for"):
-            contract = self.scheme.contract_for(request.rid)
-        degraded = len(getattr(self.scheme, "failure_events",
-                               ())) > events_before
-        if contract is not None:
-            decision = AdmissionDecision(
-                rid=request.rid, step=t, admitted=True,
-                chosen=float(contract.chosen),
-                guaranteed=float(contract.guaranteed), degraded=degraded)
-            registry.counter("service.admitted").inc()
-        else:
-            decision = AdmissionDecision(rid=request.rid, step=t,
-                                         admitted=False, degraded=degraded)
-            registry.counter("service.rejected").inc()
+            self._run.runtimes.ra[-1] * 1e3)
+        if contract is None and hasattr(scheme, "contract_for"):
+            contract = scheme.contract_for(request.rid)
+        degraded = len(getattr(scheme, "failure_events", ())) > events_before
+        admitted = contract is not None
+        decision = AdmissionDecision(
+            rid=request.rid, step=t, admitted=admitted,
+            chosen=float(contract.chosen) if admitted else 0.0,
+            guaranteed=float(contract.guaranteed) if admitted else 0.0,
+            degraded=degraded)
+        registry.counter("service.admitted" if admitted
+                         else "service.rejected").inc()
         self.decisions.append(decision)
         return decision
 
@@ -271,13 +172,12 @@ class AdmissionEngine:
         admission = getattr(self.scheme, "admission", None)
         if admission is None:
             raise ServiceStateError(
-                f"scheme {self._scheme_name!r} has no admission interface "
-                "to price-check against")
-        t = self._clock_for(request if step is None else step)
+                f"scheme {self._run.scheme_name!r} has no admission "
+                "interface to price-check against")
+        t = self._clock_for(request, step)
         registry = get_registry()
         cache = getattr(admission, "cache", None)
-        cached = cache is not None and \
-            MenuCache.key(request, t) in cache
+        cached = cache is not None and MenuCache.key(request, t) in cache
         began = time.perf_counter()
         menu = admission.quote(request, t)
         registry.histogram("service.quote_ms").observe(
@@ -292,69 +192,26 @@ class AdmissionEngine:
     def finish(self) -> RunResult:
         """Run out the horizon, settle every contract, close the books.
 
-        Idempotent result access: a finished engine keeps its
-        :class:`RunResult` in ``result``.
-        """
-        if not self._started:
-            raise ServiceStateError("engine not started")
-        if self._finished:
-            return self.result
-        scheme, workload = self.scheme, self.workload
-        while self._t < workload.n_steps - 1:
-            self._leave_step()
-            self._enter_step(self._t + 1)
-        self._leave_step()
-        tracer = get_tracer()
-        payments = settle_contracts(scheme, self.delivered,
-                                    emit=tracer.enabled)
-        chosen = {c.rid: c.chosen
-                  for c in getattr(scheme, "contracts", [])}
-        self._run_span.set(delivered=float(sum(self.delivered.values())),
-                           n_contracts=len(chosen),
-                           n_failures=len(self.failures),
-                           n_requests=workload.n_requests)
-        if tracer.enabled:
-            ledger.record(
-                "RUN_ENDED",
-                delivered_total=float(sum(self.delivered.values())),
-                payments_total=float(sum(payments.values())),
-                n_contracts=len(chosen), n_failures=len(self.failures))
-        self._stack.close()
-        # Mirror batch simulate's end-of-run lifecycle: release the
-        # scheme's persistent solver sessions.
-        close = getattr(scheme, "close", None)
-        if close is not None:
-            close()
-        extras = {"runtimes": self.runtimes}
-        if self.failures:
-            extras["failures"] = self.failures
-        degradation = getattr(scheme, "failure_events", None)
-        if degradation:
-            extras["degradation"] = list(degradation)
-        state = getattr(scheme, "state", None)
-        if state is not None:
-            extras["prices"] = state.prices.copy()
-        self.result = RunResult(
-            workload=workload, scheme_name=self._scheme_name,
-            loads=self.loads, delivered=dict(self.delivered),
-            payments=payments, chosen=chosen, extras=extras,
-            delivery_log=dict(self.delivery_log))
-        self._finished = True
-        return self.result
+        Idempotent: a finished engine returns its result again."""
+        if self._run.result is not None:
+            return self._run.result
+        self._check_live()
+        return self._run.finish()
 
     # -- internal ------------------------------------------------------------
-    def _clock_for(self, step_or_request) -> int:
-        step = step_or_request if isinstance(step_or_request, int) else \
-            step_or_request.arrival
-        if not self._started or self._finished:
-            raise ServiceStateError("engine not accepting submissions")
-        if step > self._t:
-            self.advance_to(step)
-        return self._t
+    def _check_live(self) -> None:
+        run = self._run
+        if run.error is not None:
+            raise ServiceStateError(f"engine failed at step {run.t}: "
+                                    f"{run.error!r}") from run.error
+        if run.t < 0:
+            raise ServiceStateError("engine not started")
+        if run.result is not None:
+            raise ServiceStateError("engine finished; not accepting work")
 
-    def _validated(self, request):
-        if request.deadline >= self.workload.n_steps:
-            raise ValueError(
-                f"request {request.rid}: deadline {request.deadline} is "
-                f"past the service horizon ({self.workload.n_steps} steps)")
-        return request
+    def _clock_for(self, request, step: int | None) -> int:
+        self._check_live()
+        step = request.arrival if step is None else step
+        if step > self._run.t:
+            self.advance_to(step)
+        return self._run.t

@@ -77,7 +77,7 @@ class AdmissionService:
 
     Usage::
 
-        engine = AdmissionEngine(scheme, topology, n_steps=..., ...)
+        engine = AdmissionEngine(scheme, scenario.workload)
         with AdmissionService(engine) as svc:
             decision = svc.submit(request).result()
             quote = svc.price_check(request).result()
@@ -85,7 +85,11 @@ class AdmissionService:
 
     The engine must not be started by the caller: the service starts it
     on the loop thread so *all* engine state lives on one thread and the
-    core never needs a lock.
+    core never needs a lock.  A step that fails the engine (a scheme bug,
+    a :class:`~repro.sim.engine.CapacityViolation`) fails the submission
+    that ran it; later submissions get
+    :class:`~repro.service.engine.ServiceStateError` and :meth:`stop`
+    raises it, chained to the original error.
     """
 
     def __init__(self, engine: AdmissionEngine,

@@ -1,7 +1,6 @@
-"""Online discrete-time simulation engine (paper §6.1 methodology).
+"""The online step loop (paper §6.1 methodology), shared by batch and service.
 
-The engine replays a :class:`~repro.traffic.workload.Workload` against an
-*online scheme* — any object with the protocol:
+:class:`Engine` drives an *online scheme* — any object with the protocol:
 
 - ``begin(workload)``: reset state for a run;
 - ``window_start(t)``: called at every timestep before arrivals (schemes
@@ -12,10 +11,12 @@ The engine replays a :class:`~repro.traffic.workload.Workload` against an
 - optional ``contracts``: admitted :class:`~repro.core.admission.Contract`
   objects, used for settlement.
 
-The engine owns the ground truth: realised per-(timestep, link) loads,
-per-request delivered volume, and — at the end — payments.  It enforces
-capacity feasibility on every step and records per-module wall-clock
-runtimes (Table 4).
+The engine owns the ground truth — realised per-(timestep, link) loads,
+per-request delivered volume, payments — applies scheduled link kills,
+enforces capacity on every step, writes the request ledger and records
+per-module runtimes (Table 4).  It is the only step loop; two drivers
+feed it: :func:`simulate` replays a workload's request list, and
+:class:`repro.service.engine.AdmissionEngine` streams live arrivals in.
 """
 
 from __future__ import annotations
@@ -23,18 +24,23 @@ from __future__ import annotations
 import time
 from collections import defaultdict
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 import numpy as np
 
 from ..core.admission import EPS
+from ..faults.links import LinkKillSchedule
 from ..lp import LPError
 from ..options import RunOptions, run_context
-from ..telemetry import get_registry, get_tracer, ledger
+from ..telemetry import Tracer, get_registry, get_tracer, ledger
 from ..traffic.workload import Workload
 
 #: Relative capacity tolerance: LP solutions may overshoot by solver
 #: tolerance; anything past this is a scheme bug and raises.
 CAPACITY_SLACK = 1e-6
+
+#: Times off-boundary ``window_start`` calls without tracing them.
+_UNTRACED = Tracer()
 
 
 class CapacityViolation(RuntimeError):
@@ -119,198 +125,241 @@ def simulate(scheme, workload: Workload,
              options: RunOptions | None = None) -> RunResult:
     """Run ``scheme`` online over ``workload`` and settle payments.
 
-    Per-module timing (Table 4) is captured through telemetry spans
-    named ``ra``/``sam``/``pc``: with a tracer configured the spans land
-    in the trace; either way their durations populate the
-    :class:`ModuleRuntimes` summary in ``extras["runtimes"]``.
-
     ``options`` scopes the run environment (fault injector, telemetry
-    trace) for this run; see :class:`~repro.options.RunOptions`.  The
-    scheme is already constructed by the time the engine sees it, so
-    config-mapped option fields (``routing`` etc.) do not apply here
-    — build the scheme through :func:`repro.experiments.runner.run_scheme`
-    (or :func:`repro.api.run`) for those.
+    trace) and supplies the link-kill schedule.  The scheme is already
+    built, so config-mapped fields (``routing`` etc.) do not apply here
+    — use :func:`repro.experiments.runner.run_scheme` (or
+    :func:`repro.api.run`) for those.
     """
-    link_kills = None
-    if options is not None and options.link_kills is not None:
-        from ..faults.links import LinkKillSchedule
-        link_kills = LinkKillSchedule.from_spec(options.link_kills)
-    if options is not None:
-        with run_context(options):
-            return _simulate(scheme, workload, link_kills)
-    return _simulate(scheme, workload, link_kills)
+    with run_context(options):
+        engine = Engine(scheme, workload,
+                        link_kills=getattr(options, "link_kills", None))
+        engine.start()
+        # Stable: requests arriving at the same step keep list order.
+        for request in sorted(workload.requests, key=attrgetter("arrival")):
+            if request.arrival > engine.t:
+                engine.advance_to(request.arrival)
+            engine.arrive(request)
+        return engine.finish()
 
 
-def _simulate(scheme, workload: Workload,
-              link_kills=None) -> RunResult:
-    scheme_name = getattr(scheme, "name", type(scheme).__name__)
-    tracer = get_tracer()
-    scheme.begin(workload)
-    n_links = workload.topology.num_links
-    loads = np.zeros((workload.n_steps, n_links))
-    delivered: dict[int, float] = defaultdict(float)
-    runtimes = ModuleRuntimes()
+class Engine:
+    """One online run of ``scheme`` over ``workload``'s world, step by step.
 
-    delivery_log: dict[int, list[tuple[int, float]]] = defaultdict(list)
+    Drivers call :meth:`start`, then any interleaving of
+    :meth:`advance_to` and :meth:`arrive`, then :meth:`finish`.  Arrivals
+    land in the current step's *arrivals phase*: after its link kills and
+    ``window_start(t)``, before ``step(t)`` and its transmissions.  An
+    ``LPError`` becomes a :class:`FailureEvent`; any other exception is
+    kept in :attr:`error` and re-raised, and no driver may run a step of
+    a failed engine again (DESIGN "Engine boundaries").
+    """
 
-    arrivals: dict[int, list] = defaultdict(list)
-    for request in workload.requests:
-        arrivals[request.arrival].append(request)
+    def __init__(self, scheme, workload: Workload,
+                 link_kills: str | None = None) -> None:
+        self.scheme = scheme
+        self.workload = workload
+        self.link_kills = None if link_kills is None else \
+            LinkKillSchedule.from_spec(link_kills)
+        self.scheme_name = getattr(scheme, "name", type(scheme).__name__)
+        self.t = -1               # the step accepting arrivals; -1 = unstarted
+        self.error: BaseException | None = None
+        self.result: RunResult | None = None
+        self._run_span = None
 
-    capacity = capacity_view(scheme, workload)
-    window = window_of(scheme, workload)
-    state = getattr(scheme, "state", None)
-    #: Per-(t, link) prices for pricing ALLOCATED ledger events; schemes
-    #: without a NetworkState get unpriced allocations.
-    prices = state.prices if state is not None else None
+    def start(self) -> None:
+        """Initialise the scheme and enter timestep 0."""
+        scheme, workload = self.scheme, self.workload
+        self.tracer = tracer = get_tracer()
+        try:
+            scheme.begin(workload)
+            n_links = workload.topology.num_links
+            self.loads = np.zeros((workload.n_steps, n_links))
+            self.delivered: dict[int, float] = defaultdict(float)
+            self.delivery_log: dict[int, list[tuple[int, float]]] = \
+                defaultdict(list)
+            self.runtimes = ModuleRuntimes()
+            self.failures: list[FailureEvent] = []
+            self.state = state = getattr(scheme, "state", None)
+            self.capacity = state.capacity if state is not None else np.tile(
+                [link.capacity for link in workload.topology.links],
+                (workload.n_steps, 1))
+            config = getattr(scheme, "config", None)
+            self.window = getattr(config, "window", None) or \
+                workload.steps_per_day
+            # ALLOCATED events are priced off these (unpriced without a state).
+            self.prices = None if state is None else state.prices
+            # ARRIVED events carry the preemptible flag (audit waivers).
+            self.class_table = {cls.name: cls for cls in workload.classes}
+            if tracer.enabled:
+                # The auditor checks conservation against the capacity grid
+                # as of run start (faults only lower it: an upper bound).
+                ledger.record("RUN_STARTED", scheme=self.scheme_name,
+                              n_steps=workload.n_steps, n_links=n_links,
+                              n_requests=workload.n_requests,
+                              capacity=np.asarray(self.capacity).tolist())
+            self._run_span = tracer.span(
+                "run", scheme=self.scheme_name, n_steps=workload.n_steps,
+                n_requests=workload.n_requests).__enter__()
+            self._enter_step(0)
+        except BaseException as exc:
+            self._fail(exc)
+            raise
 
-    failures: list[FailureEvent] = []
+    def advance_to(self, step: int) -> None:
+        """Run the clock forward so ``step`` is accepting arrivals; every
+        step passed executes its SAM tick (and PC tick at window
+        boundaries) with no further arrivals."""
+        try:
+            while self.t < step:
+                self._leave_step()
+                self._enter_step(self.t + 1)
+        except BaseException as exc:
+            self._fail(exc)
+            raise
 
-    #: name -> TrafficClass for the workload's declared classes; lets
-    #: ARRIVED events carry the preemptible flag the auditor waives
-    #: soft-guarantee misses on.
-    class_table = {cls.name: cls
-                   for cls in getattr(workload, "classes", ())}
+    def arrive(self, request):
+        """Hand ``request`` to the scheme at the current step; returns what
+        ``scheme.arrival`` returned (``None`` after an LP failure).
 
-    if tracer.enabled:
-        # The ground truth the invariant auditor replays against: the
-        # usable-capacity grid as of run start (faults only lower it, so
-        # conservation vs this grid stays a valid upper bound).
-        ledger.record("RUN_STARTED", scheme=scheme_name,
-                      n_steps=workload.n_steps, n_links=n_links,
-                      n_requests=workload.n_requests,
-                      capacity=np.asarray(capacity).tolist())
-
-    with tracer.span("run", scheme=scheme_name, n_steps=workload.n_steps,
-                     n_requests=workload.n_requests) as run_span:
-        for t in range(workload.n_steps):
-            if link_kills is not None and state is not None:
-                # Scheduled outages land before PC/RA/SAM see the step,
-                # so this step's decisions already face the dead link
-                # (and dynamic routing policies have re-hashed).
-                for kill in link_kills.apply(state, t):
-                    if tracer.enabled:
-                        ledger.record("LINK_KILLED", step=t,
-                                      src=kill.src, dst=kill.dst,
-                                      end=kill.end)
-            # LP errors are caught at every module boundary: a scheme
-            # without its own resilience layer loses that one call
-            # (stale prices / unadmitted arrival / idle step) but the
-            # run completes and the failure is recorded structurally.
-            if t % window == 0:
-                with tracer.span("pc", step=t) as span:
-                    try:
-                        scheme.window_start(t)
-                    except LPError as exc:
-                        span.set(degraded=True, error=type(exc).__name__)
-                        record_failure(failures, "pc", t, exc)
-                if span.duration > 0:
-                    runtimes.pc.append(span.duration)
-            else:
-                # Off-boundary calls are cheap no-ops for every scheme;
-                # timing them would only dilute the PC samples.
+        ``extras["runtimes"].ra`` gets one sample per call, timed around
+        ``scheme.arrival`` alone.
+        """
+        t, tracer = self.t, self.tracer
+        try:
+            if tracer.enabled:
+                cls = str(getattr(request, "cls", "default"))
+                ledger.record("ARRIVED", rid=request.rid, step=t,
+                              src=request.src, dst=request.dst,
+                              demand=float(request.demand),
+                              value=float(request.value),
+                              start=int(request.start),
+                              deadline=int(request.deadline),
+                              scavenger=bool(request.scavenger), cls=cls,
+                              preemptible=bool(getattr(
+                                  self.class_table.get(cls), "preemptible",
+                                  False)))
+            with tracer.span("ra", step=t, rid=request.rid) as span:
                 try:
-                    scheme.window_start(t)
+                    contract = self.scheme.arrival(request, t)
                 except LPError as exc:
-                    record_failure(failures, "pc", t, exc)
-
-            for request in arrivals.get(t, []):
-                if tracer.enabled:
-                    ledger.record("ARRIVED", rid=request.rid, step=t,
-                                  src=request.src, dst=request.dst,
-                                  demand=float(request.demand),
-                                  value=float(request.value),
-                                  start=int(request.start),
-                                  deadline=int(request.deadline),
-                                  scavenger=bool(request.scavenger),
-                                  cls=(cls_name := str(getattr(
-                                      request, "cls", "default"))),
-                                  preemptible=bool(getattr(
-                                      class_table.get(cls_name),
-                                      "preemptible", False)))
-                with tracer.span("ra", step=t, rid=request.rid) as span:
-                    try:
-                        scheme.arrival(request, t)
-                    except LPError as exc:
-                        span.set(degraded=True, error=type(exc).__name__)
-                        record_failure(failures, "ra", t, exc,
-                                        rid=request.rid)
-                runtimes.ra.append(span.duration)
-
-            with tracer.span("sam", step=t) as span:
-                try:
-                    transmissions = scheme.step(t, dict(delivered), loads)
-                except LPError as exc:
+                    contract = None
                     span.set(degraded=True, error=type(exc).__name__)
-                    record_failure(failures, "sam", t, exc)
-                    transmissions = []
-                span.set(n_transmissions=len(transmissions))
-            runtimes.sam.append(span.duration)
+                    self._record_failure("ra", exc, rid=request.rid)
+        except BaseException as exc:
+            self._fail(exc)
+            raise
+        self.runtimes.ra.append(span.duration)
+        return contract
 
-            apply_transmissions(transmissions, t, loads, delivered, capacity,
-                   delivery_log, prices=prices, emit=tracer.enabled)
+    def finish(self) -> RunResult:
+        """Run out the horizon, settle every contract, close the books."""
+        scheme, workload, tracer = self.scheme, self.workload, self.tracer
+        self.advance_to(workload.n_steps - 1)
+        try:
+            self._leave_step()
+            payments = settle_contracts(scheme, self.delivered,
+                                        emit=tracer.enabled)
+            chosen = {c.rid: c.chosen
+                      for c in getattr(scheme, "contracts", [])}
+            delivered_total = float(sum(self.delivered.values()))
+            self._run_span.set(delivered=delivered_total,
+                               n_contracts=len(chosen),
+                               n_failures=len(self.failures),
+                               n_requests=workload.n_requests)
+            if tracer.enabled:
+                ledger.record("RUN_ENDED", delivered_total=delivered_total,
+                              payments_total=float(sum(payments.values())),
+                              n_contracts=len(chosen),
+                              n_failures=len(self.failures))
+            self._run_span.__exit__(None, None, None)
+            self._run_span = None
+            # End-of-run lifecycle: schemes holding per-run resources (the
+            # persistent solver sessions of SAM/PC) release them here.
+            close = getattr(scheme, "close", None)
+            if close is not None:
+                close()
+        except BaseException as exc:
+            self._fail(exc)
+            raise
+        extras = {"runtimes": self.runtimes}
+        if self.failures:
+            extras["failures"] = self.failures
+        degradation = getattr(scheme, "failure_events", None)
+        if degradation:
+            extras["degradation"] = list(degradation)
+        if self.state is not None:
+            extras["prices"] = self.state.prices.copy()
+        self.result = RunResult(
+            workload=workload, scheme_name=self.scheme_name,
+            loads=self.loads, delivered=dict(self.delivered),
+            payments=payments, chosen=chosen, extras=extras,
+            delivery_log=dict(self.delivery_log))
+        return self.result
 
-        payments = settle_contracts(scheme, delivered, emit=tracer.enabled)
-        chosen = {c.rid: c.chosen for c in getattr(scheme, "contracts", [])}
-        run_span.set(delivered=float(sum(delivered.values())),
-                     n_contracts=len(chosen), n_failures=len(failures))
-        if tracer.enabled:
-            ledger.record("RUN_ENDED",
-                          delivered_total=float(sum(delivered.values())),
-                          payments_total=float(sum(payments.values())),
-                          n_contracts=len(chosen),
-                          n_failures=len(failures))
+    def _fail(self, exc: BaseException) -> None:
+        """Keep ``exc`` as the engine's failure; close the run span with it."""
+        self.error = self.error or exc
+        if self._run_span is not None:
+            self._run_span.__exit__(type(exc), exc, exc.__traceback__)
+            self._run_span = None
 
-    # End-of-run lifecycle: schemes holding per-run resources (the
-    # persistent solver sessions of SAM/PC) release them here.
-    close = getattr(scheme, "close", None)
-    if close is not None:
-        close()
+    # -- the per-step state machine -----------------------------------------
+    def _enter_step(self, t: int) -> None:
+        scheme, tracer = self.scheme, self.tracer
+        self.t = t
+        if self.link_kills is not None and self.state is not None:
+            # Scheduled outages land before PC/RA/SAM see the step, so
+            # this step's decisions already face the dead link (and
+            # dynamic routing policies have re-hashed).
+            for kill in self.link_kills.apply(self.state, t):
+                if tracer.enabled:
+                    ledger.record("LINK_KILLED", step=t, src=kill.src,
+                                  dst=kill.dst, end=kill.end)
+        # An LP error at a module boundary costs that one call (stale
+        # prices / unadmitted arrival / idle step), never the run.
+        # Off-boundary calls are cheap no-ops for every scheme; tracing or
+        # sampling them would only dilute the PC samples.
+        boundary = t % self.window == 0
+        with (tracer if boundary else _UNTRACED).span("pc", step=t) as span:
+            try:
+                scheme.window_start(t)
+            except LPError as exc:
+                span.set(degraded=True, error=type(exc).__name__)
+                self._record_failure("pc", exc)
+        if boundary and span.duration > 0:
+            self.runtimes.pc.append(span.duration)
 
-    extras = {"runtimes": runtimes}
-    if failures:
-        extras["failures"] = failures
-    degradation = getattr(scheme, "failure_events", None)
-    if degradation:
-        extras["degradation"] = list(degradation)
-    if state is not None:
-        extras["prices"] = state.prices.copy()
-    return RunResult(workload=workload,
-                     scheme_name=scheme_name,
-                     loads=loads, delivered=dict(delivered),
-                     payments=payments, chosen=chosen, extras=extras,
-                     delivery_log=dict(delivery_log))
+    def _leave_step(self) -> None:
+        t, tracer = self.t, self.tracer
+        with tracer.span("sam", step=t) as span:
+            try:
+                transmissions = self.scheme.step(t, dict(self.delivered),
+                                                 self.loads)
+            except LPError as exc:
+                span.set(degraded=True, error=type(exc).__name__)
+                self._record_failure("sam", exc)
+                transmissions = []
+            span.set(n_transmissions=len(transmissions))
+        self.runtimes.sam.append(span.duration)
+        # Called through the module global: the repo benchmark's timing
+        # shims patch it here by name.
+        apply_transmissions(transmissions, t, self.loads, self.delivered,
+                            self.capacity, self.delivery_log,
+                            prices=self.prices, emit=tracer.enabled)
 
-
-def record_failure(failures: list[FailureEvent], module: str, t: int,
-                    exc: BaseException, rid: int | None = None) -> None:
-    """Append a structured failure event and bump the engine counters."""
-    failures.append(FailureEvent(module=module, step=t,
-                                 error=type(exc).__name__,
-                                 detail=str(exc), rid=rid))
-    registry = get_registry()
-    registry.counter("engine.failures").inc()
-    registry.counter(f"engine.failures.{module}").inc()
-    tracer = get_tracer()
-    if tracer.enabled:
-        tracer.emit({"type": "engine_failure", "ts": time.time(),
-                     "module": module, "step": t, "rid": rid,
-                     "error": type(exc).__name__})
-
-
-def window_of(scheme, workload: Workload) -> int:
-    config = getattr(scheme, "config", None)
-    return getattr(config, "window", workload.steps_per_day) or \
-        workload.steps_per_day
-
-
-def capacity_view(scheme, workload: Workload) -> np.ndarray:
-    """Per-(t, link) usable capacity to validate transmissions against."""
-    state = getattr(scheme, "state", None)
-    if state is not None:
-        return state.capacity
-    caps = np.array([link.capacity for link in workload.topology.links])
-    return np.tile(caps, (workload.n_steps, 1))
+    def _record_failure(self, module: str, exc: BaseException,
+                        rid: int | None = None) -> None:
+        """Append a structured failure event and bump the engine counters."""
+        t, error = self.t, type(exc).__name__
+        self.failures.append(FailureEvent(module, t, error, str(exc), rid))
+        registry = get_registry()
+        registry.counter("engine.failures").inc()
+        registry.counter(f"engine.failures.{module}").inc()
+        if self.tracer.enabled:
+            self.tracer.emit({"type": "engine_failure", "ts": time.time(),
+                              "module": module, "step": t, "rid": rid,
+                              "error": error})
 
 
 def apply_transmissions(transmissions, t: int, loads: np.ndarray,
@@ -330,7 +379,16 @@ def apply_transmissions(transmissions, t: int, loads: np.ndarray,
                 f"transmission for step {tx.timestep} executed at {t}")
         if tx.volume <= EPS:
             continue
-        _check_capacity(tx, t, loads, capacity)
+        # Checked before anything is added, so a violation names the
+        # link, step, load and capacity and leaves this tx unapplied.
+        for index in tx.links:
+            new_load = loads[t, index] + tx.volume
+            cap = capacity[t, index]
+            if new_load > cap * (1.0 + CAPACITY_SLACK) + 1e-7:
+                raise CapacityViolation(
+                    f"request {tx.rid}: link {index} at step {t}: "
+                    f"load {new_load:.6f} exceeds capacity {cap:.6f} "
+                    f"(adding volume {tx.volume:.6f})")
         for index in tx.links:
             loads[t, index] += tx.volume
         delivered[tx.rid] += tx.volume
@@ -342,21 +400,6 @@ def apply_transmissions(transmissions, t: int, loads: np.ndarray,
                           bytes=float(tx.volume),
                           route=[int(index) for index in tx.links],
                           price=unit_price)
-
-
-def _check_capacity(tx, t: int, loads: np.ndarray,
-                    capacity: np.ndarray) -> None:
-    """Raise :class:`CapacityViolation` if ``tx`` overfills any of its
-    links at step ``t``; the message names the link, step, resulting
-    load and capacity so a scheme bug is diagnosable from the error."""
-    for index in tx.links:
-        new_load = loads[t, index] + tx.volume
-        cap = capacity[t, index]
-        if new_load > cap * (1.0 + CAPACITY_SLACK) + 1e-7:
-            raise CapacityViolation(
-                f"request {tx.rid}: link {index} at step {t}: "
-                f"load {new_load:.6f} exceeds capacity {cap:.6f} "
-                f"(adding volume {tx.volume:.6f})")
 
 
 def settle_contracts(scheme, delivered: dict[int, float],

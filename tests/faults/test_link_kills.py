@@ -14,7 +14,7 @@ from repro.faults import (FaultSpecError, LinkKill, LinkKillSchedule,
 from repro.network.paths import PathCache
 from repro.options import RunOptions
 from repro.sim import simulate
-from repro.telemetry import InMemoryCollector, Tracer, use_tracer
+from repro.telemetry import InMemoryCollector, Tracer, read_trace, use_tracer
 
 
 # -- spec parsing -------------------------------------------------------------
@@ -138,17 +138,33 @@ def test_runner_threads_kills_through_options():
     assert killed.loads.tolist() != base.loads.tolist()
 
 
+def _settled_chosen(trace):
+    return {e["rid"]: e["chosen"] for e in read_trace(trace)
+            if e.get("event") == "SETTLED"}
+
+
 @pytest.mark.parametrize("routing", ["flowlet", "ecmp"])
 def test_kill_that_repins_routes_runs_clean_end_to_end(routing, tmp_path,
                                                        capsys):
     """The pinned seed of ROADMAP's scenario fuzzer: this command died
     with ``CapacityViolation: request 893: link 24 at step 5`` under
-    flowlet routing while SAM reused skeletons across a re-pin."""
+    flowlet routing while SAM reused skeletons across a re-pin.  The
+    same world and kill through the live service must run as clean and
+    contract the same volumes."""
     from repro.cli import main
+    knobs = ["--scheme", "Pretium", "--routing", routing,
+             "--link-kills", "dc000>dc008@5"]
     trace, summary = tmp_path / "trace.jsonl", tmp_path / "summary.json"
-    assert main(["run", "--scheme", "Pretium", "--routing", routing,
-                 "--link-kills", "dc000>dc008@5", "--telemetry", str(trace),
+    assert main(["run", *knobs, "--telemetry", str(trace),
                  "--out", str(summary)]) == 0
     assert main(["telemetry", "audit", str(trace),
                  "--summary", str(summary)]) == 0
     assert "audit clean" in capsys.readouterr().out
+    served = tmp_path / "served.jsonl"
+    assert main(["serve", "--scenario", "standard", *knobs,
+                 "--telemetry", str(served),
+                 "--out", str(tmp_path / "served.json")]) == 0
+    assert any(e.get("event") == "LINK_KILLED" for e in read_trace(served))
+    assert main(["telemetry", "audit", str(served)]) == 0
+    assert "audit clean" in capsys.readouterr().out
+    assert _settled_chosen(served) == _settled_chosen(trace)

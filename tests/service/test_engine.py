@@ -10,20 +10,21 @@ menu cache on or off.
 import numpy as np
 import pytest
 
+import repro
+from repro.core import ByteRequest, Transmission
 from repro.experiments.runner import make_scheme, run_scheme
 from repro.experiments.scenarios import ScenarioSpec
+from repro.network import line_network
 from repro.options import RunOptions, ServiceOptions, run_context
 from repro.service import AdmissionEngine, ServiceStateError
-from repro.sim import simulate, summarize
+from repro.sim import CapacityViolation, simulate, summarize
+from repro.telemetry import ledger_events, read_trace
+from repro.traffic import Workload
 
 
 def build_engine(workload, scheme=None, **service_kwargs):
-    return AdmissionEngine(
-        scheme or make_scheme("Pretium"), workload.topology,
-        n_steps=workload.n_steps, steps_per_day=workload.steps_per_day,
-        options=ServiceOptions(**service_kwargs),
-        load_factor=workload.load_factor,
-        description=workload.description)
+    return AdmissionEngine(scheme or make_scheme("Pretium"), workload,
+                           options=ServiceOptions(**service_kwargs))
 
 
 def replay(scenario, scheme=None, price_checks=0, **service_kwargs):
@@ -54,9 +55,11 @@ def assert_results_identical(batch, live, cost_model):
         comparable(summarize(batch, cost_model))
 
 
-@pytest.mark.parametrize("seed", [0, 3])
-def test_streamed_replay_is_bit_identical_to_batch(seed):
-    scenario = ScenarioSpec.of("tiny").build(seed=seed)
+@pytest.mark.parametrize("seed, classes",
+                         [(0, None), (3, None), (0, "qos3"), (3, "qos3")],
+                         ids=["0", "3", "0-qos3", "3-qos3"])
+def test_streamed_replay_is_bit_identical_to_batch(seed, classes):
+    scenario = ScenarioSpec.of("tiny", classes=classes).build(seed=seed)
     batch = simulate(make_scheme("Pretium"), scenario.workload)
     engine = replay(scenario)
     assert_results_identical(batch, engine.finish(), scenario.cost_model)
@@ -65,6 +68,36 @@ def test_streamed_replay_is_bit_identical_to_batch(seed):
     for decision in engine.decisions:
         if decision.admitted:
             assert decision.chosen == batch.chosen[decision.rid]
+
+
+def comparable_ledger(path):
+    """Ledger events minus wall-clock stamps and the request count a
+    stream cannot know up front (RUN_STARTED's, 0 for a service)."""
+    events = []
+    for event in ledger_events(read_trace(path)):
+        event = {k: v for k, v in event.items() if k != "ts"}
+        if event["event"] == "RUN_STARTED":
+            del event["n_requests"]
+        events.append(event)
+    return events
+
+
+def test_service_ledger_equals_batch_ledger(tmp_path):
+    scenario = ScenarioSpec.of("tiny", classes="qos3").build(seed=3)
+    batch_trace, live_trace = tmp_path / "batch.jsonl", tmp_path / "live.jsonl"
+    repro.run("Pretium", scenario,
+              options=RunOptions(telemetry=batch_trace))
+    with run_context(RunOptions(telemetry=live_trace)):
+        replay(scenario).finish()
+    batch, live = comparable_ledger(batch_trace), comparable_ledger(live_trace)
+    assert live == batch
+    arrived = [e for e in live if e["event"] == "ARRIVED"]
+    assert len(arrived) == scenario.workload.n_requests
+    assert all("cls" in e and "preemptible" in e for e in arrived)
+    assert {e["cls"] for e in arrived} == \
+        {"interactive", "elastic", "background"}
+    assert repro.audit(live_trace).findings == \
+        repro.audit(batch_trace).findings
 
 
 def test_streamed_replay_identical_under_injected_faults():
@@ -140,3 +173,61 @@ def test_protocol_misuse_raises():
     assert engine.finish() is result    # idempotent
     with pytest.raises(ServiceStateError):
         engine.admit(request)           # finished engines refuse work
+
+
+# -- a failed step fails the engine -------------------------------------------
+
+class OverfillingScheme:
+    """Stub scheme whose ``step(1)`` moves a sliver over link 0 and then
+    overfills it: the capacity check raises half-way through the step."""
+
+    name = "Overfilling"
+    contracts = ()
+
+    def __init__(self):
+        self.steps, self.arrivals, self.loads = [], [], None
+
+    def begin(self, workload):
+        pass
+
+    def window_start(self, t):
+        pass
+
+    def arrival(self, request, t):
+        self.arrivals.append(request.rid)
+
+    def step(self, t, delivered, loads):
+        self.steps.append(t)
+        self.loads = loads
+        if t != 1:
+            return []
+        return [Transmission(0, (0,), 1, 0.5), Transmission(0, (0,), 1, 50.0)]
+
+
+def overfilled_workload():
+    requests = [ByteRequest(rid, "n0", "n1", 1.0, arrival, arrival, 3, 1.0)
+                for rid, arrival in ((0, 0), (1, 2), (2, 3))]
+    return Workload(line_network(2, capacity=10.0), requests, n_steps=4,
+                    steps_per_day=4)
+
+
+def test_batch_run_raises_the_violation():
+    with pytest.raises(CapacityViolation, match="link 0 at step 1"):
+        simulate(OverfillingScheme(), overfilled_workload())
+
+
+def test_failed_step_fails_the_engine_and_is_never_rerun():
+    scheme, workload = OverfillingScheme(), overfilled_workload()
+    engine = AdmissionEngine(scheme, workload).start()
+    first, second, third = workload.requests
+    engine.admit(first)
+    with pytest.raises(CapacityViolation) as violation:
+        engine.admit(second)            # leaving step 1 overfills link 0
+    for later in (lambda: engine.admit(third), lambda: engine.advance_to(3),
+                  engine.finish):
+        with pytest.raises(ServiceStateError) as refused:
+            later()
+        assert refused.value.__cause__ is violation.value
+    assert scheme.steps == [0, 1]       # step(1) ran exactly once
+    assert scheme.arrivals == [0]
+    assert scheme.loads[1, 0] == 0.5    # the partial volume, applied once

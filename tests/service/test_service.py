@@ -17,9 +17,12 @@ from repro.experiments.runner import make_scheme
 from repro.experiments.scenarios import ScenarioSpec
 from repro.options import ServiceOptions
 from repro.service import (AdmissionEngine, AdmissionService, ServiceClosed,
-                           ServiceOverloaded, generate_load)
-from repro.sim import simulate
+                           ServiceOverloaded, ServiceStateError,
+                           generate_load)
+from repro.sim import CapacityViolation, simulate
 from repro.telemetry import get_registry, use_registry
+
+from .test_engine import OverfillingScheme, overfilled_workload
 
 
 def ordered(workload):
@@ -28,10 +31,8 @@ def ordered(workload):
 
 def live_service(scenario, **service_kwargs):
     options = ServiceOptions(**service_kwargs)
-    engine = AdmissionEngine(
-        make_scheme("Pretium"), scenario.workload.topology,
-        n_steps=scenario.workload.n_steps,
-        steps_per_day=scenario.workload.steps_per_day, options=options)
+    engine = AdmissionEngine(make_scheme("Pretium"), scenario.workload,
+                             options=options)
     return AdmissionService(engine, options)
 
 
@@ -145,6 +146,24 @@ def test_submission_errors_belong_to_their_future():
             doomed.result(timeout=30)
         assert fine.result(timeout=30).rid == good.rid   # loop survived
         svc.stop()
+
+
+def test_failed_step_fails_its_submission_and_stops_the_service():
+    scheme, workload = OverfillingScheme(), overfilled_workload()
+    svc = AdmissionService(AdmissionEngine(scheme, workload)).start()
+    futures = [svc.submit(request) for request in workload.requests]
+    assert futures[0].result(timeout=30).rid == 0
+    violation = futures[1].exception(timeout=30)
+    assert isinstance(violation, CapacityViolation)
+    refused = futures[2].exception(timeout=30)
+    assert isinstance(refused, ServiceStateError)
+    assert refused.__cause__ is violation
+    with pytest.raises(ServiceStateError) as stopped:
+        svc.stop()
+    assert stopped.value.__cause__ is violation
+    # nothing ran against the half-applied step
+    assert scheme.steps == [0, 1] and scheme.arrivals == [0]
+    assert scheme.loads[1, 0] == 0.5
 
 
 # -- scheduling behaviours, against a deterministic stub ----------------------

@@ -445,3 +445,13 @@ def test_serve_rejects_bad_fault_spec(capsys):
     assert main(["serve", "--scenario", "tiny",
                  "--faults", "sam:nonsense"]) == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["run"], ["serve", "--scenario", "tiny"]])
+def test_classes_flag_reaches_run_and_serve(command, tmp_path, capsys):
+    out = tmp_path / "out.json"
+    assert main([*command, "--classes", "qos3", "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    summary = payload.get("summary", payload)     # serve nests its summary
+    assert set(summary["per_class"]) == {"interactive", "elastic",
+                                         "background"}
