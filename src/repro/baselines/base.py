@@ -86,8 +86,8 @@ def solve_offline_schedule(workload: Workload, items: list[ScheduleItem],
     if paths is None:
         paths = PathCache(workload.topology, k=route_count, policy=routing)
     return _solve_offline_schedule_coo(
-        workload, items, route_count, topk_fraction, topk_encoding,
-        include_costs, objective, paths)
+        workload, items, topk_fraction, topk_encoding, include_costs,
+        objective, paths)
 
 
 def _lexicographic_priority(topology) -> float:
@@ -105,17 +105,16 @@ def _lexicographic_priority(topology) -> float:
 
 def _solve_offline_schedule_coo(workload: Workload,
                                 items: list[ScheduleItem],
-                                route_count: int, topk_fraction: float,
+                                topk_fraction: float,
                                 topk_encoding: str, include_costs: bool,
                                 objective: str,
-                                paths: PathCache | None) -> OfflineSchedule:
+                                paths: PathCache) -> OfflineSchedule:
     """Build and solve the offline LP from batched COO triplets, in the
     emission order of the term-by-term reference
     (``tests/reference/expr_builders.py``), so the solved schedule is
     identical."""
     topology = workload.topology
     n_steps = workload.n_steps
-    paths = paths or PathCache(topology, k=route_count)
     model = Model(sense="max", name="offline-schedule")
 
     entries: list[tuple[int, int, np.ndarray]] = []
@@ -136,7 +135,7 @@ def _solve_offline_schedule_coo(workload: Workload,
         counts.append(len(routes) * steps.size)
         caps.append(item.cap)
         weights.append(float(item.weight))
-        incidences.append(route_incidence(routes, steps))
+        incidences.append(route_incidence(paths.shape(routes), steps))
     starts, flows, _slacks = add_demand_blocks(model, counts, caps)
     values = np.repeat(weights, counts)
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..costs import LinkCostModel
+from ..network import PathCache
 from ..sim.engine import RunResult
 from ..sim.metrics import total_value
 from ..traffic.workload import Workload
@@ -68,6 +69,10 @@ class PeakOracle(OfflineScheme):
         grid = value_grid(workload.requests, self.grid_points)
         cost_model = LinkCostModel(workload.topology,
                                    billing_window=workload.steps_per_day)
+        # One route table for the whole grid: the points share its
+        # compiled route shapes and their incidence templates.
+        paths = PathCache(workload.topology, k=self.route_count,
+                          policy=self.routing)
         best: RunResult | None = None
         best_welfare = -np.inf
         for off_price in grid:
@@ -75,7 +80,7 @@ class PeakOracle(OfflineScheme):
                 if peak_price < off_price:
                     continue
                 candidate = self._run_with_prices(workload, peak, off_price,
-                                                  peak_price)
+                                                  peak_price, paths)
                 candidate_welfare = total_value(candidate) - \
                     cost_model.true_cost(candidate.loads)
                 if candidate_welfare > best_welfare:
@@ -85,7 +90,8 @@ class PeakOracle(OfflineScheme):
         return best
 
     def _run_with_prices(self, workload: Workload, peak: set[int],
-                         off_price: float, peak_price: float) -> RunResult:
+                         off_price: float, peak_price: float,
+                         paths: PathCache) -> RunResult:
         steps_per_day = workload.steps_per_day
 
         def price_at(t: int) -> float:
@@ -103,10 +109,9 @@ class PeakOracle(OfflineScheme):
         # As with RegionOracle, admitted volume is a commitment: maximise
         # it first, then minimise percentile costs at that volume.
         schedule = solve_offline_schedule(
-            workload, items, route_count=self.route_count,
-            topk_fraction=self.topk_fraction,
+            workload, items, topk_fraction=self.topk_fraction,
             topk_encoding=self.topk_encoding, include_costs=True,
-            objective="bytes_then_cost", routing=self.routing)
+            objective="bytes_then_cost", paths=paths)
         payments = {}
         for rid, series in schedule.per_step.items():
             payments[rid] = float(sum(price_at(t) * volume

@@ -18,6 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..costs import LinkCostModel
+from ..network import PathCache
 from ..network.regions import is_inter_region
 from ..sim.engine import RunResult
 from ..sim.metrics import total_value
@@ -47,13 +48,18 @@ class RegionOracle(OfflineScheme):
         grid = value_grid(workload.requests, self.grid_points)
         cost_model = LinkCostModel(workload.topology,
                                    billing_window=workload.steps_per_day)
+        # One route table for the whole grid: the points share its
+        # compiled route shapes and their incidence templates.
+        paths = PathCache(workload.topology, k=self.route_count,
+                          policy=self.routing)
         best: RunResult | None = None
         best_welfare = -np.inf
         for intra in grid:
             for inter in grid:
                 if inter < intra:
                     continue
-                candidate = self._run_with_prices(workload, intra, inter)
+                candidate = self._run_with_prices(workload, intra, inter,
+                                                  paths)
                 candidate_welfare = total_value(candidate) - \
                     cost_model.true_cost(candidate.loads)
                 if candidate_welfare > best_welfare:
@@ -69,7 +75,7 @@ class RegionOracle(OfflineScheme):
         return intra
 
     def _run_with_prices(self, workload: Workload, intra: float,
-                         inter: float) -> RunResult:
+                         inter: float, paths: PathCache) -> RunResult:
         items = []
         prices = {}
         for request in workload.requests:
@@ -81,10 +87,9 @@ class RegionOracle(OfflineScheme):
         # Admission is a commitment: transfer the maximum volume of the
         # admitted requests, then minimise percentile costs at that volume.
         schedule = solve_offline_schedule(
-            workload, items, route_count=self.route_count,
-            topk_fraction=self.topk_fraction,
+            workload, items, topk_fraction=self.topk_fraction,
             topk_encoding=self.topk_encoding, include_costs=True,
-            objective="bytes_then_cost", routing=self.routing)
+            objective="bytes_then_cost", paths=paths)
         payments = {rid: prices[rid] * volume
                     for rid, volume in schedule.delivered.items()}
         chosen = {item.request.rid: item.request.demand for item in items}

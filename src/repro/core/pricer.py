@@ -133,7 +133,8 @@ class PriceComputer:
             counts.append(len(routes) * steps.size)
             caps.append(contract.chosen)
             values.append(contract.marginal_price)
-            incidences.append(route_incidence(routes, steps))
+            incidences.append(route_incidence(state.paths.shape(routes),
+                                              steps))
         starts, flows, _slacks = add_demand_blocks(model, counts, caps)
 
         groups = PairGroups.of_contracts(incidences, starts, state.n_steps)

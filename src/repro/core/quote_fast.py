@@ -67,7 +67,8 @@ def quote_heap(state: NetworkState, request: ByteRequest,
     last = min(request.deadline + 1, state.n_steps)
     if not routes or first >= last:
         return PriceMenu([], best_effort=config.allow_best_effort)
-    links, path_cols, touches = state.paths.shape(routes)
+    shape = state.paths.shape(routes)
+    links, path_cols, touches = shape.links, shape.cols, shape.touches
 
     # Scratch reservations so that quoting never mutates real state.
     rows = slice(first, last)

@@ -30,6 +30,7 @@ from ..lp.grouping import PairGroups, add_demand_blocks, \
     add_percentile_costs, route_incidence
 from ..lp.model import SENSE_CODES
 from ..network import Path
+from ..network.paths import RouteShape
 from ..telemetry import get_registry, ledger
 from .admission import EPS, Contract
 from .state import NetworkState
@@ -82,9 +83,12 @@ class _ContractSkeleton:
     entry_route: np.ndarray  # route id per incidence entry
 
     @classmethod
-    def build(cls, routes, first: int, deadline: int) -> "_ContractSkeleton":
+    def build(cls, routes, first: int, deadline: int,
+              shape: RouteShape) -> "_ContractSkeleton":
+        """Fragments over ``routes``, whose
+        :meth:`~repro.network.PathCache.shape` is ``shape``."""
         steps = np.arange(first, deadline + 1)
-        rel_links, rel_steps, rel_vars = route_incidence(routes, steps)
+        rel_links, rel_steps, rel_vars = route_incidence(shape, steps)
         return cls(first=first, deadline=deadline, routes=tuple(routes),
                    steps=steps, rel_links=rel_links, rel_steps=rel_steps,
                    rel_vars=rel_vars,
@@ -304,7 +308,8 @@ class ScheduleAdjuster:
             if skeleton is None or not skeleton.covers(
                     routes, first, request.deadline):
                 skeleton = cache[contract.rid] = _ContractSkeleton.build(
-                    routes, first, request.deadline)
+                    routes, first, request.deadline,
+                    shape=state.paths.shape(routes))
                 registry.counter("sam.skeleton.misses").inc()
             elif skeleton.first == first:
                 registry.counter("sam.skeleton.hits").inc()

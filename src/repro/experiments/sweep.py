@@ -13,9 +13,11 @@ while keeping results bit-identical to the serial reference path:
 - **workers are persistent and warm** — the pool is created once per
   sweep with a forkserver (where the platform offers it) that preloads
   this module, so workers fork with numpy/scipy/repro already imported
-  instead of paying a cold interpreter start per task; run options and
-  the trace base ship **once** through the pool initializer, so a task
-  pickles only its cells;
+  instead of paying a cold interpreter start per task.  The server is
+  launched with ``repro``'s directory on its ``PYTHONPATH``, because it
+  ignores the parent's ``sys.path`` (see :func:`_pool_context`); run
+  options and the trace base ship **once** through the pool
+  initializer, so a task pickles only its cells;
 - **scenarios build once per worker** — :func:`cached_scenario` keys a
   small per-process LRU on ``(ScenarioSpec, seed)``; the first cell of
   a (scenario, seed) column pays the build, every later cell on the
@@ -60,6 +62,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import site
 import time
 import traceback
 from collections import OrderedDict
@@ -490,6 +493,17 @@ def _pool_context():
     spawn, which is slower to start but equally isolated.  Neither
     start method inherits run state: tracers, registries and injectors
     are installed per cell by ``run_context``, never at import time.
+
+    The preload needs the server to find ``repro`` on its own: CPython's
+    server is a fresh interpreter that is handed the parent's
+    ``sys.path`` but never applies it, and it swallows the preload's
+    ``ImportError``.  So where ``repro`` is importable only through a
+    ``sys.path`` edit (a bare checkout, ``benchmarks/e2e/run.py``) every
+    worker would start cold.  The server is therefore started here, with
+    the directory ``repro`` was imported from prepended to
+    ``PYTHONPATH`` for that one launch (a no-op once it runs) — unless
+    it is a site directory (an installed ``repro``), which the server
+    searches anyway and which, put ahead of the stdlib, could shadow it.
     """
     method = ("forkserver"
               if "forkserver" in multiprocessing.get_all_start_methods()
@@ -500,6 +514,20 @@ def _pool_context():
         # first sweep of the process wins, which preloads the same
         # module either way).
         context.set_forkserver_preload(["repro.experiments.sweep"])
+        from multiprocessing import forkserver  # POSIX only
+        saved = os.environ.get("PYTHONPATH")
+        source = Path(__file__).resolve().parents[2]
+        site_dirs = {Path(entry).resolve() for entry in
+                     (*site.getsitepackages(), site.getusersitepackages())}
+        if source not in site_dirs:
+            os.environ["PYTHONPATH"] = os.pathsep.join(
+                filter(None, (str(source), saved)))
+        try:
+            forkserver.ensure_running()
+        finally:
+            os.environ.pop("PYTHONPATH", None)
+            if saved is not None:
+                os.environ["PYTHONPATH"] = saved
     return context
 
 

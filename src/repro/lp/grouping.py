@@ -32,22 +32,17 @@ def _starts(counts: np.ndarray) -> np.ndarray:
     return np.cumsum(counts) - counts
 
 
-def route_incidence(routes, steps: np.ndarray):
+def route_incidence(shape, steps: np.ndarray):
     """(link, timestep, variable) per incidence of a routes x steps grid.
 
+    ``shape`` is the routes' :class:`~repro.network.paths.RouteShape`.
     The grid is route-major — variable ``r * len(steps) + j`` is the flow
-    on ``routes[r]`` at ``steps[j]`` — and each variable appears once per
-    link of its route.  Variables are relative to the grid's first.
+    on route ``r`` at ``steps[j]`` — and each variable appears once per
+    link of its route.  Variables are relative to the grid's first.  The
+    links and variables are the shape's shared read-only template.
     """
-    n = steps.size
-    links, entry_steps, variables = [], [], []
-    for r, path in enumerate(routes):
-        link_indices = np.asarray(path.link_indices())
-        links.append(np.tile(link_indices, n))
-        entry_steps.append(np.repeat(steps, link_indices.size))
-        variables.append(np.repeat(np.arange(r * n, (r + 1) * n),
-                                   link_indices.size))
-    return _concat(links), _concat(entry_steps), _concat(variables)
+    links, positions, variables = shape.incidence(steps.size)
+    return links, steps[positions], variables
 
 
 def add_demand_blocks(model: Model, counts, caps, ub=None, need=None,

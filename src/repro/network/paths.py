@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import zlib
 from itertools import islice
-from typing import NamedTuple
 
 import networkx as nx
 import numpy as np
@@ -102,16 +101,50 @@ class Path:
         return "Path(" + "->".join(self.nodes) + ")"
 
 
-class RouteShape(NamedTuple):
-    """What a quote needs to know about a route set besides link state,
-    compiled once per distinct set (:meth:`PathCache.shape`)."""
+class RouteShape:
+    """What a quote or a schedule-LP builder needs to know about a route
+    set besides link state, compiled once per distinct set
+    (:meth:`PathCache.shape`) from the routes' link-index tuples.  Its
+    arrays are read-only: every caller of the shape shares them."""
 
-    #: Sorted ids of every link some route uses (read-only array).
-    links: np.ndarray
-    #: Per route, its links' positions in ``links``, in path order.
-    cols: tuple[tuple[int, ...], ...]
-    #: Per route, the routes sharing a link with it (itself included).
-    touches: tuple[tuple[int, ...], ...]
+    __slots__ = ("links", "cols", "touches", "_incidence")
+
+    def __init__(self, key: tuple[tuple[int, ...], ...]) -> None:
+        links = sorted({index for indices in key for index in indices})
+        position = {link: j for j, link in enumerate(links)}
+        #: Sorted ids of every link some route uses.
+        self.links = np.array(links, dtype=np.intp)
+        self.links.flags.writeable = False
+        #: Per route, its links' positions in ``links``, in path order.
+        self.cols = tuple(tuple(position[index] for index in indices)
+                          for indices in key)
+        col_sets = [set(route_cols) for route_cols in self.cols]
+        #: Per route, the routes sharing a link with it (itself included).
+        self.touches = tuple(tuple(q for q, other in enumerate(col_sets)
+                                   if other & mine) for mine in col_sets)
+        self._incidence: dict[int, tuple[np.ndarray, ...]] = {}
+
+    def incidence(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(link, step position, variable) per entry of a routes x ``n``
+        steps grid, built once per ``n``.
+
+        The grid is route-major — variable ``r * n + j`` is the flow on
+        route ``r`` at its ``j``-th step — and each variable has one entry
+        per link of its route, in path order.  ``n`` is at most the
+        horizon, which bounds the templates a shape keeps.
+        """
+        template = self._incidence.get(n)
+        if template is None:
+            links = [np.tile(self.links[list(cols)], n) for cols in self.cols]
+            positions = [np.repeat(np.arange(n), len(cols))
+                         for cols in self.cols]
+            variables = [r * n + part for r, part in enumerate(positions)]
+            template = self._incidence[n] = tuple(
+                np.concatenate(parts) if parts else np.zeros(0, np.int64)
+                for parts in (links, positions, variables))
+            for array in template:
+                array.flags.writeable = False
+        return template
 
 
 def k_shortest_paths(topology: Topology, src: str, dst: str,
@@ -222,21 +255,13 @@ class PathCache:
 
         Keyed by the routes' link-index tuples, so every flowlet pinned
         to one candidate shares its entry, and a set re-derived after a
-        refresh can never be handed another set's shape.
+        refresh can never be handed another set's shape.  The shape's
+        incidence templates live and die with it.
         """
         key = tuple(path.link_indices() for path in routes)
         shape = self._shapes.get(key)
         if shape is None:
-            links = sorted({index for indices in key for index in indices})
-            position = {link: j for j, link in enumerate(links)}
-            cols = tuple(tuple(position[index] for index in indices)
-                         for indices in key)
-            col_sets = [set(route_cols) for route_cols in cols]
-            touches = tuple(tuple(q for q, other in enumerate(col_sets)
-                                  if other & mine) for mine in col_sets)
-            array = np.array(links, dtype=np.intp)
-            array.flags.writeable = False  # shared with cached menus
-            shape = self._shapes[key] = RouteShape(array, cols, touches)
+            shape = self._shapes[key] = RouteShape(key)
         return shape
 
     def refresh(self, dead=()) -> None:

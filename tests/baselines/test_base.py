@@ -5,8 +5,12 @@ import pytest
 
 from repro.baselines import ScheduleItem, solve_offline_schedule, value_grid
 from repro.core import ByteRequest
-from repro.network import Topology, line_network, parallel_paths_network
+from repro.experiments.scenarios import ScenarioSpec
+from repro.lp import Model
+from repro.network import PathCache, Topology, line_network, \
+    parallel_paths_network
 from repro.traffic import Workload
+from tests.reference.lp import assert_models_identical
 
 
 def workload(requests, topo=None, n_steps=4):
@@ -111,3 +115,39 @@ def test_value_grid():
     assert max(grid) == pytest.approx(10.0)
     assert value_grid([], 5) == [0.0]
     assert len(value_grid(reqs, 1)) == 1
+
+
+class _Captured(Exception):
+    """Raised in place of a solve, once the model is in hand."""
+
+
+def offline_lp(monkeypatch, workload, items, **kwargs):
+    """The model ``solve_offline_schedule`` hands the solver."""
+    models = []
+
+    def capture(model, *args, **solve_kwargs):
+        models.append(model)
+        raise _Captured
+
+    monkeypatch.setattr(Model, "solve", capture)
+    with pytest.raises(_Captured):
+        solve_offline_schedule(workload, items, **kwargs)
+    return models[0]
+
+
+@pytest.mark.parametrize("policy", ["ecmp", "flowlet"])
+def test_offline_lp_is_built_over_the_routing_policys_routes(
+        monkeypatch, policy):
+    """``routing=`` used to be dropped: a fresh policy-aware cache is
+    empty, hence falsy, and ``paths or PathCache(...)`` swapped it for a
+    ``kpaths`` one, so offline baselines ignored the policy."""
+    wl = ScenarioSpec.of("quick").build(seed=0).workload
+    items = [ScheduleItem(r, weight=r.value, cap=r.demand)
+             for r in wl.requests]
+    by_policy = offline_lp(monkeypatch, wl, items, routing=policy)
+    explicit = offline_lp(monkeypatch, wl, items,
+                          paths=PathCache(wl.topology, k=3, policy=policy))
+    assert_models_identical(by_policy, explicit)
+    kpaths = offline_lp(monkeypatch, wl, items)
+    with pytest.raises(AssertionError):
+        assert_models_identical(by_policy, kpaths)

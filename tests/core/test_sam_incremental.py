@@ -148,9 +148,11 @@ def test_skeleton_trim_matches_fresh_build():
     arrays a fresh build at the later first-step produces."""
     state, _, _ = setup(n_steps=8)
     routes = state.paths.routes("S", "T")
-    full = _ContractSkeleton.build(routes, first=1, deadline=6)
+    shape = state.paths.shape(routes)
+    full = _ContractSkeleton.build(routes, first=1, deadline=6, shape=shape)
     for first in range(1, 7):
-        fresh = _ContractSkeleton.build(routes, first=first, deadline=6)
+        fresh = _ContractSkeleton.build(routes, first=first, deadline=6,
+                                        shape=shape)
         steps, links, rel_steps, rel_vars = full.sliced(first)
         np.testing.assert_array_equal(steps, fresh.steps)
         np.testing.assert_array_equal(links, fresh.rel_links)

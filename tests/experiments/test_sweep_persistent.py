@@ -17,16 +17,25 @@ section below:
    recover, and the merged trace keeps correct cell ordering.
 4. **Progress** — callbacks fire exactly once per cell (never per
    chunk), and the CLI per-cell table matches the cell count.
+5. **Warm workers** — the fork server has numpy and HiGHS imported
+   even when ``repro`` is importable only through ``sys.path``.
 """
 
+import json
 import multiprocessing
 import os
+import site
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.experiments.runner import SCHEME_SPECS, SchemeSpec, run_scheme
 from repro.experiments.scenarios import ScenarioSpec
 from repro.experiments.sweep import (SCENARIO_CACHE_CAPACITY, SweepGrid,
@@ -265,3 +274,71 @@ def test_cli_per_cell_table_counts_match(capsys):
                   and "cell(s)" not in line]
     assert len(table_rows) == 4
     assert "4 cell(s), 0 failed, 2 worker(s)" in out
+
+
+# -- warm workers -------------------------------------------------------------
+
+#: A 2-worker sweep from a bare checkout, as ``benchmarks/e2e/run.py``
+#: runs one; prints which extension modules the fork server has mapped.
+_BARE_SWEEP = textwrap.dedent("""
+    import json, sys
+    sys.path.insert(0, {src!r})
+    from multiprocessing import forkserver
+    from repro.experiments.sweep import SweepGrid, run_sweep
+    from repro.options import RunOptions
+    result = run_sweep(SweepGrid(["NoPrices"], ["tiny"], [0, 1]),
+                       RunOptions(workers=2))
+    pid = forkserver._forkserver._forkserver_pid
+    with open(f"/proc/{{pid}}/maps") as maps:
+        mapped = maps.read()
+    print(json.dumps({{"ok": result.ok, "numpy": "_multiarray_umath" in mapped,
+                      "highs": "_highspy" in mapped}}))
+""")
+
+
+def test_workers_fork_warm_from_a_bare_checkout(tmp_path):
+    """The fork server ignores the parent's ``sys.path``; unless it is
+    launched able to import ``repro``, its preload fails silently and
+    every worker re-imports numpy, scipy and repro before its first
+    cell."""
+    if not sys.platform.startswith("linux"):
+        pytest.skip("reads /proc/<pid>/maps")
+    if "forkserver" not in multiprocessing.get_all_start_methods():
+        pytest.skip("no forkserver start method here")
+    env = {key: value for key, value in os.environ.items()
+           if key != "PYTHONPATH"}
+    installed = subprocess.run([sys.executable, "-c", "import repro"],
+                               env=env, cwd=tmp_path, capture_output=True)
+    if installed.returncode == 0:
+        pytest.skip("repro is installed: a bare interpreter imports it")
+    src = str(Path(repro.__file__).resolve().parents[1])
+    run = subprocess.run(
+        [sys.executable, "-c", _BARE_SWEEP.format(src=src)], env=env,
+        cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout) == {"ok": True, "numpy": True,
+                                      "highs": True}
+
+
+@pytest.mark.parametrize("installed", [False, True])
+def test_fork_server_path_skips_site_directories(monkeypatch, installed):
+    """The server's launch sees ``repro``'s directory ahead of the
+    caller's ``PYTHONPATH`` unless that directory is a site directory
+    (an installed package, found there anyway); the caller's variable is
+    restored either way."""
+    if "forkserver" not in multiprocessing.get_all_start_methods():
+        pytest.skip("no forkserver start method here")
+    from multiprocessing import forkserver  # POSIX only
+
+    src = Path(repro.__file__).resolve().parents[1]
+    monkeypatch.setattr(site, "getsitepackages",
+                        lambda: [str(src)] if installed else [])
+    monkeypatch.setenv("PYTHONPATH", "elsewhere")
+    seen = []
+    monkeypatch.setattr(forkserver, "ensure_running",
+                        lambda: seen.append(os.environ["PYTHONPATH"]))
+    _pool_context()
+    expected = "elsewhere" if installed else os.pathsep.join(
+        (str(src), "elsewhere"))
+    assert seen == [expected]
+    assert os.environ["PYTHONPATH"] == "elsewhere"

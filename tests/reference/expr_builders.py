@@ -296,14 +296,13 @@ class ExprPriceComputer(PriceComputer):
 
 def _solve_offline_schedule_expr(workload: Workload,
                                  items: list[ScheduleItem],
-                                 route_count: int, topk_fraction: float,
+                                 topk_fraction: float,
                                  topk_encoding: str, include_costs: bool,
                                  objective: str,
-                                 paths: PathCache | None) -> OfflineSchedule:
+                                 paths: PathCache) -> OfflineSchedule:
     """Reference expression-API builder (differential-test baseline)."""
     topology = workload.topology
     n_steps = workload.n_steps
-    paths = paths or PathCache(topology, k=route_count)
     model = Model(sense="max", name="offline-schedule")
 
     by_link_step: dict[tuple[int, int], list] = {}

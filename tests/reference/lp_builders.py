@@ -5,8 +5,14 @@ window) emitting load variables, load-coupling rows and the top-k
 encoding, in three copies (SAM, PC, the offline baselines).  Kept
 verbatim as the oracle the emitters must assemble identical models to;
 the only edits are SAM's skeleton validity test, which calls the current
-``_ContractSkeleton.covers`` (the parent's ignored route identity), and
-its skeleton cache, which is always on now that the knob is gone.
+``_ContractSkeleton.covers`` (the parent's ignored route identity), its
+skeleton cache, which is always on now that the knob is gone, the route
+shape it hands ``_ContractSkeleton.build``, and the offline builder's
+signature, which lost the ``route_count`` nothing read.
+
+:func:`route_incidence` is :func:`repro.lp.grouping.route_incidence` as
+it was before it read the route shape's compiled template: the per-route
+oracle the template must reproduce in value and dtype.
 """
 
 import numpy as np
@@ -24,6 +30,28 @@ from repro.lp.topk import TOPK_ENCODINGS
 from repro.network import Path, PathCache
 from repro.telemetry import get_registry
 from repro.traffic.workload import Workload
+
+
+def _concat(parts) -> np.ndarray:
+    return np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
+
+
+def route_incidence(routes, steps: np.ndarray):
+    """(link, timestep, variable) per incidence of a routes x steps grid.
+
+    The grid is route-major — variable ``r * len(steps) + j`` is the flow
+    on ``routes[r]`` at ``steps[j]`` — and each variable appears once per
+    link of its route.  Variables are relative to the grid's first.
+    """
+    n = steps.size
+    links, entry_steps, variables = [], [], []
+    for r, path in enumerate(routes):
+        link_indices = np.asarray(path.link_indices())
+        links.append(np.tile(link_indices, n))
+        entry_steps.append(np.repeat(steps, link_indices.size))
+        variables.append(np.repeat(np.arange(r * n, (r + 1) * n),
+                                   link_indices.size))
+    return _concat(links), _concat(entry_steps), _concat(variables)
 
 
 class PairGroups(grouping.PairGroups):
@@ -195,8 +223,9 @@ class ReferenceAdjuster(ScheduleAdjuster):
                     routes, first, request.deadline):
                 skeleton = None
             if skeleton is None:
-                skeleton = _ContractSkeleton.build(routes, first,
-                                                  request.deadline)
+                skeleton = _ContractSkeleton.build(
+                    routes, first, request.deadline,
+                    shape=state.paths.shape(routes))
                 if cache is not None:
                     cache[contract.rid] = skeleton
                     registry.counter("sam.skeleton.misses").inc()
@@ -499,15 +528,14 @@ class ReferencePriceComputer(PriceComputer):
 
 def _solve_offline_schedule_coo(workload: Workload,
                                 items: list[ScheduleItem],
-                                route_count: int, topk_fraction: float,
+                                topk_fraction: float,
                                 topk_encoding: str, include_costs: bool,
                                 objective: str,
-                                paths: PathCache | None) -> OfflineSchedule:
+                                paths: PathCache) -> OfflineSchedule:
     """Array-native twin of :func:`_solve_offline_schedule_expr` (same
     emission order, so the solved schedule is identical)."""
     topology = workload.topology
     n_steps = workload.n_steps
-    paths = paths or PathCache(topology, k=route_count)
     model = Model(sense="max", name="offline-schedule")
 
     obj_cols: list[np.ndarray] = []
