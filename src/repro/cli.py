@@ -10,7 +10,7 @@ Commands
     scenario) and print/save the summary metrics.
 ``sweep``
     Run a scheme × scenario × seed grid, optionally across persistent
-    worker processes (``--workers``/``--chunk-size``), with per-cell
+    worker processes (``--workers``), with per-cell
     results, an optional merged audit-ready telemetry trace, and a live
     progress line.
 ``campaign``
@@ -118,17 +118,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="standard-scenario load factor (no --workload)")
     run.add_argument("--seed", type=int, default=0)
     run.add_argument("--out", help="write the summary JSON here")
-    run.add_argument("--telemetry", metavar="PATH",
-                     help="write a JSONL trace of the run (spans for "
-                          "lp.solve, ra, sam, pc, ...) to PATH")
-    run.add_argument("--faults", metavar="SPEC",
-                     help="inject solver faults; SPEC is comma-separated "
-                          "MODULE:KIND[@WHEN][xCOUNT] clauses, e.g. "
-                          "'sam:solver@5x1,pc:timeout@24' (module ra|sam|"
-                          "pc|*, kind solver|infeasible|timeout, when a "
-                          "step, STEP-STEP range, * or pPROB)")
-    run.add_argument("--fault-seed", type=int, default=0,
-                     help="seed for probabilistic fault rules")
     _add_knob_flags(run)
 
     swp = sub.add_parser("sweep", help="run a scheme x scenario x seed "
@@ -147,15 +136,6 @@ def build_parser() -> argparse.ArgumentParser:
     swp.add_argument("--workers", type=int, default=1,
                      help="persistent worker processes (1 = serial "
                           "reference path)")
-    swp.add_argument("--chunk-size", type=int, metavar="N",
-                     help="cells per worker task (default: adaptive)")
-    swp.add_argument("--telemetry", metavar="PATH",
-                     help="write one merged, audit-ready JSONL trace of "
-                          "every cell to PATH")
-    swp.add_argument("--faults", metavar="SPEC",
-                     help="fault-injection spec applied in every cell "
-                          "(same syntax as run --faults)")
-    swp.add_argument("--fault-seed", type=int, default=0)
     swp.add_argument("--out", help="write per-cell summary records "
                                    "(JSON) here")
     _add_knob_flags(swp)
@@ -171,8 +151,6 @@ def build_parser() -> argparse.ArgumentParser:
                            "./campaign-out)")
     camp.add_argument("--workers", type=int, metavar="N",
                       help="override the spec's worker count")
-    camp.add_argument("--chunk-size", type=int, metavar="N",
-                      help="override the spec's cells-per-task chunking")
     camp.add_argument("--list", action="store_true", dest="list_presets",
                       help="list the built-in campaign presets and exit")
     camp.add_argument("--metrics-port", type=int, metavar="PORT",
@@ -211,13 +189,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="serve live /metrics (Prometheus), /healthz "
                           "and /snapshot on this localhost port for the "
                           "service's lifetime (0 = ephemeral)")
-    srv.add_argument("--telemetry", metavar="PATH",
-                     help="write a JSONL trace of the service run "
-                          "(audit-ready: the books balance)")
-    srv.add_argument("--faults", metavar="SPEC",
-                     help="fault-injection spec (same syntax as "
-                          "run --faults)")
-    srv.add_argument("--fault-seed", type=int, default=0)
     srv.add_argument("--out", help="write the load report + summary "
                                    "JSON here")
     _add_knob_flags(srv)
@@ -278,8 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _add_knob_flags(parser: argparse.ArgumentParser) -> None:
-    """The consolidated RunOptions knobs shared by ``run``, ``sweep`` and
-    ``serve``."""
+    """The RunOptions flags shared by ``run``, ``sweep`` and ``serve``."""
     parser.add_argument("--solver-backend", choices=["scipy", "highs",
                                                      "auto"],
                         help="LP solver session backend: scipy (the "
@@ -307,6 +277,19 @@ def _add_knob_flags(parser: argparse.ArgumentParser) -> None:
                              "separated SRC>DST@START[-END] clauses, e.g. "
                              "'S>M1@3' (dynamic routing policies re-route "
                              "and re-hash around the dead link)")
+    parser.add_argument("--faults", metavar="SPEC",
+                        help="inject solver faults; SPEC is comma-separated "
+                             "MODULE:KIND[@WHEN][xCOUNT] clauses, e.g. "
+                             "'sam:solver@5x1,pc:timeout@24' (module ra|sam|"
+                             "pc|*, kind solver|infeasible|timeout, when a "
+                             "step, STEP-STEP range, * or pPROB)")
+    parser.add_argument("--fault-seed", type=int, default=0,
+                        help="seed for probabilistic fault rules")
+    parser.add_argument("--telemetry", metavar="PATH",
+                        help="write an audit-ready JSONL trace (spans for "
+                             "lp.solve, ra, sam, pc, ... and the request "
+                             "ledger) to PATH; a sweep merges its cells "
+                             "into one trace")
 
 
 def _options_from_args(args) -> RunOptions:
@@ -314,14 +297,20 @@ def _options_from_args(args) -> RunOptions:
     return RunOptions(
         solver_backend=args.solver_backend,
         solver_retries=args.solver_retries,
-        routing=getattr(args, "routing", None),
-        classes=getattr(args, "classes", None),
+        routing=args.routing,
+        classes=args.classes,
         faults=args.faults,
         fault_seed=args.fault_seed,
         link_kills=args.link_kills,
         telemetry=args.telemetry,
-        workers=getattr(args, "workers", 1),
-        chunk_size=getattr(args, "chunk_size", None))
+        workers=getattr(args, "workers", 1))
+
+
+def _usage_error(exc: Exception) -> int:
+    """Report a bad input value as one ``error:`` line; exit code 2."""
+    detail = exc.args[0] if exc.args else exc
+    print(f"error: {detail}", file=sys.stderr)
+    return 2
 
 
 def _parse_csv(raw: str, kind, what: str) -> list:
@@ -349,6 +338,13 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_run(args) -> int:
+    try:
+        options = _options_from_args(args)
+        if args.workload and args.classes:
+            raise ValueError("--classes applies to scenarios built by name; "
+                             "a --workload artifact carries its own classes")
+    except (FaultSpecError, ValueError) as exc:
+        return _usage_error(exc)
     if args.workload:
         workload = load_workload(args.workload)
         cost_model = LinkCostModel(workload.topology,
@@ -359,11 +355,9 @@ def _cmd_run(args) -> int:
         scenario = ScenarioSpec.of("standard", load_factor=args.load,
                                    seed=args.seed)
     try:
-        options = _options_from_args(args)
-    except FaultSpecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    report = api.run(args.scheme, scenario, options=options)
+        report = api.run(args.scheme, scenario, options=options)
+    except FaultSpecError as exc:    # a link kill on a link not in the world
+        return _usage_error(exc)
     if args.telemetry:
         print(f"telemetry trace written to {args.telemetry}")
     if args.faults:
@@ -404,9 +398,7 @@ def _cmd_sweep(args) -> int:
         grid = SweepGrid(schemes=schemes, scenarios=scenarios, seeds=seeds)
         options = _options_from_args(args)
     except (FaultSpecError, KeyError, TypeError, ValueError) as exc:
-        detail = exc.args[0] if exc.args else exc
-        print(f"error: {detail}", file=sys.stderr)
-        return 2
+        return _usage_error(exc)
     result = api.sweep(grid, options=options, progress=_sweep_progress)
     rows = [[cell.index, cell.scheme, cell.scenario, cell.seed,
              "ok" if cell.ok else f"FAILED: {cell.error}",
@@ -444,15 +436,10 @@ def _cmd_campaign(args) -> int:
         return 2
     try:
         spec = campaign_spec(args.spec)
-    except CampaignError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    overrides = {}
-    if args.workers is not None:
-        overrides["workers"] = args.workers
-    if args.chunk_size is not None:
-        overrides["chunk_size"] = args.chunk_size
-    options = spec.options.replace(**overrides) if overrides else None
+        options = (None if args.workers is None
+                   else spec.options.replace(workers=args.workers))
+    except (CampaignError, ValueError) as exc:
+        return _usage_error(exc)
     total = sum(len(sweep.grid()) for sweep in spec.sweeps)
     print(f"campaign {spec.name!r}: {len(spec.sweeps)} sweep(s), "
           f"{total} cell(s), {len(spec.figures)} figure(s) -> "
@@ -491,11 +478,14 @@ def _cmd_serve(args) -> int:
             cache_size=args.cache_size, quote_deadline=args.quote_deadline,
             max_pending=args.max_pending, metrics_port=args.metrics_port)
     except (FaultSpecError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _usage_error(exc)
     scenario = ScenarioSpec.of(args.scenario, seed=args.seed)
-    with api.serve(args.scheme, scenario, options=options,
-                   service_options=service_options) as svc:
+    try:
+        svc = api.serve(args.scheme, scenario, options=options,
+                        service_options=service_options)
+    except FaultSpecError as exc:    # a link kill on a link not in the world
+        return _usage_error(exc)
+    with svc:
         # Replay the served world's own stream (built with --classes).
         requests = sorted(svc.scenario.workload.requests,
                           key=lambda r: (r.arrival, r.rid))
@@ -508,12 +498,9 @@ def _cmd_serve(args) -> int:
                   "/metrics (also /healthz, /snapshot)", file=sys.stderr)
         report = generate_load(svc.service, requests, rate=args.rate,
                                price_checks=args.price_checks)
-        cache = {name: metric.value
-                 for name, metric in [
-                     (n, get_registry().counter(n)) for n in
-                     ("service.menu_cache.hits",
-                      "service.menu_cache.misses",
-                      "service.menu_cache.invalidations")]}
+        cache = {name: get_registry().counter(name).value for name in (
+            "service.menu_cache.hits", "service.menu_cache.misses",
+            "service.menu_cache.invalidations")}
         summary = svc.summary()
     rows = [[key, value] for key, value in report.as_dict().items()
             if isinstance(value, (int, float))]
@@ -562,13 +549,13 @@ def _render_figure(figure_id: str, data: dict) -> str:
     return json.dumps(data, indent=2, default=str)
 
 
-def _cmd_list_schemes() -> int:
+def _cmd_list_schemes(args) -> int:
     for name in SCHEMES.names():
         print(name)
     return 0
 
 
-def _cmd_list_figures() -> int:
+def _cmd_list_figures(args) -> int:
     for name in sorted(FIGURES):
         print(name)
     return 0
@@ -666,28 +653,19 @@ def _cmd_telemetry(args) -> int:
         f"unhandled telemetry command {args.telemetry_command!r}")
 
 
+#: Subcommand -> handler of its parsed arguments.
+COMMANDS = {
+    "generate-workload": _cmd_generate, "run": _cmd_run,
+    "sweep": _cmd_sweep, "campaign": _cmd_campaign, "serve": _cmd_serve,
+    "figure": _cmd_figure, "list-schemes": _cmd_list_schemes,
+    "list-figures": _cmd_list_figures, "telemetry": _cmd_telemetry,
+}
+
+
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
     args = build_parser().parse_args(argv)
-    if args.command == "generate-workload":
-        return _cmd_generate(args)
-    if args.command == "run":
-        return _cmd_run(args)
-    if args.command == "sweep":
-        return _cmd_sweep(args)
-    if args.command == "campaign":
-        return _cmd_campaign(args)
-    if args.command == "serve":
-        return _cmd_serve(args)
-    if args.command == "figure":
-        return _cmd_figure(args)
-    if args.command == "list-schemes":
-        return _cmd_list_schemes()
-    if args.command == "list-figures":
-        return _cmd_list_figures()
-    if args.command == "telemetry":
-        return _cmd_telemetry(args)
-    raise AssertionError(f"unhandled command {args.command!r}")
+    return COMMANDS[args.command](args)
 
 
 if __name__ == "__main__":  # pragma: no cover

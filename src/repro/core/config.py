@@ -93,20 +93,13 @@ class PretiumConfig:
         Additional solve attempts after a transient backend failure
         (``SolverError``/``SolverTimeout``) before the module-level
         degradation fallback takes over (see :mod:`repro.faults`).
-    solver_backoff:
-        Base backoff in seconds between retries, doubling per attempt
-        (0 disables sleeping; simulated time gains nothing from waiting).
+        Retries are immediate: re-solving the same LP in-process gains
+        nothing from a wall-clock wait.
     solver_time_limit:
         Wall-clock budget per LP solve in seconds; exceeding it raises
         ``SolverTimeout`` (``None`` = unbounded).
     solver_maxiter:
         Simplex/IPM iteration budget per LP solve (``None`` = unbounded).
-    faults:
-        Fault-injection spec string (see
-        :func:`repro.faults.parse_fault_spec`), e.g.
-        ``"sam:solver@5x1,pc:timeout@24"``; ``None`` disables injection.
-    fault_seed:
-        Seed for probabilistic fault rules (deterministic schedules).
     """
 
     route_count: int = 3
@@ -125,14 +118,10 @@ class PretiumConfig:
     menu_enabled: bool = True
     short_term_adjustment: bool = True
     allow_best_effort: bool = True
-    initial_leveling_steps: int | None = None
     solver_backend: str = field(default_factory=_default_solver_backend)
     solver_retries: int = 2
-    solver_backoff: float = 0.0
     solver_time_limit: float | None = None
     solver_maxiter: int | None = None
-    faults: str | None = None
-    fault_seed: int = 0
 
     @property
     def initial_metered_leveling(self) -> int:
@@ -140,14 +129,11 @@ class PretiumConfig:
         can be levelled over.
 
         Before the first price computation there are no duals; the initial
-        gradient is ``C_e / initial_metered_leveling``.  The default
-        assumes full-window levelling (the schedule adjuster does level
-        aggregate load across a window, even though individual request
-        windows are shorter).  After the first window the LP duals take
-        over and this knob stops mattering.
+        gradient is ``C_e / initial_metered_leveling``.  It assumes
+        full-window levelling (the schedule adjuster does level aggregate
+        load across a window, even though individual request windows are
+        shorter).  After the first window the LP duals take over.
         """
-        if self.initial_leveling_steps is not None:
-            return max(1, self.initial_leveling_steps)
         return max(1, self.window)
 
     def __post_init__(self) -> None:
@@ -181,14 +167,7 @@ class PretiumConfig:
                 f"unknown solver_backend {self.solver_backend!r}")
         if self.solver_retries < 0:
             raise ValueError("solver_retries must be >= 0")
-        if self.solver_backoff < 0:
-            raise ValueError("solver_backoff must be >= 0")
         if self.solver_time_limit is not None and self.solver_time_limit <= 0:
             raise ValueError("solver_time_limit must be positive")
         if self.solver_maxiter is not None and self.solver_maxiter <= 0:
             raise ValueError("solver_maxiter must be positive")
-        if self.faults is not None:
-            # Validate eagerly: a typo'd spec should fail at configuration
-            # time, not silently never inject mid-run.
-            from ..faults.injector import parse_fault_spec
-            parse_fault_spec(self.faults)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ..faults.injector import FaultInjector, get_injector
+from ..faults.injector import get_injector
 from ..lp import LPError
 from ..telemetry import get_registry, get_tracer, ledger
 from ..telemetry.ledger import finite_or_none
@@ -51,7 +51,7 @@ class PretiumController:
         resolved config at :meth:`begin` — on top of either an explicit
         ``config`` or the workload-derived default.  This is how
         :class:`~repro.options.RunOptions` knobs (``routing``,
-        ``solver_backend``, solver budgets) reach a controller without
+        ``solver_backend``, ``solver_retries``) reach a controller without
         callers re-deriving the window/lookback defaults.
     """
 
@@ -90,20 +90,11 @@ class PretiumController:
             BestResponseUser() if config.menu_enabled else AllOrNothingUser())
         self.state = NetworkState(workload.topology, workload.n_steps, config)
         self.state.set_traffic_classes(getattr(workload, "classes", ()))
-        if config.faults is not None:
-            self.injector = FaultInjector.from_spec(config.faults,
-                                                    seed=config.fault_seed)
-        else:
-            # None here means "resolve the process-wide injector at call
-            # time", so `run --faults` reaches config-less controllers too.
-            self.injector = None
         if self.menu_cache is not None:
             self.menu_cache.bind(self.state)
         self.admission = RequestAdmission(self.state, cache=self.menu_cache)
-        self.sam = ScheduleAdjuster(self.state, workload.steps_per_day,
-                                    injector=self.injector)
-        self.pricer = PriceComputer(self.state, workload.steps_per_day,
-                                    injector=self.injector)
+        self.sam = ScheduleAdjuster(self.state, workload.steps_per_day)
+        self.pricer = PriceComputer(self.state, workload.steps_per_day)
         self.contracts = []
         self._by_rid = {}
         self.menus = {}
@@ -124,9 +115,6 @@ class PretiumController:
         pricer = getattr(self, "pricer", None)
         if pricer is not None:
             pricer.close()
-
-    def _current_injector(self) -> FaultInjector:
-        return self.injector if self.injector is not None else get_injector()
 
     def _record_degradation(self, module: str, step: int,
                             error: BaseException, action: str,
@@ -205,7 +193,7 @@ class PretiumController:
         degraded = False
         with get_tracer().span("ra.quote", step=t, rid=request.rid) as span:
             try:
-                self._current_injector().check("ra", t)
+                get_injector().check("ra", t)
                 menu = self.admission.quote(request, t)
             except LPError as exc:
                 # Quote machinery down: degrade to the conservative

@@ -34,19 +34,13 @@ from .state import NetworkState
 
 
 class PriceComputer:
-    """The PC module.
+    """The PC module."""
 
-    ``injector`` scopes fault injection to this instance; ``None`` falls
-    back to the process-wide injector at solve time.
-    """
-
-    def __init__(self, state: NetworkState, billing_window: int,
-                 injector=None) -> None:
+    def __init__(self, state: NetworkState, billing_window: int) -> None:
         if billing_window <= 0:
             raise ValueError("billing window must be positive")
         self.state = state
         self.billing_window = billing_window
-        self.injector = injector
         self._session = None
 
     def close(self) -> None:
@@ -67,7 +61,7 @@ class PriceComputer:
         return resilient_solve(
             model, "pc", now,
             policy=RetryPolicy.from_config(self.state.config),
-            injector=self.injector, session=self._session)
+            session=self._session)
 
     def update(self, contracts: list[Contract], now: int) -> bool:
         """Recompute prices at window-start ``now``.

@@ -123,9 +123,6 @@ class _ContractSkeleton:
 class ScheduleAdjuster:
     """The SAM module.
 
-    ``injector`` scopes fault injection to this instance; ``None`` falls
-    back to the process-wide injector at solve time.
-
     Incremental machinery (all three proven equivalent to a cold solve
     by the differential suite, ``tests/core/test_sam_incremental.py``):
 
@@ -144,13 +141,11 @@ class ScheduleAdjuster:
       to the exact solve.
     """
 
-    def __init__(self, state: NetworkState, billing_window: int,
-                 injector=None) -> None:
+    def __init__(self, state: NetworkState, billing_window: int) -> None:
         if billing_window <= 0:
             raise ValueError("billing window must be positive")
         self.state = state
         self.billing_window = billing_window
-        self.injector = injector
         self._session = None
         self._skeletons: dict[int, _ContractSkeleton] = {}
         #: Whether the last :meth:`adjust` was served by the fast path
@@ -267,7 +262,7 @@ class ScheduleAdjuster:
         return resilient_solve(
             model, "sam", now,
             policy=RetryPolicy.from_config(self.state.config),
-            injector=self.injector, session=self._session)
+            session=self._session)
 
     # -- LP construction ---------------------------------------------------
     def _solve_coo(self, active: list[Contract], delivered: dict[int, float],

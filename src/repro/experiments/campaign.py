@@ -28,8 +28,7 @@ the paper-scale runs are reproducible from a checked-in config::
 :func:`~repro.experiments.sweep.run_sweep`, evaluates each figure from
 the registry, and writes an output directory containing ``report.md``,
 ``report.html`` and a machine-readable ``campaign.json`` that records
-wall-clock, peak RSS (self + workers) and per-stage timings — the
-numbers ``BENCH_PERF.json`` tracks for the paper-scale preset.
+wall-clock, peak RSS (self + workers) and per-stage timings.
 
 Two presets ship in :data:`CAMPAIGN_PRESETS`: ``smoke`` (a 2-cell tiny
 campaign CI runs end-to-end) and ``paper-scale`` (the 106-node /
@@ -497,7 +496,7 @@ def run_campaign(spec: CampaignSpec, out_dir: str | Path,
     audit-ready trace per sweep.  ``options``, when given, replaces the
     spec's ``[options]`` table wholesale (callers wanting a partial
     override start from ``spec.options.replace(...)`` — the CLI maps
-    ``--workers``/``--chunk-size`` that way).  ``progress`` is
+    ``--workers`` that way).  ``progress`` is
     forwarded to every underlying :func:`run_sweep`.
 
     ``metrics_port`` (``--metrics-port``) starts a live
@@ -799,8 +798,8 @@ CAMPAIGN_PRESETS: dict[str, dict] = {
     },
     # The paper-scale evaluation: the 106-node / ~226-edge production
     # WAN at the paper's 5-minute timesteps (288/day) over a two-day
-    # horizon.  Minutes-scale; wall-clock and peak RSS land in
-    # BENCH_PERF.json via benchmarks/bench_perf_campaign.py.
+    # horizon.  Minutes-scale; wall-clock and peak RSS land in the
+    # output directory's campaign.json.
     "paper-scale": {
         "campaign": {"name": "paper-scale",
                      "title": "Paper-scale campaign (106-node WAN, "

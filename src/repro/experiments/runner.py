@@ -143,8 +143,8 @@ def run_scheme(scheme, scenario: Scenario,
     With ``options`` the run executes inside the environment the bundle
     asks for — a seeded fault injector and/or a JSONL telemetry trace —
     and, when the scheme is built here (by name or spec), the
-    config-mapped knobs (``routing``, ``solver_backend``, solver
-    budgets) are applied to it.  A pre-built scheme instance keeps
+    config-mapped knobs (``routing``, ``solver_backend``,
+    ``solver_retries``) are applied to it.  A pre-built scheme instance keeps
     whatever config it was constructed with.
     """
     with run_context(options) as env:

@@ -46,11 +46,10 @@ while keeping results bit-identical to the serial reference path:
 - **chunked submission** — cells are shipped to workers in contiguous
   chunks (one pool task runs :func:`run_cell` over each cell in turn),
   so on grids of small cells the per-task pickle/IPC round-trip is paid
-  once per chunk instead of once per cell.  ``options.chunk_size``
-  forces the size; the default sizes chunks adaptively from the grid
-  and worker count.  Chunking changes scheduling only: every cell still
-  runs through :func:`run_cell` with the same arguments, so a chunked
-  sweep is bit-identical to serial.
+  once per chunk instead of once per cell.  :func:`_chunk_cells` sizes
+  chunks from the grid and the worker count.  Chunking changes
+  scheduling only: every cell still runs through :func:`run_cell` with
+  the same arguments, so a chunked sweep is bit-identical to serial.
 
 Determinism note: cells are *submitted* in grid order and *collected*
 as they finish, but results are reassembled by cell index, and each
@@ -472,13 +471,11 @@ def _worker_cell(cell: SweepCell) -> CellResult:
 _MAX_CHUNK = 8
 
 
-def _chunk_cells(cells: list[SweepCell], workers: int,
-                 chunk_size: int | None = None) -> list[list[SweepCell]]:
+def _chunk_cells(cells: list[SweepCell],
+                 workers: int) -> list[list[SweepCell]]:
     """Contiguous grid-order chunks sized to amortise per-task overhead."""
-    if chunk_size is None:
-        chunk_size = max(1, min(-(-len(cells) // workers), _MAX_CHUNK))
-    return [cells[i:i + chunk_size]
-            for i in range(0, len(cells), chunk_size)]
+    size = max(1, min(-(-len(cells) // workers), _MAX_CHUNK))
+    return [cells[i:i + size] for i in range(0, len(cells), size)]
 
 
 def _pool_context():
@@ -584,7 +581,7 @@ def run_sweep(grid: SweepGrid, options: RunOptions | None = None,
     module preloaded where available, spawn elsewhere); run options
     ship once through the pool initializer, scenarios build once per
     worker per (scenario, seed) column, and cells travel in contiguous
-    chunks (``options.chunk_size``, adaptive by default).
+    chunks sized from the grid and the worker count.
 
     With ``options.telemetry`` set, per-cell shards are merged (in cell
     order) into that path when the sweep completes and the shards are
@@ -622,7 +619,7 @@ def run_sweep(grid: SweepGrid, options: RunOptions | None = None,
         for cell in cells:
             _collect(run_cell(cell, opts, trace_base))
     else:
-        chunks = _chunk_cells(cells, workers, opts.chunk_size)
+        chunks = _chunk_cells(cells, workers)
         context = _pool_context()
         shared = (opts, None if trace_base is None else str(trace_base))
         #: chunks whose futures raised: a worker death breaks the whole

@@ -7,7 +7,8 @@ raises the configured LP exception, exactly as if the backend had failed —
 so the degradation paths under test are the *real* ones, not mocks.
 
 Rules are written as a compact spec string (the ``--faults`` CLI flag and
-``PretiumConfig.faults`` both accept it)::
+``RunOptions.faults`` both accept it; :func:`repro.options.run_context`
+installs the injector process-wide)::
 
     SPEC   := CLAUSE ("," CLAUSE)*
     CLAUSE := MODULE ":" KIND ["@" WHEN] ["x" COUNT]
@@ -164,7 +165,7 @@ class FaultInjector:
 
     def reset(self) -> None:
         """Forget fired counts and reseed — the next run replays the
-        identical schedule (the controller calls this from ``begin``)."""
+        identical schedule."""
         for rule in self.rules:
             rule.fired = 0
         self._rng = np.random.default_rng(self.seed)

@@ -111,12 +111,21 @@ class LinkKillSchedule:
         """The kills that take effect exactly at ``step``."""
         return self._by_step.get(step, ())
 
+    def check_links(self, topology) -> None:
+        """Raise :class:`FaultSpecError` naming the first kill whose link
+        ``topology`` lacks — a misspelled chaos spec must fail before
+        the run starts, not mid-run or silently test nothing."""
+        for kill in self.kills:
+            if not topology.has_link(kill.src, kill.dst):
+                raise FaultSpecError(
+                    f"link-kill clause {kill.spec!r} names no link of the "
+                    f"topology")
+
     def apply(self, state, step: int) -> tuple[LinkKill, ...]:
         """Apply every kill due at ``step``; returns what was applied.
 
-        A named link missing from the topology raises ``KeyError`` from
-        the state layer — a misspelled chaos spec must fail the run, not
-        silently test nothing.
+        The engine has already checked every kill's link against the
+        topology (:meth:`check_links`).
         """
         due = self.due(step)
         for kill in due:

@@ -1,12 +1,12 @@
-"""Retry-with-backoff and budgets around :func:`repro.lp.solver.solve_model`.
+"""Retries and budgets around :func:`repro.lp.solver.solve_model`.
 
 :func:`resilient_solve` is the single choke point through which SAM and
-PC reach the LP backend.  It consults the current
+PC reach the LP backend.  It consults the process-wide
 :class:`~repro.faults.injector.FaultInjector` before every attempt (so
 injected faults exercise the very same code path as genuine backend
 failures), applies the configured time/iteration budgets, and retries
 transient failures (:class:`~repro.lp.errors.SolverError`, including
-timeouts) with exponential backoff.  Infeasibility and unboundedness are
+timeouts) immediately.  Infeasibility and unboundedness are
 *never* retried: a deterministic LP that is infeasible stays infeasible,
 and each module owns a semantic fallback for that case (SAM drops
 guarantee rows; PC keeps stale prices; RA quotes from current prices).
@@ -25,11 +25,7 @@ from dataclasses import dataclass
 from ..lp.errors import LPError, SolverError
 from ..lp.solver import Solution, solve_model
 from ..telemetry import get_registry, get_tracer
-from .injector import FaultInjector, get_injector
-
-#: Upper bound on one backoff sleep, seconds (keeps a misconfigured
-#: exponential from stalling a simulation).
-MAX_BACKOFF = 1.0
+from .injector import get_injector
 
 
 class QuoteBudgetExceeded(LPError):
@@ -71,13 +67,12 @@ class DeadlineBudget:
 class RetryPolicy:
     """Retry/budget knobs for one module's solver calls.
 
-    ``retries`` is the number of *additional* attempts after the first;
-    ``backoff`` seconds doubles per retry (0 disables sleeping, the
-    default — simulated time does not benefit from wall-clock waits).
+    ``retries`` is the number of *additional* attempts after the first.
+    Retries are immediate: an in-process re-solve of the same LP does
+    not benefit from a wall-clock wait.
     """
 
     retries: int = 2
-    backoff: float = 0.0
     time_limit: float | None = None
     maxiter: int | None = None
 
@@ -85,25 +80,23 @@ class RetryPolicy:
     def from_config(cls, config) -> "RetryPolicy":
         """Derive the policy from a :class:`~repro.core.config.PretiumConfig`."""
         return cls(retries=config.solver_retries,
-                   backoff=config.solver_backoff,
                    time_limit=config.solver_time_limit,
                    maxiter=config.solver_maxiter)
 
 
 def resilient_solve(model, module: str, step: int,
                     policy: RetryPolicy | None = None,
-                    injector: FaultInjector | None = None,
                     session=None) -> Solution:
-    """Solve ``model`` with injection, budgets and retry-with-backoff.
+    """Solve ``model`` with injection, budgets and retries.
 
     Parameters
     ----------
     module, step:
-        The (module, timestep) injection point this solve belongs to.
+        The (module, timestep) injection point this solve belongs to;
+        the process-wide injector (:func:`~repro.faults.get_injector`)
+        is checked there before every attempt.
     policy:
         Retry/budget policy; defaults to :class:`RetryPolicy()`.
-    injector:
-        Explicit injector; defaults to the process-wide current one.
     session:
         Optional persistent :class:`~repro.lp.solver.SolverSession` to
         solve through instead of the stateless :func:`solve_model`.
@@ -119,8 +112,7 @@ def resilient_solve(model, module: str, step: int,
     attempt = 0
     while True:
         try:
-            active = injector if injector is not None else get_injector()
-            active.check(module, step)
+            get_injector().check(module, step)
             if session is not None:
                 return session.solve(model, time_limit=policy.time_limit,
                                      maxiter=policy.maxiter)
@@ -136,6 +128,3 @@ def resilient_solve(model, module: str, step: int,
             get_tracer().emit({"type": "retry", "module": module,
                                "step": step, "attempt": attempt,
                                "error": type(exc).__name__})
-            if policy.backoff > 0:
-                time.sleep(min(policy.backoff * 2 ** (attempt - 1),
-                               MAX_BACKOFF))

@@ -1,26 +1,27 @@
-"""Run-level options: one typed bundle for every knob a run accepts.
+"""Run-level options: one typed bundle for the knobs of a run.
 
-Before this module, the knobs of a run were scattered: solver budgets
-and the routing policy lived on :class:`~repro.core.config.PretiumConfig`,
-fault injection and telemetry were wired up by hand at every call site
-(the CLI, the chaos conftest, ad-hoc scripts).  :class:`RunOptions`
-consolidates them into one picklable dataclass accepted by the engine
+:class:`RunOptions` is one picklable dataclass accepted by the engine
 (:func:`repro.sim.engine.simulate`), the runner
 (:func:`repro.experiments.runner.run_scheme`), the sweep subsystem
-(:mod:`repro.experiments.sweep`) and the CLI.
+(:mod:`repro.experiments.sweep`) and the CLI.  Pretium's own tunables,
+solver budgets included, live on
+:class:`~repro.core.config.PretiumConfig`; the few a run may override
+are listed in :data:`CONFIG_FIELDS`.
 
 Two kinds of fields:
 
-- **config-mapped** (``routing``, ``solver_*``) —
-  overrides applied to a scheme's :class:`PretiumConfig` (or an offline
-  scheme's ``routing`` kwarg) when the scheme is built from a
+- **config-mapped** (``routing``, ``solver_backend``,
+  ``solver_retries``) — overrides applied to a scheme's
+  :class:`PretiumConfig` (or an offline scheme's ``routing`` kwarg) when
+  the scheme is built from a
   :class:`~repro.experiments.runner.SchemeSpec`; ``None`` means "keep
   the scheme's default";
 - **environment** (``faults``/``fault_seed``, ``telemetry``,
   ``trace_tags``, ``workers``) — the scoped process state
   (:func:`run_context`) every run executes inside: a seeded fault
   injector, a per-run metrics registry, and a JSONL trace writer whose
-  events can be stamped with sweep worker/cell ids.
+  events can be stamped with sweep worker/cell ids.  :func:`run_context`
+  is the only place a fault injector is built.
 """
 
 from __future__ import annotations
@@ -32,8 +33,7 @@ from pathlib import Path
 
 #: RunOptions fields that map onto PretiumConfig attributes of the same
 #: name (applied via ``config_overrides`` when a scheme is built).
-CONFIG_FIELDS = ("routing", "solver_backend", "solver_retries",
-                 "solver_backoff", "solver_time_limit", "solver_maxiter")
+CONFIG_FIELDS = ("routing", "solver_backend", "solver_retries")
 
 
 @dataclass(frozen=True)
@@ -57,8 +57,10 @@ class RunOptions:
     solver_backend:
         LP backend override (``"scipy"``/``"highs"``/``"auto"``; see
         :class:`~repro.core.config.PretiumConfig.solver_backend`).
-    solver_retries / solver_backoff / solver_time_limit / solver_maxiter:
-        Resilience budgets (see :class:`~repro.core.config.PretiumConfig`).
+    solver_retries:
+        Retry budget override (see
+        :class:`~repro.core.config.PretiumConfig`).  The config-mapped
+        fields are validated by building a ``PretiumConfig`` from them.
     faults:
         Fault-injection spec installed process-wide for the run (see
         :func:`repro.faults.parse_fault_spec`); ``None`` disables it.
@@ -79,60 +81,35 @@ class RunOptions:
     workers:
         Process-parallelism degree for sweeps (a single run ignores it;
         :func:`repro.experiments.sweep.run_sweep` shards its grid over
-        this many persistent workers).
-    chunk_size:
-        Cells per pool task in a parallel sweep.  ``None`` (the default)
-        sizes chunks adaptively from the grid and worker count; an
-        explicit value forces it (the differential suite pins 1, 3 and
-        8 to prove chunk boundaries are unobservable).
+        this many persistent workers, in chunks it sizes from the grid
+        and the worker count).
     """
 
     routing: str | None = None
     classes: object = None
     solver_backend: str | None = None
     solver_retries: int | None = None
-    solver_backoff: float | None = None
-    solver_time_limit: float | None = None
-    solver_maxiter: int | None = None
     faults: str | None = None
     fault_seed: int = 0
     link_kills: str | None = None
     telemetry: str | Path | None = None
     trace_tags: tuple[tuple[str, object], ...] = ()
     workers: int = 1
-    chunk_size: int | None = None
 
     def __post_init__(self) -> None:
-        if self.routing is not None:
-            from .network.paths import ROUTING_POLICIES
-            if self.routing not in ROUTING_POLICIES:
-                raise ValueError(
-                    f"unknown routing {self.routing!r}; expected one of "
-                    f"{list(ROUTING_POLICIES)}")
+        overrides = self.config_overrides()
+        if overrides:
+            from .core.config import PretiumConfig
+            PretiumConfig(**overrides)
         if self.classes is not None:
             # Validate eagerly (and normalise nothing: the spec is kept
             # verbatim so the bundle stays hashable/picklable).
             from .traffic.classes import resolve_classes
             resolve_classes(self.classes)
-        if self.solver_backend not in (None, "scipy", "highs", "auto"):
-            raise ValueError(
-                f"unknown solver_backend {self.solver_backend!r}")
-        if self.solver_retries is not None and self.solver_retries < 0:
-            raise ValueError("solver_retries must be >= 0")
-        if self.solver_backoff is not None and self.solver_backoff < 0:
-            raise ValueError("solver_backoff must be >= 0")
-        if self.solver_time_limit is not None and self.solver_time_limit <= 0:
-            raise ValueError("solver_time_limit must be positive")
-        if self.solver_maxiter is not None and self.solver_maxiter <= 0:
-            raise ValueError("solver_maxiter must be positive")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
-        if self.chunk_size is not None and self.chunk_size < 1:
-            raise ValueError("chunk_size must be >= 1 (or None for "
-                             "adaptive chunking)")
         if self.faults is not None:
-            # Fail at construction, not silently mid-run (same contract
-            # as PretiumConfig's eager spec validation).
+            # Fail at construction, not silently mid-run.
             from .faults.injector import parse_fault_spec
             parse_fault_spec(self.faults)
         if self.link_kills is not None:
@@ -142,12 +119,8 @@ class RunOptions:
     # -- derived views -------------------------------------------------------
     def config_overrides(self) -> dict:
         """The non-``None`` config-mapped fields, as a kwargs dict."""
-        out = {}
-        for name in CONFIG_FIELDS:
-            value = getattr(self, name)
-            if value is not None:
-                out[name] = value
-        return out
+        return {name: getattr(self, name) for name in CONFIG_FIELDS
+                if getattr(self, name) is not None}
 
     def replace(self, **changes) -> "RunOptions":
         """A copy with ``changes`` applied (``dataclasses.replace``)."""

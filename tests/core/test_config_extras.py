@@ -1,25 +1,11 @@
 """Tests for config derivations added during calibration."""
 
-import pytest
-
 from repro.core import PretiumConfig
 
 
 def test_initial_leveling_default_is_window():
     config = PretiumConfig(window=12, lookback=12)
     assert config.initial_metered_leveling == 12
-
-
-def test_initial_leveling_override():
-    config = PretiumConfig(window=12, lookback=12,
-                           initial_leveling_steps=3)
-    assert config.initial_metered_leveling == 3
-
-
-def test_initial_leveling_clamped_to_one():
-    config = PretiumConfig(window=12, lookback=12,
-                           initial_leveling_steps=0)
-    assert config.initial_metered_leveling == 1
 
 
 def test_ablation_flags_independent():

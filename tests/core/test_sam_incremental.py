@@ -36,7 +36,7 @@ from repro.core import (ByteRequest, NetworkState, PretiumConfig,
                         transmissions_now)
 from repro.core.sam import _ContractSkeleton
 from repro.experiments.scenarios import tiny_scenario
-from repro.faults import FaultInjector
+from repro.faults import FaultInjector, use_injector
 from repro.network import parallel_paths_network
 from repro.options import RunOptions
 from repro.telemetry import MetricsRegistry, use_registry
@@ -296,9 +296,9 @@ def test_guarantee_drop_never_arms():
     """A best-effort (guarantee-free) solve must not seed tail reuse:
     the next step has to retry with guarantees enforced."""
     injector = FaultInjector.from_spec("sam:infeasible@0x1")
-    with use_registry(MetricsRegistry()) as registry:
+    with use_injector(injector), use_registry(MetricsRegistry()) as registry:
         state, ra, _ = setup(n_steps=6)
-        sam = ScheduleAdjuster(state, 6, injector=injector)
+        sam = ScheduleAdjuster(state, 6)
         req = ByteRequest(1, "S", "T", 12.0, 0, 0, 4, 5.0)
         contract = admit(ra, req)
         plan = sam.adjust([contract], {}, loads_for(state), 0,

@@ -26,18 +26,16 @@ def test_defaults_ask_for_nothing():
     assert options.config_overrides() == {}
     assert options.faults is None and options.telemetry is None
     assert options.workers == 1
-    assert options.chunk_size is None
 
 
 @pytest.mark.parametrize("kwargs", [
     dict(solver_backend="cplex"),
     dict(solver_retries=-1),
-    dict(solver_backoff=-0.5),
-    dict(solver_time_limit=0),
-    dict(solver_maxiter=0),
+    dict(routing="spray"),
+    dict(classes="qos99"),
+    dict(faults="sam:nonsense"),
+    dict(link_kills="garbage"),
     dict(workers=0),
-    dict(chunk_size=0),
-    dict(chunk_size=-3),
 ])
 def test_invalid_values_rejected_eagerly(kwargs):
     with pytest.raises(ValueError):

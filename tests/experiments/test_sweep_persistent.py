@@ -36,6 +36,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro
+from repro.experiments import sweep as sweep_module
 from repro.experiments.runner import SCHEME_SPECS, SchemeSpec, run_scheme
 from repro.experiments.scenarios import ScenarioSpec
 from repro.experiments.sweep import (SCENARIO_CACHE_CAPACITY, SweepGrid,
@@ -57,29 +58,39 @@ def _fresh_cache():
     clear_scenario_cache()
 
 
+def force_chunks(monkeypatch, size):
+    """Pin the pool's cells per task (chunking happens in the parent)."""
+    monkeypatch.setattr(
+        sweep_module, "_chunk_cells",
+        lambda cells, workers: [cells[i:i + size]
+                                for i in range(0, len(cells), size)])
+
+
 # -- differential determinism -------------------------------------------------
 
-def test_persistent_sweep_bit_identical_for_all_schemes_and_chunkings():
+def test_persistent_sweep_bit_identical_for_all_schemes_and_chunkings(
+        monkeypatch):
     """All 10 schemes, serial vs persistent pool at chunk sizes 1/3/8."""
     grid = SweepGrid(schemes=sorted(SCHEME_SPECS), scenarios=["tiny"],
                      seeds=[0])
     serial = run_sweep(grid, options=RunOptions(workers=1))
     for chunk_size in (1, 3, 8):
-        parallel = run_sweep(
-            grid, options=RunOptions(workers=2, chunk_size=chunk_size))
+        force_chunks(monkeypatch, chunk_size)
+        parallel = run_sweep(grid, options=RunOptions(workers=2))
         assert parallel.n_workers == 2
         assert_cells_identical(serial.cells, parallel.cells)
 
 
-def test_persistent_sweep_bit_identical_under_faults_and_chunking():
+def test_persistent_sweep_bit_identical_under_faults_and_chunking(
+        monkeypatch):
     faulty = RunOptions(faults="sam:solver@2x1,ra:timeout@3x1",
                         fault_seed=7)
     grid = SweepGrid(schemes=["Pretium", "Pretium-NoMenu", "NoPrices"],
                      scenarios=["tiny"], seeds=[0, 1])
     serial = run_sweep(grid, options=faulty.replace(workers=1))
     for chunk_size in (1, 3):
-        parallel = run_sweep(
-            grid, options=faulty.replace(workers=2, chunk_size=chunk_size))
+        force_chunks(monkeypatch, chunk_size)
+        parallel = run_sweep(grid, options=faulty.replace(workers=2))
         assert_cells_identical(serial.cells, parallel.cells)
 
 
@@ -100,14 +111,15 @@ def test_explicit_start_methods_agree_with_serial(monkeypatch):
     assert_cells_identical(serial.cells, parallel.cells)
 
 
-def test_cache_reuse_is_flagged_but_unobservable_in_results():
+def test_cache_reuse_is_flagged_but_unobservable_in_results(monkeypatch):
     """Within one worker, later cells of a scenario column hit the cache
     (``cache_hit=True``) yet produce results identical to the serial
     path, which also reuses its in-process build."""
     grid = SweepGrid(schemes=["Pretium", "NoPrices", "OPT"],
                      scenarios=["tiny"], seeds=[0])
-    # chunk_size=3 puts the whole column in one worker: 1 miss + 2 hits.
-    result = run_sweep(grid, options=RunOptions(workers=2, chunk_size=3))
+    # Chunks of 3 put the whole column in one worker: 1 miss + 2 hits.
+    force_chunks(monkeypatch, 3)
+    result = run_sweep(grid, options=RunOptions(workers=2))
     assert result.ok
     hits = [cell.cache_hit for cell in result.cells]
     assert hits == [False, True, True]
@@ -194,7 +206,7 @@ class Kamikaze:
 KAMIKAZE = SchemeSpec("Kamikaze", Kamikaze)
 
 
-def test_worker_death_fails_only_the_killer_cell():
+def test_worker_death_fails_only_the_killer_cell(monkeypatch):
     """6 cells in chunks of 3 across 2 workers; the killer is cell 1.
     Its chunk-mates (cells 0 and 2) and the other chunk must all
     recover; only cell 1 gets a structured death failure."""
@@ -202,8 +214,9 @@ def test_worker_death_fails_only_the_killer_cell():
         schemes=["NoPrices", KAMIKAZE, "OPT"],
         scenarios=["tiny"], seeds=[0, 1])
     seen = []
+    force_chunks(monkeypatch, 3)
     result = run_sweep(
-        grid, options=RunOptions(workers=2, chunk_size=3),
+        grid, options=RunOptions(workers=2),
         progress=lambda done, total, cell: seen.append((done, cell.index)))
     assert [cell.ok for cell in result.cells] == [True, False, True,
                                                   True, False, True]
@@ -222,12 +235,12 @@ def test_worker_death_fails_only_the_killer_cell():
     assert sorted(index for _, index in seen) == [0, 1, 2, 3, 4, 5]
 
 
-def test_worker_death_keeps_merged_trace_order(tmp_path):
+def test_worker_death_keeps_merged_trace_order(tmp_path, monkeypatch):
     trace = tmp_path / "sweep.jsonl"
     grid = SweepGrid(schemes=["NoPrices", KAMIKAZE, "Pretium"],
                      scenarios=["tiny"], seeds=[0])
-    result = run_sweep(
-        grid, options=RunOptions(workers=2, chunk_size=2, telemetry=trace))
+    force_chunks(monkeypatch, 2)
+    result = run_sweep(grid, options=RunOptions(workers=2, telemetry=trace))
     assert [cell.ok for cell in result.cells] == [True, False, True]
     # no shard files remain — including any torn shard of the dead cell
     assert list(tmp_path.glob("sweep.cell-*.jsonl")) == []
@@ -237,9 +250,10 @@ def test_worker_death_keeps_merged_trace_order(tmp_path):
     assert set(cell_ids) == {0, 2}  # the killed cell contributed nothing
 
 
-def test_every_cell_killing_its_worker_still_terminates():
+def test_every_cell_killing_its_worker_still_terminates(monkeypatch):
     grid = SweepGrid(schemes=[KAMIKAZE], scenarios=["tiny"], seeds=[0, 1])
-    result = run_sweep(grid, options=RunOptions(workers=2, chunk_size=1))
+    force_chunks(monkeypatch, 1)
+    result = run_sweep(grid, options=RunOptions(workers=2))
     assert [cell.ok for cell in result.cells] == [False, False]
     assert all("worker process died" in cell.detail
                for cell in result.cells)
@@ -247,13 +261,14 @@ def test_every_cell_killing_its_worker_still_terminates():
 
 # -- progress accounting ------------------------------------------------------
 
-def test_progress_fires_exactly_once_per_cell_under_chunking():
+def test_progress_fires_exactly_once_per_cell_under_chunking(monkeypatch):
     grid = SweepGrid(schemes=["Pretium", "NoPrices", "OPT"],
                      scenarios=["tiny"], seeds=[0, 1])
     for chunk_size in (1, 3, 8):
         calls = []
+        force_chunks(monkeypatch, chunk_size)
         result = run_sweep(
-            grid, options=RunOptions(workers=2, chunk_size=chunk_size),
+            grid, options=RunOptions(workers=2),
             progress=lambda done, total, cell:
             calls.append((done, total, cell.index)))
         assert result.ok
@@ -262,11 +277,11 @@ def test_progress_fires_exactly_once_per_cell_under_chunking():
         assert sorted(index for _, _, index in calls) == [0, 1, 2, 3, 4, 5]
 
 
-def test_cli_per_cell_table_counts_match(capsys):
+def test_cli_per_cell_table_counts_match(capsys, monkeypatch):
     from repro.cli import main
+    force_chunks(monkeypatch, 1)
     code = main(["sweep", "--schemes", "Pretium,NoPrices", "--scenario",
-                 "tiny", "--seeds", "0,1", "--workers", "2",
-                 "--chunk-size", "1"])
+                 "tiny", "--seeds", "0,1", "--workers", "2"])
     assert code == 0
     out = capsys.readouterr().out
     table_rows = [line for line in out.splitlines()

@@ -21,6 +21,7 @@ import pytest
 from repro.core import PretiumConfig, PretiumController
 from repro.costs import LinkCostModel
 from repro.experiments.scenarios import Scenario
+from repro.faults import FaultInjector, use_injector
 from repro.network import wan_topology
 from repro.sim import simulate
 from repro.telemetry import (MetricsRegistry, TraceWriter, Tracer,
@@ -44,24 +45,32 @@ def chaos_scenario() -> Scenario:
                     LinkCostModel(topology, billing_window=STEPS_PER_DAY))
 
 
-def chaos_config(spec: str | None = None, **overrides) -> PretiumConfig:
+def chaos_config(**overrides) -> PretiumConfig:
     defaults = dict(window=STEPS_PER_DAY, lookback=STEPS_PER_DAY,
-                    solver_retries=1, faults=spec)
+                    solver_retries=1)
     defaults.update(overrides)
     return PretiumConfig(**defaults)
 
 
+def chaos_injector(spec: str | None, seed: int = 0):
+    """The process-wide injector a chaos run installs (``None``: none)."""
+    return None if spec is None else FaultInjector.from_spec(spec, seed=seed)
+
+
 def run_with_faults(scenario: Scenario, spec: str | None,
-                    trace_tag: str = "", collector=None, **overrides):
-    """One Pretium run under an isolated registry (and optional trace).
+                    trace_tag: str = "", collector=None, fault_seed: int = 0,
+                    **overrides):
+    """One Pretium run under an isolated registry (and optional trace),
+    with ``spec``'s injector installed for its duration.
 
     ``collector`` (an :class:`InMemoryCollector`) adds an in-process
     sink, so a test can replay the run's ledger through the invariant
     auditor without touching the filesystem.  Returns ``(controller,
     result, metrics_snapshot)``.
     """
-    controller = PretiumController(chaos_config(spec, **overrides))
+    controller = PretiumController(chaos_config(**overrides))
     with ExitStack() as stack:
+        stack.enter_context(use_injector(chaos_injector(spec, fault_seed)))
         registry = stack.enter_context(use_registry(MetricsRegistry()))
         trace_dir = os.environ.get("CHAOS_TELEMETRY_DIR")
         sinks = []

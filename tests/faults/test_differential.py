@@ -13,6 +13,7 @@ from contextlib import contextmanager, nullcontext
 import numpy as np
 import pytest
 
+from repro.faults import use_injector
 from repro.sim import simulate
 from repro.telemetry import MetricsRegistry, use_registry
 
@@ -20,7 +21,7 @@ from repro.core import PretiumController
 from tests.reference.expr_builders import expr_builders
 from tests.reference.quote import scan_quotes
 
-from .conftest import chaos_config
+from .conftest import chaos_config, chaos_injector
 
 
 @contextmanager
@@ -34,9 +35,10 @@ FAST = nullcontext
 REFERENCE = reference_stack
 
 
-def run_variant(scenario, spec, stack, **overrides):
-    controller = PretiumController(chaos_config(spec, **overrides))
-    with stack(), use_registry(MetricsRegistry()) as registry:
+def run_variant(scenario, spec, stack, fault_seed=0, **overrides):
+    controller = PretiumController(chaos_config(**overrides))
+    with stack(), use_injector(chaos_injector(spec, fault_seed)), \
+            use_registry(MetricsRegistry()) as registry:
         result = simulate(controller, scenario.workload)
         snapshot = registry.snapshot()
     return controller, result, snapshot

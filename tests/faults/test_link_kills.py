@@ -118,9 +118,38 @@ def test_kills_land_in_the_ledger():
 def test_unknown_link_fails_the_run_loudly():
     scenario = tiny_scenario(seed=0)
     controller = scheme_spec("Pretium").build(RunOptions())
-    with pytest.raises(KeyError):
+    collector = InMemoryCollector()
+    with use_tracer(Tracer(sinks=[collector])), \
+            pytest.raises(FaultSpecError, match="'nope>where@1'"):
         simulate(controller, scenario.workload,
                  options=RunOptions(link_kills="nope>where@1"))
+    # Rejected before the run started: no step ran, nothing was traced.
+    assert controller.state is None
+    assert collector.events == []
+
+
+def test_unknown_link_is_rejected_when_the_service_engine_is_built():
+    from repro.service import AdmissionEngine
+    scenario = tiny_scenario(seed=0)
+    link = scenario.topology.links[0]
+    with pytest.raises(FaultSpecError, match="'zz>yy@3'"):
+        AdmissionEngine(scheme_spec("Pretium").build(), scenario.workload,
+                        link_kills=f"{link.src}>{link.dst}@1,zz>yy@3")
+
+
+@pytest.mark.parametrize("command", [["run", "--scheme", "Pretium"],
+                                     ["serve", "--scenario", "tiny"]])
+def test_cli_rejects_a_kill_on_an_unknown_link(command, tmp_path, capsys):
+    from repro.cli import main
+    if command[0] == "run":
+        workload = tmp_path / "wl.json"
+        main(["generate-workload", "--out", str(workload), "--nodes", "6",
+              "--days", "1", "--steps-per-day", "4", "--seed", "1"])
+        command = [*command, "--workload", str(workload)]
+    capsys.readouterr()
+    assert main([*command, "--link-kills", "zz>yy@3"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'zz>yy@3'" in err
 
 
 def test_runner_threads_kills_through_options():

@@ -10,7 +10,8 @@ the graceful-fallback paths are what gets exercised.
 import numpy as np
 import pytest
 
-from repro.faults import FaultInjector, RetryPolicy, resilient_solve
+from repro.faults import (FaultInjector, RetryPolicy, resilient_solve,
+                          use_injector)
 from repro.lp import (HIGHSPY_AVAILABLE, InfeasibleError, Model,
                       ScipySession, SolverError, UnboundedError,
                       session_for, solve_model)
@@ -96,11 +97,11 @@ def test_session_for_highs_degrades_without_highspy():
 # -- resilient_solve threading ----------------------------------------------
 
 def test_resilient_solve_uses_session():
-    with use_registry(MetricsRegistry()) as registry:
+    with use_injector(FaultInjector()), \
+            use_registry(MetricsRegistry()) as registry:
         session = ScipySession()
         solution = resilient_solve(capacity_model(), "sam", 0,
                                    policy=RetryPolicy(retries=0),
-                                   injector=FaultInjector(),
                                    session=session)
         assert solution.objective == pytest.approx(10.0)
         assert registry.counter("lp.session.cold_starts").value == 1
@@ -108,10 +109,9 @@ def test_resilient_solve_uses_session():
 
 def test_resilient_solve_retries_through_session():
     injector = FaultInjector.from_spec("sam:solver@5x1")
-    with use_registry(MetricsRegistry()) as registry:
+    with use_injector(injector), use_registry(MetricsRegistry()) as registry:
         solution = resilient_solve(capacity_model(), "sam", 5,
                                    policy=RetryPolicy(retries=2),
-                                   injector=injector,
                                    session=ScipySession())
         assert solution.objective == pytest.approx(10.0)
         assert registry.counter("resilience.retries.sam").value == 1
@@ -121,11 +121,11 @@ def test_resilient_solve_retries_through_session():
 
 def test_resilient_solve_exhausts_retries_with_session():
     injector = FaultInjector.from_spec("sam:solver@5")
-    with use_registry(MetricsRegistry()) as registry:
+    with use_injector(injector), use_registry(MetricsRegistry()) as registry:
         with pytest.raises(SolverError):
             resilient_solve(capacity_model(), "sam", 5,
                             policy=RetryPolicy(retries=2),
-                            injector=injector, session=ScipySession())
+                            session=ScipySession())
         assert len(injector.injections) == 3
         assert registry.counter("resilience.exhausted.sam").value == 1
 

@@ -328,10 +328,40 @@ def test_run_accepts_knob_flags_and_rejects_removed_ones(tmp_path, capsys):
                  ["--no-sam-skeleton-cache"]):
         with pytest.raises(SystemExit):
             main(["run", "--workload", str(wl_path), *gone])
-    with pytest.raises(SystemExit):
-        main(["sweep", "--scenario", "tiny", "--worker-start", "spawn"])
-    with pytest.raises(SystemExit):
-        main(["perfgate"])
+    for gone in (["sweep", "--scenario", "tiny", "--worker-start", "spawn"],
+                 ["sweep", "--scenario", "tiny", "--chunk-size", "1"],
+                 ["campaign", "smoke", "--chunk-size", "1"], ["perfgate"]):
+        with pytest.raises(SystemExit) as exited:
+            main(gone)
+        assert exited.value.code == 2
+
+
+def test_run_rejects_a_bad_option_value_without_a_traceback():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    run = subprocess.run(
+        [sys.executable, "-m", "repro", "run", "--solver-retries", "-1"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 2
+    assert "error: solver_retries must be >= 0" in run.stderr
+    assert "Traceback" not in run.stderr
+
+
+def test_run_rejects_classes_with_a_workload_artifact(tmp_path, capsys):
+    wl_path = tmp_path / "wl.json"
+    main(["generate-workload", "--out", str(wl_path), "--nodes", "6",
+          "--days", "1", "--steps-per-day", "4", "--seed", "1"])
+    capsys.readouterr()
+    assert main(["run", "--workload", str(wl_path),
+                 "--classes", "qos3"]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "carries its own classes" in err
 
 
 # -- campaign subcommand ------------------------------------------------------
@@ -345,7 +375,7 @@ def test_campaign_list_presets(capsys):
 def test_campaign_runs_smoke_preset_to_report(tmp_path, capsys):
     out_dir = tmp_path / "out"
     code = main(["campaign", "smoke", "--out-dir", str(out_dir),
-                 "--workers", "2", "--chunk-size", "1"])
+                 "--workers", "2"])
     assert code == 0
     printed = capsys.readouterr().out
     assert "3 cell(s), 0 failed" in printed
