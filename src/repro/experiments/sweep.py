@@ -12,8 +12,9 @@ while keeping results bit-identical to the serial reference path:
   sweep is bit-identical to the serial path (both run :func:`run_cell`);
 - **workers are persistent and warm** — the pool is created once per
   sweep with a forkserver (where the platform offers it) that preloads
-  this module, so workers fork with numpy/scipy/repro already imported
-  instead of paying a cold interpreter start per task.  The server is
+  this module, so workers fork with numpy, scipy's HiGHS extension and
+  repro already imported instead of paying a cold interpreter start
+  per task.  The server is
   launched with ``repro``'s directory on its ``PYTHONPATH``, because it
   ignores the parent's ``sys.path`` (see :func:`_pool_context`); run
   options and the trace base ship **once** through the pool
@@ -482,7 +483,8 @@ def _pool_context():
     """The multiprocessing context the worker pool starts from.
 
     **forkserver** where the platform offers it: the server imports
-    this module (and with it numpy, scipy and the repro package)
+    this module (and with it numpy, scipy's HiGHS extension and the
+    repro package)
     exactly once, then every worker forks from that warm image — the
     per-worker cost drops from a cold interpreter start plus full
     import chain to a bare ``fork()``.  Elsewhere

@@ -4,14 +4,16 @@
 (``lhs <= A x <= rhs``, ``lb <= x <= ub``, ``A`` one canonical CSC) and
 :func:`solve_model` hands those arrays to the HiGHS bindings scipy ships
 (``scipy.optimize._highspy._core``, which ``scipy.optimize.linprog``
-itself drives).  The layout is the one ``linprog(method="highs")`` built
-from the same model, so HiGHS receives the same bytes and returns the
-same vertex of a degenerate LP, and every guard ``linprog`` applied is
-kept: non-finite inputs are rejected before the solver runs, HiGHS's
-statuses map onto this package's errors, and an "optimal" point is
-re-checked against bounds and rows.  Dual values are re-oriented so that
-callers always see them in the model's own sense (see
-:class:`Solution.dual`).
+itself drives).  The bindings are loaded by file path, so neither
+``scipy.optimize``'s package init nor ``scipy.sparse`` is imported; the
+CSC is built in numpy (:func:`_csc`).  The layout is the one
+``linprog(method="highs")`` built from the same model, so HiGHS
+receives the same bytes and returns the same vertex of a degenerate LP,
+and every guard ``linprog`` applied is kept: non-finite inputs are
+rejected before the solver runs, HiGHS's statuses map onto this
+package's errors, and an "optimal" point is re-checked against bounds
+and rows.  Dual values are re-oriented so that callers always see them
+in the model's own sense (see :class:`Solution.dual`).
 
 Assembly is fully vectorised: expression constraints are flattened into
 COO triplets once, batched :class:`~repro.lp.model.ConstraintBlock`
@@ -23,11 +25,13 @@ API assembles to the identical matrix.
 
 from __future__ import annotations
 
+import importlib.machinery
 import importlib.util
+import os
+import sys
 from typing import NamedTuple
 
 import numpy as np
-from scipy import sparse
 
 from ..telemetry import get_registry, get_tracer
 from .errors import InfeasibleError, ModelError, SolverError, SolverTimeout, \
@@ -50,18 +54,49 @@ _BINDINGS = ("HighsLp", "HighsOptions", "_Highs", "HighsStatus",
              "HighsModelStatus", "MatrixFormat", "HighsDebugLevel",
              "simplex_constants")
 
+#: The bindings' canonical module name.
+_CORE = "scipy.optimize._highspy._core"
+
+
+def _core_path() -> str | None:
+    """The bindings' extension file, located without importing scipy."""
+    scipy = importlib.util.find_spec("scipy")
+    roots = scipy.submodule_search_locations if scipy is not None else None
+    for root in roots or ():
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(root, "optimize", "_highspy", "_core" + suffix)
+            if os.path.isfile(path):
+                return path
+    return None
+
 
 def _load_bindings(names=_BINDINGS):
-    """Import scipy's HiGHS bindings — the only place that does."""
-    needs = "repro.lp needs scipy>=1.15 (scipy.optimize._highspy._core"
-    try:
-        from scipy.optimize._highspy import _core
-    except ImportError as exc:
-        raise ImportError(f"{needs} is missing)") from exc
+    """Load scipy's HiGHS bindings — the only place that does.
+
+    The extension is loaded by file path, so ``scipy.optimize``'s package
+    init (about 570 modules, ``scipy.sparse`` and ``scipy.linalg`` among
+    them) never runs.  It is registered under its canonical name before
+    it executes: a later ``import scipy.optimize`` then reuses this
+    module, where a second copy of the pybind11 extension would clash.
+    """
+    needs = f"repro.lp needs scipy>=1.15 ({_CORE}"
+    core = sys.modules.get(_CORE)
+    if core is None:
+        path = _core_path()
+        if path is None:
+            raise ImportError(f"{needs} is missing)")
+        spec = importlib.util.spec_from_file_location(_CORE, path)
+        core = importlib.util.module_from_spec(spec)
+        sys.modules[_CORE] = core
+        try:
+            spec.loader.exec_module(core)
+        except ImportError as exc:
+            del sys.modules[_CORE]
+            raise ImportError(f"{needs} failed to load: {exc})") from exc
     for name in names:
-        if not hasattr(_core, name):
+        if not hasattr(core, name):
             raise ImportError(f"{needs} has no {name!r})")
-    return _core
+    return core
 
 
 _core = _load_bindings()
@@ -221,6 +256,35 @@ def _collect_entries(model: Model):
     return codes, rhs, entry_con, entry_col, entry_val
 
 
+class CSC(NamedTuple):
+    """A compressed-sparse-column matrix: column ``j``'s row indices and
+    values are ``indices`` / ``data`` over ``indptr[j]:indptr[j + 1]``."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    shape: tuple[int, int]
+
+
+def _csc(rows, cols, vals, shape: tuple[int, int]) -> CSC:
+    """The canonical CSC of COO triplets, as ``scipy.sparse.csc_array``
+    builds it: row indices sorted within each column, repeated cells
+    summed in creation order, 32-bit ``indptr`` / ``indices``.  (scipy
+    sorts with an unstable sort, so a cell repeated three or more times
+    may sum in another order there.)"""
+    m, n = shape
+    key = cols.astype(np.int64) * m + rows
+    perm = np.argsort(key, kind="stable")
+    key, rows, cols, vals = key[perm], rows[perm], cols[perm], vals[perm]
+    if key.size > 1 and (key[1:] == key[:-1]).any():
+        starts = np.flatnonzero(np.diff(key, prepend=-1))
+        rows, cols = rows[starts], cols[starts]
+        vals = np.add.reduceat(vals, starts)
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(cols, minlength=n), out=indptr[1:])
+    return CSC(indptr, rows.astype(np.int32), vals, (m, n))
+
+
 class AssembledLP(NamedTuple):
     """``min c @ x`` s.t. ``lhs <= matrix @ x <= rhs``, ``lb <= x <= ub``.
     Row ``i`` is the model's constraint ``order[i]`` (times ``flip``, -1
@@ -228,7 +292,7 @@ class AssembledLP(NamedTuple):
 
     c: np.ndarray
     constant: float
-    matrix: sparse.csc_array
+    matrix: CSC
     lhs: np.ndarray
     rhs: np.ndarray
     lb: np.ndarray
@@ -262,9 +326,8 @@ def _assemble(model: Model) -> AssembledLP:
     n_ub = m - int(np.count_nonzero(eq_mask))
     row_of = np.empty(m, dtype=np.int32)
     row_of[order] = np.arange(m, dtype=np.int32)
-    matrix = sparse.csc_array(
-        (entry_val * flip[entry_con],
-         (row_of[entry_con], entry_col.astype(np.int32))), shape=(m, n))
+    matrix = _csc(row_of[entry_con], entry_col, entry_val * flip[entry_con],
+                  (m, n))
     upper = (rhs * flip)[order]
     lower = upper.copy()
     lower[:n_ub] = -np.inf
@@ -421,8 +484,7 @@ def _assemble_native(model: Model):
     codes, rhs, entry_con, entry_col, entry_val = _collect_entries(model)
     row_lower = np.where(codes == SENSE_CODES[LE], -np.inf, rhs)
     row_upper = np.where(codes == SENSE_CODES[GE], np.inf, rhs)
-    matrix = sparse.csc_matrix((entry_val, (entry_con, entry_col)),
-                               shape=(m, n))
+    matrix = _csc(entry_con, entry_col, entry_val, (m, n))
     return c, obj_constant, matrix, row_lower, row_upper, \
         model.lb.copy(), model.ub.copy()
 

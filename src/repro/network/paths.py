@@ -28,9 +28,9 @@ link are replaced by the next-shortest survivors.
 from __future__ import annotations
 
 import zlib
-from itertools import islice
+from heapq import heappop, heappush
+from itertools import count, islice
 
-import networkx as nx
 import numpy as np
 
 from .topology import Link, Topology
@@ -147,6 +147,118 @@ class RouteShape:
         return template
 
 
+def _compile_adjacency(topology: Topology):
+    """``(node id by name, successors, predecessors)`` over integer node
+    ids, in node and link insertion order — the order a ``DiGraph``
+    built from the topology iterates its neighbours in.  ``succ[u]``
+    maps each successor ``v`` to the link ``u -> v``."""
+    index = {node: i for i, node in enumerate(topology.nodes)}
+    succ = [{} for _ in index]
+    pred = [[] for _ in index]
+    for link in topology.links:
+        u, v = index[link.src], index[link.dst]
+        succ[u][v] = link
+        pred[v].append(u)
+    return index, succ, pred
+
+
+def _bidirectional_bfs(succ, pred, source, target, ignore_nodes,
+                       ignore_edges):
+    """A fewest-hop ``source -> target`` node path avoiding
+    ``ignore_nodes`` and the ``(u, v)`` pairs in ``ignore_edges``, or
+    ``None``.  networkx's ``_bidirectional_pred_succ`` step for step: the
+    smaller fringe expands first (forward on a tie), and the search ends
+    at the first node both sides have reached."""
+    if source in ignore_nodes or target in ignore_nodes:
+        return None
+    back = {source: None}          # forward tree: node -> its predecessor
+    ahead = {target: None}         # reverse tree: node -> its successor
+    forward, reverse = [source], [target]
+    meet = None
+    # The two directions are written out: one helper for both cost ~8 %
+    # of all-pairs route computation on the 106-node WAN.
+    while meet is None and forward and reverse:
+        if len(forward) <= len(reverse):
+            level, forward = forward, []
+            for v in level:
+                for w in succ[v]:
+                    if w in ignore_nodes or (v, w) in ignore_edges:
+                        continue
+                    if w not in back:
+                        forward.append(w)
+                        back[w] = v
+                    if w in ahead:
+                        meet = w
+                        break
+                if meet is not None:
+                    break
+        else:
+            level, reverse = reverse, []
+            for v in level:
+                for w in pred[v]:
+                    if w in ignore_nodes or (w, v) in ignore_edges:
+                        continue
+                    if w not in ahead:
+                        ahead[w] = v
+                        reverse.append(w)
+                    if w in back:
+                        meet = w
+                        break
+                if meet is not None:
+                    break
+    if meet is None:
+        return None
+    path = []
+    node = back[meet]
+    while node is not None:
+        path.append(node)
+        node = back[node]
+    path.reverse()
+    node = meet
+    while node is not None:
+        path.append(node)
+        node = ahead[node]
+    return path
+
+
+def _simple_paths(succ, pred, source, target):
+    """Simple ``source -> target`` node paths, fewest hops first.
+
+    networkx's unweighted ``shortest_simple_paths`` (Yen's algorithm)
+    replicated, so ties break as they did there: candidates queue as
+    ``(cost, push counter, path)`` with spur cost ``len(root) +
+    len(spur)``, a path already queued is not queued again, and popping
+    a path forgets it.
+    """
+    path = _bidirectional_bfs(succ, pred, source, target, (), ())
+    if path is None:
+        return
+    queue = [(len(path), 0, path)]
+    queued = {tuple(path)}
+    pushes = count(1)
+    accepted = []
+    while queue:
+        path = heappop(queue)[2]
+        queued.remove(tuple(path))
+        yield path
+        accepted.append(path)
+        ignore_nodes, ignore_edges = set(), set()
+        for i in range(1, len(path)):
+            root = path[:i]
+            for other in accepted:
+                if other[:i] == root:
+                    ignore_edges.add((other[i - 1], other[i]))
+            spur = _bidirectional_bfs(succ, pred, root[-1], target,
+                                      ignore_nodes, ignore_edges)
+            if spur is not None:
+                candidate = root[:-1] + spur
+                key = tuple(candidate)
+                if key not in queued:
+                    heappush(queue, (i + len(spur), next(pushes), candidate))
+                    queued.add(key)
+            ignore_nodes.add(root[-1])
+
+
 def k_shortest_paths(topology: Topology, src: str, dst: str,
                      k: int = 3) -> list[Path]:
     """Up to ``k`` shortest (fewest-hop) simple paths from src to dst.
@@ -154,10 +266,11 @@ def k_shortest_paths(topology: Topology, src: str, dst: str,
     Returns fewer than ``k`` paths when the graph does not contain that
     many, and an empty list when ``dst`` is unreachable.
 
-    Served from the topology's compiled route table: the graph is built
-    once, and each pair keeps the longest candidate list computed so far.
-    Every ``k`` is a prefix of the same ``shortest_simple_paths`` order,
-    so a shorter query slices it and only a longer one recomputes.
+    Served from the topology's compiled route table: the adjacency is
+    compiled once, and each pair keeps the longest candidate list
+    computed so far.  Every ``k`` is a prefix of the same
+    :func:`_simple_paths` order, so a shorter query slices it and only a
+    longer one recomputes.
     """
     if k <= 0:
         raise ValueError(f"k must be positive, got {k}")
@@ -166,20 +279,15 @@ def k_shortest_paths(topology: Topology, src: str, dst: str,
     if src == dst:
         raise ValueError("src and dst must differ")
     if topology.route_table is None:
-        # The table carries the graph, so a query never re-asks for it.
-        topology.route_table = (topology.to_networkx(), {}, set())
-    graph, found, dry = topology.route_table
+        topology.route_table = (_compile_adjacency(topology), {}, set())
+    (index, succ, pred), found, dry = topology.route_table
     by_dst = found.setdefault(src, {})
     paths = by_dst.get(dst, ())
     if len(paths) < k and (src, dst) not in dry:
-        try:
-            node_paths = list(islice(
-                nx.shortest_simple_paths(graph, src, dst), k))
-        except nx.NetworkXNoPath:
-            node_paths = []
+        node_paths = islice(_simple_paths(succ, pred, index[src],
+                                          index[dst]), k)
         paths = by_dst[dst] = tuple(
-            Path(tuple(topology.link_between(u, v)
-                       for u, v in zip(node_path, node_path[1:])))
+            Path(tuple(succ[u][v] for u, v in zip(node_path, node_path[1:])))
             for node_path in node_paths)
         if len(paths) < k:
             dry.add((src, dst))

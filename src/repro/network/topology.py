@@ -11,10 +11,8 @@ fixed installation cost that does not enter the welfare objective, while
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Optional
-
-import networkx as nx
 
 
 @dataclass(frozen=True)
@@ -80,12 +78,12 @@ class Topology:
         self._by_key: dict[tuple[str, str], Link] = {}
         self._out: dict[str, list[Link]] = {}
         self._regions: dict[str, str] = {}
-        self._graph: Optional[nx.DiGraph] = None
-        #: Compiled routing plane ``(graph, {src: {dst: candidates}},
+        self._graph = None
+        #: Compiled routing plane ``(adjacency, {src: {dst: candidates}},
         #: pairs with no further candidates)``, filled by
         #: :func:`repro.network.paths.k_shortest_paths` and dropped with
-        #: the graph whenever a node or link is added.
-        self.route_table: Optional[tuple[nx.DiGraph, dict, set]] = None
+        #: the networkx view whenever a node or link is added.
+        self.route_table: Optional[tuple[tuple, dict, set]] = None
 
     # -- construction ---------------------------------------------------
     def add_node(self, node: str, region: Optional[str] = None) -> None:
@@ -173,13 +171,15 @@ class Topology:
         return node in self._node_set
 
     # -- interop ----------------------------------------------------------
-    def to_networkx(self) -> nx.DiGraph:
-        """Directed networkx view (used for path computation).
+    def to_networkx(self):
+        """Directed networkx view, for interop (routing does not use it,
+        and networkx is imported only here).
 
         Built once and shared, hence frozen; adding a node or link drops
         it, so the next call sees the new graph.
         """
         if self._graph is None:
+            import networkx as nx
             graph = nx.DiGraph()
             graph.add_nodes_from(self._nodes)
             for link in self._links:
@@ -193,7 +193,14 @@ class Topology:
         """Whether every node can reach every other node."""
         if self.num_nodes <= 1:
             return True
-        return nx.is_strongly_connected(self.to_networkx())
+        start = self._nodes[0]
+        ahead = {node: [link.dst for link in links]
+                 for node, links in self._out.items()}
+        behind: dict[str, list[str]] = {node: [] for node in self._nodes}
+        for link in self._links:
+            behind[link.dst].append(link.src)
+        return all(len(_reachable(start, edges)) == self.num_nodes
+                   for edges in (ahead, behind))
 
     def scaled_costs(self, factor: float) -> "Topology":
         """Copy of the topology with every ``cost_per_unit`` scaled.
@@ -214,3 +221,15 @@ class Topology:
         metered = sum(1 for link in self._links if link.metered)
         return (f"Topology({self.name!r}, {self.num_nodes} nodes, "
                 f"{self.num_links} links, {metered} metered)")
+
+
+def _reachable(start: str, edges: dict[str, list[str]]) -> set[str]:
+    """Nodes reachable from ``start`` over ``edges``."""
+    seen = {start}
+    fringe = [start]
+    while fringe:
+        for node in edges[fringe.pop()]:
+            if node not in seen:
+                seen.add(node)
+                fringe.append(node)
+    return seen

@@ -37,7 +37,6 @@ import json
 import threading
 import time
 from collections import deque
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from .export import prometheus_exposition
 from .registry import MetricsRegistry, get_registry
@@ -217,7 +216,7 @@ class LiveMetricsServer:
         self.slo = slo
         self.snapshotter = Snapshotter(registry, period=snapshot_period,
                                        capacity=history)
-        self._httpd: ThreadingHTTPServer | None = None
+        self._httpd = None
         self._thread: threading.Thread | None = None
         self._started = 0.0
 
@@ -240,6 +239,8 @@ class LiveMetricsServer:
     def start(self) -> "LiveMetricsServer":
         if self._httpd is not None:
             return self
+        # Imported here: only a process that serves metrics pays for it.
+        from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
         server = self
 
         class Handler(BaseHTTPRequestHandler):
@@ -280,7 +281,7 @@ class LiveMetricsServer:
     def _registry(self) -> MetricsRegistry:
         return self.registry if self.registry is not None else get_registry()
 
-    def _handle(self, request: BaseHTTPRequestHandler) -> None:
+    def _handle(self, request) -> None:
         path = request.path.split("?", 1)[0].rstrip("/") or "/"
         try:
             if path == "/metrics":

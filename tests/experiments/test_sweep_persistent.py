@@ -307,7 +307,9 @@ _BARE_SWEEP = textwrap.dedent("""
     with open(f"/proc/{{pid}}/maps") as maps:
         mapped = maps.read()
     print(json.dumps({{"ok": result.ok, "numpy": "_multiarray_umath" in mapped,
-                      "highs": "_highspy" in mapped}}))
+                      "highs": "_highspy" in mapped,
+                      "sparse": "/scipy/sparse/" in mapped,
+                      "linalg": "/scipy/linalg/" in mapped}}))
 """)
 
 
@@ -331,8 +333,11 @@ def test_workers_fork_warm_from_a_bare_checkout(tmp_path):
         [sys.executable, "-c", _BARE_SWEEP.format(src=src)], env=env,
         cwd=tmp_path, capture_output=True, text=True, timeout=300)
     assert run.returncode == 0, run.stderr
+    # Warm with what a cell runs, and nothing it does not: the HiGHS
+    # extension is loaded without scipy.optimize's init.
     assert json.loads(run.stdout) == {"ok": True, "numpy": True,
-                                      "highs": True}
+                                      "highs": True, "sparse": False,
+                                      "linalg": False}
 
 
 @pytest.mark.parametrize("installed", [False, True])

@@ -16,8 +16,15 @@ other duals, other prices.  Four layers:
 - the batched emitters of :mod:`repro.lp.grouping` build the models the
   parent's per-contract / per-window loops built
   (``tests/reference/lp_builders.py``).
+
+The CSC is built in numpy, not by ``scipy.sparse``; it equals scipy's
+byte for byte unless a (row, col) cell repeats three or more times, and
+no LP a run builds repeats a cell at all.
 """
 
+import importlib.machinery
+import importlib.util
+import sys
 from contextlib import contextmanager
 
 import numpy as np
@@ -25,6 +32,7 @@ import pytest
 import scipy.optimize._linprog_highs as scipy_highs
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 from scipy.optimize._linprog_util import _check_result
 
 import repro
@@ -204,6 +212,63 @@ def test_every_lp_of_a_run_matches_the_linprog_route(
     assert len(models) >= at_least
     for model in models:
         assert_same_lane(model)
+        assert not repeats_a_cell(model), model.name
+
+
+def repeats_a_cell(model):
+    """Whether two entries of ``model`` land on one (row, col) cell: what
+    keeps ``_csc``'s arrays byte-identical to scipy's is that none do."""
+    _codes, _rhs, con, col, _val = solver._collect_entries(model)
+    key = con * model.num_variables + col
+    return np.unique(key).size < key.size
+
+
+# -- the CSC: scipy.sparse's bytes, built in numpy ----------------------------
+
+@st.composite
+def coo_models(draw):
+    """One COO block: any row count (zero included), explicit zeros, rows
+    in any order, and some cells entered twice."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    m = draw(st.integers(min_value=0, max_value=6))
+    model = Model(name="coo")
+    model.add_variables_array(n, "x")
+    cells = draw(st.lists(st.tuples(st.integers(0, m - 1),
+                                    st.integers(0, n - 1)),
+                          unique=True, max_size=m * n)) if m else []
+    twice = draw(st.lists(st.sampled_from(cells), unique=True)) \
+        if cells else []
+    entries = draw(st.permutations(cells + twice))
+    vals = draw(st.lists(st.sampled_from([0.0, 1.0, -2.5, 0.1, 0.2, 1e-9]),
+                         min_size=len(entries), max_size=len(entries)))
+    senses = draw(st.lists(st.sampled_from([LE, GE, EQ]), min_size=m,
+                           max_size=m))
+    rows = [row for row, _ in entries]
+    cols = [col for _, col in entries]
+    model.add_constraints_coo(rows, cols, vals, senses, [1.0] * m)
+    model.set_objective_coo(np.arange(n), np.ones(n))
+    return model
+
+
+def assert_same_csc(ours, theirs):
+    assert ours.shape == theirs.shape
+    for name in ("indptr", "indices", "data"):
+        assert same_bytes(getattr(ours, name), getattr(theirs, name)), name
+
+
+@settings(max_examples=300, deadline=None)
+@given(model=coo_models())
+def test_csc_is_scipys_byte_for_byte(model):
+    m, n = model.num_constraints, model.num_variables
+    _codes, _rhs, con, col, val = solver._collect_entries(model)
+    lp = solver._assemble(model)
+    row_of = np.empty(m, dtype=np.int32)
+    row_of[lp.order] = np.arange(m, dtype=np.int32)
+    assert_same_csc(lp.matrix, sparse.csc_array(
+        (val * lp.flip[con], (row_of[con], col.astype(np.int32))),
+        shape=(m, n)))
+    assert_same_csc(solver._assemble_native(model)[2], sparse.csc_matrix(
+        (val, (con, col)), shape=(m, n)))
 
 
 # -- (iv) emitters: the models the parent's loops built ------------------------
@@ -438,6 +503,15 @@ def test_every_binding_attribute_the_solver_uses_exists():
 def test_missing_binding_is_named_at_import():
     with pytest.raises(ImportError, match=r"scipy>=1\.15.*'HighsNope'"):
         solver._load_bindings(("HighsLp", "HighsNope"))
+
+
+def test_missing_extension_file_is_named_at_import(monkeypatch, tmp_path):
+    scipy = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
+    scipy.submodule_search_locations = [str(tmp_path)]
+    monkeypatch.delitem(sys.modules, solver._CORE)
+    monkeypatch.setattr(importlib.util, "find_spec", lambda name: scipy)
+    with pytest.raises(ImportError, match=r"scipy>=1\.15.*is missing"):
+        solver._load_bindings()
 
 
 # -- Model: bounds as arrays, sense codes ---------------------------------------------

@@ -8,9 +8,12 @@ links themselves, not set equality on node names.
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.experiments.scenarios import (production_scenario, production_wan,
                                          standard_topology)
+import repro.network.paths as route_plane
 from repro.network import (ROUTING_POLICIES, PathCache, Topology,
                            k_shortest_paths, wan_topology)
 from tests.reference import routing as reference
@@ -159,18 +162,51 @@ def test_returned_lists_are_private_to_the_caller():
 
 
 def test_a_scenario_build_constructs_each_graph_once(monkeypatch):
-    built = {}                       # topology id -> distinct graphs handed out
-    original = Topology.to_networkx
+    """A scenario build plus a warm compiles each topology's adjacency
+    once, and routing never builds a networkx graph."""
+    compiled = []                    # kept alive, so ids stay distinct
+    original = route_plane._compile_adjacency
 
-    def counting(self):
-        graph = original(self)
-        graphs = built.setdefault(id(self), [])
-        if not any(graph is seen for seen in graphs):
-            graphs.append(graph)     # kept alive, so identities stay distinct
-        return graph
+    def counting(topology):
+        compiled.append(topology)
+        return original(topology)
 
-    monkeypatch.setattr(Topology, "to_networkx", counting)
+    def forbidden(self):
+        raise AssertionError("routing built a networkx graph")
+
+    monkeypatch.setattr(route_plane, "_compile_adjacency", counting)
+    monkeypatch.setattr(Topology, "to_networkx", forbidden)
     scenario = production_scenario(seed=0, request_cap=50)
     PathCache(scenario.topology, k=3).warm(
         (r.src, r.dst) for r in scenario.workload.requests)
-    assert built and all(len(graphs) == 1 for graphs in built.values())
+    assert any(topology is scenario.topology for topology in compiled)
+    assert len({id(topology) for topology in compiled}) == len(compiled)
+
+
+@st.composite
+def digraphs(draw):
+    """Small topologies with one-way links, unreachable pairs and
+    isolated nodes, nodes and links inserted in a drawn order."""
+    nodes = draw(st.permutations([f"n{i}" for i in range(
+        draw(st.integers(min_value=2, max_value=7)))]))
+    pairs = [(a, b) for a in nodes for b in nodes if a != b]
+    topology = Topology("random")
+    for node in nodes:
+        topology.add_node(node)
+    for src, dst in draw(st.lists(st.sampled_from(pairs), unique=True,
+                                  max_size=len(pairs))):
+        topology.add_link(src, dst, capacity=1.0)
+    return topology
+
+
+@settings(max_examples=150, deadline=None)
+@given(topology=digraphs())
+def test_random_digraphs_route_like_networkx(topology):
+    graph = reference.fresh_graph(topology)
+    for src, dst in pairs_of(topology):
+        longest = reference.k_shortest_paths(topology, src, dst, 6, graph)
+        for k in range(1, 7):
+            assert links_of(k_shortest_paths(topology, src, dst, k)) == \
+                links_of(longest[:k]), (src, dst, k)
+    assert topology.is_strongly_connected() == \
+        nx.is_strongly_connected(graph)

@@ -1,5 +1,7 @@
-"""The rebuild-per-call route computation ``src/`` had before the
-compiled routing plane (see DESIGN, "Routing plane")."""
+"""networkx's ``shortest_simple_paths`` on a freshly built graph: the
+rebuild-per-call route computation ``src/`` had before the compiled
+routing plane, and the oracle that plane's own replica of networkx's
+search is held to (see DESIGN, "Routing plane")."""
 
 from itertools import islice
 

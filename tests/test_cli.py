@@ -6,6 +6,10 @@ import pytest
 
 from repro.cli import FIGURES, build_parser, main
 
+#: Figure ids as the paper numbers them (there is no Figure 3 to run).
+PAPER_ORDER = ["1", "2", "4", "5", "6", "7", "8", "9", "10", "11", "12",
+               "13", "14", "table4"]
+
 
 def test_list_schemes(capsys):
     assert main(["list-schemes"]) == 0
@@ -43,9 +47,15 @@ def test_run_on_generated_workload(tmp_path, capsys):
 def test_list_figures(capsys):
     assert main(["list-figures"]) == 0
     out = capsys.readouterr().out.split()
-    assert out == sorted(FIGURES)
-    assert "table4" in out
-    assert "2" in out
+    assert out == PAPER_ORDER == list(FIGURES)
+
+
+def test_figure_usage_error_lists_ids_in_paper_order(capsys):
+    with pytest.raises(SystemExit):
+        main(["figure", "3"])
+    err = capsys.readouterr().err
+    assert "(choose from " + ", ".join(repr(fid) for fid in PAPER_ORDER) \
+        + ")" in err
 
 
 def test_run_with_telemetry_writes_trace_and_report_reads_it(
@@ -119,8 +129,7 @@ def test_figure_5(capsys):
 
 
 def test_all_figures_registered():
-    for fid in ("1", "2", "4", "5", "6", "7", "8", "9", "10", "11", "12",
-                "13", "14", "table4"):
+    for fid in PAPER_ORDER:
         assert fid in FIGURES
 
 

@@ -1,0 +1,74 @@
+"""What a run loads: numpy, scipy's HiGHS extension and the stdlib.
+
+Each check runs in a fresh interpreter, because this test process has
+imported everything already.  ``scipy.optimize`` (with the
+``scipy.sparse`` and ``scipy.linalg`` its init pulls in), networkx and
+``http.server`` are what ``import repro`` used to cost every batch run,
+service and sweep worker.
+"""
+
+import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import pytest
+
+import repro
+
+SRC = str(Path(repro.__file__).resolve().parents[1])
+
+#: Modules no run needs.
+UNUSED = ("scipy.optimize", "scipy.sparse", "networkx", "http.server")
+
+
+def python(code: str):
+    """Run ``code`` with ``repro`` importable; return its JSON output."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (SRC, env.get("PYTHONPATH"))))
+    run = subprocess.run([sys.executable, "-c", textwrap.dedent(code)],
+                         env=env, capture_output=True, text=True,
+                         timeout=300)
+    assert run.returncode == 0, run.stderr
+    return json.loads(run.stdout)
+
+
+def test_a_run_loads_no_module_it_does_not_use():
+    loaded = python("""
+        import json, sys
+        import repro
+        repro.run("Pretium", "tiny")
+        repro.run("OPT", "tiny")
+        print(json.dumps(sorted(sys.modules)))
+    """)
+    assert [name for name in UNUSED if name in loaded] == []
+
+
+@pytest.mark.parametrize("scipy_first", [True, False],
+                         ids=["scipy-first", "repro-first"])
+def test_scipy_optimize_shares_the_highs_bindings(scipy_first):
+    """One copy of the pybind11 extension, whichever side loads first,
+    and both ``linprog`` and ``repro.lp`` solve beside it."""
+    imports = ["import scipy.optimize", "import repro.lp.solver"]
+    if not scipy_first:
+        imports.reverse()
+    shared = python("\n".join(imports) + """
+import json
+import repro
+from repro.lp import LE, Model
+from scipy.optimize import linprog
+from scipy.optimize._highspy import _core
+theirs = linprog([1.0, 2.0], A_ub=[[-1.0, -1.0]], b_ub=[-1.0],
+                 method="highs")
+model = Model(sense="max", name="m")
+x = model.add_variables_array(2, "x", ub=1.0)
+model.add_constraints_coo([0, 0], x.indices, [1.0, 1.0], LE, [1.5])
+model.set_objective_coo(x.indices, [1.0, 2.0])
+print(json.dumps({"same": _core is repro.lp.solver._core,
+                  "linprog": [theirs.status, theirs.fun],
+                  "repro": model.solve().objective}))
+""")
+    assert shared == {"same": True, "linprog": [0, 1.0], "repro": 2.5}
