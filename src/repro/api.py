@@ -126,12 +126,7 @@ def _as_grid(grid) -> SweepGrid:
     if isinstance(grid, SweepGrid):
         return grid
     if isinstance(grid, Mapping):
-        unknown = set(grid) - {"schemes", "scenarios", "seeds", "routings"}
-        if unknown:
-            raise TypeError(f"unknown grid key(s) "
-                            f"{', '.join(map(repr, sorted(unknown)))}; "
-                            "expected schemes/scenarios/seeds/routings")
-        return SweepGrid(**grid)
+        return SweepGrid(**grid)    # an unknown key is a TypeError here
     raise TypeError(f"cannot interpret {type(grid).__name__} as a sweep "
                     "grid; expected a SweepGrid or a mapping with "
                     "schemes/scenarios/seeds (and optionally routings)")

@@ -60,6 +60,8 @@ from . import api
 from .costs import LinkCostModel
 from .experiments import format_series, format_table
 from .experiments import figures as figures_module
+from .experiments.campaign import (CAMPAIGN_PRESETS, CampaignError,
+                                   campaign_spec, cell_table, stage_section)
 from .experiments.scenarios import Scenario, ScenarioSpec
 from .experiments.sweep import SweepGrid
 from .faults import FaultSpecError
@@ -67,9 +69,8 @@ from .network import ROUTING_POLICIES, wan_topology
 from .options import RunOptions
 from .registry import SCENARIOS, SCHEMES
 from .sim import save_summary
-from .telemetry import (audit_events, chrome_trace_json, flame_report,
-                        prometheus_text, read_trace, report_trace,
-                        timeline, unwaived)
+from .telemetry import (chrome_trace_json, flame_report, prometheus_text,
+                        read_trace, report_trace, timeline)
 from .traffic import NormalValues, build_workload, load_workload, \
     save_workload
 
@@ -401,31 +402,27 @@ def _cmd_sweep(args) -> int:
     except (FaultSpecError, KeyError, TypeError, ValueError) as exc:
         return _usage_error(exc)
     result = api.sweep(grid, options=options, progress=_sweep_progress)
-    rows = [[cell.index, cell.scheme, cell.scenario, cell.seed,
-             "ok" if cell.ok else f"FAILED: {cell.error}",
-             "" if cell.summary is None
-             else f"{cell.summary['welfare']:.1f}",
-             f"{cell.duration:.2f}"]
-            for cell in result.cells]
-    print(format_table(["cell", "scheme", "scenario", "seed", "status",
-                        "welfare", "secs"], rows))
+    cells = cell_table(result)
+    print(format_table(cells["columns"], cells["rows"]))
     print(f"{len(result.cells)} cell(s), {len(result.failures)} failed, "
           f"{result.n_workers} worker(s), wall {result.wall_s:.1f}s")
     if args.telemetry:
         print(f"merged telemetry trace written to {result.trace_path}")
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            json.dump(result.summaries(), handle, indent=2, default=str)
+        save_summary(result.summaries(), args.out)
         print(f"summaries written to {args.out}")
-    for cell in result.failures:
+    return _report_failures(result.failures)
+
+
+def _report_failures(failures) -> int:
+    """Name each failed cell on stderr; the exit code is 1 if any."""
+    for cell in failures:
         print(f"cell {cell.index} ({cell.label}) failed: {cell.error}: "
               f"{cell.detail}", file=sys.stderr)
-    return 1 if result.failures else 0
+    return 1 if failures else 0
 
 
 def _cmd_campaign(args) -> int:
-    from .experiments.campaign import (CAMPAIGN_PRESETS, CampaignError,
-                                       campaign_spec)
     if args.list_presets:
         for name, raw in sorted(CAMPAIGN_PRESETS.items()):
             header = raw.get("campaign", {})
@@ -452,19 +449,15 @@ def _cmd_campaign(args) -> int:
     result = api.campaign(spec, args.out_dir, options=options,
                           progress=_sweep_progress,
                           metrics_port=args.metrics_port)
-    print(format_table(["stage", "wall_s", "detail"],
-                       [[stage.stage, f"{stage.wall_s:.2f}", stage.detail]
-                        for stage in result.stages]))
+    stages = stage_section(result)
+    print(format_table(stages.columns, stages.rows))
     print(f"{result.n_cells} cell(s), {len(result.failures)} failed, "
-          f"wall {result.wall_s:.1f}s, peak RSS "
+          f"wall {result.wall_s:.1f}s, peak RSS (largest process) "
           f"{result.max_rss_mb:.0f} MB")
     print(f"report: {result.report_md}")
     print(f"report: {result.report_html}")
     print(f"machine-readable: {result.summary_path}")
-    for cell in result.failures:
-        print(f"cell {cell.index} ({cell.label}) failed: {cell.error}: "
-              f"{cell.detail}", file=sys.stderr)
-    return 1 if result.failures else 0
+    return _report_failures(result.failures)
 
 
 def _cmd_serve(args) -> int:
@@ -503,24 +496,24 @@ def _cmd_serve(args) -> int:
             "service.menu_cache.hits", "service.menu_cache.misses",
             "service.menu_cache.invalidations")}
         summary = svc.summary()
-    rows = [[key, value] for key, value in report.as_dict().items()
-            if isinstance(value, (int, float))]
+    rows = []
+    for key, value in dataclasses.asdict(report).items():
+        if isinstance(value, dict):   # latency quantiles
+            rows += [[f"{key}.{q}", v] for q, v in value.items()]
+        else:
+            rows.append([key, value])
     rows += [[f"cache_{key.rsplit('.', 1)[1]}", value]
              for key, value in cache.items()]
-    latency = report.latency_ms
-    rows += [[f"latency_{key}_ms", f"{value:.3f}"]
-             for key, value in latency.items()]
     print(format_table(["metric", "value"], rows))
     print(f"welfare {summary['welfare']:.2f}, payments "
           f"{summary['payments']:.2f} over {summary['n_requests']} requests")
     if args.telemetry:
         print(f"telemetry trace written to {args.telemetry}")
     if args.out:
-        payload = {"load": report.as_dict(), "cache": cache,
-                   "summary": summary,
-                   "service_options": dataclasses.asdict(service_options)}
-        with open(args.out, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2, default=str)
+        save_summary({"load": dataclasses.asdict(report), "cache": cache,
+                      "summary": summary,
+                      "service_options": dataclasses.asdict(service_options)},
+                     args.out)
         print(f"service report written to {args.out}")
     return 1 if report.errors else 0
 
@@ -550,15 +543,8 @@ def _render_figure(figure_id: str, data: dict) -> str:
     return json.dumps(data, indent=2, default=str)
 
 
-def _cmd_list_schemes(args) -> int:
-    for name in SCHEMES.names():
-        print(name)
-    return 0
-
-
-def _cmd_list_figures(args) -> int:
-    for name in FIGURES:
-        print(name)
+def _print_names(names) -> int:
+    print("\n".join(names))
     return 0
 
 
@@ -576,20 +562,30 @@ def _load_trace(path: str) -> list[dict]:
     return events
 
 
+def _emit(payload: str, out: str | None, what: str) -> int:
+    """Write ``payload`` to ``out``, or print it when no path is given."""
+    if out:
+        with open(out, "w", encoding="utf-8") as handle:
+            handle.write(payload)
+        print(f"wrote {what} to {out}")
+    else:
+        print(payload, end="" if payload.endswith("\n") else "\n")
+    return 0
+
+
 def _cmd_telemetry(args) -> int:
     try:
-        if args.telemetry_command == "report":
-            _load_trace(args.trace)
-            print(report_trace(args.trace))
-            return 0
         events = _load_trace(args.trace)
+        if args.telemetry_command == "report":
+            print(report_trace(events))
+            return 0
         if args.telemetry_command == "audit":
             summary = None
             if args.summary:
                 with open(args.summary, encoding="utf-8") as handle:
                     summary = json.load(handle)
-            findings = audit_events(events, summary=summary)
-            failing = unwaived(findings)
+            audit = api.audit(events, summary=summary)
+            findings, failing = audit.findings, audit.unwaived
             if not findings:
                 print("audit clean: all invariants hold")
                 return 0
@@ -615,13 +611,7 @@ def _cmd_telemetry(args) -> int:
                     print(f"error: {args.trace} has no metrics snapshot "
                           "to export", file=sys.stderr)
                     return 1
-            if args.out:
-                with open(args.out, "w", encoding="utf-8") as handle:
-                    handle.write(payload)
-                print(f"wrote {args.format} output to {args.out}")
-            else:
-                print(payload, end="" if payload.endswith("\n") else "\n")
-            return 0
+            return _emit(payload, args.out, f"{args.format} output")
         if args.telemetry_command == "timeline":
             where = args.trace
             if args.cell is not None:
@@ -637,13 +627,7 @@ def _cmd_telemetry(args) -> int:
             return 0
         if args.telemetry_command == "flame":
             payload = flame_report(events, fmt=args.format)
-            if args.out:
-                with open(args.out, "w", encoding="utf-8") as handle:
-                    handle.write(payload)
-                print(f"wrote {args.format} profile to {args.out}")
-            else:
-                print(payload, end="" if payload.endswith("\n") else "\n")
-            return 0
+            return _emit(payload, args.out, f"{args.format} profile")
     except FileNotFoundError:
         print(f"error: no such trace file: {args.trace}", file=sys.stderr)
         return 1
@@ -658,8 +642,9 @@ def _cmd_telemetry(args) -> int:
 COMMANDS = {
     "generate-workload": _cmd_generate, "run": _cmd_run,
     "sweep": _cmd_sweep, "campaign": _cmd_campaign, "serve": _cmd_serve,
-    "figure": _cmd_figure, "list-schemes": _cmd_list_schemes,
-    "list-figures": _cmd_list_figures, "telemetry": _cmd_telemetry,
+    "figure": _cmd_figure, "telemetry": _cmd_telemetry,
+    "list-schemes": lambda args: _print_names(SCHEMES.names()),
+    "list-figures": lambda args: _print_names(FIGURES),
 }
 
 

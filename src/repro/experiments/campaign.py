@@ -28,7 +28,8 @@ the paper-scale runs are reproducible from a checked-in config::
 :func:`~repro.experiments.sweep.run_sweep`, evaluates each figure from
 the registry, and writes an output directory containing ``report.md``,
 ``report.html`` and a machine-readable ``campaign.json`` that records
-wall-clock, peak RSS (self + workers) and per-stage timings.
+wall-clock, the peak RSS of the largest process (this one or a sweep
+worker) and per-stage timings.
 
 Two presets ship in :data:`CAMPAIGN_PRESETS`: ``smoke`` (a 2-cell tiny
 campaign CI runs end-to-end) and ``paper-scale`` (the 106-node /
@@ -41,18 +42,17 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import sys
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from html import escape
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from ..options import RunOptions
-from .report import format_table
-from .runner import scheme_spec
+from ..telemetry.report import format_table, metric_rows
 from .scenarios import ScenarioSpec
-from .sweep import SweepGrid, SweepResult, run_sweep
+from .sweep import SweepGrid, SweepResult, peak_rss_mb, run_sweep
 
 
 class CampaignError(ValueError):
@@ -81,38 +81,26 @@ class CampaignSweepSpec:
     routing: str | None = None
 
     def __post_init__(self) -> None:
-        from ..network import ROUTING_POLICIES
-        from ..registry import SCENARIOS, UnknownScenarioError
         if not self.name:
             raise CampaignError("every sweep needs a non-empty name")
+        # One scenario column per load factor; the grid checks every
+        # scheme, scenario and routing name.
+        columns = [{"load_factor": load} for load in self.loads] or [{}]
         try:
-            SCENARIOS.get(self.scenario)
-        except UnknownScenarioError as exc:
-            raise CampaignError(f"sweep {self.name!r}: {exc}") from None
-        if self.routing is not None and \
-                self.routing not in ROUTING_POLICIES:
+            grid = SweepGrid(
+                schemes=self.schemes, seeds=self.seeds,
+                scenarios=[ScenarioSpec.of(self.scenario, **column,
+                                           **dict(self.scenario_kwargs))
+                           for column in columns],
+                routings=(self.routing,))
+        except (KeyError, TypeError, ValueError) as exc:
             raise CampaignError(
-                f"sweep {self.name!r}: unknown routing {self.routing!r}; "
-                f"expected one of {list(ROUTING_POLICIES)}")
-        for scheme in self.schemes:
-            try:
-                scheme_spec(scheme)
-            except KeyError as exc:
-                raise CampaignError(
-                    f"sweep {self.name!r}: {exc.args[0]}") from None
-
-    def scenario_specs(self) -> list[ScenarioSpec]:
-        """One ScenarioSpec per load factor (or one bare column)."""
-        kwargs = dict(self.scenario_kwargs)
-        if not self.loads:
-            return [ScenarioSpec.of(self.scenario, **kwargs)]
-        return [ScenarioSpec.of(self.scenario, load_factor=load, **kwargs)
-                for load in self.loads]
+                f"sweep {self.name!r}: {exc.args[0]}") from None
+        object.__setattr__(self, "_grid", grid)
 
     def grid(self) -> SweepGrid:
-        return SweepGrid(schemes=self.schemes,
-                         scenarios=self.scenario_specs(), seeds=self.seeds,
-                         routings=(self.routing,))
+        """The sweep's grid, built (and so validated) once, at load."""
+        return self._grid
 
 
 @dataclass(frozen=True)
@@ -165,20 +153,11 @@ class CampaignSpec:
             raise CampaignError(
                 f"a campaign spec must be a table/object, not "
                 f"{type(raw).__name__}")
-        known = {"campaign", "options", "sweeps", "figures", "telemetry"}
-        unknown = sorted(set(raw) - known)
-        if unknown:
-            raise CampaignError(
-                f"unknown top-level spec key(s) "
-                f"{', '.join(map(repr, unknown))}; expected {sorted(known)}")
+        _check_keys(raw, ("campaign", "options", "sweeps", "figures",
+                          "telemetry"), "top-level spec key(s)")
         header = raw.get("campaign", {})
         options_raw = dict(raw.get("options", {}))
-        option_fields = {f.name for f in dataclasses.fields(RunOptions)}
-        bad = sorted(set(options_raw) - option_fields)
-        if bad:
-            raise CampaignError(
-                f"unknown [options] key(s) {', '.join(map(repr, bad))}; "
-                "expected RunOptions fields")
+        _check_keys(options_raw, RunOptions, "[options] key(s)")
         try:
             options = RunOptions(**options_raw)
         except (TypeError, ValueError) as exc:
@@ -195,13 +174,8 @@ class CampaignSpec:
 
     @staticmethod
     def _sweep_from(entry: dict) -> CampaignSweepSpec:
-        known = {"name", "schemes", "scenario", "loads", "seeds",
-                 "scenario_kwargs", "routing"}
-        unknown = sorted(set(entry) - known)
-        if unknown:
-            raise CampaignError(
-                f"sweep {entry.get('name', '?')!r}: unknown key(s) "
-                f"{', '.join(map(repr, unknown))}")
+        _check_keys(entry, CampaignSweepSpec,
+                    f"key(s) in sweep {entry.get('name', '?')!r}")
         routing = entry.get("routing")
         return CampaignSweepSpec(
             name=str(entry.get("name", "")),
@@ -215,12 +189,8 @@ class CampaignSpec:
 
     @staticmethod
     def _figure_from(entry: dict) -> CampaignFigureSpec:
-        known = {"name", "kind", "sweep"}
-        unknown = sorted(set(entry) - known)
-        if unknown:
-            raise CampaignError(
-                f"figure {entry.get('name', '?')!r}: unknown key(s) "
-                f"{', '.join(map(repr, unknown))}")
+        _check_keys(entry, CampaignFigureSpec,
+                    f"key(s) in figure {entry.get('name', '?')!r}")
         return CampaignFigureSpec(name=str(entry.get("name", "")),
                                   kind=str(entry.get("kind", "")),
                                   sweep=str(entry.get("sweep", "")))
@@ -238,19 +208,17 @@ class CampaignSpec:
                     f"cannot load {path}: TOML specs need Python >= 3.11 "
                     "(tomllib); use a .json spec on this interpreter"
                 ) from None
-            try:
-                raw = tomllib.loads(text)
-            except tomllib.TOMLDecodeError as exc:
-                raise CampaignError(f"cannot parse {path}: {exc}") from None
+            parse, malformed = tomllib.loads, tomllib.TOMLDecodeError
         elif path.suffix.lower() == ".json":
-            try:
-                raw = json.loads(text)
-            except json.JSONDecodeError as exc:
-                raise CampaignError(f"cannot parse {path}: {exc}") from None
+            parse, malformed = json.loads, json.JSONDecodeError
         else:
             raise CampaignError(
                 f"unsupported campaign spec format {path.suffix!r} "
                 "(expected .toml or .json)")
+        try:
+            raw = parse(text)
+        except malformed as exc:
+            raise CampaignError(f"cannot parse {path}: {exc}") from None
         return cls.from_dict(raw)
 
     def to_dict(self) -> dict:
@@ -265,18 +233,22 @@ class CampaignSpec:
                          "description": self.description},
             "options": options,
             "telemetry": self.telemetry,
-            "sweeps": [{"name": sweep.name, "schemes": list(sweep.schemes),
-                        "scenario": sweep.scenario,
-                        "loads": list(sweep.loads),
-                        "seeds": list(sweep.seeds),
-                        "scenario_kwargs": dict(sweep.scenario_kwargs),
-                        **({} if sweep.routing is None
-                           else {"routing": sweep.routing})}
+            "sweeps": [{**dataclasses.asdict(sweep),
+                        "scenario_kwargs": dict(sweep.scenario_kwargs)}
                        for sweep in self.sweeps],
-            "figures": [{"name": figure.name, "kind": figure.kind,
-                         "sweep": figure.sweep}
-                        for figure in self.figures],
+            "figures": [dataclasses.asdict(figure) for figure in self.figures],
         }
+
+
+def _check_keys(raw: dict, known, what: str) -> None:
+    """Reject keys of a spec table that are not in ``known`` (names, or
+    the dataclass whose fields the table fills)."""
+    if dataclasses.is_dataclass(known):
+        known = [f.name for f in dataclasses.fields(known)]
+    unknown = sorted(set(raw) - set(known))
+    if unknown:
+        raise CampaignError(f"unknown {what} {', '.join(map(repr, unknown))}"
+                            f"; expected one of {sorted(known)}")
 
 
 # -- figure registry ----------------------------------------------------------
@@ -285,9 +257,7 @@ def _mean(values: list[float]) -> float:
     return sum(values) / len(values) if values else float("nan")
 
 
-def _metric_by_scheme_and_column(result: SweepResult,
-                                 spec: CampaignSweepSpec,
-                                 metric: str) -> dict:
+def _metric_by_scheme_and_column(result: SweepResult, metric: str) -> dict:
     """``{(scenario_label, scheme): mean-over-seeds metric}`` for a sweep."""
     out: dict[tuple[str, str], list[float]] = {}
     for cell in result.cells:
@@ -306,8 +276,8 @@ def _metric_vs_load(result: SweepResult, spec: CampaignSweepSpec,
     is reported relative to that scheme's (the Figure 6 "fraction of
     OPT welfare" shape); absolute values are the fallback.
     """
-    columns = [spec_.label for spec_ in spec.scenario_specs()]
-    by_key = _metric_by_scheme_and_column(result, spec, metric)
+    columns = [scenario.label for scenario in spec.grid().scenarios]
+    by_key = _metric_by_scheme_and_column(result, metric)
     reference = normalize if normalize in spec.schemes else None
     rows = []
     for scheme in spec.schemes:
@@ -332,20 +302,8 @@ def _metric_vs_load(result: SweepResult, spec: CampaignSweepSpec,
             "caption": f"{label} by scheme and {header}"}
 
 
-def _fig_welfare_vs_load(result, spec):
-    return _metric_vs_load(result, spec, "welfare", normalize="OPT")
-
-
-def _fig_profit_vs_load(result, spec):
-    return _metric_vs_load(result, spec, "profit",
-                           normalize="RegionOracle")
-
-
-def _fig_completion_vs_load(result, spec):
-    return _metric_vs_load(result, spec, "completion_demand")
-
-
-def _fig_cell_table(result, spec):
+def cell_table(result, spec=None):
+    """One row per cell of a sweep: its outcome, welfare and wall-clock."""
     rows = []
     for cell in result.cells:
         welfare = ("-" if not cell.ok or cell.summary is None
@@ -401,10 +359,13 @@ def _fig_per_class(result, spec):
 #: ``(SweepResult, CampaignSweepSpec)`` and returns a renderable table:
 #: ``{"columns": [...], "rows": [...], "caption": str}``.
 FIGURE_KINDS: dict[str, Callable] = {
-    "welfare_vs_load": _fig_welfare_vs_load,
-    "profit_vs_load": _fig_profit_vs_load,
-    "completion_vs_load": _fig_completion_vs_load,
-    "cell_table": _fig_cell_table,
+    "welfare_vs_load": partial(_metric_vs_load, metric="welfare",
+                               normalize="OPT"),
+    "profit_vs_load": partial(_metric_vs_load, metric="profit",
+                              normalize="RegionOracle"),
+    "completion_vs_load": partial(_metric_vs_load,
+                                  metric="completion_demand"),
+    "cell_table": cell_table,
     "scheme_timings": _fig_scheme_timings,
     "per_class": _fig_per_class,
 }
@@ -453,19 +414,6 @@ class CampaignResult:
     def failures(self) -> list:
         return [cell for result in self.sweeps.values()
                 for cell in result.failures]
-
-
-def _peak_rss_mb() -> float:
-    """Peak RSS of this process plus its (reaped) workers, in MB."""
-    try:
-        import resource
-    except ImportError:  # non-POSIX
-        return 0.0
-    peak = (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-            + resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
-    # ru_maxrss is KB on Linux, bytes on macOS.
-    scale = 1024 if sys.platform == "darwin" else 1
-    return peak * scale / 1024.0
 
 
 def _campaign_slo(registry) -> "object":
@@ -562,7 +510,11 @@ def run_campaign(spec: CampaignSpec, out_dir: str | Path,
 
     stage_begin = time.perf_counter()
     wall_s = time.perf_counter() - begin
-    max_rss_mb = _peak_rss_mb()
+    # Sweep workers are children of the fork server, not of this
+    # process, so only their own gauges see their peaks.
+    max_rss_mb = max([peak_rss_mb()] + [
+        value for name, value in fleet_metrics.items()
+        if name.startswith("worker.peak_rss_mb")])
     report_md = out_dir / "report.md"
     report_html = out_dir / "report.html"
     summary_path = out_dir / "campaign.json"
@@ -572,8 +524,9 @@ def run_campaign(spec: CampaignSpec, out_dir: str | Path,
                             report_html=report_html,
                             summary_path=summary_path,
                             fleet_metrics=fleet_metrics, slo=slo_status)
-    report_md.write_text(render_markdown(result), encoding="utf-8")
-    report_html.write_text(render_html(result), encoding="utf-8")
+    sections = report_sections(result)
+    report_md.write_text(render_markdown(spec, sections), encoding="utf-8")
+    report_html.write_text(render_html(spec, sections), encoding="utf-8")
     stages.append(StageTiming(stage="report",
                               wall_s=time.perf_counter() - stage_begin,
                               detail=str(out_dir)))
@@ -593,8 +546,7 @@ def campaign_record(result: CampaignResult) -> dict:
         "n_failures": len(result.failures),
         "wall_s": result.wall_s,
         "max_rss_mb": result.max_rss_mb,
-        "stages": [{"stage": stage.stage, "wall_s": stage.wall_s,
-                    "detail": stage.detail} for stage in result.stages],
+        "stages": [dataclasses.asdict(stage) for stage in result.stages],
         "sweeps": {name: sweep.summaries()
                    for name, sweep in result.sweeps.items()},
         "figures": result.figures,
@@ -605,9 +557,19 @@ def campaign_record(result: CampaignResult) -> dict:
 
 # -- rendering ----------------------------------------------------------------
 
-def _stage_rows(result: CampaignResult) -> list[list]:
-    return [[stage.stage, f"{stage.wall_s:.2f}", stage.detail]
-            for stage in result.stages]
+class Section(NamedTuple):
+    """One titled table of the campaign report."""
+
+    title: str
+    columns: list
+    rows: list
+    caption: str = ""
+
+
+def stage_section(result: CampaignResult) -> Section:
+    return Section("Stages", ["stage", "wall_s", "detail"],
+                   [[stage.stage, f"{stage.wall_s:.2f}", stage.detail]
+                    for stage in result.stages])
 
 
 def _slo_rows(slo: dict) -> list[list]:
@@ -632,63 +594,48 @@ def _slo_rows(slo: dict) -> list[list]:
     return rows
 
 
-def _fleet_metric_rows(fleet_metrics: dict) -> list[list]:
-    rows = []
-    for name in sorted(fleet_metrics):
-        value = fleet_metrics[name]
-        if isinstance(value, dict):  # histogram summary
-            if not value.get("count"):
-                continue
-            rows.append([name, f"count={value['count']} "
-                               f"p50={value['p50']:.4g} "
-                               f"p99={value['p99']:.4g}"])
-        elif isinstance(value, float):
-            rows.append([name, f"{value:g}"])
-        else:
-            rows.append([name, value])
-    return rows
-
-
-def render_markdown(result: CampaignResult) -> str:
-    """The campaign report as a self-contained Markdown document."""
+def report_sections(result: CampaignResult) -> list[Section]:
+    """The campaign report's tables, in order; both renderers walk it."""
     spec = result.spec
+    sections = [
+        Section("Run", ["fact", "value"], [
+            ["campaign", spec.name],
+            ["cells", f"{result.n_cells} ({len(result.failures)} failed)"],
+            ["wall-clock", f"{result.wall_s:.2f} s"],
+            ["peak RSS (largest process)", f"{result.max_rss_mb:.1f} MB"],
+            ["workers", max(s.n_workers for s in result.sweeps.values())]]),
+        stage_section(result)]
+    if result.slo:
+        sections.append(Section(
+            "SLO", ["objective", "observed", "target", "status"],
+            _slo_rows(result.slo)))
+    if result.fleet_metrics:
+        sections.append(Section(
+            "Fleet metrics", ["metric", "value"],
+            metric_rows(result.fleet_metrics),
+            "merged across every worker cell: counters summed, histograms "
+            "merged by bucket, gauges per-worker"))
+    sections += [Section(name, figure["columns"], figure["rows"],
+                         figure.get("caption", ""))
+                 for name, figure in result.figures.items()]
+    if result.failures:
+        sections.append(Section(
+            "Failures", ["cell", "label", "status", "detail"],
+            [[cell.index, cell.label, f"FAILED: {cell.error}", cell.detail]
+             for cell in result.failures]))
+    return sections
+
+
+def render_markdown(spec: CampaignSpec, sections: list[Section]) -> str:
+    """The campaign report as a self-contained Markdown document."""
     lines = [f"# Campaign report: {spec.title or spec.name}", ""]
     if spec.description:
         lines += [spec.description, ""]
-    lines += [
-        f"- **campaign**: `{spec.name}`",
-        f"- **cells**: {result.n_cells} "
-        f"({len(result.failures)} failed)",
-        f"- **wall-clock**: {result.wall_s:.2f} s",
-        f"- **peak RSS (self+workers)**: {result.max_rss_mb:.1f} MB",
-        f"- **workers**: {max(s.n_workers for s in result.sweeps.values())}",
-        "",
-        "## Stages", "",
-        format_table(["stage", "wall_s", "detail"], _stage_rows(result)),
-        "",
-    ]
-    if result.slo:
-        lines += ["## SLO", "",
-                  format_table(["objective", "observed", "target",
-                                "status"], _slo_rows(result.slo)), ""]
-    if result.fleet_metrics:
-        lines += ["## Fleet metrics", "",
-                  "*Merged across every worker cell: counters summed, "
-                  "histograms merged by bucket, gauges per-worker.*", "",
-                  format_table(["metric", "value"],
-                               _fleet_metric_rows(result.fleet_metrics)),
-                  ""]
-    for name, figure in result.figures.items():
-        lines += [f"## {name}", ""]
-        if figure.get("caption"):
-            lines += [f"*{figure['caption']}*", ""]
-        lines += [format_table(figure["columns"], figure["rows"]), ""]
-    if result.failures:
-        lines += ["## Failures", ""]
-        for cell in result.failures:
-            lines += [f"- cell {cell.index} ({cell.label}): "
-                      f"{cell.error}: {cell.detail}"]
-        lines += [""]
+    for section in sections:
+        lines += [f"## {section.title}", ""]
+        if section.caption:
+            lines += [f"*{section.caption}*", ""]
+        lines += [format_table(section.columns, section.rows), ""]
     return "\n".join(lines)
 
 
@@ -705,14 +652,13 @@ caption { caption-side: top; text-align: left; font-style: italic;
 """
 
 
-def _html_table(columns: list, rows: list[list],
-                caption: str = "") -> list[str]:
-    out = ["<table>"]
-    if caption:
-        out.append(f"<caption>{escape(caption)}</caption>")
+def _html_table(section: Section) -> list[str]:
+    out = [f"<h2>{escape(section.title)}</h2>", "<table>"]
+    if section.caption:
+        out.append(f"<caption>{escape(section.caption)}</caption>")
     out.append("<tr>" + "".join(f"<th>{escape(str(col))}</th>"
-                                for col in columns) + "</tr>")
-    for row in rows:
+                                for col in section.columns) + "</tr>")
+    for row in section.rows:
         cells = []
         for value in row:
             text = escape(str(value))
@@ -723,9 +669,8 @@ def _html_table(columns: list, rows: list[list],
     return out
 
 
-def render_html(result: CampaignResult) -> str:
+def render_html(spec: CampaignSpec, sections: list[Section]) -> str:
     """The campaign report as one standalone HTML page (no assets)."""
-    spec = result.spec
     parts = [
         "<!DOCTYPE html>",
         "<html><head><meta charset='utf-8'>",
@@ -735,35 +680,8 @@ def render_html(result: CampaignResult) -> str:
     ]
     if spec.description:
         parts.append(f"<p>{escape(spec.description)}</p>")
-    parts += _html_table(
-        ["metric", "value"],
-        [["campaign", spec.name],
-         ["cells", f"{result.n_cells} ({len(result.failures)} failed)"],
-         ["wall-clock", f"{result.wall_s:.2f} s"],
-         ["peak RSS (self+workers)", f"{result.max_rss_mb:.1f} MB"]],
-        caption="run facts")
-    parts.append("<h2>Stages</h2>")
-    parts += _html_table(["stage", "wall_s", "detail"], _stage_rows(result))
-    if result.slo:
-        parts.append("<h2>SLO</h2>")
-        parts += _html_table(["objective", "observed", "target", "status"],
-                             _slo_rows(result.slo))
-    if result.fleet_metrics:
-        parts.append("<h2>Fleet metrics</h2>")
-        parts += _html_table(
-            ["metric", "value"], _fleet_metric_rows(result.fleet_metrics),
-            caption="merged across every worker cell")
-    for name, figure in result.figures.items():
-        parts.append(f"<h2>{escape(name)}</h2>")
-        parts += _html_table(figure["columns"], figure["rows"],
-                             caption=figure.get("caption", ""))
-    if result.failures:
-        parts.append("<h2>Failures</h2><ul>")
-        parts += [f"<li class='failed'>cell {cell.index} "
-                  f"({escape(cell.label)}): {escape(str(cell.error))}: "
-                  f"{escape(str(cell.detail))}</li>"
-                  for cell in result.failures]
-        parts.append("</ul>")
+    for section in sections:
+        parts += _html_table(section)
     parts.append("</body></html>")
     return "\n".join(parts)
 

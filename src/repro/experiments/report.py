@@ -1,27 +1,18 @@
 """ASCII rendering of experiment outputs.
 
 The benchmarks print through these helpers so every figure regenerates as
-readable rows — the same rows EXPERIMENTS.md records.
+readable rows — the same rows EXPERIMENTS.md records.  The fixed-width
+table itself is :func:`repro.telemetry.report.format_table`, the one
+formatter every report in the package prints through.
 """
 
 from __future__ import annotations
 
 from typing import Iterable
 
+from ..telemetry.report import format_table
 
-def format_table(headers: list[str], rows: Iterable[Iterable]) -> str:
-    """Fixed-width table with a header rule."""
-    str_rows = [[_fmt(cell) for cell in row] for row in rows]
-    widths = [len(h) for h in headers]
-    for row in str_rows:
-        for i, cell in enumerate(row):
-            widths[i] = max(widths[i], len(cell))
-    def line(cells):
-        return "  ".join(cell.ljust(width)
-                         for cell, width in zip(cells, widths)).rstrip()
-    out = [line(headers), line("-" * w for w in widths)]
-    out.extend(line(row) for row in str_rows)
-    return "\n".join(out)
+__all__ = ["format_series", "format_table"]
 
 
 def format_series(title: str, xs: Iterable, series: dict[str, Iterable],
@@ -32,13 +23,3 @@ def format_series(title: str, xs: Iterable, series: dict[str, Iterable],
     for i, x in enumerate(xs):
         rows.append([x] + [list(values)[i] for values in series.values()])
     return f"== {title} ==\n" + format_table(headers, rows)
-
-
-def _fmt(cell) -> str:
-    if isinstance(cell, float):
-        if cell != cell:  # NaN
-            return "nan"
-        if abs(cell) >= 1000:
-            return f"{cell:.0f}"
-        return f"{cell:.3f}"
-    return str(cell)

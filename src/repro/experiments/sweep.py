@@ -63,6 +63,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 import site
+import sys
 import time
 import traceback
 from collections import OrderedDict
@@ -415,12 +416,18 @@ def _record_worker_stats(registry) -> None:
     if lookups:
         registry.gauge("sweep.scenario_cache.hit_rate").set(
             stats["hits"] / lookups)
+    registry.gauge("worker.peak_rss_mb").set(peak_rss_mb())
+
+
+def peak_rss_mb() -> float:
+    """This process's peak resident set size in MB (0 without getrusage)."""
     try:
         import resource
-        rss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-        registry.gauge("worker.peak_rss_mb").set(rss_kb / 1024.0)
-    except (ImportError, ValueError):  # platforms without getrusage
-        pass
+    except ImportError:  # non-POSIX
+        return 0.0
+    # ru_maxrss is KB on Linux, bytes on macOS.
+    scale = 1 if sys.platform == "darwin" else 1024
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * scale / 2**20
 
 
 #: Cumulative cache stats already attributed to earlier cells of this

@@ -166,10 +166,6 @@ class ServiceOptions:
         ``/snapshot``) for its lifetime.  ``0`` binds an ephemeral port
         (read it back from ``service.metrics_server.port``); ``None``
         (default) serves nothing.
-    metrics_snapshot_period:
-        Sampling period, seconds, for the live server's history ring
-        (the short time series ``/snapshot`` returns).  ``0`` disables
-        the ring; ignored without ``metrics_port``.
     """
 
     batch_window: float = 0.0
@@ -178,7 +174,6 @@ class ServiceOptions:
     quote_deadline: float | None = None
     max_pending: int = 1024
     metrics_port: int | None = None
-    metrics_snapshot_period: float = 1.0
 
     def __post_init__(self) -> None:
         if self.batch_window < 0:
@@ -195,8 +190,6 @@ class ServiceOptions:
                 not 0 <= self.metrics_port <= 65535:
             raise ValueError("metrics_port must be in [0, 65535] "
                              "(0 binds an ephemeral port)")
-        if self.metrics_snapshot_period < 0:
-            raise ValueError("metrics_snapshot_period must be >= 0")
 
     def replace(self, **changes) -> "ServiceOptions":
         """A copy with ``changes`` applied (``dataclasses.replace``)."""

@@ -1,36 +1,38 @@
 """Synthetic open-loop load generation against a live admission service.
 
 :func:`generate_load` replays a scenario's workload as a live arrival
-stream: requests are submitted in arrival order, paced by wall-clock
-``rate`` (requests/second) *open-loop* — submission timing never waits
-for responses, so a slow service accumulates queue depth and latency
-rather than silently throttling the offered load (the honest way to
-measure a service's behaviour at a given offered rate).  Each request is
-optionally preceded by ``price_checks`` advisory quote probes for the
-same request, which is what live customers comparing windows would do —
-and what makes the warm menu cache earn its keep.
+stream.  Independent customers do not wait for each other, so the
+stream is sent on a schedule — customer ``n`` is due at
+``t0 + n / rate`` — whatever the service does, and every latency is
+taken **from that due time**: a stall is charged to each request it
+delayed, including the time the sender itself spent blocked on the
+service's ``max_pending`` bound, and not only to the request being
+served.  Each request is optionally preceded by ``price_checks``
+advisory quote probes for the same request, which is what live
+customers comparing windows would do — and what makes the warm menu
+cache earn its keep.
 
-The returned :class:`LoadReport` carries offered/answered counts, the
-admit/reject/degraded split and latency quantiles read from the
-``service.latency_ms`` histogram — plus the queueing-delay
-(``queue_ms``) and service-time (``service_ms``) components separately,
-so a micro-batched service's batching wait is never mistaken for slow
-quoting.
+The returned :class:`LoadReport` is built from this replay's own
+samples only.  The service's ``service.latency_ms`` / ``queue_ms`` /
+``service_ms`` histograms (enqueue → decision, and its queueing vs
+quoting split) stay on the metrics registry and ``/metrics``.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 import time
 from dataclasses import dataclass, field
 
-from ..telemetry import get_registry
+import numpy as np
+
 from .service import AdmissionService
 
 
 @dataclass
 class LoadReport:
-    """What one load-generation run offered and what came back."""
+    """What one replay offered and what came back."""
 
     offered: int = 0
     answered: int = 0
@@ -40,32 +42,26 @@ class LoadReport:
     errors: int = 0
     price_checks: int = 0
     wall_s: float = 0.0
+    #: Admission latency from due time: count, p50, p95, p99, max (ms).
     latency_ms: dict[str, float] = field(default_factory=dict)
-    #: End-to-end latency split: time queued (micro-batch wait included)
-    #: vs time actually spent quoting, same quantile keys as latency_ms.
-    queue_ms: dict[str, float] = field(default_factory=dict)
-    service_ms: dict[str, float] = field(default_factory=dict)
+    #: The same for the advisory price checks.
+    price_check_ms: dict[str, float] = field(default_factory=dict)
+    #: How late the sender ran against its schedule, p99 (paced runs).
+    late_p99_ms: float = 0.0
+    #: Answered admissions plus price checks per second of ``wall_s``.
+    quotes_per_s: float = math.nan
 
-    @property
-    def quotes_per_s(self) -> float:
-        ops = self.answered + self.price_checks
-        return ops / self.wall_s if self.wall_s > 0 else math.nan
 
-    def as_dict(self) -> dict:
-        return {"offered": self.offered, "answered": self.answered,
-                "admitted": self.admitted, "rejected": self.rejected,
-                "degraded": self.degraded, "errors": self.errors,
-                "price_checks": self.price_checks,
-                "wall_s": self.wall_s,
-                "quotes_per_s": self.quotes_per_s,
-                "latency_ms": dict(self.latency_ms),
-                "queue_ms": dict(self.queue_ms),
-                "service_ms": dict(self.service_ms)}
+def _quantiles(samples: list[float]) -> dict[str, float]:
+    if not samples:
+        return {}
+    p50, p95, p99 = np.percentile(samples, (50, 95, 99))
+    return {"count": len(samples), "p50": float(p50), "p95": float(p95),
+            "p99": float(p99), "max": max(samples)}
 
 
 def generate_load(service: AdmissionService, requests, *,
-                  rate: float = 0.0, price_checks: int = 0,
-                  progress=None) -> LoadReport:
+                  rate: float = 0.0, price_checks: int = 0) -> LoadReport:
     """Offer ``requests`` to ``service`` open-loop; gather the outcomes.
 
     Parameters
@@ -76,46 +72,56 @@ def generate_load(service: AdmissionService, requests, *,
         Iterable of :class:`~repro.core.request.ByteRequest`, replayed
         in order at each request's own ``arrival`` step.
     rate:
-        Offered load in requests/second of wall-clock; ``0`` submits as
+        Offered load in customers/second of wall-clock; ``0`` sends as
         fast as the backpressure bound admits (closed only by
-        ``max_pending``).
+        ``max_pending``), each customer due when it is sent.
     price_checks:
         Advisory quote probes issued for each request before its
         admission — re-quoting the same request, so all but the first
         are warm-cache candidates.
-    progress:
-        Optional ``progress(submitted, total)`` callback.
     """
     requests = list(requests)
-    report = LoadReport(offered=len(requests))
-    registry = get_registry()
-    latency = registry.histogram("service.latency_ms")
-    queueing = registry.histogram("service.queue_ms")
-    servicing = registry.histogram("service.service_ms")
+    report = LoadReport(offered=len(requests),
+                        price_checks=price_checks * len(requests))
+    samples: dict[str, list[float]] = {"admit": [], "quote": []}
+    landed = threading.Semaphore(0)
+
+    def timed(kind: str, due: float):
+        def record(future) -> None:
+            # Runs on the service's loop thread as the answer lands.
+            if future.exception() is None:
+                samples[kind].append((time.perf_counter() - due) * 1e3)
+            landed.release()
+        return record
+
     futures = []
+    late: list[float] = []
     began = time.perf_counter()
     for n, request in enumerate(requests):
         if rate > 0:
-            # Open-loop pacing: sleep to the request's scheduled offset
-            # from run start, independent of how fast answers return.
-            offset = n / rate
-            lag = began + offset - time.perf_counter()
+            due = began + n / rate
+            lag = due - time.perf_counter()
             if lag > 0:
                 time.sleep(lag)
-        for _ in range(price_checks):
-            futures.append(("quote", service.price_check(request)))
-            report.price_checks += 1
-        futures.append(("admit", service.submit(request)))
-        if progress is not None:
-            progress(n + 1, len(requests))
+            late.append((time.perf_counter() - due) * 1e3)
+        else:
+            due = time.perf_counter()
+        for kind in ("quote",) * price_checks + ("admit",):
+            send = service.submit if kind == "admit" else service.price_check
+            future = send(request)
+            future.add_done_callback(timed(kind, due))
+            futures.append((kind, future))
+    for _ in futures:
+        landed.acquire()
+    report.wall_s = time.perf_counter() - began
+
     for kind, future in futures:
-        try:
-            outcome = future.result()
-        except Exception:  # noqa: BLE001 — counted, not fatal to the report
+        if future.exception() is not None:
             report.errors += 1
             continue
         if kind != "admit":
             continue
+        outcome = future.result()
         report.answered += 1
         if outcome.admitted:
             report.admitted += 1
@@ -123,17 +129,11 @@ def generate_load(service: AdmissionService, requests, *,
             report.rejected += 1
         if outcome.degraded:
             report.degraded += 1
-    report.wall_s = time.perf_counter() - began
-
-    def _quantiles(histogram) -> dict[str, float]:
-        if not histogram.count:
-            return {}
-        return {"p50": histogram.quantile(0.50),
-                "p95": histogram.quantile(0.95),
-                "p99": histogram.quantile(0.99),
-                "max": histogram.max}
-
-    report.latency_ms = _quantiles(latency)
-    report.queue_ms = _quantiles(queueing)
-    report.service_ms = _quantiles(servicing)
+    if report.wall_s > 0:
+        report.quotes_per_s = (report.answered + report.price_checks) \
+            / report.wall_s
+    report.latency_ms = _quantiles(samples["admit"])
+    report.price_check_ms = _quantiles(samples["quote"])
+    if late:
+        report.late_p99_ms = float(np.percentile(late, 99))
     return report

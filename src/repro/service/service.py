@@ -130,9 +130,7 @@ class AdmissionService:
             try:
                 self.metrics_server = LiveMetricsServer(
                     get_registry(), port=self.options.metrics_port,
-                    slo=slo,
-                    snapshot_period=self.options.metrics_snapshot_period,
-                ).start()
+                    slo=slo).start()
             except BaseException:
                 # The loop is already running; tear it down cleanly
                 # rather than leaking a serving thread behind a failed

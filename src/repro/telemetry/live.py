@@ -44,6 +44,11 @@ from .registry import MetricsRegistry, get_registry
 __all__ = ["LiveMetricsServer", "SLOTracker", "Snapshotter"]
 
 
+def _resolve(registry: MetricsRegistry | None) -> MetricsRegistry:
+    """``registry``, or the process registry current at call time."""
+    return registry if registry is not None else get_registry()
+
+
 class SLOTracker:
     """Evaluate service-level objectives against a metrics registry.
 
@@ -82,9 +87,6 @@ class SLOTracker:
         self.error_metrics = tuple(error_metrics)
         self.degraded_metrics = tuple(degraded_metrics)
 
-    def _registry(self) -> MetricsRegistry:
-        return self.registry if self.registry is not None else get_registry()
-
     def _count(self, registry: MetricsRegistry, names) -> int:
         # Membership-checked reads: asking the registry for an absent
         # counter would create it and pollute the fleet view.
@@ -98,7 +100,7 @@ class SLOTracker:
         objectives with no data yet are reported with ``ok: None`` and
         do not trip the overall bit.
         """
-        registry = self._registry()
+        registry = _resolve(self.registry)
         objectives = {}
 
         latency = None
@@ -159,12 +161,9 @@ class Snapshotter:
         self._stop = threading.Event()
         self._thread: threading.Thread | None = None
 
-    def _registry(self) -> MetricsRegistry:
-        return self.registry if self.registry is not None else get_registry()
-
     def sample(self) -> dict:
         """Take one sample now and append it to the ring."""
-        entry = {"ts": time.time(), "metrics": self._registry().snapshot()}
+        entry = {"ts": time.time(), "metrics": _resolve(self.registry).snapshot()}
         self._ring.append(entry)
         return entry
 
@@ -278,14 +277,11 @@ class LiveMetricsServer:
         self.stop()
 
     # -- request handling ----------------------------------------------------
-    def _registry(self) -> MetricsRegistry:
-        return self.registry if self.registry is not None else get_registry()
-
     def _handle(self, request) -> None:
         path = request.path.split("?", 1)[0].rstrip("/") or "/"
         try:
             if path == "/metrics":
-                registry = self._registry()
+                registry = _resolve(self.registry)
                 body = prometheus_exposition(registry.snapshot(),
                                              registry.kinds())
                 self._respond(request, 200, body,
@@ -293,12 +289,12 @@ class LiveMetricsServer:
             elif path == "/healthz":
                 payload = {"status": "ok",
                            "uptime_s": time.time() - self._started,
-                           "metrics": len(self._registry())}
+                           "metrics": len(_resolve(self.registry))}
                 if self.slo is not None:
                     payload["slo_ok"] = self.slo.status()["ok"]
                 self._respond_json(request, 200, payload)
             elif path == "/snapshot":
-                registry = self._registry()
+                registry = _resolve(self.registry)
                 payload = {"ts": time.time(),
                            "metrics": registry.snapshot(),
                            "kinds": registry.kinds(),

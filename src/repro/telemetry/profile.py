@@ -26,10 +26,7 @@ stacks summed, so one flamegraph covers the whole fleet.
 
 from __future__ import annotations
 
-from pathlib import Path
-
-from .report import _format_table
-from .sinks import read_trace
+from .report import format_table, trace_events
 
 __all__ = ["collapsed_stacks", "flame_report", "self_time_table",
            "span_nodes"]
@@ -133,8 +130,8 @@ def self_time_table(events) -> str | None:
     rows = [[name, row["count"], f"{row['total']:.6f}",
              f"{row['self']:.6f}", f"{100 * row['self'] / grand_self:.1f}"]
             for name, row in ranked]
-    return _format_table(["span", "count", "total_s", "self_s", "self_pct"],
-                         rows)
+    return format_table(["span", "count", "total_s", "self_s", "self_pct"],
+                        rows)
 
 
 def flame_report(trace, fmt: str = "collapsed") -> str:
@@ -145,10 +142,7 @@ def flame_report(trace, fmt: str = "collapsed") -> str:
     (self-time ranking).  Raises ``ValueError`` on a span-free trace —
     a flamegraph of nothing is a usage error worth surfacing.
     """
-    if isinstance(trace, (str, Path)):
-        path, events = trace, read_trace(trace)
-    else:
-        path, events = "trace", list(trace)
+    path, events = trace_events(trace)
     if fmt == "collapsed":
         out = collapsed_stacks(events)
         if not out:

@@ -11,6 +11,7 @@ the Table 4 benchmark prints.
 from __future__ import annotations
 
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
@@ -74,47 +75,65 @@ def runtime_table(events: list[dict]) -> str:
         rows.append([name, row["count"], f"{row['median']:.6f}",
                      f"{row['p95']:.6f}", f"{row['max']:.6f}",
                      f"{row['total']:.6f}"])
-    return _format_table(
+    return format_table(
         ["span", "count", "median_s", "p95_s", "max_s", "total_s"], rows)
 
 
+def metric_rows(snapshot: dict) -> list[list]:
+    """One ``[metric, value]`` row per entry of a registry snapshot.
+
+    Scalars render as they are (floats with ``g``); a histogram summary
+    renders as its count, p50 and p99, and an empty one is left out.
+    """
+    rows = []
+    for name in sorted(snapshot):
+        value = snapshot[name]
+        if isinstance(value, dict):  # histogram summary
+            if value.get("count"):
+                rows.append([name, f"count={value['count']} "
+                                   f"p50={value['p50']:.4g} "
+                                   f"p99={value['p99']:.4g}"])
+        elif isinstance(value, float):
+            rows.append([name, f"{value:g}"])
+        else:
+            rows.append([name, value])
+    return rows
+
+
 def metrics_table(events: list[dict]) -> str | None:
-    """Counter/gauge table from the trace's metrics snapshot(s).
+    """Metric table from the trace's metrics snapshot(s).
 
     ``run --telemetry`` ends a trace with a ``metrics`` event holding the
     run's registry snapshot (admissions, fault injections, resilience
     retries/fallbacks, stale-price windows, ...).  A merged sweep trace
     carries one metrics event per cell; those are fleet-merged first —
     counters sum, histograms merge by bucket, gauges stay per-worker —
-    so the table covers the whole pool.  Scalar metrics render one row
-    each; histogram summaries are collapsed to their count.  Returns
-    ``None`` when the trace carries no metrics event.
+    so the table covers the whole pool.  Returns ``None`` when the trace
+    carries no metrics event.
     """
     from .fleet import fleet_snapshot
 
     merged = fleet_snapshot(events)
     if merged is None or not merged[0]:
         return None
-    snapshot = merged[0]
-    rows = []
-    for name in sorted(snapshot):
-        value = snapshot[name]
-        if isinstance(value, dict):  # histogram summary
-            rows.append([name, f"count={value.get('count', 0)}"])
-        elif isinstance(value, float):
-            rows.append([name, f"{value:g}"])
-        else:
-            rows.append([name, value])
-    return _format_table(["metric", "value"], rows)
+    return format_table(["metric", "value"], metric_rows(merged[0]))
 
 
-def report_trace(path: str | Path) -> str:
-    """Load a JSONL trace and render its runtime (and, when the trace
-    carries a metrics snapshot, metrics) tables (CLI entry)."""
-    events = read_trace(path)
+def trace_events(trace) -> tuple[str, list[dict]]:
+    """``(label, events)`` for a JSONL trace path or already-read events."""
+    if isinstance(trace, (str, Path)):
+        return str(trace), read_trace(trace)
+    return "trace", list(trace)
+
+
+def report_trace(trace) -> str:
+    """Render a trace (a JSONL path or loaded events) as its runtime
+    (and, when it carries a metrics snapshot, metrics) tables — the
+    ``telemetry report`` output."""
+    label, events = trace_events(trace)
     spans = [e for e in events if e.get("type") == "span"]
     if not spans:
-        return f"no span events in {path}"
+        return f"no span events in {label}"
     out = runtime_table(events)
     metrics = metrics_table(events)
     if metrics is not None:
@@ -122,8 +141,9 @@ def report_trace(path: str | Path) -> str:
     return out
 
 
-def _format_table(headers: list[str], rows: list[list]) -> str:
-    str_rows = [[str(cell) for cell in row] for row in rows]
+def format_table(headers: list[str], rows: Iterable[Iterable]) -> str:
+    """Fixed-width table with a header rule."""
+    str_rows = [[_fmt(cell) for cell in row] for row in rows]
     widths = [len(h) for h in headers]
     for row in str_rows:
         for i, cell in enumerate(row):
@@ -136,3 +156,13 @@ def _format_table(headers: list[str], rows: list[list]) -> str:
     out = [line(headers), line("-" * w for w in widths)]
     out.extend(line(row) for row in str_rows)
     return "\n".join(out)
+
+
+def _fmt(cell) -> str:
+    if isinstance(cell, float):
+        if cell != cell:  # NaN
+            return "nan"
+        if abs(cell) >= 1000:
+            return f"{cell:.0f}"
+        return f"{cell:.3f}"
+    return str(cell)

@@ -52,6 +52,8 @@ def test_from_dict_builds_a_validated_spec():
      "unknown scheme"),
     (lambda raw: raw["sweeps"][0].update(scenario="zz"),
      "unknown scenario"),
+    (lambda raw: raw["sweeps"][0].update(routing="zz"),
+     "unknown routing"),
     (lambda raw: raw["figures"][0].update(sweep="zz"),
      "references unknown sweep"),
     (lambda raw: raw["figures"][0].update(kind="nope"), "unknown kind"),
@@ -151,6 +153,12 @@ def test_run_campaign_options_override_spec(tmp_path):
     spec = CampaignSpec.from_dict(smoke_dict())
     result = run_campaign(spec, tmp_path, options=RunOptions(workers=2))
     assert result.sweeps["main"].n_workers == 2
+    # The workers are children of the fork server, not of this process:
+    # the reported peak comes from their own gauges.
+    worker_peaks = [value for name, value in result.fleet_metrics.items()
+                    if name.startswith("worker.peak_rss_mb")]
+    assert worker_peaks
+    assert all(result.max_rss_mb >= peak for peak in worker_peaks)
 
 
 def test_run_campaign_telemetry_traces_per_sweep(tmp_path):

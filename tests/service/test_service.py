@@ -7,6 +7,7 @@ so they are deterministic rather than timing-dependent.
 """
 
 import threading
+import time
 from types import SimpleNamespace
 
 import numpy as np
@@ -169,8 +170,11 @@ def test_failed_step_fails_its_submission_and_stops_the_service():
 # -- scheduling behaviours, against a deterministic stub ----------------------
 
 class BlockingEngine:
-    """Engine stub whose admit() blocks until released — makes queue
-    depth, batching and overload states deterministic in tests."""
+    """Engine stub whose admit() blocks until released, then holds for
+    ``hold`` seconds — makes queue depth, batching and overload states
+    deterministic in tests."""
+
+    hold = 0.0
 
     def __init__(self, options):
         self.options = options
@@ -186,6 +190,7 @@ class BlockingEngine:
     def admit(self, request, step=None):
         self.entered.set()
         self.release.wait(timeout=30)
+        time.sleep(self.hold)
         self.processed.append(request)
         return SimpleNamespace(rid=request, step=0, admitted=True,
                                degraded=False)
@@ -261,3 +266,43 @@ def test_stop_answers_everything_enqueued_before_it():
     assert svc.stop() == "finished"
     assert [f.result(timeout=0).rid for f in futures] == \
         [f"r{n}" for n in range(4)]
+
+
+# -- the open-loop load generator ----------------------------------------------
+
+def test_back_to_back_replays_report_only_their_own_operations():
+    options = ServiceOptions()
+    engine = BlockingEngine(options)
+    engine.release.set()
+    with use_registry():
+        svc = AdmissionService(engine, options).start()
+        try:
+            first = generate_load(svc, [f"a{n}" for n in range(5)],
+                                  price_checks=1)
+            second = generate_load(svc, [f"b{n}" for n in range(3)])
+        finally:
+            svc.stop()
+    assert first.latency_ms["count"] == first.price_check_ms["count"] == 5
+    assert second.answered == second.latency_ms["count"] == 3
+    assert second.price_checks == 0 and second.price_check_ms == {}
+
+
+def test_paced_latency_runs_from_due_time_through_a_blocked_sender():
+    hold = 0.02
+    options = ServiceOptions(max_pending=1)
+    engine = BlockingEngine(options)
+    engine.hold = hold
+    engine.release.set()
+    with use_registry():
+        svc = AdmissionService(engine, options).start()
+        try:
+            report = generate_load(svc, [f"r{n}" for n in range(9)],
+                                   rate=10 / hold)
+        finally:
+            svc.stop()
+    assert report.answered == report.latency_ms["count"] == 9
+    # Customer n is due at n * hold / 10 but is answered no sooner than
+    # (n + 1) * hold, one admission at a time; with max_pending=1 the
+    # sender waits for each slot, and that wait counts.  The median
+    # customer's bound is 4.6 holds; timing from enqueue would see ~1.
+    assert report.latency_ms["p50"] >= 3 * hold * 1e3

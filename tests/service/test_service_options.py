@@ -32,7 +32,6 @@ def test_defaults_are_live_service_shaped():
     dict(max_pending=0),
     dict(metrics_port=-1),
     dict(metrics_port=65536),
-    dict(metrics_snapshot_period=-0.5),
 ])
 def test_invalid_values_rejected_eagerly(kwargs):
     with pytest.raises(ValueError):

@@ -176,21 +176,28 @@ def test_bind_conflict_raises_oserror():
 # -- the acceptance path: scrape a live service under load --------------------
 
 @pytest.mark.slow
-def test_scrape_admission_service_mid_run_and_reconcile(tmp_path):
+def test_scrape_admission_service_mid_run_and_reconcile(tmp_path,
+                                                       monkeypatch):
     """Start the service with a metrics port, drive the open-loop load
     generator through it, scrape /metrics and /snapshot WHILE it runs,
     and reconcile the scraped counters with the final summarize()."""
+    import functools
+
     import repro
     from repro.service import generate_load
+    from repro.telemetry import live as live_module
     from repro.telemetry import use_registry
+
+    # A fast history ring, so the replay outlasts the first sample.
+    monkeypatch.setattr(live_module, "LiveMetricsServer", functools.partial(
+        live_module.LiveMetricsServer, snapshot_period=0.05))
 
     with use_registry() as registry:
         scenario = repro.ScenarioSpec.of("tiny").build(seed=0)
         requests = sorted(scenario.workload.requests,
                           key=lambda r: (r.arrival, r.rid))
         service_options = repro.ServiceOptions(
-            metrics_port=0, metrics_snapshot_period=0.05,
-            quote_deadline=5.0)
+            metrics_port=0, quote_deadline=5.0)
         mid_run: list[dict] = []
 
         with repro.serve("Pretium", scenario,

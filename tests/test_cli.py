@@ -98,6 +98,17 @@ def test_telemetry_report_missing_or_malformed_trace(tmp_path, capsys):
     assert "not a JSONL trace" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["report", "audit"])
+def test_telemetry_warns_once_per_corrupt_line(traced_run, tmp_path, capsys,
+                                               command):
+    trace_path, _ = traced_run
+    torn = tmp_path / "torn.jsonl"
+    torn.write_text(trace_path.read_text() + "{torn\nnot json\n")
+    with pytest.warns(UserWarning, match="corrupt trace line") as caught:
+        assert main(["telemetry", command, str(torn)]) == 0
+    assert sum("corrupt trace line" in str(w.message) for w in caught) == 2
+
+
 def test_run_without_telemetry_leaves_tracer_disabled(tmp_path, capsys):
     from repro.telemetry import get_tracer
     wl_path = tmp_path / "wl.json"

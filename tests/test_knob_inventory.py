@@ -30,7 +30,7 @@ FIELDS = {
         "fault_seed", "link_kills", "telemetry", "trace_tags", "workers"],
     ServiceOptions: [
         "batch_window", "batch_max", "cache_size", "quote_deadline",
-        "max_pending", "metrics_port", "metrics_snapshot_period"],
+        "max_pending", "metrics_port"],
     RetryPolicy: ["retries", "time_limit", "maxiter"],
 }
 
