@@ -205,7 +205,8 @@ def production_scenario(load_factor: float = 1.0,
     Exercised by the integration smoke test and the campaign runner's
     paper-scale preset (which stretches the horizon to the paper's
     5-minute timesteps: ``steps_per_day=288`` over multiple days).
-    Building it takes under a second (0.84 s at the defaults); it is the
+    Building it takes under half a second (0.45 s at the defaults, median
+    of five on a 2-core box); it is the
     run, not the set-up, that keeps it out of the default benchmark
     loop.  The full synthetic request
     population at this scale is tens of thousands of requests; the

@@ -168,7 +168,9 @@ def _bidirectional_bfs(succ, pred, source, target, ignore_nodes,
     ``ignore_nodes`` and the ``(u, v)`` pairs in ``ignore_edges``, or
     ``None``.  networkx's ``_bidirectional_pred_succ`` step for step: the
     smaller fringe expands first (forward on a tie), and the search ends
-    at the first node both sides have reached."""
+    at the first node both sides have reached.  Yen's spur searches need
+    the ignore sets; :func:`fill_route_table` replays the ignore-free
+    search for every pair at once."""
     if source in ignore_nodes or target in ignore_nodes:
         return None
     back = {source: None}          # forward tree: node -> its predecessor
@@ -278,9 +280,7 @@ def k_shortest_paths(topology: Topology, src: str, dst: str,
         raise KeyError(f"unknown endpoint in {src}->{dst}")
     if src == dst:
         raise ValueError("src and dst must differ")
-    if topology.route_table is None:
-        topology.route_table = (_compile_adjacency(topology), {}, set())
-    (index, succ, pred), found, dry = topology.route_table
+    (index, succ, pred), found, dry = _route_table(topology)
     by_dst = found.setdefault(src, {})
     paths = by_dst.get(dst, ())
     if len(paths) < k and (src, dst) not in dry:
@@ -292,6 +292,102 @@ def k_shortest_paths(topology: Topology, src: str, dst: str,
         if len(paths) < k:
             dry.add((src, dst))
     return list(paths[:k])
+
+
+def _route_table(topology: Topology) -> tuple:
+    """The topology's route table, compiled on first use."""
+    if topology.route_table is None:
+        topology.route_table = (_compile_adjacency(topology), {}, set())
+    return topology.route_table
+
+
+def _bfs_tree(succ, pred, root: int, forward: bool):
+    """``(levels, depth, chain)`` of a breadth-first search from ``root``
+    over successors (``forward``) or predecessors.
+
+    ``levels[i]`` lists the nodes ``i`` hops out in the order they were
+    reached, and a node joins the tree through the node that reached it
+    first.  ``chain[v]`` is the tree's links from ``root`` to ``v``
+    (forward) or from ``v`` to ``root``; an unreached node has depth
+    ``len(succ)``, deeper than any level.
+    """
+    neighbours = succ if forward else pred
+    unreached = len(succ)
+    depth = [unreached] * unreached
+    chain = [()] * unreached
+    depth[root] = 0
+    levels = []
+    level = [root]
+    while level:
+        levels.append(level)
+        hops, level = len(levels), []
+        for v in levels[-1]:
+            for w in neighbours[v]:
+                if depth[w] == unreached:
+                    depth[w] = hops
+                    chain[w] = (chain[v] + (succ[v][w],) if forward
+                                else (succ[w][v],) + chain[v])
+                    level.append(w)
+    return levels, depth, chain
+
+
+def fill_route_table(topology: Topology) -> dict[str, dict[str, tuple]]:
+    """Store every ordered pair's first route in the route table.
+
+    Returns the table's ``{src: {dst: candidates}}`` mapping (read-only
+    to the caller): every pair's candidates begin with the route
+    ``k_shortest_paths(topology, src, dst, 1)`` returns, and are empty
+    when ``dst`` is unreachable.  Pairs already in the table are kept.
+
+    Calibration routes every pair on this route; asking
+    :func:`k_shortest_paths` pair by pair would run one bidirectional
+    search each.  With nothing ignored, :func:`_bidirectional_bfs`'s
+    fringes are the breadth-first levels from ``source`` (successor
+    order) and to ``target`` (predecessor order), and each node's tree
+    pointer is the node that reached it first, so one search per source
+    and one per target answer every pair.  Only the meeting is replayed
+    per pair.  Until it, the fringes sit at depths ``f`` and ``r`` with
+    ``f + r`` below the pair's distance (a node both sides had reached
+    would have ended the search), and the smaller fringe expands, forward
+    on a tie; the expansion that meets is the first that makes
+    ``f + r + 1`` the distance.  Scanning that one level in search order,
+    the first node the other side has reached is the meeting node, and
+    the route is the forward tree's links to it followed by the reverse
+    tree's links on, as :func:`_bidirectional_bfs` walks its two trees.
+    """
+    (_, succ, pred), found, dry = _route_table(topology)
+    nodes = topology.nodes
+    n = len(nodes)
+    behind = [_bfs_tree(succ, pred, d, False) for d in range(n)]
+    for s, src in enumerate(nodes):
+        by_dst = found.setdefault(src, {})
+        f_levels, f_depth, f_chain = _bfs_tree(succ, pred, s, True)
+        for d, dst in enumerate(nodes):
+            if d == s or dst in by_dst:
+                continue
+            hops = f_depth[d]
+            if hops == n:
+                by_dst[dst] = ()
+                dry.add((src, dst))
+                continue
+            r_levels, r_depth, r_chain = behind[d]
+            f = r = 0
+            while True:
+                forward = len(f_levels[f]) <= len(r_levels[r])
+                if f + r + 1 == hops:
+                    break
+                if forward:
+                    f += 1
+                else:
+                    r += 1
+            if forward:
+                meet = next(w for v in f_levels[f] for w in succ[v]
+                            if r_depth[w] <= r)
+            else:
+                meet = next(w for v in r_levels[r] for w in pred[v]
+                            if f_depth[w] <= f)
+            by_dst[dst] = (Path(f_chain[meet] + r_chain[meet]),)
+    return found
 
 
 def _flowlet_hash(src: str, dst: str, rid: int, epoch: int) -> int:

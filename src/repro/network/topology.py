@@ -81,7 +81,8 @@ class Topology:
         self._graph = None
         #: Compiled routing plane ``(adjacency, {src: {dst: candidates}},
         #: pairs with no further candidates)``, filled by
-        #: :func:`repro.network.paths.k_shortest_paths` and dropped with
+        #: :func:`repro.network.paths.k_shortest_paths` (and every pair's
+        #: first route at once by ``fill_route_table``) and dropped with
         #: the networkx view whenever a node or link is added.
         self.route_table: Optional[tuple[tuple, dict, set]] = None
 

@@ -46,6 +46,10 @@ class TrafficMatrixSeries:
         if demand.ndim != 3 or demand.shape[1:] != (n, n):
             raise ValueError(f"demand must be (T, {n}, {n}); "
                              f"got {demand.shape}")
+        # A NaN cell passes ``demand < 0`` and would silently drop the
+        # links its pair crosses from calibration's mean.
+        if not np.isfinite(demand).all():
+            raise ValueError("non-finite demand")
         if np.any(demand < 0):
             raise ValueError("negative demand")
         self.nodes = list(nodes)
@@ -69,8 +73,9 @@ class TrafficMatrixSeries:
 
     def scaled(self, factor: float) -> "TrafficMatrixSeries":
         """Uniformly scaled copy (the paper's load factor, §6.1)."""
-        if factor < 0:
-            raise ValueError("load factor must be nonnegative")
+        if not 0 <= factor < np.inf:
+            raise ValueError(f"load factor must be finite and nonnegative, "
+                             f"got {factor}")
         return TrafficMatrixSeries(self.nodes, self.demand * factor)
 
     def top_pairs(self, count: int) -> list[tuple[str, str, float]]:
@@ -202,15 +207,3 @@ def _draw_flash_crowds(n_nodes: int, n_steps: int, rate: float,
             duration=int(rng.integers(1, 4)),
             magnitude=float(magnitude * rng.uniform(0.5, 1.5))))
     return crowds
-
-
-def shortest_path_link_loads(topology: Topology,
-                             series: TrafficMatrixSeries) -> np.ndarray:
-    """Per-link utilisation if every TM entry used its shortest path.
-
-    Returns an array of shape ``(n_steps, n_links)``.  This is how Figure 1
-    (the 90th/10th percentile utilisation ratio CDF) is derived from the
-    trace: it characterises the offered load, before any TE.
-    """
-    from .routing import route_series_on_shortest_paths
-    return route_series_on_shortest_paths(topology, series)

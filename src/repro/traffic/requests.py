@@ -15,7 +15,9 @@ module is that generative step:
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
@@ -51,27 +53,42 @@ class RequestParameters:
     duration_sigma: float = 0.6
     min_size: float = 0.5
 
+    def __post_init__(self) -> None:
+        # ``not >`` so that NaN fails too: a NaN or non-positive mean
+        # makes every lognormal draw NaN, which the size clip and the
+        # window rounding would turn silently into min_size / one step.
+        for name in ("mean_size", "mean_duration"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive, "
+                                 f"got {getattr(self, name)}")
+        for name in ("size_sigma", "duration_sigma", "min_size"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be non-negative, "
+                                 f"got {getattr(self, name)}")
+
 
 def _lognormal_mu(mean: float, sigma: float) -> float:
     """Log-mean of the lognormal with the requested arithmetic mean."""
     return float(np.log(mean) - 0.5 * sigma ** 2)
 
 
-def _arrival_cdf(pmf: np.ndarray) -> np.ndarray:
-    """The CDF ``Generator.choice(p=pmf)`` inverts, validated as it does.
+def _arrival_cdfs(pmfs: np.ndarray) -> np.ndarray:
+    """Per row of ``pmfs``, the CDF ``Generator.choice(p=row)`` inverts,
+    validated as it does.
 
     ``choice`` re-validates ``p`` and rebuilds this on every call; one
-    ``cdf.searchsorted(rng.random(), side="right")`` per draw consumes
-    the same uniform and returns the same index.
+    ``bisect_right(cdf, rng.random())`` per draw consumes the same
+    uniform and returns the same index.  Rows are cumulated one by one,
+    so each equals its pair's own ``cumsum``.
     """
-    cdf = pmf.cumsum()
+    cdfs = pmfs.cumsum(axis=1)
     # 1.5e-8 ~ sqrt(float64 eps), choice's own tolerance; ``not <=`` so
     # that a NaN anywhere (hence in the running sum) fails too.
-    if (pmf < 0).any() or not abs(cdf[-1] - 1.0) <= 1.5e-8:
+    if (pmfs < 0).any() or not (abs(cdfs[:, -1] - 1.0) <= 1.5e-8).all():
         raise ValueError("arrival probabilities must be non-negative "
                          "and sum to 1")
-    cdf /= cdf[-1]
-    return cdf
+    cdfs /= cdfs[:, -1:]
+    return cdfs
 
 
 def synthesize_requests(series: TrafficMatrixSeries,
@@ -104,34 +121,44 @@ def synthesize_requests(series: TrafficMatrixSeries,
     resolved = resolve_classes(classes)
     mix = None if resolved is None else ClassMix(resolved)
     rng = np.random.default_rng(seed)
-    horizon = series.n_steps
-    size_mu = _lognormal_mu(params.mean_size, params.size_sigma)
-    duration_mu = _lognormal_mu(params.mean_duration, params.duration_sigma)
+    # Bound once: the draw loop below runs once per request.
+    lognormal, uniform, sample_value = (rng.lognormal, rng.random,
+                                        values.sample_one)
+    min_size = params.min_size
+    size_sigma, duration_sigma = params.size_sigma, params.duration_sigma
+    size_mu = _lognormal_mu(params.mean_size, size_sigma)
+    duration_mu = _lognormal_mu(params.mean_duration, duration_sigma)
+    last = series.n_steps - 1
+    nodes = series.nodes
     requests: list[ByteRequest] = []
     rid = first_rid
 
-    for i, src in enumerate(series.nodes):
-        for j, dst in enumerate(series.nodes):
-            if i == j:
-                continue
-            pair_series = series.demand[:, i, j]
-            total = float(pair_series.sum())
-            if total <= params.min_size:
-                continue
-            cdf = _arrival_cdf(pair_series / total)
-
-            remaining = total
+    for i, src in enumerate(nodes):
+        # One row per destination, contiguous, so each row sums exactly
+        # as the pair's own series does.
+        profiles = np.ascontiguousarray(series.demand[:, i, :].T)
+        totals = profiles.sum(axis=1)
+        # ``not <=`` keeps a NaN total, which the CDF check then rejects.
+        drawn = [j for j in range(len(nodes))
+                 if j != i and not totals[j] <= min_size]
+        if not drawn:
+            continue
+        cdfs = _arrival_cdfs(profiles[drawn] / totals[drawn, None])
+        for j, pair_cdf in zip(drawn, cdfs):
+            dst = nodes[j]
+            cdf = pair_cdf.tolist()
+            remaining = float(totals[j])
             n_drawn = 0
             while remaining > 1e-9 and n_drawn < max_requests_per_pair:
-                size = rng.lognormal(size_mu, params.size_sigma)
-                size = max(params.min_size, min(size, remaining))
-                if remaining - size < params.min_size:
+                size = lognormal(size_mu, size_sigma)
+                size = max(min_size, min(size, remaining))
+                if remaining - size < min_size:
                     size = remaining
-                arrival = int(cdf.searchsorted(rng.random(), side="right"))
-                duration = max(1, int(round(rng.lognormal(
-                    duration_mu, params.duration_sigma))))
-                deadline = min(horizon - 1, arrival + duration - 1)
-                value = values.sample_one(rng)
+                arrival = bisect_right(cdf, uniform())
+                duration = max(1, int(round(lognormal(duration_mu,
+                                                      duration_sigma))))
+                deadline = min(last, arrival + duration - 1)
+                value = sample_value(rng)
                 cls_name = "default"
                 if mix is not None:
                     cls = mix.assign(rng)
@@ -140,7 +167,7 @@ def synthesize_requests(series: TrafficMatrixSeries,
                     if cls.deadline_stretch != 1.0:
                         duration = max(1, int(round(
                             duration * cls.deadline_stretch)))
-                        deadline = min(horizon - 1, arrival + duration - 1)
+                        deadline = min(last, arrival + duration - 1)
                 requests.append(ByteRequest(
                     rid=rid, src=src, dst=dst, demand=size, arrival=arrival,
                     start=arrival, deadline=deadline, value=value,
@@ -149,7 +176,8 @@ def synthesize_requests(series: TrafficMatrixSeries,
                 n_drawn += 1
                 remaining -= size
 
-    requests.sort(key=lambda r: (r.arrival, r.rid))
+    # Stable, and rids grow in list order: the same as (arrival, rid).
+    requests.sort(key=attrgetter("arrival"))
     return requests
 
 

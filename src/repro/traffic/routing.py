@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..network import PathCache, Topology
+from ..network import Topology
+from ..network.paths import fill_route_table
 from .matrices import TrafficMatrixSeries
 
 
@@ -19,24 +20,32 @@ def route_series_on_shortest_paths(topology: Topology,
 
     Returns ``loads`` of shape ``(n_steps, n_links)`` in volume units per
     timestep; entries for unreachable pairs are skipped.
+
+    Routes come from the topology's route table, filled in one pass.
+    Loads are added one source at a time: ``np.add.at`` adds repeated
+    cells in index order, so every cell sums its pairs in the same order
+    (and to the same float) as one add per pair, and the operand stays
+    one source's routes long.
     """
-    cache = PathCache(topology, k=1)
-    n_links = topology.num_links
-    loads = np.zeros((series.n_steps, n_links))
+    routes = fill_route_table(topology)
+    # Link-major while adding, so each add is one contiguous row.
+    loads = np.zeros((topology.num_links, series.n_steps))
     nodes = series.nodes
-    totals = series.demand.sum(axis=0)
+    idle = (series.demand.sum(axis=0) <= 0).tolist()
     for i, src in enumerate(nodes):
+        by_dst = routes[src]
+        links, pairs = [], []
         for j, dst in enumerate(nodes):
-            if i == j or totals[i, j] <= 0:
+            if i == j or idle[i][j]:
                 continue
-            routes = cache.routes(src, dst)
-            if not routes:
-                continue
-            # Link indices on a simple path are unique, so one
-            # fancy-indexed add equals the per-link loop bit for bit.
-            loads[:, routes[0].link_indices()] += \
-                series.demand[:, i, j][:, None]
-    return loads
+            candidates = by_dst[dst]
+            if candidates:
+                indices = candidates[0].link_indices()
+                links += indices
+                pairs += [j] * len(indices)
+        if links:
+            np.add.at(loads, links, series.demand[:, i, pairs].T)
+    return np.ascontiguousarray(loads.T)
 
 
 def utilization_percentile_ratios(loads: np.ndarray, upper: float = 90.0,

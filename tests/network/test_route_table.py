@@ -16,6 +16,7 @@ from repro.experiments.scenarios import (production_scenario, production_wan,
 import repro.network.paths as route_plane
 from repro.network import (ROUTING_POLICIES, PathCache, Topology,
                            k_shortest_paths, wan_topology)
+from repro.network.paths import fill_route_table
 from tests.reference import routing as reference
 
 TOPOLOGIES = {
@@ -39,14 +40,18 @@ def links_of(paths):
     return [path.links for path in paths]
 
 
-def assert_matches_reference(topology, ks=(1, 3, 5), dead=()):
+def assert_matches_reference(topology, ks=(1, 3, 5), dead=(), filled=None):
     """Store and policy views == the reference, for every ordered pair.
 
     The reference runs once per pair at the longest length needed and is
     sliced per ``k`` (:func:`test_the_reference_is_prefix_consistent`
     licenses that); the store is asked for each ``k`` in the order given.
+    ``filled``, another copy of the topology, has its route table filled
+    in one pass first, and each pair's entry must be the reference's
+    first route (none for an unreachable pair).
     """
     graph = reference.fresh_graph(topology)
+    first = {} if filled is None else fill_route_table(filled)
     caches = [PathCache(topology, k, policy)
               for k in ks for policy in ROUTING_POLICIES]
     for cache in caches:
@@ -54,6 +59,9 @@ def assert_matches_reference(topology, ks=(1, 3, 5), dead=()):
     for src, dst in pairs_of(topology):
         longest = reference.k_shortest_paths(
             topology, src, dst, max(ks) + len(dead), graph)
+        if filled is not None:
+            assert links_of(first[src][dst]) == links_of(longest[:1]), \
+                (src, dst, "filled")
         for k in ks:
             assert links_of(k_shortest_paths(topology, src, dst, k)) == \
                 links_of(longest[:k]), (src, dst, k)
@@ -82,7 +90,10 @@ def test_every_pair_k_and_policy_matches_the_reference(name, ks):
     # refresh): each answer extends a stored prefix.  The 106-node world
     # asks 1 -> 5 -> 3 instead (extend once, then slice), which halves
     # its share of tier-1; the growing order is covered by the other two.
-    assert_matches_reference(TOPOLOGIES[name](), ks)
+    # Calibration's one-pass fill is held to the same reference pair by
+    # pair, on a second copy of the world.
+    assert_matches_reference(TOPOLOGIES[name](), ks,
+                             filled=TOPOLOGIES[name]())
 
 
 @pytest.mark.parametrize("name", SMALL)
@@ -203,6 +214,9 @@ def digraphs(draw):
 @given(topology=digraphs())
 def test_random_digraphs_route_like_networkx(topology):
     graph = reference.fresh_graph(topology)
+    # Filled first, as calibration does: k=1 reads the one-pass entries
+    # (unreachable pairs included) and every longer k re-runs the search.
+    fill_route_table(topology)
     for src, dst in pairs_of(topology):
         longest = reference.k_shortest_paths(topology, src, dst, 6, graph)
         for k in range(1, 7):

@@ -47,6 +47,9 @@ def test_scaled():
     assert doubled.total() == pytest.approx(2.0 * series.total())
     with pytest.raises(ValueError):
         series.scaled(-1.0)
+    for factor in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite"):
+            series.scaled(factor)
 
 
 def test_top_pairs_sorted():
@@ -103,6 +106,16 @@ def test_constructor_validation():
         synthesize_tm_series(small_wan(), 0, 24)
 
 
+@pytest.mark.parametrize("cell", [np.nan, np.inf])
+def test_non_finite_demand_is_rejected_at_construction(cell):
+    # ``demand < 0`` is False on NaN: one NaN cell used to drop every
+    # link its pair crosses from calibration's mean without a word.
+    demand = np.ones((4, 2, 2))
+    demand[2, 0, 1] = cell
+    with pytest.raises(ValueError, match="non-finite"):
+        TrafficMatrixSeries(["a", "b"], demand)
+
+
 def test_gravity_weights_normalised():
     w = gravity_weights(10, np.random.default_rng(0))
     assert w.sum() == pytest.approx(1.0)
@@ -121,7 +134,8 @@ def test_routing_on_line_network():
 
 
 def test_routing_equals_the_per_link_accumulation_bit_for_bit():
-    """One fancy-indexed add per pair == the old loop over its links."""
+    """One ``np.add.at`` per source == the old loop over each pair's
+    links, pair by pair."""
     topo = wan_topology(n_nodes=12, n_regions=3, seed=2)
     series = synthesize_tm_series(topo, 30, 10, flash_crowd_rate=0.1, seed=2)
     series.demand[:, 0, 1] = 0.0                    # a zero-demand pair

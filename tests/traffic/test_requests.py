@@ -77,6 +77,22 @@ def test_rate_request_validation():
 
 # -- synthesis -----------------------------------------------------------
 
+@pytest.mark.parametrize("field, bad", [
+    ("mean_size", -1.0), ("mean_size", 0.0), ("mean_size", float("nan")),
+    ("mean_duration", 0.0), ("size_sigma", -0.1),
+    ("duration_sigma", -0.1), ("min_size", -0.5),
+])
+def test_request_parameters_reject_shapes_that_draw_garbage(field, bad):
+    # mean_size=-1 made every lognormal draw NaN, and each request came
+    # out exactly min_size; mean_duration=0 made every window one step.
+    with pytest.raises(ValueError, match=field):
+        RequestParameters(**{field: bad})
+
+
+def test_request_parameters_accept_the_boundaries():
+    RequestParameters(size_sigma=0.0, duration_sigma=0.0, min_size=0.0)
+
+
 def test_requests_cover_tm_volume():
     series, requests = make_requests()
     assert total_demand(requests) == pytest.approx(series.total(), rel=0.02)

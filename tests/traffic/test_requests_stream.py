@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.network import small_wan
+from repro.network import production_wan, small_wan
 from repro.traffic import (ExponentialValues, FixedValues, NormalValues,
                            ParetoValues, RequestParameters, UniformValues,
                            synthesize_requests, synthesize_tm_series)
@@ -36,6 +36,20 @@ def test_population_equals_the_reference_loop(series, values, classes):
         got = synthesize_requests(series, values, seed=seed, classes=classes)
         assert got and got == reference(series, values, seed=seed,
                                         classes=classes)
+
+
+def test_the_106_node_population_equals_the_reference_loop():
+    # The benchmark's world: 105 pairs per source block (small_wan has
+    # 19), sized as build_workload sizes requests, five at most a pair.
+    wan = production_wan(seed=0)
+    series = synthesize_tm_series(wan, 6, 6, seed=1)
+    per_pair = series.total() / (wan.num_nodes * (wan.num_nodes - 1))
+    shape = RequestParameters(mean_size=per_pair / 8.0,
+                              min_size=per_pair / 200.0)
+    kwargs = dict(params=shape, max_requests_per_pair=5, seed=3)
+    got = synthesize_requests(series, NormalValues(1.0, 0.5), **kwargs)
+    assert len(got) > 40_000
+    assert got == reference(series, NormalValues(1.0, 0.5), **kwargs)
 
 
 def test_shape_parameters_and_caps_equal_the_reference_loop(series):
