@@ -11,8 +11,7 @@ import numpy as np
 import pytest
 
 from repro.experiments import format_table
-from repro.lp import (Model, add_sum_topk, quicksum, sum_topk_exact,
-                      topk_constraint_count)
+from repro.lp import GE, Model, add_sum_topk_coo, topk_template
 
 T, K = 48, 5
 
@@ -21,21 +20,22 @@ def _solve(encoding: str, seed: int = 0) -> float:
     rng = np.random.default_rng(seed)
     caps = rng.uniform(1.0, 5.0, size=T)
     model = Model(sense="min")
-    xs = [model.add_variable(f"x{t}", ub=float(caps[t])) for t in range(T)]
-    model.add_constraint(quicksum(xs) >= float(caps.sum()) * 0.8)
-    bound = add_sum_topk(model, xs, K, encoding=encoding)
-    model.set_objective(quicksum(xs) * 0.01 + bound.to_expr())
+    xs = model.add_variables_array(T, "x", ub=caps)
+    model.add_constraints_coo(np.zeros(T), xs.indices, np.ones(T), GE,
+                              [float(caps.sum()) * 0.8])
+    bound = add_sum_topk_coo(model, xs.indices, K, encoding=encoding)
+    model.set_objective_coo([*xs.indices, bound], [0.01] * T + [1.0])
     return model.solve().objective
 
 
 @pytest.mark.parametrize("encoding", ["cvar", "sorting"])
 def bench_topk_encoding(benchmark, encoding):
     objective = benchmark(_solve, encoding)
-    rows = [[enc, topk_constraint_count(T, K, enc)]
+    rows = [[enc, topk_template(T, K, enc).n_rows]
             for enc in ("cvar", "sorting")]
     print(f"\nTop-k encodings at T={T}, k={K} "
           f"(objective {objective:.4f})")
     print(format_table(["encoding", "constraints"], rows))
     assert _solve("cvar") == pytest.approx(_solve("sorting"), rel=1e-6)
-    assert topk_constraint_count(T, K, "cvar") < \
-        topk_constraint_count(T, K, "sorting")
+    assert topk_template(T, K, "cvar").n_rows < \
+        topk_template(T, K, "sorting").n_rows

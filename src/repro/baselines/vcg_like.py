@@ -19,7 +19,7 @@ from collections import defaultdict
 
 import numpy as np
 
-from ..lp import Model, quicksum
+from ..lp import LE, Model
 from ..network import PathCache
 from ..sim.engine import RunResult
 from ..traffic.workload import Workload
@@ -47,7 +47,7 @@ class VCGLike(OfflineScheme):
 
         for t in range(workload.n_steps):
             active = [r for r in workload.requests
-                      if r.arrival <= t <= r.deadline
+                      if r.start <= t <= r.deadline
                       and delivered[r.rid] < r.demand - EPS]
             if not active:
                 continue
@@ -99,41 +99,45 @@ class VCGLike(OfflineScheme):
         Returns (per-request allocation with per-link usage, declared
         welfare of the allocation, per-link capacity duals).
         """
-        model = Model(sense="max", name="vcg-step")
-        per_request: dict[int, list] = {}
-        by_link: dict[int, list] = {}
-        var_paths: list[tuple[int, tuple[int, ...], object]] = []
-        objective_terms = []
-        for request in requests:
-            routes = paths.routes(request.src, request.dst,
-                                  rid=request.rid)
-            flows = []
-            for path in routes:
-                var = model.add_variable(f"x[{request.rid}]", lb=0.0)
-                flows.append(var)
-                var_paths.append((request.rid, path.link_indices(), var))
-                for index in path.link_indices():
-                    by_link.setdefault(index, []).append(var)
-                objective_terms.append(request.value * var)
-            if flows:
-                per_request[request.rid] = flows
-                model.add_constraint(quicksum(flows) <= rates[request.rid],
-                                     name=f"rate[{request.rid}]")
-        if not objective_terms:
+        routes = [paths.routes(request.src, request.dst, rid=request.rid)
+                  for request in requests]
+        # One flow variable per (request, route), in request order; one
+        # rate row per request with a route; one capacity row per link,
+        # in the order the flows first touch it.
+        served = [(request, len(request_routes)) for request, request_routes
+                  in zip(requests, routes) if request_routes]
+        if not served:
             return {}, 0.0, {}
-        cap_constraints = {}
-        for index, variables in by_link.items():
-            cap_constraints[index] = model.add_constraint(
-                quicksum(variables) <= float(capacities[index]),
-                name=f"cap[{index}]")
-        model.set_objective(quicksum(objective_terms))
+        counts = [count for _, count in served]
+        var_rids = [request.rid for request, count in served
+                    for _ in range(count)]
+        var_links = [path.link_indices() for request_routes in routes
+                     for path in request_routes]
+        cap_row: dict[int, int] = {}
+        cap_rows, cap_cols = [], []
+        for var, links in enumerate(var_links):
+            for index in links:
+                cap_rows.append(cap_row.setdefault(index, len(cap_row)))
+                cap_cols.append(var)
+
+        model = Model(sense="max", name="vcg-step")
+        flows = model.add_variables_array(len(var_links), "x", lb=0.0)
+        model.add_constraints_coo(
+            np.repeat(np.arange(len(served)), counts), flows.indices,
+            np.ones(flows.count), LE,
+            [rates[request.rid] for request, _ in served], name="rate")
+        caps = model.add_constraints_coo(
+            cap_rows, cap_cols, np.ones(len(cap_rows)), LE,
+            capacities[list(cap_row)], name="cap")
+        model.set_objective_coo(flows.indices, np.repeat(
+            [request.value for request, _ in served], counts))
         solution = model.solve()
 
-        link_duals = {index: max(0.0, solution.dual(con))
-                      for index, con in cap_constraints.items()}
+        link_duals = {index: max(0.0, dual) for index, dual
+                      in zip(cap_row, solution.dual_array(caps).tolist())}
         allocation: dict[int, tuple[float, dict[int, float]]] = {}
-        for rid, links, var in var_paths:
-            volume = solution.value(var)
+        for rid, links, volume in zip(var_rids, var_links,
+                                      solution.value_array(flows).tolist()):
             if volume <= EPS:
                 continue
             total, link_use = allocation.get(rid, (0.0, {}))

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from ..core.request import ByteRequest
-from ..lp import Model, quicksum
+from ..lp import LE, Model
 from ..network import Topology, figure2_network
 
 #: The example's requests: (rid, src, dst, value, demand, start, deadline).
@@ -212,27 +212,35 @@ def per_time_price_row() -> ExampleRow:
 def pretium_row() -> ExampleRow:
     """Per-(link, timestep) prices support the welfare-optimal schedule."""
     topology = figure2_network()
+    # One flow variable per (request, step of its window), in request
+    # order; one demand row per request; one capacity row per (link,
+    # step), in the order the flows first touch it.
+    flows = [(row, rid, value, t)
+             for row, (rid, _s, _d, value, _dem, start, deadline)
+             in enumerate(EXAMPLE_REQUESTS)
+             for t in range(start, deadline + 1)]
+    cap_row: dict[tuple[str, str, int], int] = {}
+    cap_rows, cap_cols = [], []
+    for var, (_row, rid, _value, t) in enumerate(flows):
+        for key in ROUTES[rid]:
+            cap_rows.append(cap_row.setdefault((*key, t), len(cap_row)))
+            cap_cols.append(var)
+
     model = Model(sense="max", name="fig2-opt")
-    flows: dict[int, list] = {}
-    by_link_step: dict[tuple[str, str, int], list] = {}
-    terms = []
-    for rid, _s, _d, value, demand, start, deadline in EXAMPLE_REQUESTS:
-        request_flows = []
-        for t in range(start, deadline + 1):
-            var = model.add_variable(f"x[{rid},{t}]", lb=0.0)
-            request_flows.append(var)
-            terms.append(value * var)
-            for key in ROUTES[rid]:
-                by_link_step.setdefault((*key, t), []).append(var)
-        flows[rid] = request_flows
-        model.add_constraint(quicksum(request_flows) <= demand)
-    for (u, v, t), variables in by_link_step.items():
-        model.add_constraint(
-            quicksum(variables) <= topology.link_between(u, v).capacity)
-    model.set_objective(quicksum(terms))
+    x = model.add_variables_array(len(flows), "x", lb=0.0)
+    model.add_constraints_coo([row for row, *_ in flows], x.indices,
+                              [1.0] * len(flows), LE,
+                              [demand for *_, demand, _a, _b
+                               in EXAMPLE_REQUESTS])
+    model.add_constraints_coo(cap_rows, cap_cols, [1.0] * len(cap_rows), LE,
+                              [topology.link_between(u, v).capacity
+                               for u, v, _t in cap_row])
+    model.set_objective_coo(x.indices, [value for _r, _i, value, _t in flows])
     solution = model.solve()
-    units = {rid: sum(solution.value(v) for v in request_flows)
-             for rid, request_flows in flows.items()}
+    units = {rid: 0.0 for rid, *_ in EXAMPLE_REQUESTS}
+    for (_row, rid, _value, _t), volume in zip(
+            flows, solution.value_array(x).tolist()):
+        units[rid] += volume
     return ExampleRow("pretium", "per (link,time)", units,
                       solution.objective)
 

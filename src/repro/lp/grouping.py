@@ -7,9 +7,10 @@ timestep) pair (:class:`PairGroups`), and the percentile-cost proxy per
 (metered link, billing window) (:func:`add_percentile_costs`).  Each
 piece lays out *all* its contracts / pairs / windows with cumulative
 offsets and a constant number of :class:`~repro.lp.model.Model` calls,
-numbering variables and rows exactly as the expression builders do —
-whose ``dict.setdefault`` insertion order :class:`PairGroups` reproduces
-with numpy — so both construction paths assemble the identical matrix.
+numbering variables and rows exactly as the term-by-term reference
+builders (``tests/reference/expr_builders.py``) do — whose
+``dict.setdefault`` insertion order :class:`PairGroups` reproduces with
+numpy — so both assemble the identical matrix.
 """
 
 from __future__ import annotations

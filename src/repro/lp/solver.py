@@ -13,14 +13,12 @@ and every guard ``linprog`` applied is kept: non-finite inputs are
 rejected before the solver runs, HiGHS's statuses map onto this
 package's errors, and an "optimal" point is re-checked against bounds
 and rows.  Dual values are re-oriented so that callers always see them
-in the model's own sense (see :class:`Solution.dual`).
+in the model's own sense (see :class:`Solution`).
 
-Assembly is fully vectorised: expression constraints are flattened into
-COO triplets once, batched :class:`~repro.lp.model.ConstraintBlock`
-triplets are concatenated as-is, and the GE-row flip, the row stacking
-and the dual re-orientation are all numpy operations.  The two
-construction paths feed the same arrays, so a model built through either
-API assembles to the identical matrix.
+Assembly is fully vectorised: a model's
+:class:`~repro.lp.model.ConstraintBlock` triplets are concatenated as-is,
+and the GE-row flip, the row stacking and the dual re-orientation are all
+numpy operations.
 """
 
 from __future__ import annotations
@@ -37,7 +35,7 @@ from ..telemetry import get_registry, get_tracer
 from .errors import InfeasibleError, ModelError, SolverError, SolverTimeout, \
     UnboundedError
 from .model import SENSE_CODES, ConstraintBlock, EQ, GE, LE, Model, \
-    Variable, VariableBlock
+    VariableBlock
 
 #: Whether the native ``highspy`` bindings are importable.  The import is
 #: probed lazily (spec only) so merely loading this module never pays for
@@ -125,13 +123,14 @@ _CODE_EQ = SENSE_CODES[EQ]
 class Solution:
     """The result of solving a model.
 
-    Provides primal values (:meth:`value`), the objective in the model's own
-    orientation (:attr:`objective`) and constraint duals (:meth:`dual`).
+    Provides primal values (:meth:`value_array`, :attr:`x`), the objective
+    in the model's own orientation (:attr:`objective`) and constraint duals
+    (:meth:`dual_array`, :attr:`duals`).
 
     Dual orientation
     ----------------
-    ``dual(c)`` returns the marginal change of the *model's* objective per
-    unit increase of the constraint's right-hand side.  For a maximisation
+    A row's dual is the marginal change of the *model's* objective per
+    unit increase of the row's right-hand side.  For a maximisation
     with a binding capacity constraint ``flow <= cap`` this is the familiar
     nonnegative shadow price; for equalities it may take either sign.
     """
@@ -143,38 +142,9 @@ class Solution:
         self.objective = objective
         self._duals = duals
 
-    def value(self, var: Variable) -> float:
-        """Primal value of ``var``."""
-        return float(self._x[var.index])
-
-    def values(self, variables) -> list[float]:
-        """Primal values for an iterable of variables (in order)."""
-        return [float(self._x[v.index]) for v in variables]
-
     def value_array(self, block: VariableBlock) -> np.ndarray:
         """Primal values of a variable block as one array slice."""
         return self._x[block.start:block.stop]
-
-    def value_of(self, expr) -> float:
-        """Evaluate a variable or linear expression at the optimum."""
-        if isinstance(expr, Variable):
-            return self.value(expr)
-        total = expr.constant
-        for idx, coeff in expr.coeffs.items():
-            total += coeff * self._x[idx]
-        return float(total)
-
-    def dual(self, constraint) -> float:
-        """Shadow price of a constraint in the model's orientation.
-
-        Accepts an expression :class:`Constraint` or a raw global
-        constraint index (how COO-block rows are addressed).
-        """
-        if isinstance(constraint, (int, np.integer)):
-            return float(self._duals[int(constraint)])
-        if constraint.index is None:
-            raise ModelError("constraint was never added to the model")
-        return float(self._duals[constraint.index])
 
     def dual_array(self, block: ConstraintBlock) -> np.ndarray:
         """Duals of a constraint block as one array slice (row order)."""
@@ -193,28 +163,17 @@ class Solution:
 
 def _objective_vector(model: Model, n: int) -> tuple[np.ndarray, float]:
     """Dense objective coefficients and the constant term."""
-    if model.objective is not None:
-        c = np.zeros(n)
-        coeffs = model.objective.coeffs
-        if coeffs:
-            idx = np.fromiter(coeffs.keys(), dtype=np.int64, count=len(coeffs))
-            val = np.fromiter(coeffs.values(), dtype=np.float64,
-                              count=len(coeffs))
-            c[idx] = val
-        return c, model.objective.constant
-    if model._objective_coo is not None:
-        cols, vals, constant = model._objective_coo
-        c = np.bincount(cols, weights=vals, minlength=n)[:n] if cols.size \
-            else np.zeros(n)
-        return c, constant
-    raise ModelError(f"model {model.name!r} has no objective")
+    if model._objective is None:
+        raise ModelError(f"model {model.name!r} has no objective")
+    cols, vals, constant = model._objective
+    c = np.bincount(cols, weights=vals, minlength=n)[:n] if cols.size \
+        else np.zeros(n)
+    return c, constant
 
 
 def _collect_entries(model: Model):
-    """Flatten every constraint into COO triplets, in creation order.
+    """Concatenate every constraint block's COO triplets, in creation order.
 
-    Expression constraints are flattened term-by-term (the compatibility
-    path); COO blocks contribute their prebuilt triplet arrays directly.
     Returns ``(codes, rhs, entry_con, entry_col, entry_val)`` — the raw
     per-row sense codes and right-hand sides plus the entry arrays both
     the scipy assembly and the native-HiGHS session build from.
@@ -223,28 +182,13 @@ def _collect_entries(model: Model):
     codes = np.empty(m, dtype=np.int8)
     rhs = np.empty(m, dtype=np.float64)
     chunks_con, chunks_col, chunks_val = [], [], []
-    expr_con, expr_col, expr_val = [], [], []
-    for record in model._records:
-        if isinstance(record, ConstraintBlock):
-            sl = slice(record.start, record.stop)
-            codes[sl] = record.codes
-            rhs[sl] = record.rhs
-            chunks_con.append(record.rows + record.start)
-            chunks_col.append(record.cols)
-            chunks_val.append(record.vals)
-        else:
-            i = record.index
-            codes[i] = SENSE_CODES[record.sense]
-            rhs[i] = record.rhs
-            for idx, coeff in record.expr.coeffs.items():
-                expr_con.append(i)
-                expr_col.append(idx)
-                expr_val.append(coeff)
-    if expr_con:
-        chunks_con.append(np.asarray(expr_con, dtype=np.int64))
-        chunks_col.append(np.asarray(expr_col, dtype=np.int64))
-        chunks_val.append(np.asarray(expr_val, dtype=np.float64))
-
+    for block in model._blocks:
+        sl = slice(block.start, block.stop)
+        codes[sl] = block.codes
+        rhs[sl] = block.rhs
+        chunks_con.append(block.rows + block.start)
+        chunks_col.append(block.cols)
+        chunks_val.append(block.vals)
     if chunks_con:
         entry_con = np.concatenate(chunks_con)
         entry_col = np.concatenate(chunks_col)

@@ -4,7 +4,7 @@ A :class:`Tracer` hands out :class:`Span` context managers::
 
     with tracer.span("sam.solve", step=t) as span:
         ...
-        span.set(n_vars=len(model.variables))
+        span.set(n_vars=model.num_variables)
 
 Spans nest (the tracer keeps a stack, so each span knows its parent),
 carry wall-clock timestamps plus a monotonic duration, and are emitted to

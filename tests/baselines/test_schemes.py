@@ -9,9 +9,13 @@ from repro.baselines import (NoPrices, OfflineOptimal, PeakOracle,
                              peak_steps_of_day)
 from repro.core import ByteRequest
 from repro.costs import LinkCostModel
+from repro.experiments import tiny_scenario
 from repro.network import Topology, parallel_paths_network, wan_topology
 from repro.sim import metrics, simulate
 from repro.traffic import Workload, build_workload
+from tests.lp.test_native_solve import captured_models
+from tests.reference.expr_builders import ExprVCGLike
+from tests.reference.lp import assert_models_identical, same_bytes
 
 
 def simple_workload():
@@ -185,6 +189,37 @@ def test_vcg_spreads_over_steps_to_deadline():
     # rate at t=0 is 20/2 = 10 (both paths), rest at t=1
     assert result.delivered[0] == pytest.approx(20.0)
     assert result.loads[0].sum() == pytest.approx(result.loads[1].sum())
+
+
+def test_vcg_like_waits_for_a_requests_start():
+    """A request submitted at 0 to start at 1 sends nothing at 0."""
+    topo = parallel_paths_network(5.0, 5.0)
+    reqs = [ByteRequest(0, "S", "T", 10.0, 0, 1, 1, 3.0)]
+    wl = Workload(topo, reqs, n_steps=2, steps_per_day=2)
+    per_step = VCGLike().run(wl).loads.sum(axis=1)
+    assert per_step == pytest.approx([0.0, 20.0])  # 10 units, 2-link paths
+    assert per_step == pytest.approx(
+        OfflineOptimal().run(wl).loads.sum(axis=1))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_vcg_like_builds_the_expression_oracles_lps(seed):
+    """Every per-step auction reaches HiGHS as the bytes the term-by-term
+    builder produced, and the run ends the same.  (``quick`` agrees too,
+    480 LPs; it is too slow to run here.)"""
+    workload = tiny_scenario(seed=seed).workload
+    with captured_models() as models:
+        fast = VCGLike().run(workload)
+    with captured_models() as oracle_models:
+        oracle = ExprVCGLike().run(workload)
+    assert len(models) == len(oracle_models) > 0
+    for model, expected in zip(models, oracle_models):
+        assert (model.name, model.sense) == (expected.name, expected.sense)
+        assert_models_identical(model, expected)
+    assert fast.delivered == oracle.delivered
+    assert fast.payments == oracle.payments
+    assert fast.chosen == oracle.chosen
+    assert same_bytes(fast.loads, oracle.loads)
 
 
 # -- Ablations -------------------------------------------------------------------

@@ -6,6 +6,9 @@ from repro.experiments.figure2 import (EXAMPLE_REQUESTS, figure2_table,
                                        no_price_row, per_link_price_row,
                                        per_time_price_row, pretium_row,
                                        fixed_price_row, requests)
+from tests.lp.test_native_solve import captured_models
+from tests.reference.expr_builders import expr_pretium_row
+from tests.reference.lp import assert_models_identical
 
 
 def test_requests_match_paper_spec():
@@ -32,6 +35,16 @@ def test_pretium_achieves_maximum_welfare():
     assert row.welfare == pytest.approx(34.0)
     assert row.units[1] == pytest.approx(2.0)
     assert row.units[4] == pytest.approx(2.0)
+
+
+def test_pretium_row_solves_the_expression_oracles_lp():
+    with captured_models() as models:
+        row = pretium_row()
+    with captured_models() as oracle_models:
+        oracle = expr_pretium_row()
+    (model,), (expected,) = models, oracle_models
+    assert_models_identical(model, expected)
+    assert row == oracle
 
 
 def test_welfare_ordering_matches_paper():

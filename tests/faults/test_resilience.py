@@ -7,10 +7,11 @@ from repro.faults import (FaultInjector, RetryPolicy, resilient_solve,
                           use_injector)
 from repro.lp import InfeasibleError, Model, SolverError, SolverTimeout
 from repro.telemetry import MetricsRegistry, use_registry
+from tests.reference.expr import ExprModel
 
 
-def tiny_model() -> Model:
-    m = Model(sense="min", name="tiny")
+def tiny_model() -> ExprModel:
+    m = ExprModel(sense="min", name="tiny")
     x = m.add_variable("x", lb=0.0)
     m.add_constraint(x >= 2.0)
     m.set_objective(x.to_expr())
@@ -61,7 +62,7 @@ def test_infeasible_faults_are_never_retried():
 
 
 def test_genuinely_infeasible_model_propagates_untouched():
-    m = Model(sense="min", name="impossible")
+    m = ExprModel(sense="min", name="impossible")
     x = m.add_variable("x", lb=0.0, ub=1.0)
     m.add_constraint(x >= 2.0)
     m.set_objective(x.to_expr())

@@ -1,22 +1,24 @@
 """Tests for the batched (COO) model-construction path.
 
-The COO API must be an exact twin of the expression API: same index
-space, same assembled matrix, same solutions and duals.  These tests pin
-the block bookkeeping, the validation errors, and the differential
-equivalence on small LPs.
+The COO API must be an exact twin of the expression oracle
+(``tests/reference/expr.py``): same index space, same assembled matrix,
+same solutions and duals.  These tests pin the block bookkeeping, the
+validation errors, and the differential equivalence on small LPs.
 """
 
 import numpy as np
 import pytest
 
-from repro.lp import (EQ, GE, LE, Model, add_sum_topk, add_sum_topk_coo)
+from repro.lp import EQ, GE, LE, Model, add_sum_topk_coo
 from repro.lp.errors import ModelError
+from tests.reference.expr import ExprModel, add_sum_topk
+from tests.reference.lp import assert_models_identical, bounds
 
 
 # -- variable blocks -----------------------------------------------------
 
 def test_variable_block_indices_and_interleaving():
-    m = Model()
+    m = ExprModel()
     a = m.add_variable("a")
     block = m.add_variables_array(3, "b", lb=1.0, ub=5.0)
     c = m.add_variable("c")
@@ -31,12 +33,8 @@ def test_variable_block_materialises_variables():
     m = Model()
     block = m.add_variables_array(2, "x", lb=np.array([0.0, 1.0]),
                                   ub=np.array([2.0, np.inf]))
-    first, second = block[0], block[1]
-    assert (first.lb, first.ub) == (0.0, 2.0)
-    assert (second.lb, second.ub) == (1.0, None)  # inf means unbounded
-    assert [v.index for v in block] == [0, 1]
-    with pytest.raises(IndexError):
-        block[2]
+    assert bounds(m) == [(0.0, 2.0), (1.0, None)]  # inf means unbounded
+    assert m.lb[block.start:block.stop].tolist() == [0.0, 1.0]
 
 
 def test_variable_block_bound_validation():
@@ -50,20 +48,23 @@ def test_variable_block_bound_validation():
 
 
 def test_block_variables_work_with_expression_api():
-    m = Model(sense="max")
+    m = ExprModel(sense="max")
     block = m.add_variables_array(2, "x", lb=0.0, ub=4.0)
-    m.add_constraint(block[0] + block[1] <= 6.0)
-    m.set_objective(block[0] + 2.0 * block[1])
+    y = m.add_variable("y", ub=1.0)
+    m.add_constraints_coo([0, 0], block.indices, [1.0, 1.0], LE, [6.0])
+    m.add_constraint(y <= 0.5)
+    m.set_objective_coo([*block.indices, y.index], [1.0, 2.0, 1.0])
     sol = m.solve()
-    assert sol.objective == pytest.approx(10.0)
+    assert sol.objective == pytest.approx(10.5)
     assert sol.value_array(block) == pytest.approx([2.0, 4.0])
+    assert sol.value(y) == pytest.approx(0.5)
 
 
 # -- COO constraints -----------------------------------------------------
 
 def test_constraint_block_indices_interleave_with_expression_rows():
-    m = Model()
-    x = m.add_variables_array(3, "x")
+    m = ExprModel()
+    x = m.add_variables(3, "x")
     m.add_constraint(x[0] + x[1] <= 1.0)
     block = m.add_constraints_coo([0, 0, 1], [0, 1, 2], [1.0, 1.0, 1.0],
                                   LE, [1.0, 2.0])
@@ -107,20 +108,20 @@ def test_duplicate_coo_entries_are_summed():
 
 def test_objective_coo_validation_and_reset():
     m = Model()
-    x = m.add_variable("x", ub=1.0)
+    m.add_variables_array(2, "x", ub=1.0)
     with pytest.raises(ModelError):
         m.set_objective_coo([3], [1.0])
-    m.set_objective(2.0 * x)
+    with pytest.raises(ModelError):
+        m.set_objective_coo([0, 1], [1.0])
     m.set_objective_coo([0], [1.0])
-    assert m.objective is None  # COO replaces the expression objective
-    m.set_objective(2.0 * x)
-    assert m._objective_coo is None  # and vice versa
+    m.set_objective_coo([1], [2.0])  # replaces the first, never adds
+    assert m.solve().objective == pytest.approx(2.0)
 
 
 # -- differential equivalence -------------------------------------------
 
 def build_expr(sense):
-    m = Model(sense=sense)
+    m = ExprModel(sense=sense)
     x = [m.add_variable(f"x{i}", lb=0.0, ub=4.0) for i in range(3)]
     m.add_constraint(x[0] + x[1] + x[2] <= 6.0, name="cap")
     m.add_constraint(x[0] + x[1] >= 1.0, name="floor")
@@ -147,7 +148,7 @@ def test_coo_model_matches_expression_model(sense):
     assert sc.objective == pytest.approx(se.objective)
     assert sc.x == pytest.approx(se.x)
     for row in range(3):
-        assert sc.dual(row) == pytest.approx(se.dual(row), abs=1e-9)
+        assert sc.duals[row] == pytest.approx(se.duals[row], abs=1e-9)
 
 
 def test_dual_array_matches_scalar_duals():
@@ -158,8 +159,8 @@ def test_dual_array_matches_scalar_duals():
     m.set_objective_coo(block_vars.indices, [1.0, 5.0])
     sol = m.solve()
     duals = sol.dual_array(rows)
-    assert duals == pytest.approx([sol.dual(rows.index_of(0)),
-                                   sol.dual(rows.index_of(1))])
+    assert duals == pytest.approx([sol.duals[rows.index_of(0)],
+                                   sol.duals[rows.index_of(1)]])
     assert duals == pytest.approx([1.0, 5.0])
 
 
@@ -167,7 +168,7 @@ def test_dual_array_matches_scalar_duals():
 
 @pytest.mark.parametrize("sense,expected", [("max", 9.0), ("min", 6.0)])
 def test_objective_constant_both_senses_expression(sense, expected):
-    m = Model(sense=sense)
+    m = ExprModel(sense=sense)
     x = m.add_variable("x", lb=1.0, ub=2.0)
     m.set_objective(3.0 * x + 3.0)
     assert m.solve().objective == pytest.approx(expected)
@@ -184,27 +185,23 @@ def test_objective_constant_both_senses_coo(sense, expected):
 # -- top-k twins ---------------------------------------------------------
 
 @pytest.mark.parametrize("encoding", ["cvar", "sorting"])
-@pytest.mark.parametrize("k", [1, 2, 4])
+@pytest.mark.parametrize("k", range(1, 9))
 def test_topk_coo_matches_expression_encoding(encoding, k):
-    rng = np.random.default_rng(42)
-    values = rng.uniform(0.0, 10.0, size=4)
+    """Every ``k <= T <= 8``: the emitted encoding assembles to the
+    oracle's bytes, zero signs aside."""
+    for T in range(k, 9):
+        values = np.random.default_rng(T).uniform(0.0, 10.0, size=T)
 
-    me = Model(sense="min")
-    fixed = [me.add_variable(f"v{i}", lb=v, ub=v)
-             for i, v in enumerate(values)]
-    se = add_sum_topk(me, fixed, k, name="z", encoding=encoding)
-    me.set_objective(1.0 * se)
-    ref = me.solve()
+        me = ExprModel(sense="min")
+        fixed = [me.add_variable(f"v{i}", lb=v, ub=v)
+                 for i, v in enumerate(values.tolist())]
+        me.set_objective(1.0 * add_sum_topk(me, fixed, k, name="z",
+                                            encoding=encoding))
 
-    mc = Model(sense="min")
-    block = mc.add_variables_array(4, "v", lb=values, ub=values)
-    s_index = add_sum_topk_coo(mc, block.indices, k, name="z",
-                               encoding=encoding)
-    mc.set_objective_coo([s_index], [1.0])
-    fast = mc.solve()
+        mc = Model(sense="min")
+        block = mc.add_variables_array(T, "v", lb=values, ub=values)
+        s_index = add_sum_topk_coo(mc, block.indices, k, name="z",
+                                   encoding=encoding)
+        mc.set_objective_coo([s_index], [1.0])
 
-    expected = np.sort(values)[::-1][:k].sum()
-    assert ref.objective == pytest.approx(expected)
-    assert fast.objective == pytest.approx(ref.objective)
-    assert mc.num_variables == me.num_variables
-    assert mc.num_constraints == me.num_constraints
+        assert_models_identical(mc, me, signed_zeros=False)

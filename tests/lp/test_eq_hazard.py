@@ -1,53 +1,28 @@
-"""Regression tests for the ``Variable.__eq__`` truthy-Constraint hazard.
+"""The top-k emitter rejects duplicate sample indices.
 
-``a == b`` on variables builds a :class:`Constraint` (that is the point
-of the expression API), and constraints are truthy.  Naive membership
-tests like ``var in variables`` therefore match *any* variable, so code
-that needs identity semantics must compare indices.  These tests pin the
-hazard itself and the index-based guards that protect against it.
+A sample entered twice would silently double-count it in the percentile
+proxy, so :func:`~repro.lp.add_sum_topk_coo` checks that its input
+indices are distinct — and must not flag distinct ones.
 """
 
 import pytest
 
-from repro.lp import Constraint, Model, add_sum_topk
+from repro.lp import Model, add_sum_topk_coo
 from repro.lp.errors import ModelError
-
-
-def test_variable_eq_builds_truthy_constraint():
-    m = Model()
-    a = m.add_variable("a")
-    b = m.add_variable("b")
-    built = (a == b)
-    assert isinstance(built, Constraint)
-    assert bool(built)  # truthy, hence the membership hazard below
-
-
-def test_membership_via_eq_matches_any_variable():
-    m = Model()
-    a = m.add_variable("a")
-    others = [m.add_variable("b"), m.add_variable("c")]
-    # `in` uses __eq__, which returns a truthy Constraint: a "contains"
-    # check is True even though `a` is a distinct variable.  Code needing
-    # real membership must use index sets instead.
-    assert a in others
-    assert a.index not in {v.index for v in others}
 
 
 @pytest.mark.parametrize("encoding", ["cvar", "sorting"])
 def test_topk_rejects_duplicate_variables_by_index(encoding):
     m = Model()
-    v = m.add_variables(3, "v")
+    v = m.add_variables_array(3, "v")
     with pytest.raises(ModelError):
-        add_sum_topk(m, [v[0], v[1], v[0]], 2, encoding=encoding)
+        add_sum_topk_coo(m, v.indices[[0, 1, 0]], 2, encoding=encoding)
 
 
 @pytest.mark.parametrize("encoding", ["cvar", "sorting"])
 def test_topk_accepts_distinct_variables(encoding):
-    # Distinct variables must NOT be rejected: an `==`-based duplicate
-    # check would flag every pair as equal.
     m = Model(sense="min")
-    v = [m.add_variable(f"v{i}", lb=float(i), ub=float(i))
-         for i in range(3)]
-    bound = add_sum_topk(m, v, 2, encoding=encoding)
-    m.set_objective(1.0 * bound)
+    v = m.add_variables_array(3, "v", lb=[0.0, 1.0, 2.0], ub=[0.0, 1.0, 2.0])
+    bound = add_sum_topk_coo(m, v.indices, 2, encoding=encoding)
+    m.set_objective_coo([bound], [1.0])
     assert m.solve().objective == pytest.approx(3.0)  # 2 + 1

@@ -47,6 +47,7 @@ from repro.options import RunOptions
 from repro.registry import SCHEMES
 from tests.reference import lp as reference
 from tests.reference import lp_builders
+from tests.reference.expr import ExprModel
 from tests.reference.lp import assert_models_identical, same_bytes
 
 ARRAY_NAMES = ("c", "indptr", "indices", "data", "lhs", "rhs", "lb", "ub")
@@ -156,7 +157,7 @@ def sorting(scheme_name):
 
 #: (id, scheme, scenario, options, minimum LPs).  All ten schemes on
 #: ``tiny``; the nine affordable ones on ``quick`` (``VCGLike`` there is
-#: 480 LPs of OPT's builder); then SAM/PC under every axis that changes
+#: 480 per-step auction LPs); then SAM/PC under every axis that changes
 #: what they emit.
 RUNS = [(f"{name}-tiny", name, "tiny", None, 0 if name == "Pretium-NoSAM"
          else 1) for name in SCHEMES.names()]
@@ -437,7 +438,7 @@ def test_feasibility_check_is_linprogs(offsets, fun):
 
 def test_status_taxonomy():
     infeasible = guarded_model(rhs=-1.0)
-    unbounded = Model(sense="max", name="unbounded")
+    unbounded = ExprModel(sense="max", name="unbounded")
     x = unbounded.add_variable("x", lb=0.0)
     y = unbounded.add_variable("y", lb=0.0)
     unbounded.add_constraint(x - y <= 1.0)
@@ -446,7 +447,7 @@ def test_status_taxonomy():
         assert outcome(solver.solve_model, model) \
             == outcome(reference.solve_model, model)
     empty = Model(name="empty")
-    empty.set_objective(0.0)
+    empty.set_objective_coo([], [])
     with pytest.raises(ModelError, match="no variables"):
         empty.solve()
 
@@ -517,15 +518,16 @@ def test_missing_extension_file_is_named_at_import(monkeypatch, tmp_path):
 # -- Model: bounds as arrays, sense codes ---------------------------------------------
 
 def test_bounds_are_float_arrays_with_a_derived_tuple_view():
-    model = Model()
+    model = ExprModel()
     model.add_variable("a", lb=None, ub=2.0)
     model.add_variables_array(3, "b", lb=np.array([0.0, -np.inf, 1.0]),
                               ub=None)
     model.add_variable("c")
     assert model.lb.tolist() == [-np.inf, 0.0, -np.inf, 1.0, 0.0]
     assert model.ub.tolist() == [2.0, np.inf, np.inf, np.inf, np.inf]
-    assert model.bounds() == [(None, 2.0), (0.0, None), (None, None),
-                              (1.0, None), (0.0, None)]
+    assert reference.bounds(model) == [(None, 2.0), (0.0, None),
+                                       (None, None), (1.0, None),
+                                       (0.0, None)]
     for _ in range(200):  # growth keeps what was stored
         model.add_variable("d", lb=-1.0, ub=1.0)
     assert model.lb[:5].tolist() == [-np.inf, 0.0, -np.inf, 1.0, 0.0]

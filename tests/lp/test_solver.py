@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.lp import (InfeasibleError, Model, ModelError, UnboundedError,
-                      quicksum)
+from repro.lp import InfeasibleError, ModelError, UnboundedError
+from tests.reference.expr import ExprModel, quicksum
 
 
 def test_simple_max():
-    m = Model(sense="max")
+    m = ExprModel(sense="max")
     x = m.add_variable("x", ub=4.0)
     y = m.add_variable("y", ub=3.0)
     m.add_constraint(x + y <= 5.0)
@@ -22,7 +22,7 @@ def test_simple_max():
 
 
 def test_simple_min():
-    m = Model(sense="min")
+    m = ExprModel(sense="min")
     x = m.add_variable("x", lb=0.0)
     y = m.add_variable("y", lb=0.0)
     m.add_constraint(x + y >= 4.0)
@@ -33,14 +33,14 @@ def test_simple_min():
 
 
 def test_objective_constant_included():
-    m = Model(sense="max")
+    m = ExprModel(sense="max")
     x = m.add_variable("x", ub=1.0)
     m.set_objective(x + 10.0)
     assert m.solve().objective == pytest.approx(11.0)
 
 
 def test_equality_constraints():
-    m = Model(sense="min")
+    m = ExprModel(sense="min")
     x = m.add_variable("x")
     y = m.add_variable("y")
     m.add_constraint(x + y == 10.0)
@@ -51,7 +51,7 @@ def test_equality_constraints():
 
 
 def test_infeasible_raises():
-    m = Model(sense="max")
+    m = ExprModel(sense="max")
     x = m.add_variable("x", lb=0.0, ub=1.0)
     m.add_constraint(x >= 2.0)
     m.set_objective(x.to_expr())
@@ -60,7 +60,7 @@ def test_infeasible_raises():
 
 
 def test_unbounded_raises():
-    m = Model(sense="max")
+    m = ExprModel(sense="max")
     x = m.add_variable("x", lb=0.0)
     m.set_objective(x.to_expr())
     with pytest.raises(UnboundedError):
@@ -68,7 +68,7 @@ def test_unbounded_raises():
 
 
 def test_missing_objective_raises():
-    m = Model()
+    m = ExprModel()
     m.add_variable("x")
     with pytest.raises(ModelError):
         m.solve()
@@ -76,7 +76,7 @@ def test_missing_objective_raises():
 
 def test_dual_of_capacity_constraint_max():
     # max 2x st x <= 3: shadow price of the capacity is 2.
-    m = Model(sense="max")
+    m = ExprModel(sense="max")
     x = m.add_variable("x")
     cap = m.add_constraint(x <= 3.0)
     m.set_objective(2.0 * x)
@@ -86,7 +86,7 @@ def test_dual_of_capacity_constraint_max():
 
 def test_dual_of_ge_constraint_min():
     # min 3x st x >= 5: dual is 3 (cost of one more unit of requirement).
-    m = Model(sense="min")
+    m = ExprModel(sense="min")
     x = m.add_variable("x")
     req = m.add_constraint(x >= 5.0)
     m.set_objective(3.0 * x)
@@ -96,7 +96,7 @@ def test_dual_of_ge_constraint_min():
 
 def test_dual_of_ge_constraint_max():
     # max -x st x >= 5: increasing the requirement lowers the optimum by 1.
-    m = Model(sense="max")
+    m = ExprModel(sense="max")
     x = m.add_variable("x")
     req = m.add_constraint(x >= 5.0)
     m.set_objective(-1.0 * x)
@@ -105,7 +105,7 @@ def test_dual_of_ge_constraint_max():
 
 
 def test_dual_zero_when_slack():
-    m = Model(sense="max")
+    m = ExprModel(sense="max")
     x = m.add_variable("x", ub=1.0)
     loose = m.add_constraint(x <= 100.0)
     m.set_objective(x.to_expr())
@@ -114,7 +114,7 @@ def test_dual_zero_when_slack():
 
 
 def test_dual_not_available_for_unadded_constraint():
-    m = Model(sense="max")
+    m = ExprModel(sense="max")
     x = m.add_variable("x", ub=1.0)
     m.set_objective(x.to_expr())
     sol = m.solve()
@@ -124,7 +124,7 @@ def test_dual_not_available_for_unadded_constraint():
 
 
 def test_value_of_expression():
-    m = Model(sense="max")
+    m = ExprModel(sense="max")
     x = m.add_variable("x", ub=2.0)
     y = m.add_variable("y", ub=3.0)
     m.set_objective(x + y)
@@ -136,7 +136,7 @@ def test_value_of_expression():
 
 def test_transportation_problem_duals_sum():
     """Classic 2x2 transportation LP: strong duality holds."""
-    m = Model(sense="min")
+    m = ExprModel(sense="min")
     flows = {}
     cost = {("a", "u"): 4.0, ("a", "v"): 6.0, ("b", "u"): 5.0, ("b", "v"): 3.0}
     for key in cost:
@@ -175,7 +175,7 @@ def test_knapsack_lp_upper_bound_property(caps, weights):
     n = min(len(caps), len(weights))
     caps, weights = caps[:n], weights[:n]
     budget = sum(caps) * 0.6
-    m = Model(sense="max")
+    m = ExprModel(sense="max")
     xs = [m.add_variable(f"x{i}", ub=caps[i]) for i in range(n)]
     m.add_constraint(quicksum(xs) <= budget)
     m.set_objective(quicksum(w * x for w, x in zip(weights, xs)))
@@ -198,7 +198,7 @@ def test_random_feasibility_property(n, seed):
     rng = np.random.default_rng(seed)
     ubs = rng.uniform(0.1, 5.0, size=n)
     obj = rng.uniform(-2.0, 2.0, size=n)
-    m = Model(sense="max")
+    m = ExprModel(sense="max")
     xs = [m.add_variable(f"x{i}", ub=float(ubs[i])) for i in range(n)]
     m.set_objective(quicksum(float(obj[i]) * xs[i] for i in range(n)))
     sol = m.solve()

@@ -12,16 +12,16 @@ import pytest
 
 from repro.faults import (FaultInjector, RetryPolicy, resilient_solve,
                           use_injector)
-from repro.lp import (HIGHSPY_AVAILABLE, InfeasibleError, Model,
-                      ScipySession, SolverError, UnboundedError,
-                      session_for, solve_model)
+from repro.lp import (HIGHSPY_AVAILABLE, InfeasibleError, ScipySession,
+                      SolverError, UnboundedError, session_for, solve_model)
 from repro.lp.solver import HighsSession
 from repro.telemetry import MetricsRegistry, use_registry
+from tests.reference.expr import ExprModel
 
 
-def capacity_model() -> Model:
+def capacity_model() -> ExprModel:
     """A tiny max model with a binding capacity row (known duals)."""
-    m = Model(sense="max", name="cap")
+    m = ExprModel(sense="max", name="cap")
     x = m.add_variable("x", lb=0.0, ub=4.0)
     y = m.add_variable("y", lb=0.0, ub=3.0)
     m.add_constraint(x + y <= 5.0, name="cap")
@@ -29,8 +29,8 @@ def capacity_model() -> Model:
     return m
 
 
-def infeasible_model() -> Model:
-    m = Model(sense="max", name="bad")
+def infeasible_model() -> ExprModel:
+    m = ExprModel(sense="max", name="bad")
     x = m.add_variable("x", lb=0.0, ub=1.0)
     m.add_constraint(x >= 2.0)
     m.set_objective(x.to_expr())
@@ -41,7 +41,7 @@ def _assert_solutions_equal(a, b, model_a, model_b):
     assert a.objective == pytest.approx(b.objective)
     np.testing.assert_allclose(a.x, b.x)
     for i in range(model_a.num_constraints):
-        assert a.dual(i) == pytest.approx(b.dual(i))
+        assert a.duals[i] == pytest.approx(b.duals[i])
 
 
 # -- ScipySession: the stateless reference ---------------------------------
@@ -149,7 +149,7 @@ def test_highs_session_matches_scipy():
 @needs_highspy
 def test_highs_session_min_model_and_duals():
     def build():
-        m = Model(sense="min", name="ge")
+        m = ExprModel(sense="min", name="ge")
         x = m.add_variable("x", lb=0.0)
         y = m.add_variable("y", lb=0.0)
         m.add_constraint(x + y >= 4.0)
@@ -180,7 +180,7 @@ def test_highs_session_cold_starts_on_shape_change():
     with use_registry(MetricsRegistry()) as registry:
         with HighsSession() as session:
             session.solve(capacity_model())
-            m = Model(sense="max", name="other")
+            m = ExprModel(sense="max", name="other")
             x = m.add_variable("x", lb=0.0, ub=1.0)
             m.set_objective(x.to_expr())
             session.solve(m)
@@ -194,7 +194,7 @@ def test_highs_session_error_taxonomy():
         session = HighsSession()
         with pytest.raises(InfeasibleError):
             session.solve(infeasible_model())
-        unbounded = Model(sense="max", name="unbounded")
+        unbounded = ExprModel(sense="max", name="unbounded")
         x = unbounded.add_variable("x", lb=0.0)
         unbounded.set_objective(x.to_expr())
         with pytest.raises((UnboundedError, SolverError)):

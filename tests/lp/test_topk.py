@@ -1,23 +1,24 @@
-"""Tests for the sum-of-top-k encodings (paper Theorem 4.2 + CVaR)."""
+"""Tests for the sum-of-top-k encodings (paper Theorem 4.2 + CVaR), as
+:func:`~repro.lp.add_sum_topk_coo` emits them."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.lp import (Model, add_sum_topk, add_sum_topk_cvar,
-                      add_sum_topk_sorting, quicksum, sum_topk_exact,
-                      topk_constraint_count)
+from repro.lp import EQ, GE, Model, add_sum_topk_coo, sum_topk_exact, \
+    topk_template
 
 
 def _solve_topk(values, k, encoding):
     """Pin x_t == values and minimise the bound variable S."""
+    T = len(values)
     m = Model(sense="min")
-    xs = [m.add_variable(f"x{t}") for t in range(len(values))]
-    for x, val in zip(xs, values):
-        m.add_constraint(x == float(val))
-    total = add_sum_topk(m, xs, k, encoding=encoding)
-    m.set_objective(total.to_expr())
+    xs = m.add_variables_array(T, "x")
+    m.add_constraints_coo(np.arange(T), xs.indices, np.ones(T), EQ,
+                          [float(val) for val in values])
+    total = add_sum_topk_coo(m, xs.indices, k, encoding=encoding)
+    m.set_objective_coo([total], [1.0])
     return m.solve().objective
 
 
@@ -49,19 +50,19 @@ def test_topk_single_element(encoding):
 
 def test_unknown_encoding_rejected():
     m = Model()
-    xs = m.add_variables(3)
+    xs = m.add_variables_array(3)
     with pytest.raises(ValueError):
-        add_sum_topk(m, xs, 1, encoding="quantum")
+        add_sum_topk_coo(m, xs.indices, 1, encoding="quantum")
 
 
 @pytest.mark.parametrize("encoding", ["cvar", "sorting"])
 def test_bad_k_rejected(encoding):
     m = Model()
-    xs = m.add_variables(3)
+    xs = m.add_variables_array(3)
     with pytest.raises(ValueError):
-        add_sum_topk(m, xs, 0, encoding=encoding)
+        add_sum_topk_coo(m, xs.indices, 0, encoding=encoding)
     with pytest.raises(ValueError):
-        add_sum_topk(m, xs, 4, encoding=encoding)
+        add_sum_topk_coo(m, xs.indices, 4, encoding=encoding)
 
 
 @settings(max_examples=40, deadline=None)
@@ -106,36 +107,42 @@ def test_encodings_agree_inside_optimisation(seed):
     results = {}
     for encoding in ("cvar", "sorting"):
         m = Model(sense="min")
-        xs = [m.add_variable(f"x{t}", ub=float(caps[t])) for t in range(T)]
-        m.add_constraint(quicksum(xs) >= budget)
-        total = add_sum_topk(m, xs, k, encoding=encoding)
-        m.set_objective(quicksum(xs) + 2.0 * total)
+        xs = m.add_variables_array(T, "x", ub=caps)
+        m.add_constraints_coo(np.zeros(T), xs.indices, np.ones(T), GE,
+                              [budget])
+        total = add_sum_topk_coo(m, xs.indices, k, encoding=encoding)
+        m.set_objective_coo([*xs.indices, total], [1.0] * T + [2.0])
         results[encoding] = m.solve().objective
     assert results["cvar"] == pytest.approx(results["sorting"], rel=1e-6)
 
 
 def test_constraint_counts():
-    assert topk_constraint_count(10, 1, "cvar") == 11
-    # k passes of bubble comparators: sum_{i=0}^{k-1} (T - i - 1) comparators.
-    assert topk_constraint_count(10, 2, "sorting") == 3 * (9 + 8) + 1
-    assert topk_constraint_count(5, 5, "sorting") == 1
+    for T in range(1, 11):
+        for k in range(1, T + 1):
+            assert topk_template(T, k, "cvar").n_rows == T + 1
+            # k passes of bubble comparators: sum_{i<k} (T - i - 1) of them,
+            # or the bound row alone when k == T.
+            comparators = sum(T - i - 1 for i in range(k))
+            assert topk_template(T, k, "sorting").n_rows == \
+                (1 if k == T else 3 * comparators + 1)
+    assert topk_template(10, 2, "sorting").n_rows == 3 * (9 + 8) + 1
     with pytest.raises(ValueError):
-        topk_constraint_count(10, 2, "bogus")
+        topk_template(10, 2, "bogus")
 
 
 def test_sorting_uses_three_constraints_per_comparator():
     """The paper claims 40% fewer constraints than prior work's five."""
     T, k = 8, 2
     m = Model(sense="min")
-    xs = m.add_variables(T)
-    before = len(m.constraints)
-    add_sum_topk_sorting(m, xs, k)
-    added = len(m.constraints) - before
+    xs = m.add_variables_array(T)
+    before = m.num_constraints
+    add_sum_topk_coo(m, xs.indices, k, encoding="sorting")
+    added = m.num_constraints - before
     comparators = (T - 1) + (T - 2)
     assert added == 3 * comparators + 1
 
 
 def test_cvar_is_much_smaller_than_sorting():
     T, k = 50, 5
-    assert topk_constraint_count(T, k, "cvar") < topk_constraint_count(
-        T, k, "sorting") / 4
+    assert topk_template(T, k, "cvar").n_rows < \
+        topk_template(T, k, "sorting").n_rows / 4

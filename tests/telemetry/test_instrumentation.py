@@ -5,12 +5,12 @@ import pytest
 
 from repro.core import ByteRequest, PretiumController
 from repro.experiments import quick_scenario
-from repro.lp import Model, quicksum
 from repro.sim import simulate
 from repro.telemetry import (InMemoryCollector, MetricsRegistry, Tracer,
                              module_runtimes, set_registry, use_tracer)
 from repro.traffic import Workload
 from repro.network import line_network
+from tests.reference.expr import ExprModel, quicksum
 
 
 class IdleScheme:
@@ -84,7 +84,7 @@ def test_run_span_wraps_module_spans():
 
 
 def test_solver_emits_lp_solve_span():
-    model = Model(sense="max", name="toy")
+    model = ExprModel(sense="max", name="toy")
     x = model.add_variable("x", lb=0.0, ub=2.0)
     y = model.add_variable("y", lb=0.0, ub=2.0)
     model.add_constraint(quicksum([x, y]) <= 3.0, name="cap")
