@@ -34,13 +34,15 @@ Commands
 ``telemetry audit``
     Replay a trace's request ledger and check the economic invariants
     (byte conservation, guarantees, menu convexity, settlement and
-    revenue reconciliation); non-zero exit on unwaived findings.
+    revenue reconciliation) in one streaming pass; non-zero exit on
+    unwaived findings.
 ``telemetry export``
     Convert a trace to Chrome/Perfetto ``trace_event`` JSON
     (``--format chrome-trace``) or Prometheus text exposition
     (``--format prom``).
 ``telemetry timeline``
-    Print one request's full economic history from a trace.
+    Print one request's full economic history from a trace (streamed:
+    only that request's and the run-level ledger events are kept).
 ``telemetry flame``
     Aggregate a trace's span trees into self-time attribution and emit
     collapsed-stack flamegraph lines (``--format collapsed``, the
@@ -69,8 +71,8 @@ from .network import ROUTING_POLICIES, wan_topology
 from .options import RunOptions
 from .registry import SCENARIOS, SCHEMES
 from .sim import save_summary
-from .telemetry import (chrome_trace_json, flame_report, prometheus_text,
-                        read_trace, report_trace, timeline)
+from .telemetry import (chrome_trace_json, flame_report, iter_trace,
+                        prometheus_text, report_trace, timeline)
 from .traffic import NormalValues, build_workload, load_workload, \
     save_workload
 
@@ -548,18 +550,29 @@ def _print_names(names) -> int:
     return 0
 
 
-def _load_trace(path: str) -> list[dict]:
-    """Read a JSONL trace for the telemetry subcommands.
+def _stream_trace(path: str):
+    """Yield a JSONL trace's events for the telemetry subcommands.
 
     Corrupt lines are skipped (with a warning) so a torn trace still
     loads, but a non-empty file yielding *no* events at all is treated
-    as "not a trace" and raises ``ValueError``.
+    as "not a trace": once the file is read, ``ValueError`` is raised.
     """
-    events = read_trace(path)
-    if not events and os.path.getsize(path) > 0:
+    n_events = 0
+    for event in iter_trace(path):
+        n_events += 1
+        yield event
+    if not n_events and os.path.getsize(path) > 0:
         raise ValueError(f"{path} is not a JSONL trace "
                          "(no parseable events)")
-    return events
+
+
+def _request_events(events, rid: int, cell: int | None) -> list[dict]:
+    """The ledger events ``telemetry timeline`` reads for ``rid``: the
+    request's own and the run-level ones, in ``cell`` when given."""
+    return [event for event in events
+            if event.get("type") == "ledger"
+            and (cell is None or event.get("cell") == cell)
+            and (event.get("rid") is None or int(event["rid"]) == rid)]
 
 
 def _emit(payload: str, out: str | None, what: str) -> int:
@@ -575,10 +588,7 @@ def _emit(payload: str, out: str | None, what: str) -> int:
 
 def _cmd_telemetry(args) -> int:
     try:
-        events = _load_trace(args.trace)
-        if args.telemetry_command == "report":
-            print(report_trace(events))
-            return 0
+        events = _stream_trace(args.trace)
         if args.telemetry_command == "audit":
             summary = None
             if args.summary:
@@ -602,6 +612,21 @@ def _cmd_telemetry(args) -> int:
             print(format_table(header, rows))
             print(f"{len(findings)} finding(s), {len(failing)} unwaived")
             return 1 if failing else 0
+        if args.telemetry_command == "timeline":
+            events = _request_events(events, args.rid, args.cell)
+            where = args.trace if args.cell is None \
+                else f"cell {args.cell} of {args.trace}"
+            try:
+                print(timeline(events, args.rid))
+            except KeyError:
+                print(f"error: no ledger events for request {args.rid} "
+                      f"in {where}", file=sys.stderr)
+                return 1
+            return 0
+        events = list(events)
+        if args.telemetry_command == "report":
+            print(report_trace(events))
+            return 0
         if args.telemetry_command == "export":
             if args.format == "chrome-trace":
                 payload = chrome_trace_json(events)
@@ -612,19 +637,6 @@ def _cmd_telemetry(args) -> int:
                           "to export", file=sys.stderr)
                     return 1
             return _emit(payload, args.out, f"{args.format} output")
-        if args.telemetry_command == "timeline":
-            where = args.trace
-            if args.cell is not None:
-                events = [event for event in events
-                          if event.get("cell") == args.cell]
-                where = f"cell {args.cell} of {args.trace}"
-            try:
-                print(timeline(events, args.rid))
-            except KeyError:
-                print(f"error: no ledger events for request {args.rid} "
-                      f"in {where}", file=sys.stderr)
-                return 1
-            return 0
         if args.telemetry_command == "flame":
             payload = flame_report(events, fmt=args.format)
             return _emit(payload, args.out, f"{args.format} profile")

@@ -9,14 +9,16 @@ The observability layer for the whole stack (see DESIGN.md
   timestamps and structured attributes; disabled (no sinks) by default,
   in which case a span costs two ``perf_counter`` calls and nothing else;
 - :class:`TraceWriter` / :class:`InMemoryCollector` — JSONL file and
-  in-memory event sinks; :func:`read_trace` parses a file back (skipping
+  in-memory event sinks; :func:`iter_trace` streams a file back one
+  event at a time and :func:`read_trace` loads it whole (both skip
   torn/corrupt lines with a warning);
 - :mod:`~repro.telemetry.ledger` — the event-sourced per-request
   lifecycle ledger (ARRIVED → QUOTED → ADMITTED → ALLOCATED →
   SETTLED) and its :class:`Ledger` replay view;
 - :mod:`~repro.telemetry.audit` — the invariant auditor: byte
   conservation, guarantee compliance, menu convexity and
-  revenue/welfare reconciliation as structured :class:`Finding` records;
+  revenue/welfare reconciliation as structured :class:`Finding` records,
+  in one streaming pass whose memory grows with requests, not events;
 - :mod:`~repro.telemetry.export` — Chrome/Perfetto ``trace_event``
   JSON, Prometheus text exposition, and per-request timelines;
 - :mod:`~repro.telemetry.report` — aggregate a trace into the
@@ -54,21 +56,20 @@ from .registry import (Counter, Gauge, Histogram, MetricsRegistry,
                        get_registry, set_registry, use_registry)
 from .report import aggregate_spans, metrics_table, module_runtimes, \
     report_trace, runtime_table
-from .sinks import (InMemoryCollector, TagSink, TraceWriter, merge_traces,
-                    read_trace)
+from .sinks import (InMemoryCollector, TagSink, TraceWriter, iter_trace,
+                    merge_traces, read_trace)
 from .trace import Span, Tracer, get_tracer, set_tracer, use_tracer
 
 __all__ = [
-    "Counter", "Finding", "Gauge", "Histogram", "InMemoryCollector",
-    "Ledger", "LiveMetricsServer", "MetricsRegistry", "RequestHistory",
-    "SLOTracker", "Snapshotter", "Span", "TagSink", "TraceWriter",
-    "Tracer", "aggregate_spans", "audit_events", "audit_trace",
-    "chrome_trace", "chrome_trace_json", "collapsed_stacks",
-    "flame_report", "fleet_registry", "fleet_registry_from_cells",
-    "fleet_snapshot", "get_registry", "get_tracer", "ledger_events",
-    "merge_traces", "metrics_table", "module_runtimes",
-    "prometheus_exposition", "prometheus_text", "read_trace",
-    "report_trace", "runtime_table", "self_time_table", "set_registry",
-    "set_tracer", "span_nodes", "timeline", "unwaived", "use_registry",
-    "use_tracer",
+    "Counter", "Finding", "Gauge", "Histogram", "InMemoryCollector", "Ledger",
+    "LiveMetricsServer", "MetricsRegistry", "RequestHistory", "SLOTracker",
+    "Snapshotter", "Span", "TagSink", "TraceWriter", "Tracer",
+    "aggregate_spans", "audit_events", "audit_trace", "chrome_trace",
+    "chrome_trace_json", "collapsed_stacks", "flame_report", "fleet_registry",
+    "fleet_registry_from_cells", "fleet_snapshot", "get_registry",
+    "get_tracer", "iter_trace", "ledger_events", "merge_traces",
+    "metrics_table", "module_runtimes", "prometheus_exposition",
+    "prometheus_text", "read_trace", "report_trace", "runtime_table",
+    "self_time_table", "set_registry", "set_tracer", "span_nodes", "timeline",
+    "unwaived", "use_registry", "use_tracer",
 ]

@@ -24,9 +24,11 @@ installed new prices) and ``GUARANTEES_DROPPED`` (SAM fell back to
 best-effort after infeasibility).
 
 :class:`Ledger` replays a list of events (or a trace file) back into
-per-request :class:`RequestHistory` records; the invariant auditor
-(:mod:`repro.telemetry.audit`) and the ``telemetry timeline`` CLI are
-built on it.
+per-request :class:`RequestHistory` records, keeping every event dict:
+it is the lossless per-request view behind the ``telemetry timeline``
+CLI.  The invariant auditor (:mod:`repro.telemetry.audit`) no longer
+replays through it; it folds the events in one streaming pass into
+compact books of only the fields its checks read.
 """
 
 from __future__ import annotations

@@ -2,7 +2,8 @@
 
 Events are plain dicts (see ``Span.to_event`` for the span schema).  The
 writer is line-oriented JSON so traces stream, append, and grep well;
-:func:`read_trace` is the inverse.  Tests and benchmarks use
+:func:`iter_trace` streams a file back event by event and
+:func:`read_trace` loads it whole.  Tests and benchmarks use
 :class:`InMemoryCollector` to assert on emitted events without touching
 the filesystem.
 """
@@ -91,29 +92,54 @@ class TraceWriter:
         self.close()
 
 
-def read_trace(path: str | Path, strict: bool = False) -> list[dict]:
-    """Parse a JSONL trace back into a list of event dicts.
+def _intact_lines(path: str | Path, strict: bool):
+    """Yield ``(line, event)`` for every intact line of a JSONL trace.
 
-    Truncated or corrupt lines — a run killed mid-write leaves a torn
-    final line, and chaos CI uploads traces of exactly such runs — are
-    skipped with a :class:`UserWarning` naming the line, so a damaged
-    trace still yields every intact event.  Pass ``strict=True`` to get
-    the old raise-on-first-error behaviour.
+    A line is intact when it parses to a JSON object.  Truncated or
+    corrupt lines — a run killed mid-write leaves a torn final line — and
+    lines holding any other JSON value are skipped with a
+    :class:`UserWarning` naming the line, or raise ``ValueError`` when
+    ``strict``.  Blank lines are skipped silently.
     """
-    events = []
     with Path(path).open() as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                events.append(json.loads(line))
-            except json.JSONDecodeError as exc:
+                event = json.loads(line)
+                if not isinstance(event, dict):
+                    raise ValueError(f"expected a JSON object, got "
+                                     f"{type(event).__name__}")
+            except ValueError as exc:
                 if strict:
                     raise
                 warnings.warn(f"skipping corrupt trace line {lineno} in "
-                              f"{path}: {exc}", stacklevel=2)
-    return events
+                              f"{path}: {exc}", stacklevel=3)
+                continue
+            yield line, event
+
+
+def iter_trace(path: str | Path, strict: bool = False):
+    """Yield a JSONL trace's event dicts one line at a time.
+
+    Truncated or corrupt lines — a run killed mid-write leaves a torn
+    final line, and chaos CI uploads traces of exactly such runs — and
+    lines that are not JSON objects are skipped with a
+    :class:`UserWarning` naming the line, so a damaged trace still yields
+    every intact event.  Pass ``strict=True`` to raise ``ValueError`` on
+    the first such line instead.  Only one event is held at a time, so
+    a consumer that folds events as they come (the invariant auditor)
+    needs memory for its fold, not for the trace.
+    """
+    for _line, event in _intact_lines(path, strict):
+        yield event
+
+
+def read_trace(path: str | Path, strict: bool = False) -> list[dict]:
+    """Parse a JSONL trace into a list of event dicts (see
+    :func:`iter_trace` for the corrupt-line handling)."""
+    return list(iter_trace(path, strict))
 
 
 def merge_traces(paths, out: str | Path) -> int:
@@ -123,17 +149,16 @@ def merge_traces(paths, out: str | Path) -> int:
     grid-cell order, so the merged trace is deterministic regardless of
     which worker finished first).  Shards are read tolerantly — a worker
     killed mid-write leaves a torn final line, which is skipped with a
-    warning rather than poisoning the merge.  Events are written back
-    verbatim (each shard's ``cell``/``worker`` tags were stamped at
-    emission time by :class:`TagSink`).  Returns the number of events
+    warning rather than poisoning the merge.  Every intact line is
+    copied verbatim (each shard's ``cell``/``worker`` tags were stamped
+    at emission time by :class:`TagSink`).  Returns the number of events
     written.
     """
     out = Path(out)
     count = 0
     with out.open("w") as handle:
         for path in paths:
-            for event in read_trace(path):
-                handle.write(json.dumps(event, separators=(",", ":"),
-                                        default=_json_default) + "\n")
+            for line, _event in _intact_lines(path, strict=False):
+                handle.write(line + "\n")
                 count += 1
     return count

@@ -32,8 +32,7 @@ from repro.traffic import NormalValues, build_workload
 STEPS_PER_DAY = 8
 
 
-@pytest.fixture(scope="session")
-def chaos_scenario() -> Scenario:
+def chaos_world() -> Scenario:
     """Two-day, 10-node world: PC re-prices at t=8, SAM runs every step."""
     topology = wan_topology(n_nodes=10, n_regions=2, metered_fraction=0.2,
                             metered_cost=25.0, seed=0)
@@ -43,6 +42,11 @@ def chaos_scenario() -> Scenario:
         max_requests_per_pair=8, seed=0)
     return Scenario(topology, workload,
                     LinkCostModel(topology, billing_window=STEPS_PER_DAY))
+
+
+@pytest.fixture(scope="session")
+def chaos_scenario() -> Scenario:
+    return chaos_world()
 
 
 def chaos_config(**overrides) -> PretiumConfig:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.telemetry import (InMemoryCollector, TraceWriter, Tracer,
-                             read_trace)
+                             iter_trace, merge_traces, read_trace)
 
 
 def test_jsonl_round_trip(tmp_path):
@@ -97,3 +97,51 @@ def test_read_trace_strict_mode_raises(tmp_path):
     path.write_text('{"ok":1}\nnot json\n')
     with pytest.raises(json.JSONDecodeError):
         read_trace(path, strict=True)
+
+
+def test_iter_trace_yields_one_event_at_a_time(tmp_path):
+    path = tmp_path / "trace.jsonl"
+    path.write_text('{"type":"span"}\n{"type":"metrics"}\n')
+    events = iter_trace(path)
+    assert next(events) == {"type": "span"}
+    assert list(events) == [{"type": "metrics"}]
+
+
+def test_non_object_lines_are_corrupt(tmp_path):
+    path = tmp_path / "trace.jsonl"
+    path.write_text('{"type":"span"}\n1\n[2]\n"three"\nnull\n')
+    with pytest.warns(UserWarning, match="corrupt trace line") as caught:
+        assert read_trace(path) == [{"type": "span"}]
+    assert [str(w.message).split(" in ")[0] for w in caught] == [
+        f"skipping corrupt trace line {n}" for n in (2, 3, 4, 5)]
+    with pytest.raises(ValueError, match="expected a JSON object"):
+        read_trace(path, strict=True)
+
+
+def test_merge_copies_intact_lines_verbatim(tmp_path):
+    import json
+
+    shards = []
+    for cell in range(2):
+        shard = tmp_path / f"cell-{cell}.jsonl"
+        with TraceWriter(shard) as writer:
+            for step in range(3):
+                writer.emit({"type": "ledger", "event": "ALLOCATED",
+                             "rid": step, "bytes": 0.1 * step,
+                             "route": [cell, step], "cell": cell,
+                             "note": "ünïcode"})
+        shards.append(shard)
+    with shards[0].open("a") as handle:
+        handle.write('{"type":"ledger","event":"ALLO')      # torn tail
+    out = tmp_path / "merged.jsonl"
+    with pytest.warns(UserWarning, match="corrupt trace line 4"):
+        assert merge_traces(shards, out) == 6
+    intact = [line for shard in shards
+              for line in shard.read_text().splitlines()
+              if line.endswith("}")]
+    assert out.read_text() == "".join(line + "\n" for line in intact)
+    # ... which is what re-encoding every event would write
+    with pytest.warns(UserWarning):
+        events = [event for shard in shards for event in read_trace(shard)]
+    assert out.read_text() == "".join(
+        json.dumps(event, separators=(",", ":")) + "\n" for event in events)

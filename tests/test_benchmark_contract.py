@@ -85,3 +85,16 @@ def test_the_step_loop_calls_what_the_shims_patch(drive):
     assert counts.get("sim.apply", 0) >= 1
     assert counts.get("sim.settle", 0) == 1
     assert counts.get("scheme.arrival", 0) == scenario.workload.n_requests
+
+
+def test_an_audited_path_records_both_telemetry_spans(tmp_path):
+    """``measure.py`` indexes the ``telemetry.read_trace`` and
+    ``telemetry.audit`` spans of ``repro.audit(path)`` without a default,
+    so both names must still be called through ``repro.api``'s globals
+    (the reader only opens the stream; parsing is timed as the audit)."""
+    trace = tmp_path / "trace.jsonl"
+    repro.run("Pretium", tiny_scenario(seed=0),
+              options=repro.RunOptions(telemetry=trace))
+    counts = _recorded(lambda: repro.audit(trace))
+    assert counts.get("telemetry.read_trace") == 1
+    assert counts.get("telemetry.audit") == 1

@@ -109,6 +109,22 @@ def test_telemetry_warns_once_per_corrupt_line(traced_run, tmp_path, capsys,
     assert sum("corrupt trace line" in str(w.message) for w in caught) == 2
 
 
+@pytest.mark.parametrize("command", ["report", "audit", "export",
+                                     "timeline", "flame"])
+def test_telemetry_treats_non_object_lines_as_corrupt(tmp_path, capsys,
+                                                      command):
+    # JSON values that are not objects are not events: each is warned
+    # about and skipped, so the file holds no trace at all
+    numbers = tmp_path / "numbers.jsonl"
+    numbers.write_text("1\n2\n")
+    extra = {"export": ["--format", "prom"], "timeline": ["0"]}
+    with pytest.warns(UserWarning, match="corrupt trace line") as caught:
+        assert main(["telemetry", command, str(numbers),
+                     *extra.get(command, [])]) == 1
+    assert sum("corrupt trace line" in str(w.message) for w in caught) == 2
+    assert "not a JSONL trace" in capsys.readouterr().err
+
+
 def test_run_without_telemetry_leaves_tracer_disabled(tmp_path, capsys):
     from repro.telemetry import get_tracer
     wl_path = tmp_path / "wl.json"
@@ -247,6 +263,10 @@ def test_telemetry_timeline(traced_run, capsys):
     out = capsys.readouterr().out
     assert f"request {rid}" in out
     assert "ARRIVED" in out and "SETTLED" in out
+    # streaming keeps only this request's events: same text as the
+    # timeline of the whole loaded trace
+    from repro.telemetry import read_trace, timeline
+    assert out == timeline(read_trace(trace_path), rid) + "\n"
 
     assert main(["telemetry", "timeline", str(trace_path), "999999"]) == 1
     assert "no ledger events" in capsys.readouterr().err
@@ -305,7 +325,12 @@ def test_sweep_timeline_cell_filter(swept, capsys):
     capsys.readouterr()
     assert main(["telemetry", "timeline", str(trace_path), "0",
                  "--cell", "0"]) == 0
-    assert "request 0" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "request 0" in out
+    from repro.telemetry import read_trace, timeline
+    cell = [event for event in read_trace(trace_path)
+            if event.get("cell") == 0]
+    assert out == timeline(cell, 0) + "\n"
     assert main(["telemetry", "timeline", str(trace_path), "0",
                  "--cell", "99"]) == 1
     assert "cell 99" in capsys.readouterr().err
