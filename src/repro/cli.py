@@ -15,15 +15,16 @@ Commands
     progress line.
 ``campaign``
     Run a declarative campaign (a preset name like ``smoke`` /
-    ``paper-scale`` or a TOML/JSON spec file): every declared sweep,
-    the figure registry, and a Markdown + HTML report artifact with
-    wall-clock, memory and per-stage timings.
+    ``figures`` or a TOML/JSON spec file): every declared sweep, figure
+    and check, and a Markdown + HTML report artifact with wall-clock,
+    memory and per-stage timings; exit 1 if a cell or a check failed.
 ``serve``
     Start the live admission service and drive it with the synthetic
     open-loop load generator; prints quotes/sec, latency percentiles
     and the menu-cache hit counters.
 ``figure``
-    Regenerate one of the paper's figures/tables and print its rows.
+    Regenerate one of the paper's figures/tables and print its rows
+    (6, 8, 9, 11: a slice of the ``figures`` campaign, with its checks).
 ``list-schemes``
     Show the evaluation scheme names accepted by ``run``.
 ``list-figures``
@@ -53,14 +54,14 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import inspect
 import json
 import os
 import sys
+import tempfile
 
 from . import api
 from .costs import LinkCostModel
-from .experiments import format_series, format_table
+from .experiments import format_table
 from .experiments import figures as figures_module
 from .experiments.campaign import (CAMPAIGN_PRESETS, CampaignError,
                                    campaign_spec, cell_table, stage_section)
@@ -77,18 +78,19 @@ from .traffic import NormalValues, build_workload, load_workload, \
     save_workload
 
 #: Figure/table generators reachable from the CLI, in the paper's order
-#: (which ``list-figures`` and ``figure``'s usage errors keep).
+#: (which ``list-figures`` and ``figure``'s usage errors keep).  A tuple
+#: names the figures of the ``figures`` campaign preset that the id runs.
 FIGURES = {
     "1": figures_module.figure1,
     "2": figures_module.figure2,
     "4": figures_module.figure4,
     "5": figures_module.figure5,
-    "6": figures_module.figure6,
+    "6": ("fig6",),
     "7": figures_module.figure7,
-    "8": figures_module.figure8,
-    "9": figures_module.figure9,
+    "8": ("fig8", "fig8-rel"),
+    "9": ("fig9",),
     "10": figures_module.figure10,
-    "11": figures_module.figure11,
+    "11": ("fig11",),
     "12": figures_module.figure12,
     "13": figures_module.figure13,
     "14": figures_module.figure14,
@@ -202,8 +204,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="figure number or 'table4'")
     fig.add_argument("--seed", type=int, default=0)
     fig.add_argument("--workers", type=int, default=1,
-                     help="worker processes for figures built on a "
-                          "sweep grid (6, 8, 9, 11)")
+                     help="worker processes for the figures the "
+                          "'figures' campaign preset runs (6, 8, 9, 11)")
 
     sub.add_parser("list-schemes", help="list evaluation scheme names")
     sub.add_parser("list-figures", help="list figure/table ids")
@@ -459,7 +461,17 @@ def _cmd_campaign(args) -> int:
     print(f"report: {result.report_md}")
     print(f"report: {result.report_html}")
     print(f"machine-readable: {result.summary_path}")
-    return _report_failures(result.failures)
+    return _report_checks(result)
+
+
+def _report_checks(result) -> int:
+    """Print one line per check; exit 1 if a cell or a check failed."""
+    for check in result.checks:
+        print(f"check {check['name']}: {'pass' if check['ok'] else 'FAIL'} "
+              f"({check['claim']}; worst slack {check['worst_slack']:.4g} "
+              f"at {check['at']})")
+    return _report_failures(result.failures) or int(
+        not all(check["ok"] for check in result.checks))
 
 
 def _cmd_serve(args) -> int:
@@ -522,27 +534,37 @@ def _cmd_serve(args) -> int:
 
 def _cmd_figure(args) -> int:
     generator = FIGURES[args.id]
-    kwargs = {} if args.id == "2" else {"seed": args.seed}
-    if "workers" in inspect.signature(generator).parameters:
-        kwargs["workers"] = args.workers
-    data = generator(**kwargs)
-    print(_render_figure(args.id, data))
+    if isinstance(generator, tuple):
+        return _campaign_figure(args, generator)
+    if args.id == "2":
+        rows = [[row.scheme, row.prices, row.welfare]
+                for row in generator()["rows"]]
+        print(format_table(["scheme", "prices", "welfare"], rows))
+    else:
+        print(json.dumps(generator(seed=args.seed), indent=2, default=str))
     return 0
 
 
-def _render_figure(figure_id: str, data: dict) -> str:
-    if figure_id == "2":
-        rows = [[row.scheme, row.prices, row.welfare]
-                for row in data["rows"]]
-        return format_table(["scheme", "prices", "welfare"], rows)
-    if "load_factors" in data:
-        series = {key: values for key, values in data.items()
-                  if isinstance(values, dict)}
-        blocks = [format_series(f"figure {figure_id} - {name}",
-                                data["load_factors"], inner, x_label="load")
-                  for name, inner in series.items()]
-        return "\n\n".join(blocks)
-    return json.dumps(data, indent=2, default=str)
+def _campaign_figure(args, names: tuple[str, ...]) -> int:
+    """Run the ``figures`` preset's slice for ``names``: their sweep at
+    ``--seed``, the figures and the checks on them."""
+    spec = campaign_spec("figures")
+    figures = [figure for figure in spec.figures if figure.name in names]
+    used = {figure.sweep for figure in figures}
+    spec = dataclasses.replace(
+        spec, figures=tuple(figures),
+        sweeps=tuple(dataclasses.replace(sweep, seeds=(args.seed,))
+                     for sweep in spec.sweeps if sweep.name in used),
+        checks=tuple(check for check in spec.checks
+                     if check.figure in names),
+        options=spec.options.replace(workers=args.workers))
+    with tempfile.TemporaryDirectory() as out_dir:
+        result = api.campaign(spec, out_dir)
+    for name in names:
+        figure = result.figures[name]
+        print(f"== figure {args.id} - {name}: {figure['caption']} ==")
+        print(format_table(figure["columns"], figure["rows"]))
+    return _report_checks(result)
 
 
 def _print_names(names) -> int:

@@ -1,9 +1,10 @@
-"""Declarative campaign runner: spec → sweeps → figures → report.
+"""Declarative campaign runner: spec → sweeps → figures → checks → report.
 
 A *campaign* is the unit of a full evaluation: several sweep grids, the
-figures computed from them, and one self-contained report artifact —
-described declaratively in a TOML or JSON spec instead of a script, so
-the paper-scale runs are reproducible from a checked-in config::
+figures computed from them, the claims those figures must satisfy, and
+one self-contained report artifact — described declaratively in a TOML
+or JSON spec instead of a script, so the paper-scale runs are
+reproducible from a checked-in config::
 
     [campaign]
     name = "welfare-study"
@@ -24,24 +25,35 @@ the paper-scale runs are reproducible from a checked-in config::
     kind = "welfare_vs_load"        # from FIGURE_KINDS
     sweep = "main"
 
+    [[checks]]
+    name = "pretium-beats-noprices"
+    figure = "welfare"
+    kind = "above"                  # from CHECK_KINDS
+    scheme = "Pretium"
+    than = ["NoPrices"]             # scheme rows of the figure, or a number
+
 ``run_campaign`` executes every sweep through the persistent-worker
 :func:`~repro.experiments.sweep.run_sweep`, evaluates each figure from
-the registry, and writes an output directory containing ``report.md``,
-``report.html`` and a machine-readable ``campaign.json`` that records
-wall-clock, the peak RSS of the largest process (this one or a sweep
-worker) and per-stage timings.
+the registry and then each check, and writes an output directory
+containing ``report.md``, ``report.html`` and a machine-readable
+``campaign.json`` that records wall-clock, the peak RSS of the largest
+process (this one or a sweep worker), per-stage timings and every
+check's pass / FAIL.
 
-Two presets ship in :data:`CAMPAIGN_PRESETS`: ``smoke`` (a 2-cell tiny
-campaign CI runs end-to-end) and ``paper-scale`` (the 106-node /
-~226-edge production WAN at the paper's 288 steps/day over a multi-day
-horizon).  ``python -m repro campaign <preset-or-spec-path>`` is the
-CLI entry point.
+Three presets ship in :data:`CAMPAIGN_PRESETS`: ``smoke`` (a 3-cell
+campaign CI runs end-to-end), ``figures`` (the only producer of Figures
+6, 8, 9 and 11, with the paper's shape claims) and ``paper-scale`` (the
+106-node / ~226-edge production WAN at the paper's 288 steps/day over a
+multi-day horizon).  ``python -m repro campaign <preset-or-spec-path>``
+is the CLI entry point.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import math
+import operator
 import time
 from dataclasses import dataclass, field
 from functools import partial
@@ -50,8 +62,9 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 from ..options import RunOptions
-from ..telemetry.report import format_table, metric_rows
-from .scenarios import ScenarioSpec
+from ..sim import metrics
+from ..telemetry.report import format_cell, format_table, metric_rows
+from .scenarios import LOAD_FACTORS, ScenarioSpec
 from .sweep import SweepGrid, SweepResult, peak_rss_mb, run_sweep
 
 
@@ -96,6 +109,17 @@ class CampaignSweepSpec:
         except (KeyError, TypeError, ValueError) as exc:
             raise CampaignError(
                 f"sweep {self.name!r}: {exc.args[0]}") from None
+        bad = [load for load in self.loads
+               if not (math.isfinite(load) and load > 0)]
+        if bad:
+            raise CampaignError(f"sweep {self.name!r}: loads must be finite "
+                                f"and > 0, got {bad}")
+        for key, values in (("schemes", [s.name for s in grid.schemes]),
+                            ("loads", self.loads), ("seeds", self.seeds)):
+            repeated = sorted({v for v in values if values.count(v) > 1})
+            if repeated:
+                raise CampaignError(
+                    f"sweep {self.name!r}: {key} repeats {repeated}")
         object.__setattr__(self, "_grid", grid)
 
     def grid(self) -> SweepGrid:
@@ -119,6 +143,26 @@ class CampaignFigureSpec:
 
 
 @dataclass(frozen=True)
+class CampaignCheckSpec:
+    """A claim that ``scheme``'s row of a scheme × load figure compares
+    with each row named in ``than`` (or with the number ``than``), less
+    ``margin``, as :data:`CHECK_KINDS` says."""
+
+    name: str
+    figure: str
+    kind: str
+    scheme: str
+    than: tuple[str, ...] | float
+    margin: float = 0.0
+
+    def __post_init__(self) -> None:
+        if self.kind not in CHECK_KINDS:
+            raise CampaignError(
+                f"check {self.name!r}: unknown kind {self.kind!r}; "
+                f"expected one of {sorted(CHECK_KINDS)}")
+
+
+@dataclass(frozen=True)
 class CampaignSpec:
     """A fully validated campaign: sweeps, figures, shared options."""
 
@@ -127,6 +171,7 @@ class CampaignSpec:
     description: str = ""
     sweeps: tuple[CampaignSweepSpec, ...] = ()
     figures: tuple[CampaignFigureSpec, ...] = ()
+    checks: tuple[CampaignCheckSpec, ...] = ()
     options: RunOptions = field(default_factory=RunOptions)
     telemetry: bool = False
 
@@ -135,15 +180,36 @@ class CampaignSpec:
             raise CampaignError("a campaign needs a non-empty name")
         if not self.sweeps:
             raise CampaignError(f"campaign {self.name!r} declares no sweeps")
-        names = [sweep.name for sweep in self.sweeps]
-        if len(set(names)) != len(names):
-            raise CampaignError(
-                f"campaign {self.name!r} has duplicate sweep names: {names}")
+        for what, specs in (("sweep", self.sweeps), ("figure", self.figures)):
+            names = [spec.name for spec in specs]
+            if len(set(names)) != len(names):
+                raise CampaignError(f"campaign {self.name!r} has duplicate "
+                                    f"{what} names: {names}")
+        sweeps = {sweep.name: sweep for sweep in self.sweeps}
+        figures = {figure.name: figure for figure in self.figures}
         for figure in self.figures:
-            if figure.sweep not in names:
+            if figure.sweep not in sweeps:
                 raise CampaignError(
                     f"figure {figure.name!r} references unknown sweep "
-                    f"{figure.sweep!r}; declared sweeps: {names}")
+                    f"{figure.sweep!r}; declared sweeps: {list(sweeps)}")
+        for check in self.checks:
+            figure = figures.get(check.figure)
+            if figure is None:
+                raise CampaignError(
+                    f"check {check.name!r} references unknown figure "
+                    f"{check.figure!r}; declared figures: {list(figures)}")
+            if figure.kind not in LOAD_FIGURES:
+                raise CampaignError(
+                    f"check {check.name!r}: figure {figure.name!r} is a "
+                    f"{figure.kind!r}, not one of {sorted(LOAD_FIGURES)}")
+            rows = [scheme.name
+                    for scheme in sweeps[figure.sweep].grid().schemes]
+            than = check.than if isinstance(check.than, tuple) else ()
+            for scheme in (check.scheme, *than):
+                if scheme not in rows:
+                    raise CampaignError(
+                        f"check {check.name!r}: unknown scheme {scheme!r}; "
+                        f"figure {figure.name!r} has rows {rows}")
 
     # -- construction --------------------------------------------------------
     @classmethod
@@ -154,7 +220,7 @@ class CampaignSpec:
                 f"a campaign spec must be a table/object, not "
                 f"{type(raw).__name__}")
         _check_keys(raw, ("campaign", "options", "sweeps", "figures",
-                          "telemetry"), "top-level spec key(s)")
+                          "checks", "telemetry"), "top-level spec key(s)")
         header = raw.get("campaign", {})
         options_raw = dict(raw.get("options", {}))
         _check_keys(options_raw, RunOptions, "[options] key(s)")
@@ -166,16 +232,24 @@ class CampaignSpec:
                                                                    ()))
         figures = tuple(cls._figure_from(entry)
                         for entry in raw.get("figures", ()))
+        checks = tuple(cls._check_from(entry)
+                       for entry in raw.get("checks", ()))
         return cls(name=str(header.get("name", "")),
                    title=str(header.get("title", "")),
                    description=str(header.get("description", "")),
-                   sweeps=sweeps, figures=figures, options=options,
+                   sweeps=sweeps, figures=figures, checks=checks,
+                   options=options,
                    telemetry=bool(raw.get("telemetry", False)))
 
     @staticmethod
     def _sweep_from(entry: dict) -> CampaignSweepSpec:
-        _check_keys(entry, CampaignSweepSpec,
-                    f"key(s) in sweep {entry.get('name', '?')!r}")
+        name = entry.get("name", "?")
+        _check_keys(entry, CampaignSweepSpec, f"key(s) in sweep {name!r}")
+        for key in ("schemes", "loads", "seeds"):
+            if not isinstance(entry.get(key, ()), (list, tuple)):
+                raise CampaignError(
+                    f"sweep {name!r}: {key!r} must be an array, not "
+                    f"{type(entry[key]).__name__} {entry[key]!r}")
         routing = entry.get("routing")
         return CampaignSweepSpec(
             name=str(entry.get("name", "")),
@@ -191,9 +265,26 @@ class CampaignSpec:
     def _figure_from(entry: dict) -> CampaignFigureSpec:
         _check_keys(entry, CampaignFigureSpec,
                     f"key(s) in figure {entry.get('name', '?')!r}")
-        return CampaignFigureSpec(name=str(entry.get("name", "")),
-                                  kind=str(entry.get("kind", "")),
-                                  sweep=str(entry.get("sweep", "")))
+        return CampaignFigureSpec(**{key: str(entry.get(key, ""))
+                                     for key in ("name", "kind", "sweep")})
+
+    @staticmethod
+    def _check_from(entry: dict) -> CampaignCheckSpec:
+        name = entry.get("name", "?")
+        _check_keys(entry, CampaignCheckSpec, f"key(s) in check {name!r}")
+        than = entry.get("than")
+        if isinstance(than, (list, tuple)) and than:
+            than = tuple(str(scheme) for scheme in than)
+        elif isinstance(than, (int, float)) and not isinstance(than, bool):
+            than = float(than)
+        else:
+            raise CampaignError(
+                f"check {name!r}: 'than' must be a non-empty array of "
+                f"schemes or a number, not {than!r}")
+        return CampaignCheckSpec(
+            **{key: str(entry.get(key, ""))
+               for key in ("name", "figure", "kind", "scheme")},
+            than=than, margin=float(entry.get("margin", 0.0)))
 
     @classmethod
     def from_file(cls, path: str | Path) -> "CampaignSpec":
@@ -237,6 +328,7 @@ class CampaignSpec:
                         "scenario_kwargs": dict(sweep.scenario_kwargs)}
                        for sweep in self.sweeps],
             "figures": [dataclasses.asdict(figure) for figure in self.figures],
+            "checks": [dataclasses.asdict(check) for check in self.checks],
         }
 
 
@@ -257,48 +349,41 @@ def _mean(values: list[float]) -> float:
     return sum(values) / len(values) if values else float("nan")
 
 
-def _metric_by_scheme_and_column(result: SweepResult, metric: str) -> dict:
-    """``{(scenario_label, scheme): mean-over-seeds metric}`` for a sweep."""
-    out: dict[tuple[str, str], list[float]] = {}
-    for cell in result.cells:
-        if not cell.ok or cell.summary is None:
-            continue
-        out.setdefault((cell.scenario, cell.scheme), []).append(
-            float(cell.summary[metric]))
-    return {key: _mean(values) for key, values in out.items()}
-
-
 def _metric_vs_load(result: SweepResult, spec: CampaignSweepSpec,
-                    metric: str, normalize: str | None = None) -> dict:
-    """Table of ``metric`` per scheme (rows) × scenario column.
+                    kind: str) -> dict:
+    """Table of a :data:`LOAD_FIGURES` metric per scheme (rows) ×
+    scenario column (the mean over seeds), ``None`` where no cell ran.
 
-    With ``normalize`` set to a scheme present in the sweep, every value
-    is reported relative to that scheme's (the Figure 6 "fraction of
-    OPT welfare" shape); absolute values are the fallback.
+    When the kind's reference scheme is in the sweep, every value is
+    reported relative to that scheme's with :func:`metrics.relative`
+    (the Figure 6 "fraction of OPT welfare" shape; its own row reads
+    1.0); absolute values are the fallback.
     """
+    metric, reference = LOAD_FIGURES[kind]
+    samples: dict[tuple[str, str], list[float]] = {}
+    for cell in result.cells:
+        if cell.ok and cell.summary is not None:
+            samples.setdefault((cell.scenario, cell.scheme), []).append(
+                float(cell.summary[metric]))
+    by_key = {key: _mean(values) for key, values in samples.items()}
     columns = [scenario.label for scenario in spec.grid().scenarios]
-    by_key = _metric_by_scheme_and_column(result, metric)
-    reference = normalize if normalize in spec.schemes else None
-    rows = []
-    for scheme in spec.schemes:
-        if scheme == reference:
-            continue
-        row = [scheme]
-        for column in columns:
-            value = by_key.get((column, scheme))
-            if value is None:
-                row.append("-")
-                continue
-            if reference is not None:
-                base = by_key.get((column, reference))
-                value = value / base if base else float("nan")
-            row.append(f"{value:.4f}")
-        rows.append(row)
+    schemes = [scheme.name for scheme in spec.grid().schemes]
+    if reference not in schemes:
+        reference = None
+
+    def value(column: str, scheme: str) -> float | None:
+        raw = by_key.get((column, scheme))
+        if raw is None or reference is None:
+            return raw
+        base = by_key.get((column, reference))
+        return None if base is None else metrics.relative(raw, base)
+
     label = metric if reference is None else f"{metric} / {reference}"
     header = "load" if spec.loads else "scenario"
-    columns = ([f"{header}={load}" for load in spec.loads]
-               if spec.loads else columns)
-    return {"columns": ["scheme"] + columns, "rows": rows,
+    return {"columns": ["scheme"] + ([f"load={load}" for load in spec.loads]
+                                     or columns),
+            "rows": [[scheme] + [value(column, scheme) for column in columns]
+                     for scheme in schemes],
             "caption": f"{label} by scheme and {header}"}
 
 
@@ -306,11 +391,11 @@ def cell_table(result, spec=None):
     """One row per cell of a sweep: its outcome, welfare and wall-clock."""
     rows = []
     for cell in result.cells:
-        welfare = ("-" if not cell.ok or cell.summary is None
-                   else f"{cell.summary['welfare']:.1f}")
+        welfare = (None if not cell.ok or cell.summary is None
+                   else cell.summary["welfare"])
         status = "ok" if cell.ok else f"FAILED: {cell.error}"
         rows.append([cell.index, cell.scheme, cell.scenario, cell.seed,
-                     status, welfare, f"{cell.duration:.2f}",
+                     status, welfare, cell.duration,
                      "hit" if cell.cache_hit else "miss"])
     return {"columns": ["cell", "scheme", "scenario", "seed", "status",
                         "welfare", "secs", "scenario-cache"],
@@ -321,8 +406,7 @@ def _fig_scheme_timings(result, spec):
     by_scheme: dict[str, list[float]] = {}
     for cell in result.cells:
         by_scheme.setdefault(cell.scheme, []).append(cell.duration)
-    rows = [[scheme, len(durations), f"{_mean(durations):.2f}",
-             f"{max(durations):.2f}"]
+    rows = [[scheme, len(durations), _mean(durations), max(durations)]
             for scheme, durations in by_scheme.items()]
     return {"columns": ["scheme", "cells", "mean_s", "max_s"],
             "rows": rows, "caption": "per-scheme cell wall-clock"}
@@ -343,11 +427,9 @@ def _fig_per_class(result, spec):
         for cls in sorted(per_class):
             record = per_class[cls]
             rows.append([cell.scheme, cell.scenario, cls,
-                         record["n_requests"],
-                         f"{record['delivered']:.1f}",
-                         f"{record['completion']:.3f}",
-                         f"{record['value']:.2f}",
-                         f"{record['payments']:.2f}"])
+                         record["n_requests"], record["delivered"],
+                         record["completion"], record["value"],
+                         record["payments"]])
     return {"columns": ["scheme", "scenario", "class", "requests",
                         "delivered", "completion", "value", "payments"],
             "rows": rows,
@@ -355,20 +437,69 @@ def _fig_per_class(result, spec):
                        "(multi-class cells only)"}
 
 
+#: The scheme × load figure kinds (the ones checks can read): kind ->
+#: (summary metric, the scheme every value is relative to, if any).
+LOAD_FIGURES: dict[str, tuple[str, str | None]] = {
+    "welfare_vs_load": ("welfare", "OPT"),
+    "profit_vs_load": ("profit", "RegionOracle"),
+    "profit_abs_vs_load": ("profit", None),
+    "completion_vs_load": ("completion_demand", None),
+}
+
 #: Figure kinds a campaign spec may reference.  Each takes
-#: ``(SweepResult, CampaignSweepSpec)`` and returns a renderable table:
+#: ``(SweepResult, CampaignSweepSpec)`` and returns a table of plain
+#: values, which the report renders:
 #: ``{"columns": [...], "rows": [...], "caption": str}``.
 FIGURE_KINDS: dict[str, Callable] = {
-    "welfare_vs_load": partial(_metric_vs_load, metric="welfare",
-                               normalize="OPT"),
-    "profit_vs_load": partial(_metric_vs_load, metric="profit",
-                              normalize="RegionOracle"),
-    "completion_vs_load": partial(_metric_vs_load,
-                                  metric="completion_demand"),
+    **{kind: partial(_metric_vs_load, kind=kind) for kind in LOAD_FIGURES},
     "cell_table": cell_table,
     "scheme_timings": _fig_scheme_timings,
     "per_class": _fig_per_class,
 }
+
+
+# -- checks -------------------------------------------------------------------
+
+#: Check kinds: kind -> (symbol, comparison, whether the rows are summed
+#: over loads first).  ``above`` holds when ``value > reference - margin``
+#: at every load, ``at_least`` when ``value >= reference - margin``, and
+#: ``above_in_sum`` when ``sum(values) > sum(references) - margin * n``
+#: over the n loads.
+CHECK_KINDS: dict[str, tuple[str, Callable, bool]] = {
+    "above": (">", operator.gt, False),
+    "at_least": (">=", operator.ge, False),
+    "above_in_sum": (">", operator.gt, True),
+}
+
+
+def evaluate_check(check: CampaignCheckSpec, figure: dict) -> dict:
+    """One check against its figure's table: pass / FAIL, and the worst
+    slack ``value - (reference - margin)`` with where it occurred (NaN
+    where a cell failed, which fails the check)."""
+    symbol, compare, summed = CHECK_KINDS[check.kind]
+    loads = figure["columns"][1:]
+    rows = {row[0]: [math.nan if value is None else value
+                     for value in row[1:]] for row in figure["rows"]}
+    names = check.than if isinstance(check.than, tuple) else ()
+    references = ({name: rows[name] for name in names} if names
+                  else {f"{check.than:g}": [check.than] * len(loads)})
+    values = rows[check.scheme]
+    ok, worst, where = True, math.inf, ""
+    for versus, reference in references.items():
+        points = (zip(loads, values, reference) if not summed else
+                  [("sum", sum(values), sum(reference))])
+        margin = check.margin * (len(values) if summed else 1)
+        for load, value, base in points:
+            ok = ok and compare(value, base - margin)
+            slack = value - (base - margin)
+            if not (math.isnan(worst) or slack >= worst):
+                worst, where = slack, f"{load} vs {versus}"
+    versus = ", ".join(references)
+    margin = f" - {check.margin:g}" if check.margin else ""
+    scope = "summed over loads" if summed else "at every load"
+    return {"name": check.name, "figure": check.figure, "ok": ok,
+            "claim": f"{check.scheme} {symbol} {versus}{margin} {scope}",
+            "worst_slack": worst, "at": where}
 
 
 # -- execution ----------------------------------------------------------------
@@ -390,6 +521,8 @@ class CampaignResult:
     out_dir: Path
     sweeps: dict[str, SweepResult]
     figures: dict[str, dict]
+    #: One :func:`evaluate_check` record per declared check, in order.
+    checks: list[dict]
     stages: list[StageTiming]
     wall_s: float
     max_rss_mb: float
@@ -504,9 +637,12 @@ def run_campaign(spec: CampaignSpec, out_dir: str | Path,
     for figure in spec.figures:
         figures[figure.name] = FIGURE_KINDS[figure.kind](
             sweeps[figure.sweep], sweep_specs[figure.sweep])
+    checks = [evaluate_check(check, figures[check.figure])
+              for check in spec.checks]
     stages.append(StageTiming(stage="figures",
                               wall_s=time.perf_counter() - stage_begin,
-                              detail=f"{len(figures)} figure(s)"))
+                              detail=f"{len(figures)} figure(s), "
+                                     f"{len(checks)} check(s)"))
 
     stage_begin = time.perf_counter()
     wall_s = time.perf_counter() - begin
@@ -519,7 +655,8 @@ def run_campaign(spec: CampaignSpec, out_dir: str | Path,
     report_html = out_dir / "report.html"
     summary_path = out_dir / "campaign.json"
     result = CampaignResult(spec=spec, out_dir=out_dir, sweeps=sweeps,
-                            figures=figures, stages=stages, wall_s=wall_s,
+                            figures=figures, checks=checks,
+                            stages=stages, wall_s=wall_s,
                             max_rss_mb=max_rss_mb, report_md=report_md,
                             report_html=report_html,
                             summary_path=summary_path,
@@ -550,6 +687,7 @@ def campaign_record(result: CampaignResult) -> dict:
         "sweeps": {name: sweep.summaries()
                    for name, sweep in result.sweeps.items()},
         "figures": result.figures,
+        "checks": result.checks,
         "fleet_metrics": result.fleet_metrics,
         "slo": result.slo,
     }
@@ -570,6 +708,15 @@ def stage_section(result: CampaignResult) -> Section:
     return Section("Stages", ["stage", "wall_s", "detail"],
                    [[stage.stage, f"{stage.wall_s:.2f}", stage.detail]
                     for stage in result.stages])
+
+
+def _check_section(checks: list[dict]) -> Section:
+    return Section(
+        "Checks", ["check", "figure", "claim", "worst slack", "at", "status"],
+        [[check["name"], check["figure"], check["claim"],
+          check["worst_slack"], check["at"],
+          "pass" if check["ok"] else "FAIL"] for check in checks],
+        "declared paper-shape claims; slack = value - (reference - margin)")
 
 
 def _slo_rows(slo: dict) -> list[list]:
@@ -618,6 +765,8 @@ def report_sections(result: CampaignResult) -> list[Section]:
     sections += [Section(name, figure["columns"], figure["rows"],
                          figure.get("caption", ""))
                  for name, figure in result.figures.items()]
+    if result.checks:
+        sections.append(_check_section(result.checks))
     if result.failures:
         sections.append(Section(
             "Failures", ["cell", "label", "status", "detail"],
@@ -661,8 +810,8 @@ def _html_table(section: Section) -> list[str]:
     for row in section.rows:
         cells = []
         for value in row:
-            text = escape(str(value))
-            klass = ' class="failed"' if "FAILED" in text else ""
+            text = escape(format_cell(value))
+            klass = ' class="failed"' if "FAIL" in text else ""
             cells.append(f"<td{klass}>{text}</td>")
         out.append("<tr>" + "".join(cells) + "</tr>")
     out.append("</table>")
@@ -712,6 +861,51 @@ CAMPAIGN_PRESETS: dict[str, dict] = {
             {"name": "cells", "kind": "cell_table", "sweep": "main"},
             {"name": "timings", "kind": "scheme_timings", "sweep": "main"},
             {"name": "classes", "kind": "per_class", "sweep": "multiclass"},
+        ],
+    },
+    # Figures 6, 8, 9 and 11 on DESIGN §5's world (`python -m repro
+    # figure 6` runs one figure's slice), with the paper's shape claims.
+    "figures": {
+        "campaign": {"name": "figures",
+                     "title": "Figures 6, 8, 9 and 11 (DESIGN §5 scale)",
+                     "description": "The standard scenario at seed 0; the "
+                                    "checks are the paper's shape claims "
+                                    "(§6.2-6.3)."},
+        "options": {"workers": 2},
+        "sweeps": [{"name": "main",
+                    "schemes": ["OPT", "NoPrices", "RegionOracle",
+                                "PeakOracle", "VCGLike", "Pretium"],
+                    "loads": list(LOAD_FACTORS)},
+                   {"name": "ablations",
+                    "schemes": ["OPT", "Pretium", "Pretium-NoMenu",
+                                "Pretium-NoSAM"],
+                    "loads": list(LOAD_FACTORS)}],
+        "figures": [
+            {"name": "fig6", "kind": "welfare_vs_load", "sweep": "main"},
+            {"name": "fig8", "kind": "profit_abs_vs_load", "sweep": "main"},
+            {"name": "fig8-rel", "kind": "profit_vs_load", "sweep": "main"},
+            {"name": "fig9", "kind": "completion_vs_load", "sweep": "main"},
+            {"name": "fig11", "kind": "welfare_vs_load",
+             "sweep": "ablations"},
+        ],
+        "checks": [
+            {"name": "pretium-beats-every-baseline", "figure": "fig6",
+             "kind": "above", "scheme": "Pretium", "margin": 0.02,
+             "than": ["NoPrices", "RegionOracle", "PeakOracle", "VCGLike"]},
+            {"name": "noprices-trails-pretium", "figure": "fig6",
+             "kind": "above", "scheme": "Pretium", "than": ["NoPrices"]},
+            {"name": "pretium-keeps-half-of-opt", "figure": "fig6",
+             "kind": "above", "scheme": "Pretium", "than": 0.5},
+            {"name": "pretium-profit-dominates", "figure": "fig8",
+             "kind": "at_least", "scheme": "Pretium", "margin": 1e-6,
+             "than": ["NoPrices", "RegionOracle", "PeakOracle", "VCGLike"]},
+            {"name": "pretium-completes-with-regionoracle",
+             "figure": "fig9", "kind": "above_in_sum", "scheme": "Pretium",
+             "than": ["RegionOracle"], "margin": 0.05},
+            {"name": "menu-pays", "figure": "fig11", "kind": "above_in_sum",
+             "scheme": "Pretium", "than": ["Pretium-NoMenu"]},
+            {"name": "sam-pays", "figure": "fig11", "kind": "above_in_sum",
+             "scheme": "Pretium", "than": ["Pretium-NoSAM"]},
         ],
     },
     # The paper-scale evaluation: the 106-node / ~226-edge production

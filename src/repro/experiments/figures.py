@@ -1,9 +1,9 @@
-"""One generator per figure/table in the paper's evaluation (§6).
+"""One generator per single-run figure/table in the paper's evaluation (§6).
 
 Each ``figureN`` function returns a plain dict of series/rows — exactly
-the data the paper's plot shows — which the benchmarks print and
-EXPERIMENTS.md records.  Everything is deterministic given the scenario
-seed.
+the data the paper's plot shows — which ``python -m repro figure N`` and
+the benchmarks print.  Everything is deterministic given the scenario
+seed.  Figures 6, 8, 9 and 11 come from the ``figures`` campaign preset.
 """
 
 from __future__ import annotations
@@ -20,17 +20,9 @@ from ..sim import metrics, simulate
 from ..traffic import (NormalValues, build_workload, normal_with_ratio,
                        pareto_with_ratio, route_series_on_shortest_paths,
                        synthesize_tm_series, utilization_percentile_ratios)
-from ..options import RunOptions
 from .figure2 import figure2_table
 from .runner import run_scheme, run_schemes
-from .scenarios import (LOAD_FACTORS, Scenario, ScenarioSpec,
-                        standard_scenario)
-from .sweep import SweepGrid, run_sweep
-
-#: The schemes plotted in Figures 6, 8 and 9.
-MAIN_SCHEMES = ("NoPrices", "RegionOracle", "PeakOracle", "VCGLike",
-                "Pretium")
-
+from .scenarios import standard_scenario
 
 # -- Figure 1 -----------------------------------------------------------------
 
@@ -121,99 +113,6 @@ def figure5(seed: int = 0) -> dict:
     return out
 
 
-# -- Figures 6 / 8 / 9 (load-factor sweep) ------------------------------------
-
-def _grid_summaries(schemes, load_factors, seed: int, workers: int,
-                    scenario_kind: str = "standard",
-                    **scenario_kwargs) -> dict[tuple[float, str], dict]:
-    """Run a (scheme × load factor) grid and index summaries by cell.
-
-    The grid runs through :func:`~repro.experiments.sweep.run_sweep`, so
-    ``workers > 1`` shards the figure's cells across processes with
-    results bit-identical to the serial path.  A failed cell is an
-    error here — a figure with holes is worse than no figure.
-    """
-    specs = {load: ScenarioSpec.of(scenario_kind, load_factor=load,
-                                   **scenario_kwargs)
-             for load in load_factors}
-    grid = SweepGrid(schemes=schemes, scenarios=specs.values(),
-                     seeds=(seed,))
-    sweep = run_sweep(grid, options=RunOptions(workers=workers))
-    if not sweep.ok:
-        detail = "; ".join(f"{cell.label}: {cell.error}: {cell.detail}"
-                           for cell in sweep.failures)
-        raise RuntimeError(f"figure sweep had failed cells: {detail}")
-    return {(load, cell.scheme): cell.summary
-            for load, spec in specs.items()
-            for cell in sweep.cells if cell.scenario == spec.label}
-
-
-@lru_cache(maxsize=8)
-def load_sweep(schemes=MAIN_SCHEMES, load_factors=LOAD_FACTORS,
-               seed: int = 0, workers: int = 1) -> dict:
-    """Shared sweep behind Figures 6, 8 and 9 (cached per arguments).
-
-    Returns per-load welfare (relative to OPT), profit (relative to
-    RegionOracle) and completion fractions for every scheme.
-    ``workers`` selects process parallelism for the underlying grid; the
-    numbers are identical at any worker count.
-    """
-    summaries_by = _grid_summaries(("OPT",) + tuple(schemes), load_factors,
-                                   seed, workers)
-    welfare_rel: dict[str, list[float]] = {name: [] for name in schemes}
-    profit_rel: dict[str, list[float]] = {name: [] for name in schemes}
-    profit_abs: dict[str, list[float]] = {name: [] for name in schemes}
-    completion: dict[str, list[float]] = {name: [] for name in schemes}
-    for load in load_factors:
-        opt_welfare = summaries_by[(load, "OPT")]["welfare"]
-        region_profit = summaries_by[(load, "RegionOracle")]["profit"] \
-            if "RegionOracle" in schemes else 1.0
-        for name in schemes:
-            summary = summaries_by[(load, name)]
-            welfare_rel[name].append(metrics.relative(summary["welfare"],
-                                                      opt_welfare))
-            profit_rel[name].append(metrics.relative(summary["profit"],
-                                                     region_profit))
-            profit_abs[name].append(summary["profit"])
-            completion[name].append(summary["completion_demand"])
-    return {"load_factors": list(load_factors), "welfare_rel": welfare_rel,
-            "profit_rel": profit_rel, "profit_abs": profit_abs,
-            "completion": completion}
-
-
-def figure6(seed: int = 0, load_factors=LOAD_FACTORS,
-            workers: int = 1) -> dict:
-    """Welfare relative to OPT at different load factors."""
-    sweep = load_sweep(seed=seed, load_factors=tuple(load_factors),
-                       workers=workers)
-    return {"load_factors": sweep["load_factors"],
-            "welfare_rel": sweep["welfare_rel"]}
-
-
-def figure8(seed: int = 0, load_factors=LOAD_FACTORS,
-            workers: int = 1) -> dict:
-    """Profit relative to RegionOracle at different load factors.
-
-    Absolute profits are included too: in cost regimes where the
-    welfare-oracle picks a near-zero intra price, RegionOracle's profit
-    sits near zero and the ratio alone is not meaningful.
-    """
-    sweep = load_sweep(seed=seed, load_factors=tuple(load_factors),
-                       workers=workers)
-    return {"load_factors": sweep["load_factors"],
-            "profit_rel": sweep["profit_rel"],
-            "profit_abs": sweep["profit_abs"]}
-
-
-def figure9(seed: int = 0, load_factors=LOAD_FACTORS,
-            workers: int = 1) -> dict:
-    """Fraction of requests completed, per scheme and load factor."""
-    sweep = load_sweep(seed=seed, load_factors=tuple(load_factors),
-                       workers=workers)
-    return {"load_factors": sweep["load_factors"],
-            "completion": sweep["completion"]}
-
-
 # -- Figure 7 -----------------------------------------------------------------
 
 def figure7(seed: int = 0, load_factor: float = 2.0) -> dict:
@@ -290,23 +189,6 @@ def figure10(seed: int = 0, load_factor: float = 2.0,
                      "median_peak_to_mean": float(np.median(ratios))
                      if ratios else 0.0}
     return out
-
-
-# -- Figure 11 -----------------------------------------------------------------
-
-def figure11(seed: int = 0, load_factors=LOAD_FACTORS,
-             workers: int = 1) -> dict:
-    """Ablations: Pretium vs Pretium-NoMenu vs Pretium-NoSAM, rel. OPT."""
-    names = ("Pretium", "Pretium-NoMenu", "Pretium-NoSAM")
-    summaries_by = _grid_summaries(("OPT",) + names, tuple(load_factors),
-                                   seed, workers)
-    welfare_rel: dict[str, list[float]] = {name: [] for name in names}
-    for load in load_factors:
-        opt_welfare = summaries_by[(load, "OPT")]["welfare"]
-        for name in names:
-            welfare_rel[name].append(metrics.relative(
-                summaries_by[(load, name)]["welfare"], opt_welfare))
-    return {"load_factors": list(load_factors), "welfare_rel": welfare_rel}
 
 
 # -- Figure 12 -----------------------------------------------------------------

@@ -143,7 +143,7 @@ def report_trace(trace) -> str:
 
 def format_table(headers: list[str], rows: Iterable[Iterable]) -> str:
     """Fixed-width table with a header rule."""
-    str_rows = [[_fmt(cell) for cell in row] for row in rows]
+    str_rows = [[format_cell(cell) for cell in row] for row in rows]
     widths = [len(h) for h in headers]
     for row in str_rows:
         for i, cell in enumerate(row):
@@ -158,7 +158,11 @@ def format_table(headers: list[str], rows: Iterable[Iterable]) -> str:
     return "\n".join(out)
 
 
-def _fmt(cell) -> str:
+def format_cell(cell) -> str:
+    """One table cell as text: floats to three decimals (integral above
+    1000), ``None`` (a missing value) as ``-``."""
+    if cell is None:
+        return "-"
     if isinstance(cell, float):
         if cell != cell:  # NaN
             return "nan"

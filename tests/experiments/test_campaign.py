@@ -9,12 +9,14 @@ sweep results it came from.
 """
 
 import json
+import math
 
 import pytest
 
-from repro.experiments.campaign import (CAMPAIGN_PRESETS, CampaignError,
-                                        CampaignSpec, FIGURE_KINDS,
-                                        campaign_spec, run_campaign)
+from repro.experiments.campaign import (CAMPAIGN_PRESETS, CampaignCheckSpec,
+                                        CampaignError, CampaignSpec,
+                                        FIGURE_KINDS, campaign_spec,
+                                        evaluate_check, run_campaign)
 from repro.options import RunOptions
 
 
@@ -32,6 +34,12 @@ def smoke_dict(**overrides):
     }
     raw.update(overrides)
     return raw
+
+
+def check(**fields):
+    """A valid check entry on ``smoke_dict``'s welfare figure."""
+    return {"name": "c", "figure": "welfare", "kind": "above",
+            "scheme": "Pretium", "than": ["NoPrices"], **fields}
 
 
 # -- spec validation ----------------------------------------------------------
@@ -63,6 +71,45 @@ def test_from_dict_builds_a_validated_spec():
     (lambda raw: raw["sweeps"].append(dict(raw["sweeps"][0])),
      "duplicate sweep names"),
     (lambda raw: raw["sweeps"][0].update(bogus=1), "unknown key"),
+    (lambda raw: raw["figures"].append(dict(raw["figures"][0])),
+     "duplicate figure names"),
+    # A string where the spec wants an array is not split into characters.
+    (lambda raw: raw["sweeps"][0].update(schemes="Pretium"),
+     "sweep 'main': 'schemes' must be an array"),
+    (lambda raw: raw["sweeps"][0].update(loads="12"),
+     "sweep 'main': 'loads' must be an array"),
+    (lambda raw: raw["sweeps"][0].update(seeds="01"),
+     "sweep 'main': 'seeds' must be an array"),
+    # Grids that cannot run, or that repeat cells.
+    (lambda raw: raw["sweeps"][0].update(loads=[-1.0]),
+     r"sweep 'main': loads must be finite and > 0, got \[-1.0\]"),
+    (lambda raw: raw["sweeps"][0].update(loads=[0.0]), "finite and > 0"),
+    (lambda raw: raw["sweeps"][0].update(loads=[float("nan")]),
+     "finite and > 0"),
+    (lambda raw: raw["sweeps"][0].update(loads=[float("inf")]),
+     "finite and > 0"),
+    (lambda raw: raw["sweeps"][0].update(loads=[1.0, 2.0, 1.0]),
+     r"sweep 'main': loads repeats \[1.0\]"),
+    (lambda raw: raw["sweeps"][0].update(seeds=[0, 0]),
+     r"seeds repeats \[0\]"),
+    (lambda raw: raw["sweeps"][0].update(schemes=["Pretium", "pretium"]),
+     r"schemes repeats \['Pretium'\]"),
+    # Checks name a scheme row of a declared scheme x load figure.
+    (lambda raw: raw.update(checks=[check(figure="nope")]),
+     "check 'c' references unknown figure 'nope'"),
+    (lambda raw: raw.update(checks=[check(kind="below")]),
+     "check 'c': unknown kind 'below'"),
+    (lambda raw: raw.update(checks=[check(scheme="OPT")]),
+     "check 'c': unknown scheme 'OPT'"),
+    (lambda raw: raw.update(checks=[check(than=["NoPrices", "Nope"])]),
+     "check 'c': unknown scheme 'Nope'"),
+    (lambda raw: raw.update(checks=[check(figure="cells")]),
+     "figure 'cells' is a 'cell_table'"),
+    (lambda raw: raw.update(checks=[check(than="NoPrices")]),
+     "'than' must be a non-empty array of schemes or a number"),
+    (lambda raw: raw.update(checks=[check(than=[])]), "'than' must be"),
+    (lambda raw: raw.update(checks=[check(bogus=1)]),
+     "unknown key.* in check 'c'"),
 ])
 def test_bad_specs_fail_at_load_time(mutate, match):
     raw = smoke_dict()
@@ -72,7 +119,7 @@ def test_bad_specs_fail_at_load_time(mutate, match):
 
 
 def test_spec_files_roundtrip_json_and_toml(tmp_path):
-    spec = CampaignSpec.from_dict(smoke_dict())
+    spec = CampaignSpec.from_dict(smoke_dict(checks=[check(margin=0.1)]))
     json_path = tmp_path / "spec.json"
     json_path.write_text(json.dumps(spec.to_dict()))
     assert CampaignSpec.from_file(json_path) == spec
@@ -87,7 +134,9 @@ def test_spec_files_roundtrip_json_and_toml(tmp_path):
         '[[figures]]\nname = "welfare"\nkind = "welfare_vs_load"\n'
         'sweep = "main"\n\n'
         '[[figures]]\nname = "cells"\nkind = "cell_table"\n'
-        'sweep = "main"\n')
+        'sweep = "main"\n\n'
+        '[[checks]]\nname = "c"\nfigure = "welfare"\nkind = "above"\n'
+        'scheme = "Pretium"\nthan = ["NoPrices"]\nmargin = 0.1\n')
     try:
         import tomllib  # noqa: F401 — gate: stdlib tomllib is 3.11+
     except ImportError:
@@ -140,13 +189,12 @@ def test_run_campaign_writes_report_artifacts(tmp_path):
     stage_names = [stage["stage"] for stage in record["stages"]]
     assert stage_names == ["sweep:main", "figures", "report"]
     assert all(stage["wall_s"] >= 0 for stage in record["stages"])
-    # the report's welfare figure agrees with the sweep summaries
+    # the welfare figure holds the sweep summaries' numbers, unrounded
     summaries = {row["scheme"]: row for row in record["sweeps"]["main"]}
-    welfare_rows = {row[0]: float(row[1])
+    welfare_rows = {row[0]: row[1]
                     for row in record["figures"]["welfare"]["rows"]}
     for scheme in ("Pretium", "NoPrices"):
-        assert welfare_rows[scheme] == pytest.approx(
-            summaries[scheme]["welfare"], abs=1e-3)
+        assert welfare_rows[scheme] == summaries[scheme]["welfare"]
 
 
 def test_run_campaign_options_override_spec(tmp_path):
@@ -249,3 +297,51 @@ def test_campaign_serves_live_metrics_while_running(tmp_path, monkeypatch):
     assert scraped and "# TYPE" in scraped[0]
     # By the last scrape the parent registry had aggregated cell one.
     assert "sweep_cells" in scraped[-1]
+
+
+# -- checks -------------------------------------------------------------------
+
+FIGURE = {"columns": ["scheme", "load=1.0", "load=2.0"],
+          "rows": [["A", 1.0, 0.5], ["B", 0.9, 0.6], ["C", None, 0.1]]}
+
+
+@pytest.mark.parametrize("kind, than, margin, ok, worst, at", [
+    ("above", ("B",), 0.0, False, -0.1, "load=2.0 vs B"),
+    ("above", ("B",), 0.1, False, 0.0, "load=2.0 vs B"),   # 0.5 > 0.5 no
+    ("at_least", ("B",), 0.1, True, 0.0, "load=2.0 vs B"),
+    ("above", ("B",), 0.2, True, 0.1, "load=2.0 vs B"),
+    ("above", 0.4, 0.0, True, 0.1, "load=2.0 vs 0.4"),
+    ("above", 0.5, 0.0, False, 0.0, "load=2.0 vs 0.5"),
+    ("above_in_sum", ("B",), 0.0, None, 0.0, "sum vs B"),
+    ("above_in_sum", ("B",), 0.05, True, 0.1, "sum vs B"),
+    ("above_in_sum", ("B",), -0.05, False, -0.1, "sum vs B"),
+])
+def test_check_kinds_compare_as_declared(kind, than, margin, ok, worst, at):
+    spec = CampaignCheckSpec(name="c", figure="f", kind=kind, scheme="A",
+                             than=than, margin=margin)
+    result = evaluate_check(spec, FIGURE)
+    # sum(A) = 1.5 and sum(B) = 1.5 are equal only up to rounding
+    if ok is not None:
+        assert result["ok"] is ok
+    assert result["worst_slack"] == pytest.approx(worst, abs=1e-12)
+    assert result["at"] == at
+
+
+def test_a_check_on_a_failed_cell_fails():
+    spec = CampaignCheckSpec(name="c", figure="f", kind="above",
+                             scheme="A", than=("C",))
+    result = evaluate_check(spec, FIGURE)
+    assert result["ok"] is False and result["at"] == "load=1.0 vs C"
+    assert math.isnan(result["worst_slack"])
+
+
+def test_figures_preset_declares_the_design_grid_and_claims():
+    spec = campaign_spec("figures")
+    assert {sweep.name: (sweep.scenario, sweep.loads, sweep.seeds)
+            for sweep in spec.sweeps} == {
+        "main": ("standard", (0.5, 1.0, 2.0, 4.0), (0,)),
+        "ablations": ("standard", (0.5, 1.0, 2.0, 4.0), (0,))}
+    assert [figure.name for figure in spec.figures] == [
+        "fig6", "fig8", "fig8-rel", "fig9", "fig11"]
+    assert {check.figure for check in spec.checks} == {
+        "fig6", "fig8", "fig9", "fig11"}

@@ -1,7 +1,10 @@
 """Smoke tests for the cheap figure generators.
 
-The load sweeps (Figures 6-14) are exercised by the benchmarks; here we
-cover the generators that run in seconds and the §5 deviation machinery.
+The generators that run in seconds (Figures 1, 2, 4 and 5) and the §5
+deviation machinery are covered here.  Figures 7, 10 and 12-14 run only
+in the benchmarks; Figures 6, 8, 9 and 11 come from the ``figures``
+campaign preset, whose checks and ``figure`` dispatch are tested in
+``tests/experiments/test_campaign.py`` and ``tests/test_cli.py``.
 """
 
 import numpy as np

@@ -462,6 +462,83 @@ def test_campaign_rejects_bad_specs(tmp_path, capsys):
     assert "declares no sweeps" in capsys.readouterr().err
 
 
+def test_campaign_reports_checks_and_exits_1_on_a_failed_one(tmp_path,
+                                                             capsys):
+    claim = {"figure": "welfare", "kind": "above", "scheme": "Pretium"}
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({
+        "campaign": {"name": "checked"},
+        "sweeps": [{"name": "s", "schemes": ["Pretium", "NoPrices"],
+                    "scenario": "tiny", "loads": [2.0]}],
+        "figures": [{"name": "welfare", "kind": "welfare_vs_load",
+                     "sweep": "s"}],
+        "checks": [{"name": "holds", "than": -1e9, **claim},
+                   {"name": "breaks", "than": 1e9, **claim}]}))
+    out_dir = tmp_path / "out"
+    assert main(["campaign", str(spec_path),
+                 "--out-dir", str(out_dir)]) == 1
+    printed = capsys.readouterr().out
+    assert "check holds: pass" in printed
+    assert "check breaks: FAIL (Pretium > 1e+09 at every load" in printed
+    assert "0 failed" in printed        # every cell ran; a check failed
+    markdown = (out_dir / "report.md").read_text()
+    assert "## Checks" in markdown
+    rows = [line for line in markdown.splitlines()
+            if line.startswith(("holds", "breaks"))]
+    assert rows[0].endswith("pass") and rows[1].endswith("FAIL")
+    assert '<td class="failed">FAIL</td>' in (
+        out_dir / "report.html").read_text()
+    record = json.loads((out_dir / "campaign.json").read_text())
+    assert record["ok"] is True
+    assert [(c["name"], c["ok"]) for c in record["checks"]] == [
+        ("holds", True), ("breaks", False)]
+    assert record["spec"]["checks"][1]["than"] == 1e9
+
+
+@pytest.mark.parametrize("breaks", [False, True])
+def test_figure_11_runs_its_slice_of_the_figures_preset(
+        breaks, monkeypatch, capsys):
+    """``figure 11`` runs only the ablation sweep (at ``--seed``), its
+    figure and the checks on it, and exits 1 if one of them fails.  The
+    preset is scaled down to the tiny world here."""
+    import copy
+
+    from repro import api
+    from repro.experiments import campaign as campaign_module
+
+    preset = copy.deepcopy(campaign_module.CAMPAIGN_PRESETS["figures"])
+    for sweep in preset["sweeps"]:
+        sweep.update(scenario="tiny", loads=[2.0])
+    claim = {"figure": "fig11", "kind": "above", "scheme": "Pretium"}
+    preset["checks"] = [
+        {"name": "fig6-only", "figure": "fig6", "kind": "above",
+         "scheme": "Pretium", "than": 1e9},
+        {"name": "holds", "than": -1e9, **claim}] + (
+        [{"name": "breaks", "than": 1e9, **claim}] if breaks else [])
+    monkeypatch.setitem(campaign_module.CAMPAIGN_PRESETS, "figures", preset)
+    ran = []
+    real_campaign = api.campaign
+    monkeypatch.setattr(api, "campaign", lambda spec, out_dir: ran.append(
+        spec) or real_campaign(spec, out_dir))
+
+    code = main(["figure", "11", "--seed", "3", "--workers", "2"])
+    assert code == (1 if breaks else 0)
+    (spec,) = ran
+    assert [(s.name, s.seeds) for s in spec.sweeps] == [("ablations", (3,))]
+    assert [f.name for f in spec.figures] == ["fig11"]
+    assert [c.name for c in spec.checks] == ["holds"] + (
+        ["breaks"] if breaks else [])
+    assert spec.options.workers == 2
+    out = capsys.readouterr().out
+    assert "== figure 11 - fig11: welfare / OPT by scheme and load ==" in out
+    table = out.split("==\n", 1)[1]
+    assert [line.split()[0] for line in table.splitlines()[2:6]] == [
+        "OPT", "Pretium", "Pretium-NoMenu", "Pretium-NoSAM"]
+    assert "check holds: pass" in out
+    assert ("check breaks: FAIL" in out) is breaks
+    assert "fig6-only" not in out
+
+
 def test_campaign_reports_cell_failures(tmp_path, capsys, monkeypatch):
     from repro.experiments import runner as runner_module
     from repro.experiments.runner import SCHEME_SPECS
