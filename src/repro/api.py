@@ -97,33 +97,23 @@ class AuditReport:
 def _as_scenario(scenario, options: RunOptions | None = None) -> Scenario:
     """Accept a built Scenario, a ScenarioSpec, or a registered name.
 
-    When ``options.classes`` is set and the scenario is built here (by
-    name or spec) from a builder that accepts a ``classes`` kwarg, the
-    class mix is folded into the build — so ``repro.run("Pretium",
+    A spec or name builds with ``options.classes``
+    (:meth:`ScenarioSpec.with_classes`), so ``repro.run("Pretium",
     "quick", options=RunOptions(classes="qos3"))`` prices a multi-class
-    world.  A spec that already pins ``classes`` keeps its own.
+    world.
     """
     if isinstance(scenario, Scenario):
         return scenario
-    if isinstance(scenario, ScenarioSpec):
-        spec = scenario
-    elif isinstance(scenario, str):
+    if isinstance(scenario, str):
         # ScenarioSpec validates the name against repro.registry.SCENARIOS
         # (UnknownScenarioError, a ValueError, lists the known names).
-        spec = ScenarioSpec.of(scenario)
-    else:
+        scenario = ScenarioSpec.of(scenario)
+    if not isinstance(scenario, ScenarioSpec):
         raise TypeError(
             f"cannot interpret {type(scenario).__name__} as a scenario; "
             "expected a built Scenario, a ScenarioSpec, or a scenario "
             f"name from repro.registry.SCENARIOS {SCENARIOS.names()}")
-    classes = getattr(options, "classes", None)
-    if classes is not None and "classes" not in dict(spec.kwargs):
-        import inspect
-        builder = SCENARIOS.get(spec.name)
-        if "classes" in inspect.signature(builder).parameters:
-            spec = ScenarioSpec.of(spec.name, classes=classes,
-                                   **dict(spec.kwargs))
-    return spec.build()
+    return scenario.with_classes(getattr(options, "classes", None)).build()
 
 
 def _as_grid(grid) -> SweepGrid:

@@ -66,7 +66,7 @@ from .experiments import figures as figures_module
 from .experiments.campaign import (CAMPAIGN_PRESETS, CampaignError,
                                    campaign_spec, cell_table, stage_section)
 from .experiments.scenarios import Scenario, ScenarioSpec
-from .experiments.sweep import SweepGrid
+from .experiments.sweep import SweepGrid, load_columns
 from .faults import FaultSpecError
 from .network import ROUTING_POLICIES, wan_topology
 from .options import RunOptions
@@ -134,9 +134,10 @@ def build_parser() -> argparse.ArgumentParser:
                      choices=SCENARIOS.names(),
                      help="scenario builder for every cell")
     swp.add_argument("--loads", metavar="L1,L2,...",
-                     help="comma-separated load factors; each becomes its "
-                          "own scenario column in the grid (default: the "
-                          "builder's default load)")
+                     help="comma-separated load factors (finite, > 0 and "
+                          "distinct); each becomes its own scenario column "
+                          "in the grid (default: the builder's default "
+                          "load)")
     swp.add_argument("--seeds", default="0", metavar="S1,S2,...",
                      help="comma-separated scenario seeds")
     swp.add_argument("--workers", type=int, default=1,
@@ -396,12 +397,9 @@ def _cmd_sweep(args) -> int:
     try:
         schemes = _parse_csv(args.schemes, str, "scheme")
         seeds = _parse_csv(args.seeds, int, "seed")
-        if args.loads:
-            scenarios = [ScenarioSpec.of(args.scenario, load_factor=load)
-                         for load in _parse_csv(args.loads, float, "load")]
-        else:
-            scenarios = [ScenarioSpec.of(args.scenario)]
-        grid = SweepGrid(schemes=schemes, scenarios=scenarios, seeds=seeds)
+        loads = _parse_csv(args.loads, float, "load") if args.loads else ()
+        grid = SweepGrid(schemes=schemes, seeds=seeds,
+                         scenarios=load_columns(args.scenario, loads))
         options = _options_from_args(args)
     except (FaultSpecError, KeyError, TypeError, ValueError) as exc:
         return _usage_error(exc)

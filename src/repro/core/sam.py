@@ -54,82 +54,32 @@ class Transmission:
     volume: float
 
 
-@dataclass
-class _ContractSkeleton:
-    """Cached COO fragments of one contract's slice of the SAM LP.
-
-    Index arrays are stored *relative* to the contract's variable block
-    (and over the full remaining span at first build), so reuse at a
-    later step is two vectorised patches: a step mask dropping elapsed
-    timesteps and an affine renumber of the variable indices
-    (``new = old - delta * (route + 1)`` for a ``delta``-step trim).
-    The arrays are never mutated — every reuse slices fresh copies — and
-    the assembled fragments are bit-identical to a fresh build, which
-    the hypothesis suite asserts over arbitrary patch sequences.
-
-    A skeleton is only valid for the routes it was built over: a link
-    kill can re-pin a flowlet to a *different* single route, and rows
-    built from the old route's links would then constrain links the plan
-    no longer uses.  ``routes`` is kept so reuse can check identity.
-    """
-
-    first: int
-    deadline: int
-    routes: tuple[Path, ...]
-    steps: np.ndarray        # arange(first, deadline + 1)
-    rel_links: np.ndarray    # link index per incidence entry
-    rel_steps: np.ndarray    # timestep per incidence entry
-    rel_vars: np.ndarray     # block-relative variable per incidence entry
-    entry_route: np.ndarray  # route id per incidence entry
-
-    @classmethod
-    def build(cls, routes, first: int, deadline: int,
-              shape: RouteShape) -> "_ContractSkeleton":
-        """Fragments over ``routes``, whose
-        :meth:`~repro.network.PathCache.shape` is ``shape``."""
-        steps = np.arange(first, deadline + 1)
-        rel_links, rel_steps, rel_vars = route_incidence(shape, steps)
-        return cls(first=first, deadline=deadline, routes=tuple(routes),
-                   steps=steps, rel_links=rel_links, rel_steps=rel_steps,
-                   rel_vars=rel_vars,
-                   entry_route=rel_vars // max(steps.size, 1))
-
-    def covers(self, routes, first: int, deadline: int) -> bool:
-        """Whether the fragments can serve ``[first, deadline]`` over
-        exactly ``routes``."""
-        return self.deadline == deadline and self.first <= first \
-            and self.routes == tuple(routes)
-
-    def sliced(self, first: int):
-        """Fragment arrays for the remaining span ``[first, deadline]``.
-
-        Returns ``(steps, rel_links, rel_steps, rel_vars)``; ``first ==
-        self.first`` reuses the cached arrays as-is (callers only read
-        and add offsets), a later ``first`` trims elapsed steps.
-        """
-        delta = first - self.first
-        if delta == 0:
-            return self.steps, self.rel_links, self.rel_steps, self.rel_vars
-        keep = self.rel_steps >= first
-        # Dropping the leading `delta` columns of the (route x step) grid
-        # shifts route r's block start by delta * r and its in-block
-        # offset by delta, hence the affine renumber below.
-        rel_vars = self.rel_vars[keep] \
-            - delta * (self.entry_route[keep] + 1)
-        return self.steps[delta:], self.rel_links[keep], \
-            self.rel_steps[keep], rel_vars
+def contract_incidence(shape: RouteShape, start: int, deadline: int, now: int):
+    """``(steps, links, entry steps, variables)`` of a contract's flows
+    over ``[max(start, now), deadline]``: its routes' shape's template
+    over the whole window ``[start, deadline]`` with the elapsed steps
+    trimmed, equal to a fresh build over the remaining steps."""
+    steps = np.arange(start, deadline + 1)
+    links, entry_steps, variables = route_incidence(shape, steps)
+    delta = max(now - start, 0)
+    if delta == 0:
+        return steps, links, entry_steps, variables
+    keep = entry_steps >= now
+    # Dropping the grid's leading `delta` columns shifts route r's block
+    # by delta * r and its in-block offset by delta.
+    variables = variables[keep]
+    variables -= delta * (variables // steps.size + 1)
+    return steps[delta:], links[keep], entry_steps[keep], variables
 
 
 class ScheduleAdjuster:
     """The SAM module.
 
-    Incremental machinery (all three proven equivalent to a cold solve
-    by the differential suite, ``tests/core/test_sam_incremental.py``):
+    Incremental machinery (both proven equivalent to a cold solve by
+    the differential suite, ``tests/core/test_sam_incremental.py``):
 
     - a persistent :class:`~repro.lp.solver.SolverSession` (per
       ``config.solver_backend``) carries warm-start state across steps;
-    - per-contract COO fragments are cached between steps and patched
-      instead of rebuilt;
     - provably-quiet steps are served from the previous plan's tail
       without solving: when no arrival was offered, capacity is
       unchanged and the previous step executed its plan exactly, the
@@ -147,7 +97,6 @@ class ScheduleAdjuster:
         self.state = state
         self.billing_window = billing_window
         self._session = None
-        self._skeletons: dict[int, _ContractSkeleton] = {}
         #: Whether the last :meth:`adjust` was served by the fast path
         #: (the controller skips plan re-installation in that case: the
         #: reservations already are the plan tail).
@@ -278,44 +227,27 @@ class ScheduleAdjuster:
         identical LP and returns the identical plan and duals.  The
         per-contract loop only gathers numbers; every model call covers
         all contracts, pairs or windows at once (:mod:`repro.lp.grouping`).
-
-        Each contract's incidence fragments come from a
-        :class:`_ContractSkeleton` cached at the contract's first build
-        and patched (elapsed steps trimmed) on reuse; settled/expired
-        contracts are evicted.  The assembled arrays are identical to a
-        fresh build's.
         """
         state = self.state
         config = state.config
         model = Model(sense="max", name=f"sam@{now}")
-        registry = get_registry()
-        cache = self._skeletons
 
         entries: list[tuple[Contract, list[Path], np.ndarray]] = []
-        caps, values, needs, soft = [], [], [], []
+        counts, caps, values, needs, soft = [], [], [], [], []
         incidences: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
         for contract in active:
             request = contract.request
             routes = state.paths.routes(request.src, request.dst,
                                         rid=request.rid)
-            first = max(request.start, now)
-            skeleton = cache.get(contract.rid)
-            if skeleton is None or not skeleton.covers(
-                    routes, first, request.deadline):
-                skeleton = cache[contract.rid] = _ContractSkeleton.build(
-                    routes, first, request.deadline,
-                    shape=state.paths.shape(routes))
-                registry.counter("sam.skeleton.misses").inc()
-            elif skeleton.first == first:
-                registry.counter("sam.skeleton.hits").inc()
-            else:
-                registry.counter("sam.skeleton.trims").inc()
-            steps, rel_links, rel_steps, rel_vars = skeleton.sliced(first)
+            steps, rel_links, rel_steps, rel_vars = contract_incidence(
+                state.paths.shape(routes), request.start, request.deadline,
+                now)
             if len(routes) * steps.size == 0:
                 continue
             done = delivered.get(contract.rid, 0.0)
             cls = state.class_for(request)
             entries.append((contract, routes, steps))
+            counts.append(len(routes) * steps.size)
             caps.append(contract.chosen - done)
             values.append(contract.marginal_price if cls.weight == 1.0
                           else cls.weight * contract.marginal_price)
@@ -329,15 +261,7 @@ class ScheduleAdjuster:
             soft.append(cls.preemptible)
             incidences.append((rel_links, rel_steps, rel_vars))
 
-        # Settlement patch: contracts that left the active set
-        # (delivered in full, expired, or never admitted here) are
-        # deactivated by eviction — the next build simply skips them.
-        active_rids = {c.rid for c in active}
-        for rid in [r for r in cache if r not in active_rids]:
-            del cache[rid]
-
-        counts = np.array([len(routes) * steps.size
-                           for _c, routes, steps in entries], dtype=np.int64)
+        counts = np.array(counts, dtype=np.int64)
         values = np.array(values)
         starts, flows, slacks = add_demand_blocks(
             model, counts, caps, ub=caps, need=needs, soft=soft)

@@ -64,8 +64,9 @@ from typing import Callable, NamedTuple
 from ..options import RunOptions
 from ..sim import metrics
 from ..telemetry.report import format_cell, format_table, metric_rows
-from .scenarios import LOAD_FACTORS, ScenarioSpec
-from .sweep import SweepGrid, SweepResult, peak_rss_mb, run_sweep
+from .scenarios import LOAD_FACTORS
+from .sweep import SweepGrid, SweepResult, load_columns, peak_rss_mb, \
+    run_sweep
 
 
 class CampaignError(ValueError):
@@ -97,29 +98,16 @@ class CampaignSweepSpec:
         if not self.name:
             raise CampaignError("every sweep needs a non-empty name")
         # One scenario column per load factor; the grid checks every
-        # scheme, scenario and routing name.
-        columns = [{"load_factor": load} for load in self.loads] or [{}]
+        # scheme, scenario and routing name, and rejects repeats.
         try:
             grid = SweepGrid(
                 schemes=self.schemes, seeds=self.seeds,
-                scenarios=[ScenarioSpec.of(self.scenario, **column,
-                                           **dict(self.scenario_kwargs))
-                           for column in columns],
+                scenarios=load_columns(self.scenario, self.loads,
+                                       **dict(self.scenario_kwargs)),
                 routings=(self.routing,))
         except (KeyError, TypeError, ValueError) as exc:
             raise CampaignError(
                 f"sweep {self.name!r}: {exc.args[0]}") from None
-        bad = [load for load in self.loads
-               if not (math.isfinite(load) and load > 0)]
-        if bad:
-            raise CampaignError(f"sweep {self.name!r}: loads must be finite "
-                                f"and > 0, got {bad}")
-        for key, values in (("schemes", [s.name for s in grid.schemes]),
-                            ("loads", self.loads), ("seeds", self.seeds)):
-            repeated = sorted({v for v in values if values.count(v) > 1})
-            if repeated:
-                raise CampaignError(
-                    f"sweep {self.name!r}: {key} repeats {repeated}")
         object.__setattr__(self, "_grid", grid)
 
     def grid(self) -> SweepGrid:

@@ -179,6 +179,15 @@ class ScenarioSpec:
         """Spec for ``SCENARIOS.get(name)(**kwargs)``."""
         return cls(name, tuple(sorted(kwargs.items())))
 
+    def with_classes(self, classes) -> "ScenarioSpec":
+        """This spec building with ``RunOptions.classes`` unless that is
+        ``None`` or the spec pins its own; a builder without a
+        ``classes`` parameter then fails rather than run single-class."""
+        kwargs = dict(self.kwargs)
+        if classes is None or "classes" in kwargs:
+            return self
+        return ScenarioSpec.of(self.name, classes=classes, **kwargs)
+
     def build(self, seed: int | None = None) -> Scenario:
         """Build the scenario (``seed`` overrides any spec'd seed)."""
         from ..registry import SCENARIOS

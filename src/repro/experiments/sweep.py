@@ -103,6 +103,27 @@ class SweepCell:
         return base
 
 
+def reject_repeats(axis: str, values) -> None:
+    """Raise ``ValueError`` naming the ``values`` that occur more than
+    once: a repeated grid entry would only run the same cells again."""
+    values = list(values)
+    repeated = sorted({v for v in values if values.count(v) > 1}, key=str)
+    if repeated:
+        raise ValueError(f"{axis} repeats {repeated}")
+
+
+def load_columns(scenario: str, loads=(), **kwargs) -> list[ScenarioSpec]:
+    """One spec of builder ``scenario`` per load factor (one at the
+    builder's default load when ``loads`` is empty), after rejecting
+    loads a grid cannot run: not finite, not > 0, or repeated."""
+    bad = [load for load in loads if not 0 < load < float("inf")]
+    if bad:
+        raise ValueError(f"loads must be finite and > 0, got {bad}")
+    reject_repeats("loads", loads)
+    return [ScenarioSpec.of(scenario, load_factor=load, **kwargs)
+            for load in loads] or [ScenarioSpec.of(scenario, **kwargs)]
+
+
 class SweepGrid:
     """The cartesian grid of an evaluation sweep.
 
@@ -125,15 +146,14 @@ class SweepGrid:
         self.scenarios = tuple(self._as_scenario_spec(s) for s in scenarios)
         self.seeds = tuple(int(s) for s in seeds)
         self.routings = tuple(routings)
-        if not self.schemes:
-            raise ValueError("a sweep needs at least one scheme")
-        if not self.scenarios:
-            raise ValueError("a sweep needs at least one scenario")
-        if not self.seeds:
-            raise ValueError("a sweep needs at least one seed")
-        if not self.routings:
-            raise ValueError("a sweep needs at least one routing entry "
-                             "(None = defer to the run options)")
+        # Cells are told apart by these names (``SweepCell.label``).
+        for axis, names in (("scheme", [s.name for s in self.schemes]),
+                            ("scenario", [s.label for s in self.scenarios]),
+                            ("seed", self.seeds),
+                            ("routing", self.routings)):
+            if not names:
+                raise ValueError(f"a sweep needs at least one {axis}")
+            reject_repeats(axis + "s", names)
         for routing in self.routings:
             if routing is not None and routing not in ROUTING_POLICIES:
                 raise ValueError(f"unknown routing policy {routing!r}; "
@@ -334,11 +354,11 @@ def run_cell(cell: SweepCell, options: RunOptions | None = None,
 
     This is the shared unit of both the serial and the parallel sweep
     paths (so they are bit-identical by construction), and the function
-    a worker process runs.  The cell's scenario comes from this
-    process's :func:`cached_scenario` (rebuilt from its spec with the
-    cell seed on a miss); with ``trace_base`` set, telemetry lands in
-    the cell's own shard, tagged with the cell id and this process's
-    pid.
+    a worker process runs.  The cell's scenario, with the options'
+    traffic classes folded in, comes from this process's
+    :func:`cached_scenario` (rebuilt from its spec with the cell seed on
+    a miss); with ``trace_base`` set, telemetry lands in the cell's own
+    shard, tagged with the cell id and this process's pid.
 
     The cell executes under a scoped registry whose mergeable dump is
     attached to the result (``CellResult.metrics``): run metrics roll up
@@ -366,7 +386,8 @@ def run_cell(cell: SweepCell, options: RunOptions | None = None,
                                             trace_tags=())
     with use_registry() as registry:
         try:
-            scenario, cache_hit = cached_scenario(cell.scenario, cell.seed)
+            scenario, cache_hit = cached_scenario(
+                cell.scenario.with_classes(cell_options.classes), cell.seed)
             result = run_scheme(cell.scheme, scenario, options=cell_options)
             summary = summarize(result, scenario.cost_model)
             registry.counter("sweep.cells").inc()

@@ -52,8 +52,8 @@ class RunOptions:
         class), a mix name (e.g. ``"qos3"``), a
         :class:`~repro.traffic.classes.ClassMix` or a tuple of
         :class:`~repro.traffic.classes.TrafficClass`.  Applied when a
-        scenario is built by name through :mod:`repro.api`; scenarios
-        that already declare classes keep their own.
+        scenario is built by name or spec through :mod:`repro.api`, a
+        sweep or a campaign; specs that pin classes keep their own.
     solver_backend:
         LP backend override (``"scipy"``/``"highs"``/``"auto"``; see
         :class:`~repro.core.config.PretiumConfig.solver_backend`).

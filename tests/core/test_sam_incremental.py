@@ -1,13 +1,16 @@
 """Differential tests for SAM's incremental machinery.
 
-Three layers, matching the three incremental paths:
+Three layers:
 
-- **skeleton patching** — a hypothesis property drives two adjusters
-  (``src/``'s, and ``tests/reference/cold_sam.py``'s which forgets its
-  skeletons before every step) through arbitrary arrival/settlement
-  sequences and asserts the models they hand the solver assemble to the
-  *identical* matrix, step by step.  Patching is pure assembly reuse;
-  any difference at all is a bug.
+- **template trimming** — SAM reads each contract's incidence from its
+  route shape's whole-window template with the elapsed steps trimmed.
+  A hypothesis property holds the trim to a fresh build over the
+  remaining window for arbitrary route sets and trims, and another
+  drives two adjusters (``src/``'s, and ``tests/reference/``'s which
+  builds every contract afresh over its remaining window) through
+  arbitrary arrival/settlement sequences, asserting the models they
+  hand the solver assemble to the *identical* matrix, step by step.
+  Trimming is pure assembly reuse; any difference at all is a bug.
 - **quiet-step fast path** — unit tests for every trigger and every
   fallback: consecutive armed steps reuse the tail; arrivals, capacity
   changes, off-plan execution, skipped steps and guarantee-drop solves
@@ -34,14 +37,17 @@ from repro.api import run
 from repro.core import (ByteRequest, NetworkState, PretiumConfig,
                         RequestAdmission, ScheduleAdjuster,
                         transmissions_now)
-from repro.core.sam import _ContractSkeleton
+from repro.core.sam import contract_incidence
 from repro.experiments.scenarios import tiny_scenario
 from repro.faults import FaultInjector, use_injector
+from repro.lp.grouping import route_incidence
 from repro.network import parallel_paths_network
+from repro.network.paths import RouteShape
 from repro.options import RunOptions
 from repro.telemetry import MetricsRegistry, use_registry
 from tests.reference.cold_sam import ColdAdjuster, cold_sam
 from tests.reference.lp import assert_models_identical
+from tests.reference.lp_builders import ReferenceAdjuster
 
 
 def setup(n_steps=6, billing_window=6, **config_kwargs):
@@ -79,11 +85,41 @@ class CapturingAdjuster(Capturing, ScheduleAdjuster):
     pass
 
 
-class CapturingColdAdjuster(Capturing, ColdAdjuster):
+class CapturingFreshAdjuster(Capturing, ReferenceAdjuster):
     pass
 
 
-# -- skeleton patching: hypothesis differential -----------------------------
+# -- template trimming: hypothesis differentials ----------------------------
+
+@st.composite
+def trims(draw):
+    """A route set (link-index tuples) and a contract window seen at
+    some step ``now`` up to its deadline."""
+    routes = draw(st.lists(
+        st.lists(st.integers(min_value=0, max_value=9), min_size=1,
+                 max_size=4, unique=True).map(tuple),
+        min_size=1, max_size=4))
+    start = draw(st.integers(min_value=0, max_value=6))
+    deadline = draw(st.integers(min_value=start, max_value=start + 6))
+    now = draw(st.integers(min_value=0, max_value=deadline))
+    return tuple(routes), start, deadline, now
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=trims())
+def test_trimmed_template_matches_a_fresh_build(case):
+    """Trimming the whole-window template by ``now - start`` steps
+    yields exactly, in value and dtype, the arrays a fresh build over
+    ``[max(start, now), deadline]`` produces."""
+    key, start, deadline, now = case
+    shape = RouteShape(key)
+    steps, *trimmed = contract_incidence(shape, start, deadline, now)
+    fresh_steps = np.arange(max(start, now), deadline + 1)
+    np.testing.assert_array_equal(steps, fresh_steps)
+    for got, want in zip(trimmed, route_incidence(shape, fresh_steps)):
+        np.testing.assert_array_equal(got, want)
+        assert got.dtype == want.dtype
+
 
 @st.composite
 def arrival_patterns(draw):
@@ -101,13 +137,14 @@ def arrival_patterns(draw):
 @settings(max_examples=20, deadline=None)
 @given(pattern=arrival_patterns())
 def test_patched_models_assemble_identically(pattern):
-    """Arbitrary arrival/settlement sequences: the cached-skeleton model
-    and the fresh-build model are the same matrix at every step."""
+    """Arbitrary arrival/settlement sequences: ``src/``'s trimmed-template
+    model and the reference's fresh build over the remaining window are
+    the same matrix at every step."""
     n_steps = 8
     with use_registry(MetricsRegistry()):
         worlds = {}
-        for key, adjuster in (("cached", CapturingAdjuster),
-                              ("fresh", CapturingColdAdjuster)):
+        for key, adjuster in (("trimmed", CapturingAdjuster),
+                              ("fresh", CapturingFreshAdjuster)):
             topology = parallel_paths_network(10.0, 10.0)
             config = PretiumConfig(window=3, lookback=3, initial_price=1.0,
                                    short_term_adjustment=False)
@@ -115,12 +152,12 @@ def test_patched_models_assemble_identically(pattern):
             worlds[key] = (state, RequestAdmission(state),
                            adjuster(state, n_steps))
 
-        contracts = {"cached": [], "fresh": []}
+        contracts = {"trimmed": [], "fresh": []}
         delivered = {}
-        loads = loads_for(worlds["cached"][0])
+        loads = loads_for(worlds["trimmed"][0])
         for t in range(n_steps):
             plans = {}
-            for key in ("cached", "fresh"):
+            for key in ("trimmed", "fresh"):
                 state, ra, sam = worlds[key]
                 for rid, arrival, duration, demand in pattern:
                     if arrival != t:
@@ -131,7 +168,7 @@ def test_patched_models_assemble_identically(pattern):
                     contracts[key].append(admit(ra, req, now=t))
                 plans[key] = sam.adjust(contracts[key], dict(delivered),
                                         loads, t) or []
-            sam_a, sam_b = worlds["cached"][2], worlds["fresh"][2]
+            sam_a, sam_b = worlds["trimmed"][2], worlds["fresh"][2]
             assert len(sam_a.models) == len(sam_b.models)
             if sam_a.models:
                 assert_models_identical(sam_a.models[-1], sam_b.models[-1])
@@ -143,54 +180,30 @@ def test_patched_models_assemble_identically(pattern):
                     loads[t, index] += tx.volume
 
 
-def test_skeleton_trim_matches_fresh_build():
-    """Trimming a cached skeleton by ``delta`` steps yields exactly the
-    arrays a fresh build at the later first-step produces."""
-    state, _, _ = setup(n_steps=8)
-    routes = state.paths.routes("S", "T")
-    shape = state.paths.shape(routes)
-    full = _ContractSkeleton.build(routes, first=1, deadline=6, shape=shape)
-    for first in range(1, 7):
-        fresh = _ContractSkeleton.build(routes, first=first, deadline=6,
-                                        shape=shape)
-        steps, links, rel_steps, rel_vars = full.sliced(first)
-        np.testing.assert_array_equal(steps, fresh.steps)
-        np.testing.assert_array_equal(links, fresh.rel_links)
-        np.testing.assert_array_equal(rel_steps, fresh.rel_steps)
-        np.testing.assert_array_equal(rel_vars, fresh.rel_vars)
-
-
-def test_skeleton_rebuilt_when_routes_change_but_count_does_not():
+def test_repin_to_another_route_builds_over_the_new_route():
     """A link kill re-pins a flowlet from one route to a *different* one
-    route.  Deadline, route count and first step all still match, so a
-    skeleton keyed on those alone would keep constraining the old
+    route.  Deadline, route count and first step all still match; an
+    incidence reused on those alone would keep constraining the old
     route's links while the plan transmits on the new one's (the
     ``--routing flowlet --link-kills`` CapacityViolation)."""
-    with use_registry(MetricsRegistry()) as registry:
-        state, ra, _ = setup(n_steps=6, routing="flowlet")
-        cached = CapturingAdjuster(state, 6)
-        req = ByteRequest(1, "S", "T", 12.0, 0, 0, 4, 5.0)
-        contract = admit(ra, req)
-        (before,) = state.paths.routes("S", "T", rid=1)
-        cached.adjust([contract], {}, loads_for(state), 0, arrivals_since=1)
-        assert registry.counter("sam.skeleton.misses").value == 1
+    state, ra, _ = setup(n_steps=6, routing="flowlet")
+    before_kill = CapturingAdjuster(state, 6)
+    req = ByteRequest(1, "S", "T", 12.0, 0, 0, 4, 5.0)
+    contract = admit(ra, req)
+    (before,) = state.paths.routes("S", "T", rid=1)
+    before_kill.adjust([contract], {}, loads_for(state), 0, arrivals_since=1)
 
-        first_link = before.links[0]
-        state.fail_link(first_link.src, first_link.dst, 1)
-        (after,) = state.paths.routes("S", "T", rid=1)
-        assert after != before
+    first_link = before.links[0]
+    state.fail_link(first_link.src, first_link.dst, 1)
+    (after,) = state.paths.routes("S", "T", rid=1)
+    assert after != before
 
-        cold = CapturingAdjuster(state, 6)
-        for sam in (cached, cold):
-            plan = sam.adjust([contract], {}, loads_for(state), 1,
-                              arrivals_since=1)
-            assert plan and {tx.links for tx in plan} == \
-                {after.link_indices()}
-        # rebuilt, not reused: the old skeleton's step-0 build plus two
-        # fresh ones (cached at step 1, cold at step 1), never a trim.
-        assert registry.counter("sam.skeleton.misses").value == 3
-        assert "sam.skeleton.trims" not in registry
-        assert_models_identical(cached.models[-1], cold.models[-1])
+    fresh = CapturingFreshAdjuster(state, 6)
+    for sam in (before_kill, fresh):
+        plan = sam.adjust([contract], {}, loads_for(state), 1,
+                          arrivals_since=1)
+        assert plan and {tx.links for tx in plan} == {after.link_indices()}
+    assert_models_identical(before_kill.models[-1], fresh.models[-1])
 
 
 # -- quiet-step fast path ---------------------------------------------------

@@ -209,6 +209,16 @@ def test_run_campaign_options_override_spec(tmp_path):
     assert all(result.max_rss_mb >= peak for peak in worker_peaks)
 
 
+def test_campaign_options_classes_reach_every_cell(tmp_path):
+    spec = CampaignSpec.from_dict(smoke_dict(options={"workers": 1,
+                                                      "classes": "qos3"}))
+    result = run_campaign(spec, tmp_path)
+    assert result.ok
+    for cell in result.sweeps["main"].cells:
+        assert set(cell.summary["per_class"]) == \
+            {"interactive", "elastic", "background"}, cell.label
+
+
 def test_run_campaign_telemetry_traces_per_sweep(tmp_path):
     spec = CampaignSpec.from_dict(smoke_dict(telemetry=True))
     result = run_campaign(spec, tmp_path)

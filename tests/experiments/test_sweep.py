@@ -15,7 +15,8 @@ import pytest
 from repro.experiments.runner import SCHEME_SPECS, scheme_spec
 from repro.experiments.scenarios import ScenarioSpec
 from repro.experiments.sweep import (CellResult, SweepCell, SweepGrid,
-                                     SweepResult, run_cell, run_sweep)
+                                     SweepResult, load_columns, run_cell,
+                                     run_sweep)
 from repro.options import RunOptions
 from repro.sim import summarize
 from repro.telemetry import audit_events, read_trace, unwaived
@@ -69,6 +70,45 @@ def test_grid_rejects_built_scenarios_and_empty_axes():
         SweepGrid(schemes=[])
     with pytest.raises(ValueError, match="at least one seed"):
         SweepGrid(schemes=["Pretium"], seeds=[])
+
+
+def test_grid_rejects_repeated_entries():
+    """A repeated scheme, scenario, seed or routing would only run the
+    same cells again."""
+    for axes, match in (
+            (dict(schemes=["Pretium", "pretium"]),
+             r"schemes repeats \['Pretium'\]"),
+            (dict(scenarios=["tiny", ScenarioSpec.of("tiny")]),
+             r"scenarios repeats \['tiny'\]"),
+            (dict(seeds=[0, 1, 0]), r"seeds repeats \[0\]"),
+            (dict(routings=["ecmp", "ecmp"]),
+             r"routings repeats \['ecmp'\]")):
+        with pytest.raises(ValueError, match=match):
+            SweepGrid(**{"schemes": ["Pretium"], **axes})
+
+
+def test_load_columns_reject_what_a_grid_cannot_run():
+    assert [spec.label for spec in load_columns("tiny", [0.5, 2.0])] == \
+        ["tiny(load_factor=0.5)", "tiny(load_factor=2.0)"]
+    assert load_columns("tiny") == [ScenarioSpec.of("tiny")]
+    for loads, match in (([-1.0], "finite and > 0"), ([0.0], "finite"),
+                         ([float("nan")], "finite"), ([float("inf")], "finite"),
+                         ([1.0, 2.0, 1.0], r"loads repeats \[1.0\]")):
+        with pytest.raises(ValueError, match=match):
+            load_columns("tiny", loads)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_options_classes_reach_every_cell(workers):
+    """``RunOptions.classes`` folds into each cell's scenario on the
+    serial path and in pool workers alike."""
+    grid = SweepGrid(schemes=["Pretium", "NoPrices"], scenarios=["tiny"])
+    result = run_sweep(grid, options=RunOptions(classes="qos3",
+                                                workers=workers))
+    assert result.ok and result.n_workers == workers
+    for cell in result.cells:
+        assert set(cell.summary["per_class"]) == \
+            {"interactive", "elastic", "background"}, cell.label
 
 
 def test_cells_are_picklable():

@@ -1,8 +1,8 @@
-"""SAM without its incremental machinery: the cold reference the
-skeleton cache and the quiet-step fast path are proven against
-(``tests/core/test_sam_incremental.py``).  ``src/`` always caches and
-always tries the fast path; this subclass forgets both before every
-step, so each ``adjust`` is a from-scratch build and an exact solve.
+"""SAM without its quiet-step fast path: the cold reference the fast
+path is proven against (``tests/core/test_sam_incremental.py``).
+``src/`` always tries the fast path; this subclass never does, so each
+``adjust`` is an exact solve.  (The build itself keeps nothing between
+steps, so there is nothing else to forget.)
 """
 
 from contextlib import contextmanager
@@ -14,11 +14,10 @@ from repro.core.sam import ScheduleAdjuster
 
 
 class ColdAdjuster(ScheduleAdjuster):
-    """``ScheduleAdjuster`` that rebuilds and re-solves at every step."""
+    """``ScheduleAdjuster`` that re-solves at every step."""
 
     def adjust(self, contracts, delivered, realized_loads, now,
                arrivals_since=None):
-        self._skeletons.clear()
         # Withholding the quiet-step signal ("unknown") disarms: the
         # fast path is not even attempted, so no hit or miss is counted.
         return super().adjust(contracts, delivered, realized_loads, now)

@@ -4,11 +4,11 @@
 window) emitting load variables, load-coupling rows and the top-k
 encoding, in three copies (SAM, PC, the offline baselines).  Kept
 verbatim as the oracle the emitters must assemble identical models to;
-the only edits are SAM's skeleton validity test, which calls the current
-``_ContractSkeleton.covers`` (the parent's ignored route identity), its
-skeleton cache, which is always on now that the knob is gone, the route
-shape it hands ``_ContractSkeleton.build``, and the offline builder's
-signature, which lost the ``route_count`` nothing read.  The top-k
+the only edits are SAM's incidence, which the parent read from a
+per-contract skeleton cached across steps and is here a fresh per-route
+build over the remaining window (:func:`route_incidence` below), and the
+offline builder's signature, which lost the ``route_count`` nothing
+read.  The top-k
 encoding is :func:`repro.lp.add_sum_topk_coo` itself: the parent's copy
 emitted the same rows, and ``tests/lp/test_coo_model.py`` holds the
 emitter to the term-by-term encodings of :mod:`tests.reference.expr`.
@@ -25,11 +25,10 @@ from repro.baselines.base import OfflineSchedule, ScheduleItem, \
     _lexicographic_priority
 from repro.core.admission import EPS, Contract
 from repro.core.pricer import PriceComputer
-from repro.core.sam import ScheduleAdjuster, Transmission, _ContractSkeleton
+from repro.core.sam import ScheduleAdjuster, Transmission
 from repro.lp import GE, LE, Model, add_sum_topk_coo
 from repro.lp import grouping
 from repro.network import Path, PathCache
-from repro.telemetry import get_registry
 from repro.traffic.workload import Workload
 
 
@@ -92,16 +91,12 @@ class ReferenceAdjuster(ScheduleAdjuster):
         the per-window percentile-cost proxy), so HiGHS sees the
         identical LP and returns the identical plan and duals.
 
-        Each contract's incidence fragments come from a
-        :class:`_ContractSkeleton` cached at the contract's first build
-        and patched (elapsed steps trimmed) on reuse; settled/expired
-        contracts are evicted.
+        Each contract's incidence is built afresh over its remaining
+        window, route by route (:func:`route_incidence`).
         """
         state = self.state
         config = state.config
         model = Model(sense="max", name=f"sam@{now}")
-        registry = get_registry()
-        cache = self._skeletons
 
         obj_cols: list[np.ndarray] = []
         obj_vals: list[np.ndarray] = []
@@ -113,23 +108,8 @@ class ReferenceAdjuster(ScheduleAdjuster):
             request = contract.request
             routes = state.paths.routes(request.src, request.dst,
                                         rid=request.rid)
-            first = max(request.start, now)
-            skeleton = None if cache is None else cache.get(contract.rid)
-            if skeleton is not None and not skeleton.covers(
-                    routes, first, request.deadline):
-                skeleton = None
-            if skeleton is None:
-                skeleton = _ContractSkeleton.build(
-                    routes, first, request.deadline,
-                    shape=state.paths.shape(routes))
-                if cache is not None:
-                    cache[contract.rid] = skeleton
-                    registry.counter("sam.skeleton.misses").inc()
-            elif skeleton.first == first:
-                registry.counter("sam.skeleton.hits").inc()
-            else:
-                registry.counter("sam.skeleton.trims").inc()
-            steps, rel_links, rel_steps, rel_vars = skeleton.sliced(first)
+            steps = np.arange(max(request.start, now), request.deadline + 1)
+            rel_links, rel_steps, rel_vars = route_incidence(routes, steps)
             n_vars = len(routes) * steps.size
             if n_vars == 0:
                 continue
@@ -179,14 +159,6 @@ class ReferenceAdjuster(ScheduleAdjuster):
                 np.concatenate(rows), np.concatenate(cols),
                 np.concatenate(vals), senses, rhs,
                 name=f"demand[{contract.rid}]")
-
-        if cache is not None:
-            # Settlement patch: contracts that left the active set
-            # (delivered in full, expired, or never admitted here) are
-            # deactivated by eviction — the next build simply skips them.
-            active_rids = {c.rid for c in active}
-            for rid in [r for r in cache if r not in active_rids]:
-                del cache[rid]
 
         groups = PairGroups(
             np.concatenate(inc_links) if inc_links else np.zeros(0, np.int64),

@@ -17,7 +17,6 @@ import pytest
 import repro
 from benchmarks.e2e import shims
 from repro.experiments.scenarios import tiny_scenario
-from repro.telemetry import MetricsRegistry, use_registry
 
 from .service.test_engine import replay
 
@@ -25,10 +24,11 @@ SRC_TEXT = "\n".join(path.read_text(encoding="utf-8") for path in
                      Path(repro.__file__).resolve().parent.rglob("*.py"))
 
 #: Counter names ``benchmarks/e2e/measure.py`` reads.  Several
-#: legitimately read 0 on a clean run (no warm starts, no retries).
-COUNTERS = ("sam.fast_path.hits", "sam.skeleton.hits", "sam.skeleton.misses",
-            "lp.session.warm_starts", "lp.session.cold_starts",
-            "resilience.retries")
+#: legitimately read 0 on a clean run (no warm starts, no retries).  It
+#: also reads ``sam.skeleton.{hits,misses}`` with a default of 0; SAM
+#: keeps no per-contract state, so nothing registers them any more.
+COUNTERS = ("sam.fast_path.hits", "lp.session.warm_starts",
+            "lp.session.cold_starts", "resilience.retries")
 
 
 @pytest.mark.parametrize("module_name, owner_name, attr",
@@ -50,12 +50,6 @@ def test_header_attributes_exist():
 @pytest.mark.parametrize("name", COUNTERS)
 def test_counter_is_still_registered_in_src(name):
     assert re.search(r"""["']%s["']""" % re.escape(name), SRC_TEXT), name
-
-
-def test_skeleton_counters_move_on_a_pretium_run():
-    with use_registry(MetricsRegistry()) as registry:
-        repro.run("Pretium", tiny_scenario(seed=0))
-        assert registry.counter("sam.skeleton.misses").value > 0
 
 
 def _recorded(run):

@@ -343,6 +343,20 @@ def test_sweep_rejects_bad_grids(capsys):
     assert "invalid seed list" in capsys.readouterr().err
     assert main(["sweep", "--schemes", "Pretium", "--faults", "zap"]) == 2
     assert "fault" in capsys.readouterr().err
+    # Grids a campaign rejects at load are rejected before any cell runs.
+    for bad in (["--loads", "-1"], ["--loads", "nan"], ["--loads", "0,1"]):
+        assert main(["sweep", "--scenario", "tiny", "--schemes", "Pretium",
+                     *bad]) == 2
+        assert "loads must be finite and > 0" in capsys.readouterr().err
+    assert main(["sweep", "--scenario", "tiny", "--schemes", "Pretium",
+                 "--loads", "2,2"]) == 2
+    assert "loads repeats [2.0]" in capsys.readouterr().err
+    assert main(["sweep", "--scenario", "tiny", "--schemes",
+                 "Pretium,Pretium", "--seeds", "0,0"]) == 2
+    assert "schemes repeats ['Pretium']" in capsys.readouterr().err
+    assert main(["sweep", "--scenario", "tiny", "--schemes", "Pretium",
+                 "--seeds", "0,0"]) == 2
+    assert "seeds repeats [0]" in capsys.readouterr().err
 
 
 def test_sweep_reports_cell_failures(tmp_path, capsys, monkeypatch):
