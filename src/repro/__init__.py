@@ -19,7 +19,7 @@ engineering for inter-datacenter transfers.  The top-level subpackages are:
 - :mod:`repro.telemetry` -- structured tracing, metrics and solver
   instrumentation (spans, counters, streaming histograms, JSONL traces).
 - :mod:`repro.service` -- the online admission service: a long-lived
-  event loop streaming live arrivals through the same RA/SAM/PC
+  thread streaming live arrivals through the same RA/SAM/PC
   machinery, with warm menu caches, micro-batching and backpressure.
 - :mod:`repro.api` -- the stable high-level facade: :func:`repro.run`,
   :func:`repro.sweep`, :func:`repro.campaign`, :func:`repro.audit` and

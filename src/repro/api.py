@@ -270,7 +270,7 @@ def serve(scheme, scenario, *, options: RunOptions | None = None,
     generator).  ``options`` scopes the same run environment :func:`run`
     would (fault injector, telemetry trace, link-kill schedule) for the
     **lifetime of the service**;
-    ``service_options`` shapes the event loop — micro-batch window, menu
+    ``service_options`` shapes the service — micro-batch window, menu
     cache size, quote deadline budget, backpressure bound
     (:class:`~repro.options.ServiceOptions`).
 

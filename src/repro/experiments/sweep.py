@@ -60,16 +60,13 @@ depends on scheduling.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import site
 import sys
 import time
 import traceback
 from collections import OrderedDict
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
-from multiprocessing import get_context
 from pathlib import Path
 from typing import Callable, Iterable
 
@@ -532,10 +529,13 @@ def _pool_context():
     it is a site directory (an installed ``repro``), which the server
     searches anyway and which, put ahead of the stdlib, could shadow it.
     """
+    # Imported here, as the executors are: multiprocessing loads socket
+    # and selectors, which a run or a service never needs.
+    import multiprocessing
     method = ("forkserver"
               if "forkserver" in multiprocessing.get_all_start_methods()
               else "spawn")
-    context = get_context(method)
+    context = multiprocessing.get_context(method)
     if method == "forkserver":
         # Idempotent; ignored once the server is already running (the
         # first sweep of the process wins, which preloads the same
@@ -583,6 +583,7 @@ def _run_cells_isolated(cells: list[SweepCell], options: RunOptions,
     the cells after it.  Each outer iteration finalises at least one
     cell, so this terminates even if every cell is a killer.
     """
+    from concurrent.futures import ProcessPoolExecutor
     index = 0
     while index < len(cells):
         with ProcessPoolExecutor(max_workers=1, mp_context=context,
@@ -649,6 +650,7 @@ def run_sweep(grid: SweepGrid, options: RunOptions | None = None,
         for cell in cells:
             _collect(run_cell(cell, opts, trace_base))
     else:
+        from concurrent.futures import ProcessPoolExecutor, as_completed
         chunks = _chunk_cells(cells, workers)
         context = _pool_context()
         shared = (opts, None if trace_base is None else str(trace_base))

@@ -36,7 +36,7 @@ class QuoteBudgetExceeded(LPError):
     time the request is dequeued.  Subclassing :class:`LPError` routes it
     through the exact degradation path a quoting fault takes: the
     controller catches it and serves the conservative current-price menu
-    instead of blocking the event loop on a full greedy quote.
+    instead of blocking the service thread on a full greedy quote.
     """
 
 

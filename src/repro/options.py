@@ -27,6 +27,7 @@ Two kinds of fields:
 from __future__ import annotations
 
 import dataclasses
+import math
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -133,14 +134,14 @@ class ServiceOptions:
 
     The :class:`RunOptions` analogue for the online admission service
     (:mod:`repro.service`): where :class:`RunOptions` scopes one batch
-    run, :class:`ServiceOptions` shapes the long-lived event loop that
-    streams arrivals through the same machinery.
+    run, :class:`ServiceOptions` shapes the long-lived service thread
+    that streams arrivals through the same machinery.
 
     Attributes
     ----------
     batch_window:
         Micro-batch window, seconds: after the first queued submission is
-        picked up, the loop lingers this long collecting an arrival burst
+        picked up, the service lingers this long collecting an arrival burst
         and admits the whole batch between SAM/PC timestep ticks.  ``0``
         processes submissions one by one (lowest latency, least
         amortisation).
@@ -153,12 +154,12 @@ class ServiceOptions:
     quote_deadline:
         Per-request quote latency budget, seconds.  A request whose
         budget is spent before quoting starts degrades to the
-        current-price menu (never blocks the loop); ``None`` disables
+        current-price menu (never blocks the service); ``None`` disables
         deadline enforcement.
     max_pending:
         Backpressure bound: submissions in flight (queued or being
         processed) beyond this block the submitting thread until the
-        loop drains, or fail fast when the caller asked not to wait.
+        service drains, or fail fast when the caller asked not to wait.
     metrics_port:
         When set, the service starts a
         :class:`~repro.telemetry.live.LiveMetricsServer` on this
@@ -176,14 +177,15 @@ class ServiceOptions:
     metrics_port: int | None = None
 
     def __post_init__(self) -> None:
-        if self.batch_window < 0:
-            raise ValueError("batch_window must be >= 0")
+        if not 0 <= self.batch_window < math.inf:     # nan compares false
+            raise ValueError("batch_window must be finite and >= 0")
         if self.batch_max < 1:
             raise ValueError("batch_max must be >= 1")
         if self.cache_size < 0:
             raise ValueError("cache_size must be >= 0")
-        if self.quote_deadline is not None and self.quote_deadline <= 0:
-            raise ValueError("quote_deadline must be positive")
+        if self.quote_deadline is not None and \
+                not 0 < self.quote_deadline < math.inf:
+            raise ValueError("quote_deadline must be finite and positive")
         if self.max_pending < 1:
             raise ValueError("max_pending must be >= 1")
         if self.metrics_port is not None and \

@@ -7,8 +7,8 @@ Layering (see DESIGN.md §"Online admission service"):
 - :mod:`repro.service.engine` — the synchronous deterministic core,
   bit-identical to batch :func:`~repro.sim.engine.simulate` on replayed
   arrival streams;
-- :mod:`repro.service.service` — the asyncio front door: thread-safe
-  submission, micro-batching, backpressure, deadline budgets;
+- :mod:`repro.service.service` — the front door on one owner thread:
+  thread-safe submission, micro-batching, backpressure, deadline budgets;
 - :mod:`repro.service.loadgen` — synthetic open-loop load generation.
 """
 

@@ -7,7 +7,7 @@ pushed in by callers one at a time — so a replayed stream's
 ``simulate()``'s.  It adds only what a service needs: an
 :class:`AdmissionDecision` per arrival, price checks
 (:meth:`AdmissionEngine.quote_only`), the warm menu cache and protocol
-checks (:class:`ServiceStateError`).  The asyncio layer
+checks (:class:`ServiceStateError`).  The service layer
 (:mod:`repro.service.service`) adds batching, backpressure and latency
 budgets on top.
 """

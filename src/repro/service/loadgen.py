@@ -88,7 +88,7 @@ def generate_load(service: AdmissionService, requests, *,
 
     def timed(kind: str, due: float):
         def record(future) -> None:
-            # Runs on the service's loop thread as the answer lands.
+            # Runs on the service's owner thread as the answer lands.
             if future.exception() is None:
                 samples[kind].append((time.perf_counter() - due) * 1e3)
             landed.release()

@@ -1,14 +1,15 @@
-"""The asyncio admission service: a live front door for the engine.
+"""The admission service: a live front door for the engine.
 
 :class:`AdmissionService` wraps an :class:`~repro.service.engine.AdmissionEngine`
-in a long-lived event loop running on its own thread, giving the
-deterministic core the operational properties a live service needs:
+in one long-lived owner thread that blocks on a
+:class:`queue.SimpleQueue`, giving the deterministic core the
+operational properties a live service needs:
 
 - **thread-safe submission** — :meth:`submit` / :meth:`price_check` can
-  be called from any thread; work crosses into the loop via
-  ``call_soon_threadsafe`` and results come back as
+  be called from any thread; work crosses to the owner thread through
+  the queue and results come back as
   :class:`concurrent.futures.Future` objects;
-- **micro-batched admission** — after picking up a submission the loop
+- **micro-batched admission** — after picking up a submission the owner
   lingers ``options.batch_window`` seconds (up to ``options.batch_max``
   items) collecting the rest of an arrival burst, then admits the whole
   batch between SAM/PC ticks.  Batching changes *latency*, never
@@ -22,9 +23,9 @@ deterministic core the operational properties a live service needs:
   started at enqueue time.  A submission whose budget is spent (queueing
   included) before quoting starts degrades to the current-price menu via
   the controller's existing resilience path — it is answered late and
-  conservatively, but the loop never blocks on it and the books still
-  balance (the degradation leaves a DEGRADED ledger event, the auditor's
-  waiver).
+  conservatively, but the owner thread never blocks on it and the books
+  still balance (the degradation leaves a DEGRADED ledger event, the
+  auditor's waiver).
 
 Every quote's end-to-end latency (enqueue → decision) lands in the
 ``service.latency_ms`` histogram, split into its two components:
@@ -36,11 +37,12 @@ rejections are tracked alongside (``service.*`` metrics).
 
 from __future__ import annotations
 
-import asyncio
 import concurrent.futures
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass, field
+from queue import Empty, SimpleQueue
 
 from ..faults.resilience import DeadlineBudget
 from ..options import ServiceOptions
@@ -62,7 +64,7 @@ _STOP = object()
 
 @dataclass
 class _Submission:
-    """One unit of work crossing the thread boundary into the loop."""
+    """One unit of work crossing the thread boundary to the owner."""
 
     kind: str                    # "admit" | "quote"
     request: object
@@ -84,7 +86,7 @@ class AdmissionService:
         result = svc.result        # the settled RunResult
 
     The engine must not be started by the caller: the service starts it
-    on the loop thread so *all* engine state lives on one thread and the
+    on the owner thread so *all* engine state lives on one thread and the
     core never needs a lock.  A step that fails the engine (a scheme bug,
     a :class:`~repro.sim.engine.CapacityViolation`) fails the submission
     that ran it; later submissions get
@@ -99,19 +101,20 @@ class AdmissionService:
         self.result = None
         self.metrics_server = None
         self._thread: threading.Thread | None = None
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._queue: asyncio.Queue | None = None
+        self._queue: SimpleQueue = SimpleQueue()
         self._ready = threading.Event()
-        self._closed = False
+        #: Guards ``_closed`` and every put, so nothing lands behind STOP.
+        self._lock = threading.Lock()
+        self._closed = True             # until start(), and once stopping
         self._startup_error: BaseException | None = None
         self._fatal_error: BaseException | None = None
         self._pending = threading.BoundedSemaphore(self.options.max_pending)
-        self._depth = 0
 
     # -- lifecycle -----------------------------------------------------------
     def start(self) -> "AdmissionService":
         if self._thread is not None:
             raise ServiceClosed("service already started")
+        self._closed = False
         self._thread = threading.Thread(target=self._run_loop,
                                         name="repro-admission-service",
                                         daemon=True)
@@ -132,7 +135,7 @@ class AdmissionService:
                     get_registry(), port=self.options.metrics_port,
                     slo=slo).start()
             except BaseException:
-                # The loop is already running; tear it down cleanly
+                # The owner thread is already serving; tear it down cleanly
                 # rather than leaking a serving thread behind a failed
                 # metrics bind.
                 self.stop()
@@ -144,10 +147,11 @@ class AdmissionService:
         :class:`~repro.sim.engine.RunResult`.  Idempotent."""
         if self._thread is None:
             raise ServiceClosed("service was never started")
-        if not self._closed:
-            self._closed = True
-            # Everything submitted before the sentinel is still answered.
-            self._from_any_thread(self._queue.put_nowait, _STOP)
+        with self._lock:
+            if not self._closed:
+                self._closed = True
+                # Everything submitted before the sentinel is still answered.
+                self._queue.put(_STOP)
         self._thread.join()
         if self.metrics_server is not None:
             self.metrics_server.stop()
@@ -164,8 +168,7 @@ class AdmissionService:
 
     @property
     def running(self) -> bool:
-        return (self._thread is not None and self._thread.is_alive()
-                and not self._closed)
+        return not self._closed
 
     # -- submission (any thread) ---------------------------------------------
     def submit(self, request, step: int | None = None, *,
@@ -191,8 +194,6 @@ class AdmissionService:
 
     def _enqueue(self, kind: str, request, step, wait: bool,
                  timeout: float | None) -> concurrent.futures.Future:
-        if self._closed or self._thread is None or not self._thread.is_alive():
-            raise ServiceClosed("service is not accepting submissions")
         if wait:
             # timeout=None means wait indefinitely (unlike Lock,
             # Semaphore.acquire treats a negative timeout as expired).
@@ -208,89 +209,83 @@ class AdmissionService:
             DeadlineBudget(started=time.perf_counter(), budget=deadline)
         sub = _Submission(kind=kind, request=request, step=step,
                           future=concurrent.futures.Future(), budget=budget)
-        try:
-            self._from_any_thread(self._queue.put_nowait, sub)
-        except BaseException:
-            self._pending.release()
-            raise
-        return sub.future
+        with self._lock:    # checked here: stop() may run while we wait
+            if not self._closed:
+                self._queue.put(sub)
+                return sub.future
+        self._pending.release()
+        raise ServiceClosed("service is not accepting submissions")
 
-    def _from_any_thread(self, fn, *args) -> None:
-        loop = self._loop
-        if loop is None or loop.is_closed():
-            raise ServiceClosed("service loop is gone")
-        loop.call_soon_threadsafe(fn, *args)
-
-    # -- the loop (service thread) -------------------------------------------
+    # -- the owner thread ----------------------------------------------------
     def _run_loop(self) -> None:
-        try:
-            asyncio.run(self._main())
-        except BaseException as exc:  # noqa: BLE001 — surfaced to stop()
-            if not self._ready.is_set():
-                self._startup_error = exc
-                self._ready.set()
-            else:
-                self._fatal_error = exc
-
-    async def _main(self) -> None:
-        self._loop = asyncio.get_running_loop()
-        self._queue = asyncio.Queue()
+        batch: deque[_Submission] = deque()   # off the queue, not yet answered
         try:
             self.engine.start()
-        except BaseException as exc:
-            self._startup_error = exc
             self._ready.set()
-            return
-        self._ready.set()
-        registry = get_registry()
-        stopping = False
-        while not stopping:
-            first = await self._queue.get()
-            if first is _STOP:
-                break
-            batch = [first]
-            stopping = await self._fill_batch(batch)
-            registry.histogram("service.batch_size").observe(len(batch))
-            registry.gauge("service.queue_depth").set(self._queue.qsize())
-            for sub in batch:
-                self._process(sub)
-        self.result = self.engine.finish()
+            registry, queue = get_registry(), self._queue
+            stopping = False
+            while not stopping:
+                first = queue.get()
+                if first is _STOP:
+                    break
+                batch.append(first)
+                stopping = self._fill_batch(batch)
+                registry.histogram("service.batch_size").observe(len(batch))
+                registry.gauge("service.queue_depth").set(queue.qsize())
+                while batch:
+                    self._process(batch.popleft())
+            self.result = self.engine.finish()
+        except BaseException as exc:  # noqa: BLE001 — for start()/stop()
+            if self._ready.is_set():
+                self._fatal_error = exc
+            else:
+                self._startup_error = exc
+        finally:
+            self._refuse_unanswered(batch)
+            self._ready.set()
 
-    async def _fill_batch(self, batch: list) -> bool:
+    def _fill_batch(self, batch: deque) -> bool:
         """Collect the rest of an arrival burst; True if STOP was seen.
 
-        With a batch window, lingers up to ``batch_window`` seconds for
-        stragglers; without one, only drains submissions that are
-        already queued.  FIFO order is preserved either way — batching
-        amortises tick overhead, it never reorders arrivals.
+        Lingers for stragglers until ``batch_window`` seconds after the
+        first pickup; past that (or with no window) only drains
+        submissions that are already queued.  FIFO order is preserved
+        either way — batching amortises tick overhead, it never reorders
+        arrivals.
         """
         options, queue = self.options, self._queue
-        if options.batch_window > 0:
-            deadline = self._loop.time() + options.batch_window
-            while len(batch) < options.batch_max:
-                remaining = deadline - self._loop.time()
-                if remaining <= 0:
-                    break
-                try:
-                    item = await asyncio.wait_for(queue.get(), remaining)
-                except asyncio.TimeoutError:
-                    break
-                if item is _STOP:
-                    return True
-                batch.append(item)
-        else:
-            while len(batch) < options.batch_max:
-                try:
-                    item = queue.get_nowait()
-                except asyncio.QueueEmpty:
-                    break
-                if item is _STOP:
-                    return True
-                batch.append(item)
+        deadline = time.monotonic() + options.batch_window
+        while len(batch) < options.batch_max:
+            remaining = deadline - time.monotonic()
+            try:
+                item = (queue.get(timeout=remaining) if remaining > 0
+                        else queue.get_nowait())
+            except Empty:
+                return False
+            if item is _STOP:
+                return True
+            batch.append(item)
         return False
 
+    def _refuse_unanswered(self, batch: deque) -> None:
+        """Close the service as the owner thread leaves, for any reason,
+        then fail the batch in hand and whatever is still queued."""
+        with self._lock:
+            self._closed = True
+        while not self._queue.empty():      # no put can follow the close
+            batch.append(self._queue.get_nowait())
+        for sub in batch:
+            if sub is not _STOP:
+                if sub.future.set_running_or_notify_cancel():
+                    sub.future.set_exception(
+                        ServiceClosed("service stopped before answering"))
+                self._pending.release()
+
     def _process(self, sub: _Submission) -> None:
-        """Answer one submission on the loop thread; never raises."""
+        """Answer one submission on the owner thread; never raises."""
+        if not sub.future.set_running_or_notify_cancel():
+            self._pending.release()      # cancelled by its caller while queued
+            return
         registry = get_registry()
         engine = self.engine
         admission = getattr(engine.scheme, "admission", None)
@@ -300,7 +295,7 @@ class AdmissionService:
                 if admission is not None and sub.budget is not None:
                     # The budget keeps burning while queued: a submission
                     # that waited past its deadline degrades instead of
-                    # stealing loop time from the ones behind it.
+                    # stealing owner time from the ones behind it.
                     admission.quote_budget = sub.budget.remaining
                 try:
                     outcome = engine.admit(sub.request, sub.step)

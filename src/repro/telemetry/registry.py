@@ -7,7 +7,7 @@ increment no matter how long a run is, which is what lets the simulation
 engine feed every module invocation through it.
 
 All three metric kinds are **thread-safe**: the live admission service
-mutates them from its asyncio loop thread while submitter threads bump
+mutates them from its owner thread while submitter threads bump
 backpressure counters and the live ``/metrics`` exporter reads snapshots
 from HTTP handler threads.  Each metric carries its own small lock (no
 global registry lock on the hot path); the contention micro-bench

@@ -1,11 +1,12 @@
-"""The asyncio service layer: batching, backpressure, budgets, lifecycle.
+"""The service layer: batching, backpressure, budgets, lifecycle.
 
-Differential coverage (the async loop changes latency, never decisions)
-runs against the real engine; the scheduling-sensitive behaviours
-(backpressure, batching, FIFO order) run against a blocking stub engine
-so they are deterministic rather than timing-dependent.
+Differential coverage (the owner thread changes latency, never
+decisions) runs against the real engine; the scheduling-sensitive
+behaviours (backpressure, batching, FIFO order) run against a blocking
+stub engine so they are deterministic rather than timing-dependent.
 """
 
+import sys
 import threading
 import time
 from types import SimpleNamespace
@@ -37,7 +38,7 @@ def live_service(scenario, **service_kwargs):
     return AdmissionService(engine, options)
 
 
-# -- differential through the async loop --------------------------------------
+# -- differential through the owner thread ------------------------------------
 
 def test_async_replay_with_batching_is_bit_identical_to_batch():
     scenario = ScenarioSpec.of("tiny").build(seed=3)
@@ -266,6 +267,144 @@ def test_stop_answers_everything_enqueued_before_it():
     assert svc.stop() == "finished"
     assert [f.result(timeout=0).rid for f in futures] == \
         [f"r{n}" for n in range(4)]
+
+
+def test_an_engine_that_fails_to_start_fails_start():
+    options = ServiceOptions()
+    engine = BlockingEngine(options)
+    engine.start = lambda: 1 / 0
+    svc = AdmissionService(engine, options)
+    with pytest.raises(ZeroDivisionError):
+        svc.start()
+    assert not svc.running and not svc._thread.is_alive()
+    with pytest.raises(ServiceClosed):
+        svc.submit("r0")
+
+
+def test_a_submit_racing_stop_is_refused_or_answered(monkeypatch):
+    """A submitter that passed the closed check before stop() and got
+    its slot while the engine finishes must not be queued behind the
+    stop sentinel, where nothing would ever answer it."""
+    options = ServiceOptions(max_pending=1)
+    engine = BlockingEngine(options)
+    finishing, submitted = threading.Event(), threading.Event()
+    finish = engine.finish
+
+    def slow_finish():
+        finishing.set()
+        submitted.wait(timeout=30)      # the racing submit has returned
+        return finish()
+
+    engine.finish = slow_finish
+    svc = AdmissionService(engine, options).start()
+    acquire = svc._pending.acquire
+
+    def late_acquire(*args, **kwargs):
+        assert finishing.wait(timeout=30)
+        return acquire(*args, **kwargs)
+
+    monkeypatch.setattr(svc._pending, "acquire", late_acquire)
+    outcome = {}
+
+    def racer():
+        try:
+            outcome["future"] = svc.submit("late")
+        except ServiceClosed as exc:
+            outcome["refused"] = exc
+        finally:
+            submitted.set()
+
+    thread = threading.Thread(target=racer)
+    thread.start()
+    assert svc.stop() == "finished"
+    thread.join(timeout=30)
+    if "future" in outcome:
+        outcome["future"].result(timeout=2)
+    else:
+        assert isinstance(outcome["refused"], ServiceClosed)
+    assert acquire(blocking=False)      # the slot came back
+
+
+def test_submitters_racing_stop_are_all_refused_or_answered():
+    """Stress: more submitter threads than cores, a tiny switch interval
+    and a stop() mid-stream; every submit is refused or answered and
+    every backpressure slot comes back."""
+    options = ServiceOptions(max_pending=4)
+    engine = BlockingEngine(options)
+    engine.release.set()
+    svc = AdmissionService(engine, options).start()
+    futures, go = [], threading.Event()
+
+    def submitter(n):
+        assert go.wait(timeout=30)
+        for k in range(500):
+            try:
+                futures.append(svc.submit((n, k), timeout=30))
+            except ServiceClosed:
+                return
+
+    threads = [threading.Thread(target=submitter, args=(n,))
+               for n in range(6)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        go.set()
+        assert engine.entered.wait(timeout=30)   # stop mid-stream
+        assert svc.stop() == "finished"
+        for thread in threads:
+            thread.join(timeout=30)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    answered = [future.result(timeout=5).rid for future in futures]
+    assert sorted(answered) == sorted(engine.processed)
+    assert all(svc._pending.acquire(blocking=False) for _ in range(4))
+
+
+def test_a_cancelled_submission_is_skipped_and_frees_its_slot():
+    options = ServiceOptions(max_pending=3)
+    engine = BlockingEngine(options)
+    svc = AdmissionService(engine, options).start()
+    first = svc.submit("r0")
+    assert engine.entered.wait(timeout=30)
+    withdrawn = svc.submit("r1")
+    assert withdrawn.cancel()
+    last = svc.submit("r2")
+    engine.release.set()
+    assert last.result(timeout=30).rid == "r2"
+    assert first.result(timeout=30).rid == "r0"
+    assert svc.stop() == "finished"
+    assert engine.processed == ["r0", "r2"]
+    assert all(svc._pending.acquire(blocking=False) for _ in range(3))
+
+
+def test_an_owner_that_dies_answers_everything_it_holds(monkeypatch):
+    options = ServiceOptions(max_pending=3)
+    engine = BlockingEngine(options)
+    engine.release.set()
+    svc = AdmissionService(engine, options).start()
+    picked_up, queued = threading.Event(), threading.Event()
+
+    def failing_fill(batch):
+        picked_up.set()
+        assert queued.wait(timeout=30)
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(svc, "_fill_batch", failing_fill)
+    futures = [svc.submit("r0")]
+    assert picked_up.wait(timeout=30)
+    futures += [svc.submit("r1"), svc.submit("r2")]
+    queued.set()
+    for future in futures:              # in hand and still queued alike
+        assert isinstance(future.exception(timeout=30), ServiceClosed)
+    with pytest.raises(RuntimeError, match="boom"):
+        svc.stop()
+    assert engine.processed == []
+    with pytest.raises(ServiceClosed):
+        svc.submit("r3")
+    assert all(svc._pending.acquire(blocking=False) for _ in range(3))
 
 
 # -- the open-loop load generator ----------------------------------------------

@@ -25,10 +25,14 @@ def test_defaults_are_live_service_shaped():
 
 @pytest.mark.parametrize("kwargs", [
     dict(batch_window=-0.1),
+    dict(batch_window=float("inf")),
+    dict(batch_window=float("nan")),
     dict(batch_max=0),
     dict(cache_size=-1),
     dict(quote_deadline=0.0),
     dict(quote_deadline=-1.0),
+    dict(quote_deadline=float("inf")),
+    dict(quote_deadline=float("nan")),
     dict(max_pending=0),
     dict(metrics_port=-1),
     dict(metrics_port=65536),

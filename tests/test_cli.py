@@ -605,6 +605,10 @@ def test_serve_accepts_service_knobs_and_rejects_bad_ones(capsys):
     assert main(["serve", "--scenario", "tiny",
                  "--quote-deadline", "-1"]) == 2
     assert "error" in capsys.readouterr().err
+    # A window that never closes would hold a lone submission forever.
+    assert main(["serve", "--scenario", "tiny",
+                 "--batch-window", "inf"]) == 2
+    assert "batch_window must be finite" in capsys.readouterr().err
 
 
 def test_serve_rejects_bad_fault_spec(capsys):

@@ -47,6 +47,25 @@ def test_a_run_loads_no_module_it_does_not_use():
     assert [name for name in UNUSED if name in loaded] == []
 
 
+def test_a_service_loads_no_event_loop():
+    """The service is one owner thread behind a queue: serving a run
+    loads neither asyncio nor the ssl and selectors it would bring."""
+    loaded = python("""
+        import json, sys
+        import repro.service
+        from repro.service import generate_load
+        with repro.serve("Pretium", "tiny") as svc:
+            requests = sorted(svc.scenario.workload.requests,
+                              key=lambda r: (r.arrival, r.rid))
+            report = generate_load(svc.service, requests, price_checks=1)
+            svc.close()
+        assert report.errors == 0 and report.answered == len(requests)
+        print(json.dumps(sorted(sys.modules)))
+    """)
+    assert [name for name in ("asyncio", "ssl", "selectors")
+            if name in loaded] == []
+
+
 @pytest.mark.parametrize("scipy_first", [True, False],
                          ids=["scipy-first", "repro-first"])
 def test_scipy_optimize_shares_the_highs_bindings(scipy_first):
