@@ -17,9 +17,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from ..core.request import ByteRequest
-from ..lp import LE, Model
-from ..lp.grouping import PairGroups, add_demand_blocks, \
-    add_percentile_costs, route_incidence
+from ..lp import Model
+from ..lp.grouping import add_schedule, route_incidence
 from ..network import PathCache
 from ..sim.engine import RunResult
 from ..traffic.workload import Workload
@@ -109,17 +108,15 @@ def _solve_offline_schedule_coo(workload: Workload,
                                 topk_encoding: str, include_costs: bool,
                                 objective: str,
                                 paths: PathCache) -> OfflineSchedule:
-    """Build and solve the offline LP from batched COO triplets, in the
-    emission order of the term-by-term reference
-    (``tests/reference/expr_builders.py``), so the solved schedule is
-    identical."""
+    """Build the offline LP on :func:`~repro.lp.grouping.add_schedule`
+    (the order of ``tests/reference/expr_builders.py``) and solve it;
+    the gathering, the objective and the schedule are this function's."""
     topology = workload.topology
     n_steps = workload.n_steps
     model = Model(sense="max", name="offline-schedule")
 
     entries: list[tuple[int, int, np.ndarray]] = []
-    counts, caps, weights = [], [], []
-    incidences: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    counts, caps, weights, incidences = [], [], [], []
     for item in items:
         request = item.request
         if item.cap <= EPS:
@@ -136,19 +133,15 @@ def _solve_offline_schedule_coo(workload: Workload,
         caps.append(item.cap)
         weights.append(float(item.weight))
         incidences.append(route_incidence(paths.shape(routes), steps))
-    starts, flows, _slacks = add_demand_blocks(model, counts, caps)
+    capacity = np.array([link.capacity for link in topology.links])
+    lp = add_schedule(
+        model, incidences, counts, caps,
+        np.broadcast_to(capacity, (n_steps, capacity.size)),
+        metered_links=topology.metered_links() if include_costs else (),
+        billing=workload.steps_per_day, topk_fraction=topk_fraction,
+        encoding=topk_encoding)
+    groups, costs = lp.groups, lp.costs
     values = np.repeat(weights, counts)
-
-    groups = PairGroups.of_contracts(incidences, starts, n_steps)
-    capacities = np.array([link.capacity for link in topology.links])
-    if groups.n:
-        model.add_constraints_coo(
-            groups.rows, groups.values, np.ones(groups.rows.size), LE,
-            capacities[groups.links].astype(float), name="edge")
-
-    costs = add_percentile_costs(
-        model, groups, topology.metered_links() if include_costs else (),
-        workload.steps_per_day, n_steps, topk_fraction, topk_encoding)
 
     if not values.any() and not costs.bounds.size:
         return OfflineSchedule(np.zeros((n_steps, topology.num_links)), {},
@@ -158,7 +151,7 @@ def _solve_offline_schedule_coo(workload: Workload,
         # Lexicographic big-M: one solve instead of a (degenerate, slow)
         # two-stage formulation.
         values = values * _lexicographic_priority(topology)
-    model.set_objective_coo(np.concatenate([flows, costs.bounds]),
+    model.set_objective_coo(np.concatenate([lp.flows, costs.bounds]),
                             np.concatenate([values, costs.weights]))
     solution = model.solve()
 
@@ -171,7 +164,7 @@ def _solve_offline_schedule_coo(workload: Workload,
     delivered: dict[int, float] = {}
     per_step: dict[int, np.ndarray] = {}
     series_by_rid: dict[int, np.ndarray] = {}
-    for (rid, n_routes, steps), start in zip(entries, starts.tolist()):
+    for (rid, n_routes, steps), start in zip(entries, lp.starts.tolist()):
         series = series_by_rid.setdefault(rid, np.zeros(n_steps))
         for r in range(n_routes):
             first = start + r * steps.size

@@ -19,7 +19,8 @@ from collections import defaultdict
 
 import numpy as np
 
-from ..lp import LE, Model
+from ..lp import Model
+from ..lp.grouping import add_schedule, route_incidence
 from ..network import PathCache
 from ..sim.engine import RunResult
 from ..traffic.workload import Workload
@@ -99,51 +100,40 @@ class VCGLike(OfflineScheme):
         Returns (per-request allocation with per-link usage, declared
         welfare of the allocation, per-link capacity duals).
         """
-        routes = [paths.routes(request.src, request.dst, rid=request.rid)
+        # The schedule LP over step 0 alone: one flow per (request,
+        # route), under a rate row per request with a route.
+        served = [(request, paths.routes(request.src, request.dst,
+                                         rid=request.rid))
                   for request in requests]
-        # One flow variable per (request, route), in request order; one
-        # rate row per request with a route; one capacity row per link,
-        # in the order the flows first touch it.
-        served = [(request, len(request_routes)) for request, request_routes
-                  in zip(requests, routes) if request_routes]
+        served = [(request, routes) for request, routes in served if routes]
         if not served:
             return {}, 0.0, {}
-        counts = [count for _, count in served]
-        var_rids = [request.rid for request, count in served
-                    for _ in range(count)]
-        var_links = [path.link_indices() for request_routes in routes
-                     for path in request_routes]
-        cap_row: dict[int, int] = {}
-        cap_rows, cap_cols = [], []
-        for var, links in enumerate(var_links):
-            for index in links:
-                cap_rows.append(cap_row.setdefault(index, len(cap_row)))
-                cap_cols.append(var)
-
+        step = np.zeros(1, dtype=np.int64)
+        counts = [len(routes) for _, routes in served]
         model = Model(sense="max", name="vcg-step")
-        flows = model.add_variables_array(len(var_links), "x", lb=0.0)
-        model.add_constraints_coo(
-            np.repeat(np.arange(len(served)), counts), flows.indices,
-            np.ones(flows.count), LE,
-            [rates[request.rid] for request, _ in served], name="rate")
-        caps = model.add_constraints_coo(
-            cap_rows, cap_cols, np.ones(len(cap_rows)), LE,
-            capacities[list(cap_row)], name="cap")
-        model.set_objective_coo(flows.indices, np.repeat(
+        lp = add_schedule(
+            model, [route_incidence(paths.shape(routes), step)
+                    for _, routes in served],
+            counts, [rates[request.rid] for request, _ in served],
+            np.broadcast_to(capacities, (1, capacities.size)))
+        model.set_objective_coo(lp.flows, np.repeat(
             [request.value for request, _ in served], counts))
         solution = model.solve()
 
-        link_duals = {index: max(0.0, dual) for index, dual
-                      in zip(cap_row, solution.dual_array(caps).tolist())}
+        link_duals = {index: max(0.0, dual) for index, dual in zip(
+            lp.groups.links.tolist(),
+            solution.dual_array(lp.capacity).tolist())}
+        x = solution.x
         allocation: dict[int, tuple[float, dict[int, float]]] = {}
-        for rid, links, volume in zip(var_rids, var_links,
-                                      solution.value_array(flows).tolist()):
-            if volume <= EPS:
-                continue
-            total, link_use = allocation.get(rid, (0.0, {}))
-            for index in links:
-                link_use[index] = link_use.get(index, 0.0) + volume
-            allocation[rid] = (total + volume, link_use)
+        for (request, routes), start in zip(served, lp.starts.tolist()):
+            for path, volume in zip(routes,
+                                    x[start:start + len(routes)].tolist()):
+                if volume <= EPS:
+                    continue
+                total, link_use = allocation.get(request.rid, (0.0, {}))
+                for index in path.link_indices():
+                    link_use[index] = link_use.get(index, 0.0) + volume
+                allocation[request.rid] = (total + volume, link_use)
         return allocation, float(solution.objective), link_duals
 
 

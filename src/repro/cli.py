@@ -353,7 +353,13 @@ def _cmd_run(args) -> int:
     except (FaultSpecError, ValueError) as exc:
         return _usage_error(exc)
     if args.workload:
-        workload = load_workload(args.workload)
+        try:
+            workload = load_workload(args.workload)
+        except (OSError, ValueError, KeyError) as exc:
+            problem = f"missing key {exc}" if isinstance(exc, KeyError) \
+                else exc
+            return _usage_error(ValueError(
+                f"cannot load workload {args.workload}: {problem}"))
         cost_model = LinkCostModel(workload.topology,
                                    billing_window=workload.steps_per_day)
         scenario = Scenario(workload.topology, workload, cost_model)

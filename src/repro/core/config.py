@@ -9,6 +9,7 @@ top-10% percentile-cost proxy.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -147,6 +148,9 @@ class PretiumConfig:
             raise ValueError("window must be positive")
         if self.lookback < self.window:
             raise ValueError("lookback must be at least one window")
+        for name in ("initial_price", "price_floor", "congestion_multiplier"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.initial_price < 0 or self.price_floor < 0:
             raise ValueError("prices must be nonnegative")
         if not 0.0 < self.congestion_threshold <= 1.0:
@@ -167,7 +171,9 @@ class PretiumConfig:
                 f"unknown solver_backend {self.solver_backend!r}")
         if self.solver_retries < 0:
             raise ValueError("solver_retries must be >= 0")
-        if self.solver_time_limit is not None and self.solver_time_limit <= 0:
+        # inf is HiGHS's own "no limit"; NaN fails the comparison.
+        if self.solver_time_limit is not None \
+                and not self.solver_time_limit > 0:
             raise ValueError("solver_time_limit must be positive")
         if self.solver_maxiter is not None and self.solver_maxiter <= 0:
             raise ValueError("solver_maxiter must be positive")

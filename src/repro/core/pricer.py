@@ -25,9 +25,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..faults.resilience import RetryPolicy, resilient_solve
-from ..lp import LE, Model, session_for
-from ..lp.grouping import PairGroups, add_demand_blocks, \
-    add_percentile_costs, route_incidence
+from ..lp import Model, session_for
+from ..lp.grouping import add_schedule, route_incidence
 from ..telemetry import ledger
 from .admission import EPS, Contract
 from .state import NetworkState
@@ -104,9 +103,9 @@ class PriceComputer:
         pairs whose cost gradient the LP actually modelled; both arrays
         are ``(period_len, n_links)`` with period-relative rows.
 
-        Variables and constraints are emitted in the order of the
-        term-by-term reference (``tests/reference/expr_builders.py``),
-        so HiGHS returns the same degenerate dual vertex.
+        :func:`~repro.lp.grouping.add_schedule` lays it out in the order
+        of ``tests/reference/expr_builders.py``, so HiGHS returns the
+        same degenerate dual vertex.
         """
         state = self.state
         config = state.config
@@ -114,8 +113,7 @@ class PriceComputer:
         period_len = period_end - period_start
         model = Model(sense="max", name=f"pc@{period_end}")
 
-        counts, caps, values = [], [], []
-        incidences: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        counts, caps, values, incidences = [], [], [], []
         for contract in contracts:
             request = contract.request
             routes = state.paths.routes(request.src, request.dst,
@@ -129,35 +127,25 @@ class PriceComputer:
             values.append(contract.marginal_price)
             incidences.append(route_incidence(state.paths.shape(routes),
                                               steps))
-        starts, flows, _slacks = add_demand_blocks(model, counts, caps)
-
-        groups = PairGroups.of_contracts(incidences, starts, state.n_steps)
-        cap_block = None
-        if groups.n:
-            caps = state.capacity[groups.steps, groups.links].astype(float)
-            cap_block = model.add_constraints_coo(
-                groups.rows, groups.values, np.ones(groups.rows.size),
-                LE, caps, name="cap")
-
-        # Percentile-cost proxy per billing window intersecting the
-        # period.  The equality tying each load variable to its flows
+        # The equality tying each metered load variable to its flows
         # carries the cost gradient as its dual: at a levelled optimum the
         # top-k subgradient spreads fractionally over tied steps, which the
         # LP dual captures exactly (a hand-rolled "C_e/k on the top-k
         # steps" rule would overprice flat schedules ~W/k-fold).
-        costs = add_percentile_costs(
-            model, groups, state.topology.metered_links(),
-            self.billing_window, state.n_steps, config.topk_fraction,
-            config.topk_encoding, couple_idle=True)
-
+        lp = add_schedule(
+            model, incidences, counts, caps, state.capacity,
+            metered_links=state.topology.metered_links(),
+            billing=self.billing_window, topk_fraction=config.topk_fraction,
+            encoding=config.topk_encoding, couple_idle=True)
+        groups, costs = lp.groups, lp.costs
         model.set_objective_coo(
-            np.concatenate([flows, costs.bounds]),
+            np.concatenate([lp.flows, costs.bounds]),
             np.concatenate([np.repeat(values, counts), costs.weights]))
         solution = self._solve_lp(model, period_end)
 
         duals = np.zeros((period_len, n_links))
-        if cap_block is not None:
-            cap_duals = np.maximum(0.0, solution.dual_array(cap_block))
+        if lp.capacity is not None:
+            cap_duals = np.maximum(0.0, solution.dual_array(lp.capacity))
             in_period = (groups.steps >= period_start) \
                 & (groups.steps < period_end)
             duals[groups.steps[in_period] - period_start,

@@ -15,8 +15,17 @@ produces requests) and the Pretium core (which serves them) import it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Optional
+
+
+def _require_finite(owner: str, **fields: float) -> None:
+    """Reject a NaN or infinite field: every comparison with NaN is
+    false, so the range checks after this would let it through."""
+    for name, number in fields.items():
+        if not math.isfinite(number):
+            raise ValueError(f"{owner}: {name} must be finite, got {number}")
 
 
 @dataclass(frozen=True)
@@ -65,6 +74,8 @@ class ByteRequest:
     cls: str = "default"
 
     def __post_init__(self) -> None:
+        _require_finite(f"request {self.rid}", demand=self.demand,
+                        value=self.value)
         if self.src == self.dst:
             raise ValueError(f"request {self.rid}: src == dst ({self.src})")
         if self.demand <= 0:
@@ -118,6 +129,8 @@ class RateRequest:
     value: float
 
     def __post_init__(self) -> None:
+        _require_finite(f"rate request {self.rid}", rate=self.rate,
+                        value=self.value)
         if self.rate <= 0:
             raise ValueError(f"rate request {self.rid}: rate must be positive")
         if self.end < self.start:

@@ -25,10 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..faults.resilience import RetryPolicy, resilient_solve
-from ..lp import GE, LE, InfeasibleError, Model, session_for
-from ..lp.grouping import PairGroups, add_demand_blocks, \
-    add_percentile_costs, route_incidence
-from ..lp.model import SENSE_CODES
+from ..lp import InfeasibleError, Model, session_for
+from ..lp.grouping import add_schedule, route_incidence
 from ..network import Path
 from ..network.paths import RouteShape
 from ..telemetry import get_registry, ledger
@@ -217,24 +215,19 @@ class ScheduleAdjuster:
     def _solve_coo(self, active: list[Contract], delivered: dict[int, float],
                    realized_loads: np.ndarray, now: int,
                    enforce_guarantees: bool) -> list[Transmission]:
-        """Build and solve the SAM LP from batched COO triplets.
+        """Build and solve the SAM LP over each contract's remaining
+        window.
 
-        Variables and constraints are laid out in the order of the
-        term-by-term reference (``tests/reference/expr_builders.py``:
-        contract flows + demand/guarantee rows, then capacity and
-        smoothing rows per first-encountered (link, timestep) pair, then
-        the per-window percentile-cost proxy), so HiGHS sees the
-        identical LP and returns the identical plan and duals.  The
-        per-contract loop only gathers numbers; every model call covers
-        all contracts, pairs or windows at once (:mod:`repro.lp.grouping`).
+        :func:`~repro.lp.grouping.add_schedule` lays it out in the order
+        of ``tests/reference/expr_builders.py``, so HiGHS sees the
+        identical LP and returns the identical plan and duals.
         """
         state = self.state
         config = state.config
         model = Model(sense="max", name=f"sam@{now}")
 
         entries: list[tuple[Contract, list[Path], np.ndarray]] = []
-        counts, caps, values, needs, soft = [], [], [], [], []
-        incidences: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        counts, caps, values, needs, soft, incidences = [], [], [], [], [], []
         for contract in active:
             request = contract.request
             routes = state.paths.routes(request.src, request.dst,
@@ -261,62 +254,34 @@ class ScheduleAdjuster:
             soft.append(cls.preemptible)
             incidences.append((rel_links, rel_steps, rel_vars))
 
-        counts = np.array(counts, dtype=np.int64)
-        values = np.array(values)
-        starts, flows, slacks = add_demand_blocks(
-            model, counts, caps, ub=caps, need=needs, soft=soft)
-        slacked = slacks >= 0
-        obj_cols = [flows, slacks[slacked]]
-        obj_vals = [np.repeat(values, counts),
-                    -(2.0 * values[slacked] + config.price_floor)]
-        groups = PairGroups.of_contracts(incidences, starts, state.n_steps)
-
-        # Capacity per touched (link, timestep) pair, interleaved with a
-        # tiny penalty on volume in the congested segment: SAM's LP has
-        # many degenerate optima, and without this nudge the solver may
+        # A tiny penalty on volume in each pair's congested segment: the
+        # LP has many degenerate optima, and without this nudge HiGHS may
         # bunch traffic into few steps, pushing later arrivals into the
         # doubled-price segments the admission interface quotes from.
-        capacity = state.capacity[groups.steps, groups.links].astype(float)
         smoothing_weight = config.price_floor * 0.1
-        smoothing = config.short_term_adjustment and smoothing_weight > 0 \
-            and groups.n > 0
-        n_entries = groups.rows.size
-        if smoothing:
-            over = model.add_variables_array(groups.n, "over", lb=0.0)
-            rows = np.concatenate([2 * groups.rows, 2 * groups.rows + 1,
-                                   2 * np.arange(groups.n) + 1])
-            cols = np.concatenate([groups.values, groups.values,
-                                   over.indices])
-            vals = np.concatenate([np.ones(n_entries), -np.ones(n_entries),
-                                   np.ones(groups.n)])
-            senses = np.tile(np.array([SENSE_CODES[LE], SENSE_CODES[GE]],
-                                      dtype=np.int8), groups.n)
-            rhs = np.empty(2 * groups.n)
-            rhs[0::2] = capacity
-            rhs[1::2] = -(config.congestion_threshold * capacity)
-            model.add_constraints_coo(rows, cols, vals, senses, rhs,
-                                      name="cap")
-            obj_cols.append(over.indices)
-            obj_vals.append(np.full(groups.n, -smoothing_weight))
-        elif groups.n:
-            model.add_constraints_coo(groups.rows, groups.values,
-                                      np.ones(n_entries), LE, capacity,
-                                      name="cap")
-
-        costs = add_percentile_costs(
-            model, groups, state.topology.metered_links(),
-            self.billing_window, state.n_steps, config.topk_fraction,
-            config.topk_encoding, now=now, realized=realized_loads)
-        obj_cols.append(costs.bounds)
-        obj_vals.append(costs.weights)
-
-        model.set_objective_coo(np.concatenate(obj_cols),
-                                np.concatenate(obj_vals))
+        smooth = config.short_term_adjustment and smoothing_weight > 0
+        lp = add_schedule(
+            model, incidences, counts, caps, state.capacity, ub=caps,
+            need=needs, soft=soft,
+            threshold=config.congestion_threshold if smooth else None,
+            metered_links=state.topology.metered_links(),
+            billing=self.billing_window, topk_fraction=config.topk_fraction,
+            encoding=config.topk_encoding, now=now, realized=realized_loads)
+        values = np.array(values)
+        slacked = lp.slacks >= 0
+        model.set_objective_coo(
+            np.concatenate([lp.flows, lp.slacks[slacked], lp.over,
+                            lp.costs.bounds]),
+            np.concatenate([np.repeat(values, counts),
+                            -(2.0 * values[slacked] + config.price_floor),
+                            np.full(lp.over.size, -smoothing_weight),
+                            lp.costs.weights]))
         solution = self._solve_lp(model, now)
 
         x = solution.x
         plan = []
-        for (contract, routes, steps), start in zip(entries, starts.tolist()):
+        for (contract, routes, steps), start in zip(entries,
+                                                    lp.starts.tolist()):
             volumes = x[start:start + len(routes) * steps.size] \
                 .reshape(len(routes), steps.size)
             for path, route_volumes in zip(routes, volumes):

@@ -35,9 +35,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
+import numpy as np
+
 from ..core.request import ByteRequest
-from ..lp import LE, Model
+from ..lp import Model
+from ..lp.grouping import add_schedule, route_incidence
 from ..network import Topology, figure2_network
+from ..network.paths import RouteShape
 
 #: The example's requests: (rid, src, dst, value, demand, start, deadline).
 EXAMPLE_REQUESTS = (
@@ -212,35 +216,27 @@ def per_time_price_row() -> ExampleRow:
 def pretium_row() -> ExampleRow:
     """Per-(link, timestep) prices support the welfare-optimal schedule."""
     topology = figure2_network()
-    # One flow variable per (request, step of its window), in request
-    # order; one demand row per request; one capacity row per (link,
-    # step), in the order the flows first touch it.
-    flows = [(row, rid, value, t)
-             for row, (rid, _s, _d, value, _dem, start, deadline)
-             in enumerate(EXAMPLE_REQUESTS)
-             for t in range(start, deadline + 1)]
-    cap_row: dict[tuple[str, str, int], int] = {}
-    cap_rows, cap_cols = [], []
-    for var, (_row, rid, _value, t) in enumerate(flows):
-        for key in ROUTES[rid]:
-            cap_rows.append(cap_row.setdefault((*key, t), len(cap_row)))
-            cap_cols.append(var)
-
+    capacity = np.array([link.capacity for link in topology.links])
+    # The schedule LP over the example: one flow per (request, step of
+    # its window) on the request's one route, in request order.
+    incidences, counts = [], []
+    for rid, _s, _d, _v, _dem, start, deadline in EXAMPLE_REQUESTS:
+        steps = np.arange(start, deadline + 1)
+        route = tuple(topology.link_between(*key).index
+                      for key in ROUTES[rid])
+        incidences.append(route_incidence(RouteShape((route,)), steps))
+        counts.append(steps.size)
     model = Model(sense="max", name="fig2-opt")
-    x = model.add_variables_array(len(flows), "x", lb=0.0)
-    model.add_constraints_coo([row for row, *_ in flows], x.indices,
-                              [1.0] * len(flows), LE,
-                              [demand for *_, demand, _a, _b
-                               in EXAMPLE_REQUESTS])
-    model.add_constraints_coo(cap_rows, cap_cols, [1.0] * len(cap_rows), LE,
-                              [topology.link_between(u, v).capacity
-                               for u, v, _t in cap_row])
-    model.set_objective_coo(x.indices, [value for _r, _i, value, _t in flows])
+    lp = add_schedule(
+        model, incidences, counts,
+        [demand for *_, demand, _a, _b in EXAMPLE_REQUESTS],
+        np.broadcast_to(capacity, (N_STEPS, capacity.size)))
+    model.set_objective_coo(lp.flows, np.repeat(
+        [value for _r, _s, _d, value, *_ in EXAMPLE_REQUESTS], counts))
     solution = model.solve()
-    units = {rid: 0.0 for rid, *_ in EXAMPLE_REQUESTS}
-    for (_row, rid, _value, _t), volume in zip(
-            flows, solution.value_array(x).tolist()):
-        units[rid] += volume
+    units = {rid: sum(solution.x[start:start + count].tolist())
+             for (rid, *_), start, count
+             in zip(EXAMPLE_REQUESTS, lp.starts.tolist(), counts)}
     return ExampleRow("pretium", "per (link,time)", units,
                       solution.objective)
 

@@ -1,16 +1,21 @@
-"""The steps every batched schedule-LP builder shares.
+"""The one layout of every schedule LP.
 
-SAM, PC and the offline baselines build one LP shape: a block of flow
-variables per contract under a demand row (:func:`route_incidence`,
-:func:`add_demand_blocks`), one capacity row per touched (link,
-timestep) pair (:class:`PairGroups`), and the percentile-cost proxy per
-(metered link, billing window) (:func:`add_percentile_costs`).  Each
-piece lays out *all* its contracts / pairs / windows with cumulative
-offsets and a constant number of :class:`~repro.lp.model.Model` calls,
-numbering variables and rows exactly as the term-by-term reference
-builders (``tests/reference/expr_builders.py``) do — whose
-``dict.setdefault`` insertion order :class:`PairGroups` reproduces with
-numpy — so both assemble the identical matrix.
+SAM, PC, the offline baselines, VCGLike's per-step auction and Figure
+2's Pretium row solve one LP shape, and :func:`add_schedule` alone lays
+it out: a block of flow variables per contract under a demand row
+(:func:`route_incidence`, :func:`add_demand_blocks`), one capacity row
+per touched (link, timestep) pair (:class:`PairGroups`), with SAM's
+smoothing row after each when asked, and the percentile-cost proxy per
+(metered link, billing window) (:func:`add_percentile_costs`).  The
+order decides which degenerate vertex HiGHS returns; callers differ
+only in data, and each keeps just its gathering of contracts, its
+objective and its read-back.  Each piece lays out *all* its contracts /
+pairs / windows with cumulative offsets and a constant number of
+:class:`~repro.lp.model.Model` calls, numbering variables and rows
+exactly as the term-by-term reference builders
+(``tests/reference/expr_builders.py``) do — whose ``dict.setdefault``
+insertion order :class:`PairGroups` reproduces with numpy — so both
+assemble the identical matrix.
 """
 
 from __future__ import annotations
@@ -19,12 +24,16 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import EQ, GE, LE, SENSE_CODES, Model
+from .model import EQ, GE, LE, SENSE_CODES, ConstraintBlock, Model
 from .topk import topk_template
 
 
+_NONE = np.zeros(0, dtype=np.int64)
+_NONE.flags.writeable = False
+
+
 def _concat(parts) -> np.ndarray:
-    return np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
+    return np.concatenate(parts) if parts else _NONE
 
 
 def _starts(counts: np.ndarray) -> np.ndarray:
@@ -138,17 +147,6 @@ class PairGroups:
         self._key_rank = rank_of_uniq
         self._n_steps = int(n_steps)
 
-    @classmethod
-    def of_contracts(cls, incidences, starts: np.ndarray,
-                     n_steps: int) -> "PairGroups":
-        """Groups over per-contract :func:`route_incidence` triples,
-        contract ``i``'s relative variables shifted to ``starts[i]``."""
-        links, steps, variables = zip(*incidences) if incidences \
-            else ([], [], [])
-        return cls(_concat(links), _concat(steps),
-                   _concat(variables) + np.repeat(
-                       starts, [part.size for part in variables]), n_steps)
-
     def ranks_of(self, links: np.ndarray, steps: np.ndarray) -> np.ndarray:
         """Group rank of each (link, step) pair; -1 where absent."""
         keys = links * self._n_steps + steps
@@ -180,6 +178,9 @@ class PercentileCosts(NamedTuple):
     load_rows: np.ndarray  # global index of the first load-coupling row
 
 
+_NO_COSTS = PercentileCosts(_NONE, np.zeros(0), _NONE, _NONE, _NONE, _NONE)
+
+
 def add_percentile_costs(model: Model, groups: PairGroups, metered_links,
                          billing: int, n_steps: int, topk_fraction: float,
                          encoding: str, now: int = 0, realized=None,
@@ -201,8 +202,7 @@ def add_percentile_costs(model: Model, groups: PairGroups, metered_links,
     position[metered] = np.arange(metered.size)
     touched = position[groups.links] >= 0
     if not touched.any():
-        empty = np.zeros(0, dtype=np.int64)
-        return PercentileCosts(empty, np.zeros(0), empty, empty, empty, empty)
+        return _NO_COSTS
     per_link = -(-n_steps // billing)
     w_position, w_number = np.divmod(np.unique(
         position[groups.links[touched]] * per_link
@@ -274,3 +274,64 @@ def add_percentile_costs(model: Model, groups: PairGroups, metered_links,
     k = np.array([k_of[length] for length in lengths])
     return PercentileCosts(bounds, -(unit_cost[w_position] / k), w_link,
                            w_start, w_length, block.start + row_start)
+
+
+class ScheduleLP(NamedTuple):
+    """What :func:`add_schedule` laid out."""
+
+    starts: np.ndarray    # first flow variable of each contract
+    flows: np.ndarray     # every flow variable, contract after contract
+    slacks: np.ndarray    # each contract's slack variable, -1 where none
+    groups: PairGroups    # the touched (link, timestep) pairs
+    capacity: ConstraintBlock | None  # their rows; None without pairs
+    over: np.ndarray      # each pair's smoothing variable (or none)
+    costs: PercentileCosts
+
+
+def add_schedule(model: Model, incidences, counts, caps,
+                 capacity: np.ndarray, ub=None, need=None, soft=None,
+                 threshold: float | None = None, metered_links=(),
+                 **cost_options) -> ScheduleLP:
+    """Every variable and row of a schedule LP; the objective is the
+    caller's.
+
+    Contract ``i`` has ``counts[i]`` flows, ``incidences[i]`` their
+    :func:`route_incidence`; ``caps``, ``ub``, ``need`` and ``soft`` are
+    as in :func:`add_demand_blocks`.  ``capacity[t, e]`` is link ``e``'s
+    capacity at step ``t``.  Each touched (link, step) pair gets the row
+    ``flows <= capacity``; with a ``threshold``, SAM's smoothing row
+    ``flows - over <= threshold * capacity`` follows it (``over >= 0``,
+    one per pair).  The percentile costs of ``metered_links`` come last
+    (:func:`add_percentile_costs`, given ``cost_options``).
+    """
+    starts, flows, slacks = add_demand_blocks(model, counts, caps, ub=ub,
+                                              need=need, soft=soft)
+    n_steps = capacity.shape[0]
+    links, steps, variables = zip(*incidences) if incidences else ([],) * 3
+    groups = PairGroups(_concat(links), _concat(steps), _concat(variables)
+                        + np.repeat(starts, [v.size for v in variables]),
+                        n_steps)
+    n, entries = groups.n, groups.rows.size
+    bound = capacity[groups.steps, groups.links].astype(float)
+    block, over = None, _NONE
+    if threshold is not None and n:
+        over = model.add_variables_array(n, "over", lb=0.0).indices
+        rhs = np.empty(2 * n)
+        rhs[0::2] = bound
+        rhs[1::2] = -(threshold * bound)
+        block = model.add_constraints_coo(
+            np.concatenate([2 * groups.rows, 2 * groups.rows + 1,
+                            2 * np.arange(n) + 1]),
+            np.concatenate([groups.values, groups.values, over]),
+            np.concatenate([np.ones(entries), -np.ones(entries),
+                            np.ones(n)]),
+            np.tile(np.array([SENSE_CODES[LE], SENSE_CODES[GE]],
+                             dtype=np.int8), n), rhs, name="cap")
+    elif n:
+        block = model.add_constraints_coo(groups.rows, groups.values,
+                                          np.ones(entries), LE, bound,
+                                          name="cap")
+    costs = add_percentile_costs(model, groups, metered_links,
+                                 n_steps=n_steps, **cost_options) \
+        if len(metered_links) else _NO_COSTS
+    return ScheduleLP(starts, flows, slacks, groups, block, over, costs)

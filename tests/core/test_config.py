@@ -1,5 +1,7 @@
 """Tests for PretiumConfig validation."""
 
+import math
+
 import pytest
 
 from repro.core import PretiumConfig
@@ -31,10 +33,22 @@ def test_defaults_match_paper():
     {"percentile": 101.0},
     {"highpri_fraction": 1.0},
     {"highpri_fraction": -0.1},
+    {"initial_price": math.nan},
+    {"initial_price": math.inf},
+    {"price_floor": math.nan},
+    {"price_floor": math.inf},
+    {"congestion_multiplier": math.nan},
+    {"congestion_multiplier": math.inf},
+    {"solver_time_limit": math.nan},
 ])
 def test_invalid_configs_rejected(kwargs):
     with pytest.raises(ValueError):
         PretiumConfig(**kwargs)
+
+
+def test_infinite_solver_time_limit_means_no_limit():
+    assert PretiumConfig(solver_time_limit=math.inf).solver_time_limit \
+        == math.inf
 
 
 def test_sorting_encoding_accepted():

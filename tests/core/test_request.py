@@ -1,0 +1,53 @@
+"""Request validation: a request that cannot be served fails on creation,
+naming its rid and what is wrong with it."""
+
+import math
+
+import pytest
+
+from repro.core.request import ByteRequest, RateRequest
+
+BYTE = dict(rid=7, src="A", dst="B", demand=2.0, arrival=0, start=1,
+            deadline=3, value=1.5)
+RATE = dict(rid=9, src="A", dst="B", rate=2.0, arrival=0, start=1, end=3,
+            value=1.5)
+
+
+@pytest.mark.parametrize("change, says", [
+    (dict(demand=math.nan), "demand must be finite"),
+    (dict(demand=math.inf), "demand must be finite"),
+    (dict(demand=-math.inf), "demand must be finite"),
+    (dict(value=math.nan), "value must be finite"),
+    (dict(value=math.inf), "value must be finite"),
+    (dict(dst="A"), "src == dst"),
+    (dict(demand=0.0), "demand must be positive"),
+    (dict(value=-1.0), "negative value"),
+    (dict(deadline=0), "before start"),
+    (dict(arrival=2), "starts before arrival"),
+])
+def test_byte_request_rejects(change, says):
+    with pytest.raises(ValueError, match=f"request 7: .*{says}"):
+        ByteRequest(**{**BYTE, **change})
+
+
+@pytest.mark.parametrize("change, says", [
+    (dict(rate=math.nan), "rate must be finite"),
+    (dict(rate=math.inf), "rate must be finite"),
+    (dict(value=math.nan), "value must be finite"),
+    (dict(value=-math.inf), "value must be finite"),
+    (dict(rate=0.0), "rate must be positive"),
+    (dict(end=0), "empty interval"),
+    (dict(arrival=2), "starts before arrival"),
+    (dict(dst="A"), "src == dst"),
+    (dict(value=-1.0), "negative value"),
+])
+def test_rate_request_rejects(change, says):
+    with pytest.raises(ValueError, match=f"rate request 9: .*{says}"):
+        RateRequest(**{**RATE, **change})
+
+
+def test_valid_requests_are_accepted():
+    assert ByteRequest(**BYTE).window == range(1, 4)
+    assert ByteRequest(**{**BYTE, "value": 0.0}).total_value == 0.0
+    subs = RateRequest(**RATE).to_byte_requests(id_offset=100)
+    assert [r.rid for r in subs] == [100, 101, 102]

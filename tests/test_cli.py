@@ -423,6 +423,41 @@ def test_run_rejects_classes_with_a_workload_artifact(tmp_path, capsys):
     assert "error:" in err and "carries its own classes" in err
 
 
+def _broken_request(payload, field, number):
+    payload["requests"][0][field] = number
+    return json.dumps(payload)
+
+
+@pytest.mark.parametrize("damage, says", [
+    (None, "No such file"),
+    (lambda payload: "{not json", "Expecting property name"),
+    (lambda payload: json.dumps({**payload, "requests": [{"rid": 0}]}),
+     "missing key 'src'"),
+    (lambda payload: _broken_request(payload, "value", float("nan")),
+     "value must be finite"),
+    (lambda payload: _broken_request(payload, "demand", float("nan")),
+     "demand must be finite"),
+    (lambda payload: _broken_request(payload, "demand", float("inf")),
+     "demand must be finite"),
+], ids=["missing", "malformed", "missing-key", "nan-value", "nan-demand",
+        "inf-demand"])
+def test_run_rejects_a_bad_workload_artifact(tmp_path, capsys, damage, says):
+    wl_path = tmp_path / "wl.json"
+    main(["generate-workload", "--out", str(wl_path), "--nodes", "6",
+          "--days", "1", "--steps-per-day", "4", "--seed", "1"])
+    if damage is None:
+        wl_path.unlink()
+    else:
+        wl_path.write_text(damage(json.loads(wl_path.read_text())))
+    capsys.readouterr()
+    for scheme in ("Pretium", "OPT"):
+        assert main(["run", "--scheme", scheme,
+                     "--workload", str(wl_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot load workload {wl_path}: ")
+        assert says in err and err.count("\n") == 1
+
+
 # -- campaign subcommand ------------------------------------------------------
 
 def test_campaign_list_presets(capsys):
