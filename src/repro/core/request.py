@@ -16,8 +16,7 @@ produces requests) and the Pretium core (which serves them) import it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Optional
+from dataclasses import dataclass, replace
 
 
 def _require_finite(owner: str, **fields: float) -> None:
@@ -28,7 +27,7 @@ def _require_finite(owner: str, **fields: float) -> None:
             raise ValueError(f"{owner}: {name} must be finite, got {number}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ByteRequest:
     """A deadline-bound bulk transfer.
 
@@ -74,6 +73,15 @@ class ByteRequest:
     cls: str = "default"
 
     def __post_init__(self) -> None:
+        # One chained test passes every valid request (NaN fails each
+        # comparison); only an invalid one pays for finding out why.
+        if not (0 < self.demand < math.inf and 0 <= self.value < math.inf
+                and self.src != self.dst
+                and 0 <= self.arrival <= self.start <= self.deadline):
+            self._reject()
+
+    def _reject(self) -> None:
+        """Raise the error naming the first check this request fails."""
         _require_finite(f"request {self.rid}", demand=self.demand,
                         value=self.value)
         if self.src == self.dst:
@@ -87,6 +95,8 @@ class ByteRequest:
                              f"before start {self.start}")
         if self.start < self.arrival:
             raise ValueError(f"request {self.rid}: starts before arrival")
+        raise ValueError(f"request {self.rid}: negative arrival "
+                         f"{self.arrival}")
 
     @property
     def window(self) -> range:
@@ -141,6 +151,9 @@ class RateRequest:
             raise ValueError(f"rate request {self.rid}: src == dst")
         if self.value < 0:
             raise ValueError(f"rate request {self.rid}: negative value")
+        if self.arrival < 0:
+            raise ValueError(f"rate request {self.rid}: negative arrival "
+                             f"{self.arrival}")
 
     def to_byte_requests(self, id_offset: int = 0) -> list[ByteRequest]:
         """Expand into per-timestep byte requests (§4.4).

@@ -214,10 +214,12 @@ def production_scenario(load_factor: float = 1.0,
     Exercised by the integration smoke test and the campaign runner's
     paper-scale preset (which stretches the horizon to the paper's
     5-minute timesteps: ``steps_per_day=288`` over multiple days).
-    Building it takes under half a second (0.45 s at the defaults, median
-    of five on a 2-core box); it is the
-    run, not the set-up, that keeps it out of the default benchmark
-    loop.  The full synthetic request
+    Building it takes about half a second (0.51 s at the defaults,
+    median of six rounds of five builds on a 2-core box).  Calibration
+    keeps none of the 11 130 first routes it computes, so the topology
+    holds routes only for pairs a run asks about.  It is the run, not
+    the set-up, that keeps it out of the default benchmark loop.  The
+    full synthetic request
     population at this scale is tens of thousands of requests; the
     ``request_cap`` largest are kept (they carry most of the volume) so
     a single-core run stays in the minutes range while every code path

@@ -56,8 +56,8 @@ class Path:
 
     @property
     def nodes(self) -> tuple[str, ...]:
-        """Datacenters visited, derived on demand: route tables hold a
-        path per datacenter pair, so paths stay one tuple each."""
+        """Datacenters visited, derived on demand: route tables hold
+        paths for many datacenter pairs, so paths stay one tuple each."""
         return (self.src,) + tuple(link.dst for link in self.links)
 
     @property
@@ -169,7 +169,7 @@ def _bidirectional_bfs(succ, pred, source, target, ignore_nodes,
     ``None``.  networkx's ``_bidirectional_pred_succ`` step for step: the
     smaller fringe expands first (forward on a tie), and the search ends
     at the first node both sides have reached.  Yen's spur searches need
-    the ignore sets; :func:`fill_route_table` replays the ignore-free
+    the ignore sets; :func:`first_route_links` replays the ignore-free
     search for every pair at once."""
     if source in ignore_nodes or target in ignore_nodes:
         return None
@@ -307,9 +307,9 @@ def _bfs_tree(succ, pred, root: int, forward: bool):
 
     ``levels[i]`` lists the nodes ``i`` hops out in the order they were
     reached, and a node joins the tree through the node that reached it
-    first.  ``chain[v]`` is the tree's links from ``root`` to ``v``
-    (forward) or from ``v`` to ``root``; an unreached node has depth
-    ``len(succ)``, deeper than any level.
+    first.  ``chain[v]`` is the indices of the tree's links from ``root``
+    to ``v`` (forward) or from ``v`` to ``root``; an unreached node has
+    depth ``len(succ)``, deeper than any level.
     """
     neighbours = succ if forward else pred
     unreached = len(succ)
@@ -325,50 +325,53 @@ def _bfs_tree(succ, pred, root: int, forward: bool):
             for w in neighbours[v]:
                 if depth[w] == unreached:
                     depth[w] = hops
-                    chain[w] = (chain[v] + (succ[v][w],) if forward
-                                else (succ[w][v],) + chain[v])
+                    chain[w] = (chain[v] + (succ[v][w].index,) if forward
+                                else (succ[w][v].index,) + chain[v])
                     level.append(w)
     return levels, depth, chain
 
 
-def fill_route_table(topology: Topology) -> dict[str, dict[str, tuple]]:
-    """Store every ordered pair's first route in the route table.
+def first_route_links(topology: Topology
+                      ) -> dict[str, dict[str, tuple[int, ...]]]:
+    """Every ordered pair's first route, as link indices.
 
-    Returns the table's ``{src: {dst: candidates}}`` mapping (read-only
-    to the caller): every pair's candidates begin with the route
-    ``k_shortest_paths(topology, src, dst, 1)`` returns, and are empty
-    when ``dst`` is unreachable.  Pairs already in the table are kept.
+    Returns ``{src: {dst: indices}}``: the indices of the links of the
+    route ``k_shortest_paths(topology, src, dst, 1)`` returns, in path
+    order, or ``()`` when ``dst`` is unreachable.  No :class:`Path` is
+    built and no pair is stored in the route table (only its compiled
+    adjacency is shared), so calibration, which routes every pair on
+    this route once, leaves nothing per pair behind.
 
-    Calibration routes every pair on this route; asking
-    :func:`k_shortest_paths` pair by pair would run one bidirectional
-    search each.  With nothing ignored, :func:`_bidirectional_bfs`'s
-    fringes are the breadth-first levels from ``source`` (successor
-    order) and to ``target`` (predecessor order), and each node's tree
-    pointer is the node that reached it first, so one search per source
-    and one per target answer every pair.  Only the meeting is replayed
-    per pair.  Until it, the fringes sit at depths ``f`` and ``r`` with
-    ``f + r`` below the pair's distance (a node both sides had reached
-    would have ended the search), and the smaller fringe expands, forward
-    on a tie; the expansion that meets is the first that makes
-    ``f + r + 1`` the distance.  Scanning that one level in search order,
-    the first node the other side has reached is the meeting node, and
-    the route is the forward tree's links to it followed by the reverse
-    tree's links on, as :func:`_bidirectional_bfs` walks its two trees.
+    Asking :func:`k_shortest_paths` pair by pair would run one
+    bidirectional search each.  With nothing ignored,
+    :func:`_bidirectional_bfs`'s fringes are the breadth-first levels
+    from ``source`` (successor order) and to ``target`` (predecessor
+    order), and each node's tree pointer is the node that reached it
+    first, so one search per source and one per target answer every
+    pair.  Only the meeting is replayed per pair.  Until it, the fringes
+    sit at depths ``f`` and ``r`` with ``f + r`` below the pair's
+    distance (a node both sides had reached would have ended the
+    search), and the smaller fringe expands, forward on a tie; the
+    expansion that meets is the first that makes ``f + r + 1`` the
+    distance.  Scanning that one level in search order, the first node
+    the other side has reached is the meeting node, and the route is the
+    forward tree's links to it followed by the reverse tree's links on,
+    as :func:`_bidirectional_bfs` walks its two trees.
     """
-    (_, succ, pred), found, dry = _route_table(topology)
+    _, succ, pred = _route_table(topology)[0]
     nodes = topology.nodes
     n = len(nodes)
     behind = [_bfs_tree(succ, pred, d, False) for d in range(n)]
+    routes = {}
     for s, src in enumerate(nodes):
-        by_dst = found.setdefault(src, {})
+        by_dst = routes[src] = {}
         f_levels, f_depth, f_chain = _bfs_tree(succ, pred, s, True)
         for d, dst in enumerate(nodes):
-            if d == s or dst in by_dst:
+            if d == s:
                 continue
             hops = f_depth[d]
             if hops == n:
                 by_dst[dst] = ()
-                dry.add((src, dst))
                 continue
             r_levels, r_depth, r_chain = behind[d]
             f = r = 0
@@ -386,8 +389,8 @@ def fill_route_table(topology: Topology) -> dict[str, dict[str, tuple]]:
             else:
                 meet = next(w for v in r_levels[r] for w in pred[v]
                             if f_depth[w] <= f)
-            by_dst[dst] = (Path(f_chain[meet] + r_chain[meet]),)
-    return found
+            by_dst[dst] = f_chain[meet] + r_chain[meet]
+    return routes
 
 
 def _flowlet_hash(src: str, dst: str, rid: int, epoch: int) -> int:

@@ -80,10 +80,11 @@ class Topology:
         self._regions: dict[str, str] = {}
         self._graph = None
         #: Compiled routing plane ``(adjacency, {src: {dst: candidates}},
-        #: pairs with no further candidates)``, filled by
-        #: :func:`repro.network.paths.k_shortest_paths` (and every pair's
-        #: first route at once by ``fill_route_table``) and dropped with
-        #: the networkx view whenever a node or link is added.
+        #: pairs with no further candidates)``, filled pair by pair, only
+        #: for the pairs :func:`repro.network.paths.k_shortest_paths` is
+        #: asked about (calibration's ``first_route_links`` reads the
+        #: adjacency and stores no pair), and dropped with the networkx
+        #: view whenever a node or link is added.
         self.route_table: Optional[tuple[tuple, dict, set]] = None
 
     # -- construction ---------------------------------------------------

@@ -150,14 +150,23 @@ def synthesize_requests(series: TrafficMatrixSeries,
             remaining = float(totals[j])
             n_drawn = 0
             while remaining > 1e-9 and n_drawn < max_requests_per_pair:
+                # Plain comparisons pick what max(min_size, min(size,
+                # remaining)) did, a NaN draw included.
                 size = lognormal(size_mu, size_sigma)
-                size = max(min_size, min(size, remaining))
+                if remaining < size:
+                    size = remaining
+                if not size > min_size:
+                    size = min_size
                 if remaining - size < min_size:
                     size = remaining
                 arrival = bisect_right(cdf, uniform())
-                duration = max(1, int(round(lognormal(duration_mu,
-                                                      duration_sigma))))
-                deadline = min(last, arrival + duration - 1)
+                # round() of a float is already an int.
+                duration = round(lognormal(duration_mu, duration_sigma))
+                if duration < 1:
+                    duration = 1
+                deadline = arrival + duration - 1
+                if deadline > last:
+                    deadline = last
                 value = sample_value(rng)
                 cls_name = "default"
                 if mix is not None:
@@ -165,13 +174,12 @@ def synthesize_requests(series: TrafficMatrixSeries,
                     cls_name = cls.name
                     value *= cls.value_multiplier
                     if cls.deadline_stretch != 1.0:
-                        duration = max(1, int(round(
-                            duration * cls.deadline_stretch)))
+                        duration = max(1, round(
+                            duration * cls.deadline_stretch))
                         deadline = min(last, arrival + duration - 1)
                 requests.append(ByteRequest(
-                    rid=rid, src=src, dst=dst, demand=size, arrival=arrival,
-                    start=arrival, deadline=deadline, value=value,
-                    cls=cls_name))
+                    rid, src, dst, size, arrival, arrival, deadline, value,
+                    False, cls_name))
                 rid += 1
                 n_drawn += 1
                 remaining -= size

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..network import Topology
-from ..network.paths import fill_route_table
+from ..network.paths import first_route_links
 from .matrices import TrafficMatrixSeries
 
 
@@ -21,13 +21,15 @@ def route_series_on_shortest_paths(topology: Topology,
     Returns ``loads`` of shape ``(n_steps, n_links)`` in volume units per
     timestep; entries for unreachable pairs are skipped.
 
-    Routes come from the topology's route table, filled in one pass.
+    Routes are every pair's first route as link indices, computed in
+    one pass (:func:`~repro.network.paths.first_route_links`) and
+    dropped on return.
     Loads are added one source at a time: ``np.add.at`` adds repeated
     cells in index order, so every cell sums its pairs in the same order
     (and to the same float) as one add per pair, and the operand stays
     one source's routes long.
     """
-    routes = fill_route_table(topology)
+    routes = first_route_links(topology)
     # Link-major while adding, so each add is one contiguous row.
     loads = np.zeros((topology.num_links, series.n_steps))
     nodes = series.nodes
@@ -38,11 +40,9 @@ def route_series_on_shortest_paths(topology: Topology,
         for j, dst in enumerate(nodes):
             if i == j or idle[i][j]:
                 continue
-            candidates = by_dst[dst]
-            if candidates:
-                indices = candidates[0].link_indices()
-                links += indices
-                pairs += [j] * len(indices)
+            indices = by_dst[dst]
+            links += indices
+            pairs += [j] * len(indices)
         if links:
             np.add.at(loads, links, series.demand[:, i, pairs].T)
     return np.ascontiguousarray(loads.T)

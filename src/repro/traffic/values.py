@@ -12,6 +12,8 @@ from abc import ABC, abstractmethod
 
 import numpy as np
 
+from ..core.request import _require_finite
+
 #: Values are clipped below at this floor: a request with literally zero
 #: willingness-to-pay would never be submitted.
 VALUE_FLOOR = 1e-6
@@ -44,6 +46,7 @@ class NormalValues(ValueDistribution):
     """
 
     def __init__(self, mean: float = 1.0, sigma: float = 0.5) -> None:
+        _require_finite("NormalValues", mean=mean, sigma=sigma)
         if mean <= 0 or sigma < 0:
             raise ValueError("mean must be positive and sigma nonnegative")
         self.mean = mean
@@ -66,6 +69,7 @@ class ParetoValues(ValueDistribution):
     """
 
     def __init__(self, mean: float = 1.0, alpha: float = 2.5) -> None:
+        _require_finite("ParetoValues", mean=mean, alpha=alpha)
         if mean <= 0:
             raise ValueError("mean must be positive")
         if alpha <= 1.0:
@@ -88,6 +92,7 @@ class ExponentialValues(ValueDistribution):
     """Exponential values (used in the Figure 5 traffic-model validation)."""
 
     def __init__(self, mean: float = 1.0) -> None:
+        _require_finite("ExponentialValues", mean=mean)
         if mean <= 0:
             raise ValueError("mean must be positive")
         self.mean = mean
@@ -104,6 +109,7 @@ class UniformValues(ValueDistribution):
     """Uniform values on [low, high] (simple test distribution)."""
 
     def __init__(self, low: float = 0.5, high: float = 1.5) -> None:
+        _require_finite("UniformValues", low=low, high=high)
         if not 0 <= low < high:
             raise ValueError("need 0 <= low < high")
         self.low = low
@@ -121,6 +127,7 @@ class FixedValues(ValueDistribution):
     """Degenerate distribution (every request worth the same); for tests."""
 
     def __init__(self, value: float = 1.0) -> None:
+        _require_finite("FixedValues", value=value)
         if value <= 0:
             raise ValueError("value must be positive")
         self.value = value

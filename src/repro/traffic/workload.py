@@ -61,7 +61,14 @@ class Workload:
         if self.n_steps <= 0:
             raise ValueError("n_steps must be positive")
         known = {cls.name for cls in self.classes} | {"default"}
+        seen = set()
         for req in self.requests:
+            # Contracts, deliveries and payments are booked by rid: two
+            # requests under one rid would merge into one account.
+            if req.rid in seen:
+                raise ValueError(f"request {req.rid}: rid appears more "
+                                 f"than once")
+            seen.add(req.rid)
             if req.deadline >= self.n_steps:
                 raise ValueError(f"request {req.rid} deadline beyond horizon")
             if getattr(req, "cls", "default") not in known:

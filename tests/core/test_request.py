@@ -24,6 +24,8 @@ RATE = dict(rid=9, src="A", dst="B", rate=2.0, arrival=0, start=1, end=3,
     (dict(value=-1.0), "negative value"),
     (dict(deadline=0), "before start"),
     (dict(arrival=2), "starts before arrival"),
+    (dict(arrival=-3, start=-2, deadline=2), "negative arrival -3"),
+    (dict(arrival=-1, start=0), "negative arrival -1"),
 ])
 def test_byte_request_rejects(change, says):
     with pytest.raises(ValueError, match=f"request 7: .*{says}"):
@@ -40,6 +42,7 @@ def test_byte_request_rejects(change, says):
     (dict(arrival=2), "starts before arrival"),
     (dict(dst="A"), "src == dst"),
     (dict(value=-1.0), "negative value"),
+    (dict(arrival=-3, start=-2), "negative arrival -3"),
 ])
 def test_rate_request_rejects(change, says):
     with pytest.raises(ValueError, match=f"rate request 9: .*{says}"):
@@ -51,3 +54,18 @@ def test_valid_requests_are_accepted():
     assert ByteRequest(**{**BYTE, "value": 0.0}).total_value == 0.0
     subs = RateRequest(**RATE).to_byte_requests(id_offset=100)
     assert [r.rid for r in subs] == [100, 101, 102]
+    edge = ByteRequest(**{**BYTE, "start": 0, "deadline": 0})
+    assert edge.window == range(0, 1)
+
+
+@pytest.mark.parametrize("change, says", [
+    (dict(demand=math.nan, dst="A"), "demand must be finite"),
+    (dict(dst="A", demand=0.0), "src == dst"),
+    (dict(demand=-1.0, value=-1.0), "demand must be positive"),
+    (dict(value=-1.0, deadline=0), "negative value"),
+    (dict(deadline=0, arrival=2), "before start"),
+    (dict(arrival=-2, start=-3), "starts before arrival"),
+])
+def test_byte_request_names_the_first_check_it_fails(change, says):
+    with pytest.raises(ValueError, match=f"request 7: .*{says}"):
+        ByteRequest(**{**BYTE, **change})

@@ -16,7 +16,7 @@ from repro.experiments.scenarios import (production_scenario, production_wan,
 import repro.network.paths as route_plane
 from repro.network import (ROUTING_POLICIES, PathCache, Topology,
                            k_shortest_paths, wan_topology)
-from repro.network.paths import fill_route_table
+from repro.network.paths import first_route_links
 from tests.reference import routing as reference
 
 TOPOLOGIES = {
@@ -40,18 +40,23 @@ def links_of(paths):
     return [path.links for path in paths]
 
 
+def first_indices(paths):
+    """The first path's link indices, ``()`` when there is none."""
+    return paths[0].link_indices() if paths else ()
+
+
 def assert_matches_reference(topology, ks=(1, 3, 5), dead=(), filled=None):
     """Store and policy views == the reference, for every ordered pair.
 
     The reference runs once per pair at the longest length needed and is
     sliced per ``k`` (:func:`test_the_reference_is_prefix_consistent`
     licenses that); the store is asked for each ``k`` in the order given.
-    ``filled``, another copy of the topology, has its route table filled
-    in one pass first, and each pair's entry must be the reference's
-    first route (none for an unreachable pair).
+    ``filled``, another copy of the topology, has every pair's first
+    route computed in one pass first, and each pair's link indices must
+    be the reference's first route (none for an unreachable pair).
     """
     graph = reference.fresh_graph(topology)
-    first = {} if filled is None else fill_route_table(filled)
+    first = {} if filled is None else first_route_links(filled)
     caches = [PathCache(topology, k, policy)
               for k in ks for policy in ROUTING_POLICIES]
     for cache in caches:
@@ -60,7 +65,7 @@ def assert_matches_reference(topology, ks=(1, 3, 5), dead=(), filled=None):
         longest = reference.k_shortest_paths(
             topology, src, dst, max(ks) + len(dead), graph)
         if filled is not None:
-            assert links_of(first[src][dst]) == links_of(longest[:1]), \
+            assert first[src][dst] == first_indices(longest), \
                 (src, dst, "filled")
         for k in ks:
             assert links_of(k_shortest_paths(topology, src, dst, k)) == \
@@ -90,8 +95,8 @@ def test_every_pair_k_and_policy_matches_the_reference(name, ks):
     # refresh): each answer extends a stored prefix.  The 106-node world
     # asks 1 -> 5 -> 3 instead (extend once, then slice), which halves
     # its share of tier-1; the growing order is covered by the other two.
-    # Calibration's one-pass fill is held to the same reference pair by
-    # pair, on a second copy of the world.
+    # Calibration's one-pass first routes are held to the same reference
+    # pair by pair, on a second copy of the world.
     assert_matches_reference(TOPOLOGIES[name](), ks,
                              filled=TOPOLOGIES[name]())
 
@@ -214,11 +219,12 @@ def digraphs(draw):
 @given(topology=digraphs())
 def test_random_digraphs_route_like_networkx(topology):
     graph = reference.fresh_graph(topology)
-    # Filled first, as calibration does: k=1 reads the one-pass entries
-    # (unreachable pairs included) and every longer k re-runs the search.
-    fill_route_table(topology)
+    # One-pass first routes first, as calibration computes them
+    # (unreachable pairs included); then every k searches pair by pair.
+    first = first_route_links(topology)
     for src, dst in pairs_of(topology):
         longest = reference.k_shortest_paths(topology, src, dst, 6, graph)
+        assert first[src][dst] == first_indices(longest), (src, dst)
         for k in range(1, 7):
             assert links_of(k_shortest_paths(topology, src, dst, k)) == \
                 links_of(longest[:k]), (src, dst, k)

@@ -439,8 +439,11 @@ def _broken_request(payload, field, number):
      "demand must be finite"),
     (lambda payload: _broken_request(payload, "demand", float("inf")),
      "demand must be finite"),
+    (lambda payload: json.dumps({**payload, "requests": payload["requests"]
+                                 + payload["requests"][-1:]}),
+     "rid appears more than once"),
 ], ids=["missing", "malformed", "missing-key", "nan-value", "nan-demand",
-        "inf-demand"])
+        "inf-demand", "repeated-rid"])
 def test_run_rejects_a_bad_workload_artifact(tmp_path, capsys, damage, says):
     wl_path = tmp_path / "wl.json"
     main(["generate-workload", "--out", str(wl_path), "--nodes", "6",

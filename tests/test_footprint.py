@@ -1,10 +1,13 @@
-"""What a run loads: numpy, scipy's HiGHS extension and the stdlib.
+"""What a run loads: numpy, scipy's HiGHS extension and the stdlib;
+and what a scenario build leaves behind.
 
-Each check runs in a fresh interpreter, because this test process has
-imported everything already.  ``scipy.optimize`` (with the
+Each import check runs in a fresh interpreter, because this test process
+has imported everything already.  ``scipy.optimize`` (with the
 ``scipy.sparse`` and ``scipy.linalg`` its init pulls in), networkx and
 ``http.server`` are what ``import repro`` used to cost every batch run,
-service and sweep worker.
+service and sweep worker.  An all-pairs route table or a dict per
+request is what a production-scale build used to leave in memory for
+the rest of the process.
 """
 
 import json
@@ -17,6 +20,9 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro.core.request import ByteRequest
+from repro.network import production_wan
+from repro.traffic import calibrate_tm, synthesize_tm_series
 
 SRC = str(Path(repro.__file__).resolve().parents[1])
 
@@ -91,3 +97,15 @@ print(json.dumps({"same": _core is repro.lp.solver._core,
                   "repro": model.solve().objective}))
 """)
     assert shared == {"same": True, "linprog": [0, 1.0], "repro": 2.5}
+
+
+def test_calibration_stores_no_route_per_pair():
+    topology = production_wan(seed=0)
+    calibrate_tm(topology, synthesize_tm_series(topology, 4, 4, seed=0))
+    table = topology.route_table
+    assert table is None or (table[1] == {} and table[2] == set())
+
+
+def test_a_request_carries_no_instance_dict():
+    request = ByteRequest(0, "a", "b", 1.0, 0, 0, 0, 1.0)
+    assert not hasattr(request, "__dict__")

@@ -97,3 +97,26 @@ def test_pareto_ratio_mean_preserved():
     samples = pareto_with_ratio(3.0, mean=2.5).sample(
         np.random.default_rng(5), 200000)
     assert samples.mean() == pytest.approx(2.5, rel=0.05)
+
+
+@pytest.mark.parametrize("build, says", [
+    (lambda: NormalValues(float("nan")), "NormalValues: mean must be finite"),
+    (lambda: NormalValues(1, float("inf")),
+     "NormalValues: sigma must be finite"),
+    (lambda: ParetoValues(float("inf")), "ParetoValues: mean must be finite"),
+    (lambda: ParetoValues(1, float("inf")),
+     "ParetoValues: alpha must be finite"),
+    (lambda: ExponentialValues(float("nan")),
+     "ExponentialValues: mean must be finite"),
+    (lambda: UniformValues(0, float("inf")),
+     "UniformValues: high must be finite"),
+    (lambda: UniformValues(float("-inf"), 1),
+     "UniformValues: low must be finite"),
+    (lambda: FixedValues(float("inf")), "FixedValues: value must be finite"),
+    (lambda: FixedValues(float("nan")), "FixedValues: value must be finite"),
+], ids=["normal-nan-mean", "normal-inf-sigma", "pareto-inf-mean",
+        "pareto-inf-alpha", "exponential-nan-mean", "uniform-inf-high",
+        "uniform-neg-inf-low", "fixed-inf", "fixed-nan"])
+def test_non_finite_parameters_are_rejected_by_name(build, says):
+    with pytest.raises(ValueError, match=says):
+        build()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.request import ByteRequest
+from repro.experiments.scenarios import quick_scenario
 from repro.network import line_network, small_wan
 from repro.traffic import (FixedValues, TrafficMatrixSeries, Workload,
                            build_workload, calibrate_tm,
@@ -62,6 +63,19 @@ def test_workload_validation():
     beyond = ByteRequest(1, "n0", "n2", 5.0, 0, 0, 10, 1.0)
     with pytest.raises(ValueError):
         Workload(topo, [beyond], n_steps=5, steps_per_day=24)
+
+
+def test_workload_rejects_a_repeated_rid():
+    # Booked by rid, the two would merge: Pretium used to credit rid 15
+    # with both transfers' deliveries against one request's demand.
+    workload = quick_scenario().workload
+    copy = next(r for r in workload.requests if r.rid == 15)
+    requests = sorted(workload.requests + [copy],
+                      key=lambda r: (r.arrival, r.rid))
+    with pytest.raises(ValueError,
+                       match="request 15: rid appears more than once"):
+        Workload(workload.topology, requests, workload.n_steps,
+                 workload.steps_per_day, classes=workload.classes)
 
 
 def test_build_workload_validation():
