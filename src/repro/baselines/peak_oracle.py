@@ -16,7 +16,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..costs import LinkCostModel
-from ..network import PathCache
 from ..sim.engine import RunResult
 from ..sim.metrics import total_value
 from ..traffic.workload import Workload
@@ -69,10 +68,6 @@ class PeakOracle(OfflineScheme):
         grid = value_grid(workload.requests, self.grid_points)
         cost_model = LinkCostModel(workload.topology,
                                    billing_window=workload.steps_per_day)
-        # One route table for the whole grid: the points share its
-        # compiled route shapes and their incidence templates.
-        paths = PathCache(workload.topology, k=self.route_count,
-                          policy=self.routing)
         best: RunResult | None = None
         best_welfare = -np.inf
         for off_price in grid:
@@ -80,7 +75,7 @@ class PeakOracle(OfflineScheme):
                 if peak_price < off_price:
                     continue
                 candidate = self._run_with_prices(workload, peak, off_price,
-                                                  peak_price, paths)
+                                                  peak_price)
                 candidate_welfare = total_value(candidate) - \
                     cost_model.true_cost(candidate.loads)
                 if candidate_welfare > best_welfare:
@@ -90,8 +85,7 @@ class PeakOracle(OfflineScheme):
         return best
 
     def _run_with_prices(self, workload: Workload, peak: set[int],
-                         off_price: float, peak_price: float,
-                         paths: PathCache) -> RunResult:
+                         off_price: float, peak_price: float) -> RunResult:
         steps_per_day = workload.steps_per_day
 
         def price_at(t: int) -> float:
@@ -111,7 +105,8 @@ class PeakOracle(OfflineScheme):
         schedule = solve_offline_schedule(
             workload, items, topk_fraction=self.topk_fraction,
             topk_encoding=self.topk_encoding, include_costs=True,
-            objective="bytes_then_cost", paths=paths)
+            objective="bytes_then_cost", route_count=self.route_count,
+            routing=self.routing)
         payments = {}
         for rid, series in schedule.per_step.items():
             payments[rid] = float(sum(price_at(t) * volume

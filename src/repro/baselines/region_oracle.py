@@ -18,7 +18,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..costs import LinkCostModel
-from ..network import PathCache
 from ..network.regions import is_inter_region
 from ..sim.engine import RunResult
 from ..sim.metrics import total_value
@@ -48,18 +47,13 @@ class RegionOracle(OfflineScheme):
         grid = value_grid(workload.requests, self.grid_points)
         cost_model = LinkCostModel(workload.topology,
                                    billing_window=workload.steps_per_day)
-        # One route table for the whole grid: the points share its
-        # compiled route shapes and their incidence templates.
-        paths = PathCache(workload.topology, k=self.route_count,
-                          policy=self.routing)
         best: RunResult | None = None
         best_welfare = -np.inf
         for intra in grid:
             for inter in grid:
                 if inter < intra:
                     continue
-                candidate = self._run_with_prices(workload, intra, inter,
-                                                  paths)
+                candidate = self._run_with_prices(workload, intra, inter)
                 candidate_welfare = total_value(candidate) - \
                     cost_model.true_cost(candidate.loads)
                 if candidate_welfare > best_welfare:
@@ -75,7 +69,7 @@ class RegionOracle(OfflineScheme):
         return intra
 
     def _run_with_prices(self, workload: Workload, intra: float,
-                         inter: float, paths: PathCache) -> RunResult:
+                         inter: float) -> RunResult:
         items = []
         prices = {}
         for request in workload.requests:
@@ -89,7 +83,8 @@ class RegionOracle(OfflineScheme):
         schedule = solve_offline_schedule(
             workload, items, topk_fraction=self.topk_fraction,
             topk_encoding=self.topk_encoding, include_costs=True,
-            objective="bytes_then_cost", paths=paths)
+            objective="bytes_then_cost", route_count=self.route_count,
+            routing=self.routing)
         payments = {rid: prices[rid] * volume
                     for rid, volume in schedule.delivered.items()}
         chosen = {item.request.rid: item.request.demand for item in items}

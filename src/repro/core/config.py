@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
+from numbers import Integral
 
 from ..lp.topk import TOPK_ENCODINGS
 
@@ -138,6 +139,10 @@ class PretiumConfig:
         return max(1, self.window)
 
     def __post_init__(self) -> None:
+        if isinstance(self.route_count, bool) \
+                or not isinstance(self.route_count, Integral):
+            raise ValueError(f"route_count must be an integer, got "
+                             f"{self.route_count!r}")
         if self.route_count <= 0:
             raise ValueError("route_count must be positive")
         from ..network.paths import ROUTING_POLICIES
@@ -151,8 +156,9 @@ class PretiumConfig:
         for name in ("initial_price", "price_floor", "congestion_multiplier"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
-        if self.initial_price < 0 or self.price_floor < 0:
-            raise ValueError("prices must be nonnegative")
+        for name in ("initial_price", "price_floor"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be nonnegative")
         if not 0.0 < self.congestion_threshold <= 1.0:
             raise ValueError("congestion_threshold must be in (0, 1]")
         if self.congestion_multiplier < 1.0:
@@ -160,7 +166,8 @@ class PretiumConfig:
         if not 0.0 < self.topk_fraction <= 1.0:
             raise ValueError("topk_fraction must be in (0, 1]")
         if self.topk_encoding not in TOPK_ENCODINGS:
-            raise ValueError(f"unknown topk encoding {self.topk_encoding!r}")
+            raise ValueError(
+                f"unknown topk_encoding {self.topk_encoding!r}")
         if not 0.0 < self.percentile <= 100.0:
             raise ValueError("percentile out of range")
         if not 0.0 <= self.highpri_fraction < 1.0:

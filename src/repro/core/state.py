@@ -123,6 +123,9 @@ class NetworkState:
     def set_highpri_usage(self, t: int, link_index: int,
                           volume: float) -> None:
         """Reduce usable capacity at (t, e) by an ad-hoc high-pri burst."""
+        if not np.isfinite(volume) or volume < 0:
+            raise ValueError(f"volume must be finite and nonnegative, got "
+                             f"{volume!r}")
         base = self.topology.link(link_index).capacity
         self.capacity[t, link_index] = max(0.0, base - volume)
         self.link_versions[link_index] += 1
@@ -242,6 +245,10 @@ class NetworkState:
         if prices.ndim != 2 or prices.shape[1] != self.topology.num_links:
             raise ValueError("prices must be (W, n_links)")
         window = prices.shape[0]
+        if window == 0:
+            raise ValueError("prices must cover at least one timestep")
+        if not np.isfinite(prices).all():
+            raise ValueError("prices must be finite")
         floor = self.config.price_floor
         tiled = np.maximum(prices, floor)
         span = self.n_steps - start

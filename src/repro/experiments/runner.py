@@ -23,6 +23,7 @@ from typing import Callable
 from ..core import PretiumController
 from ..baselines import (NoPrices, OfflineOptimal, PeakOracle,
                          PretiumNoMenu, PretiumNoSAM, RegionOracle, VCGLike)
+from ..faults.links import LinkKillSchedule
 from ..options import RunOptions, run_context
 from ..sim import RunResult, simulate, summarize
 from ..telemetry import get_tracer
@@ -155,7 +156,12 @@ def run_scheme(scheme, scenario: Scenario,
                                workload=scenario.workload.description):
             if hasattr(scheme, "run"):
                 # Offline schemes solve against the capacity grid they
-                # are given; scheduled link kills have no meaning there.
+                # are given; scheduled link kills have no meaning there,
+                # but a spec that names no link or no step of the world
+                # is rejected as the engine rejects it.
+                if options is not None and options.link_kills is not None:
+                    LinkKillSchedule.from_spec(options.link_kills).check(
+                        scenario.workload)
                 result = scheme.run(scenario.workload)
             else:
                 # run_context is already entered here, so hand the

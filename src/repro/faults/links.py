@@ -29,7 +29,10 @@ Examples::
 Only the online simulation engine applies schedules (offline baselines
 solve against the capacity grid they are given, so a mid-run kill has
 no meaning there); the engine applies each kill at the *start* of its
-step, before PC/RA/SAM run.
+step, before PC/RA/SAM run.  Every scheme's run still checks its
+schedule against the world (:meth:`LinkKillSchedule.check`), so a spec
+naming a missing link or a step past the horizon fails the same way
+whichever scheme it is given to.
 """
 
 from __future__ import annotations
@@ -111,21 +114,28 @@ class LinkKillSchedule:
         """The kills that take effect exactly at ``step``."""
         return self._by_step.get(step, ())
 
-    def check_links(self, topology) -> None:
+    def check(self, workload) -> None:
         """Raise :class:`FaultSpecError` naming the first kill whose link
-        ``topology`` lacks — a misspelled chaos spec must fail before
-        the run starts, not mid-run or silently test nothing."""
+        ``workload``'s topology lacks or that starts past its horizon —
+        a misspelled chaos spec must fail before the run starts, not
+        mid-run or silently test nothing."""
+        topology, n_steps = workload.topology, workload.n_steps
         for kill in self.kills:
             if not topology.has_link(kill.src, kill.dst):
                 raise FaultSpecError(
                     f"link-kill clause {kill.spec!r} names no link of the "
                     f"topology")
+            if kill.start >= n_steps:
+                raise FaultSpecError(
+                    f"link-kill clause {kill.spec!r} starts at step "
+                    f"{kill.start}, past the run's last step "
+                    f"{n_steps - 1}")
 
     def apply(self, state, step: int) -> tuple[LinkKill, ...]:
         """Apply every kill due at ``step``; returns what was applied.
 
-        The engine has already checked every kill's link against the
-        topology (:meth:`check_links`).
+        The engine has already checked every kill against the workload
+        (:meth:`check`).
         """
         due = self.due(step)
         for kill in due:

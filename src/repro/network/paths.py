@@ -30,6 +30,7 @@ from __future__ import annotations
 import zlib
 from heapq import heappop, heappush
 from itertools import count, islice
+from numbers import Integral
 
 import numpy as np
 
@@ -103,7 +104,7 @@ class Path:
 
 class RouteShape:
     """What a quote or a schedule-LP builder needs to know about a route
-    set besides link state, compiled once per distinct set
+    set besides link state, compiled once per distinct set and topology
     (:meth:`PathCache.shape`) from the routes' link-index tuples.  Its
     arrays are read-only: every caller of the shape shares them."""
 
@@ -280,7 +281,7 @@ def k_shortest_paths(topology: Topology, src: str, dst: str,
         raise KeyError(f"unknown endpoint in {src}->{dst}")
     if src == dst:
         raise ValueError("src and dst must differ")
-    (index, succ, pred), found, dry = _route_table(topology)
+    (index, succ, pred), found, dry, _ = _route_table(topology)
     by_dst = found.setdefault(src, {})
     paths = by_dst.get(dst, ())
     if len(paths) < k and (src, dst) not in dry:
@@ -297,7 +298,7 @@ def k_shortest_paths(topology: Topology, src: str, dst: str,
 def _route_table(topology: Topology) -> tuple:
     """The topology's route table, compiled on first use."""
     if topology.route_table is None:
-        topology.route_table = (_compile_adjacency(topology), {}, set())
+        topology.route_table = (_compile_adjacency(topology), {}, set(), {})
     return topology.route_table
 
 
@@ -406,11 +407,12 @@ def _flowlet_hash(src: str, dst: str, rid: int, epoch: int) -> int:
 class PathCache:
     """A routing policy's view of the topology's route table.
 
-    Candidates come from :func:`k_shortest_paths`, so caches over the
-    same topology share one computation per pair.  One cache is shared
-    by the admission interface, the schedule adjuster and every baseline
-    so that all schemes optimise over the same route sets (as in the
-    paper's evaluation).  ``policy`` selects how a
+    Candidates come from :func:`k_shortest_paths` and shapes from the
+    same route table, so caches over the same topology share one
+    computation per pair and one compiled shape per route set.  One
+    cache is shared by the admission interface, the schedule adjuster
+    and every baseline so that all schemes optimise over the same route
+    sets (as in the paper's evaluation).  ``policy`` selects how a
     request's admissible set is derived from the k-shortest candidates
     (see :data:`ROUTING_POLICIES`); the default ``"kpaths"`` reproduces
     the pre-policy behaviour exactly.
@@ -418,6 +420,8 @@ class PathCache:
 
     def __init__(self, topology: Topology, k: int = 3,
                  policy: str = "kpaths") -> None:
+        if isinstance(k, bool) or not isinstance(k, Integral):
+            raise ValueError(f"k must be an integer, got {k!r}")
         if k <= 0:
             raise ValueError(f"k must be positive, got {k}")
         if policy not in ROUTING_POLICIES:
@@ -434,8 +438,6 @@ class PathCache:
         self._dead: set[tuple[str, str]] = set()
         #: Post-failure candidate sets (dead links routed around).
         self._live: dict[tuple[str, str], list[Path]] = {}
-        #: Compiled route-set shapes, keyed by the routes' link ids.
-        self._shapes: dict[tuple, RouteShape] = {}
 
     def routes(self, src: str, dst: str, rid: int | None = None
                ) -> list[Path]:
@@ -460,15 +462,19 @@ class PathCache:
     def shape(self, routes: list[Path]) -> RouteShape:
         """The compiled :class:`RouteShape` of a list :meth:`routes` returned.
 
-        Keyed by the routes' link-index tuples, so every flowlet pinned
+        Shapes live in the topology's route table, so every cache, run
+        and scheme over one topology shares them, and adding a node or
+        link drops them with the candidates.  A shape is a pure function
+        of its key, the routes' link-index tuples: every flowlet pinned
         to one candidate shares its entry, and a set re-derived after a
-        refresh can never be handed another set's shape.  The shape's
-        incidence templates live and die with it.
+        refresh gets its own.  The shape's incidence templates live and
+        die with it.
         """
         key = tuple(path.link_indices() for path in routes)
-        shape = self._shapes.get(key)
+        shapes = _route_table(self.topology)[3]
+        shape = shapes.get(key)
         if shape is None:
-            shape = self._shapes[key] = RouteShape(key)
+            shape = shapes[key] = RouteShape(key)
         return shape
 
     def refresh(self, dead=()) -> None:
@@ -486,7 +492,6 @@ class PathCache:
             return
         self._dead.update(tuple(pair) for pair in dead)
         self._live.clear()
-        self._shapes.clear()
         self.epoch += 1
 
     def _candidates(self, src: str, dst: str) -> list[Path]:

@@ -80,12 +80,15 @@ class Topology:
         self._regions: dict[str, str] = {}
         self._graph = None
         #: Compiled routing plane ``(adjacency, {src: {dst: candidates}},
-        #: pairs with no further candidates)``, filled pair by pair, only
-        #: for the pairs :func:`repro.network.paths.k_shortest_paths` is
-        #: asked about (calibration's ``first_route_links`` reads the
-        #: adjacency and stores no pair), and dropped with the networkx
-        #: view whenever a node or link is added.
-        self.route_table: Optional[tuple[tuple, dict, set]] = None
+        #: pairs with no further candidates, {route set: RouteShape})``.
+        #: Candidates are filled pair by pair, only for the pairs
+        #: :func:`repro.network.paths.k_shortest_paths` is asked about
+        #: (calibration's ``first_route_links`` reads the adjacency and
+        #: stores no pair); shapes are filled by ``PathCache.shape``,
+        #: keyed by the routes' link-index tuples, and shared by every
+        #: run over this topology.  The whole plane is dropped with the
+        #: networkx view whenever a node or link is added.
+        self.route_table: Optional[tuple[tuple, dict, set, dict]] = None
 
     # -- construction ---------------------------------------------------
     def add_node(self, node: str, region: Optional[str] = None) -> None:

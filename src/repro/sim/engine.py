@@ -163,7 +163,7 @@ class Engine:
         if link_kills is not None:
             # Checked here, before RUN_STARTED or any step runs.
             self.link_kills = LinkKillSchedule.from_spec(link_kills)
-            self.link_kills.check_links(workload.topology)
+            self.link_kills.check(workload)
         self.scheme_name = getattr(scheme, "name", type(scheme).__name__)
         self.t = -1               # the step accepting arrivals; -1 = unstarted
         self.error: BaseException | None = None

@@ -40,9 +40,11 @@ def test_defaults_match_paper():
     {"congestion_multiplier": math.nan},
     {"congestion_multiplier": math.inf},
     {"solver_time_limit": math.nan},
+    {"route_count": 2.5},
+    {"route_count": True},
 ])
 def test_invalid_configs_rejected(kwargs):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=next(iter(kwargs))):
         PretiumConfig(**kwargs)
 
 

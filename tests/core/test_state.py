@@ -113,6 +113,17 @@ def test_set_highpri_usage():
     assert state.capacity[2, index] == 0.0
 
 
+@pytest.mark.parametrize("volume", [-5.0, np.nan, np.inf])
+def test_set_highpri_usage_rejects_a_bad_volume(volume):
+    topo, state = make_state()
+    index = topo.link_between("S", "M1").index
+    before = state.capacity.copy(), state.capacity_version
+    with pytest.raises(ValueError, match="volume"):
+        state.set_highpri_usage(2, index, volume)
+    assert np.array_equal(state.capacity, before[0])
+    assert state.capacity_version == before[1]
+
+
 def test_price_segments_split_at_threshold():
     _, state = make_state(congestion_threshold=0.8,
                           congestion_multiplier=2.0)
@@ -171,6 +182,11 @@ def test_set_prices_validation():
     _, state = make_state()
     with pytest.raises(ValueError):
         state.set_prices(0, np.zeros((5, 3)))
+    for bad in (np.zeros((0, 4)), np.full((5, 4), np.nan),
+                np.full((5, 4), np.inf)):
+        with pytest.raises(ValueError, match="prices"):
+            state.set_prices(0, bad)
+    assert np.allclose(state.prices, 1.0)       # nothing was installed
     with pytest.raises(ValueError):
         NetworkState(parallel_paths_network(), 0,
                      PretiumConfig(window=5, lookback=5))

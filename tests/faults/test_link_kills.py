@@ -152,6 +152,37 @@ def test_cli_rejects_a_kill_on_an_unknown_link(command, tmp_path, capsys):
     assert err.startswith("error: ") and "'zz>yy@3'" in err
 
 
+@pytest.mark.parametrize("scheme", ["Pretium", "OPT"])
+@pytest.mark.parametrize("clause", ["nowhere", "past-horizon"])
+def test_cli_checks_kills_for_every_scheme(scheme, clause, tmp_path,
+                                           capsys):
+    from repro.cli import main
+    from repro.traffic import load_workload
+    workload = tmp_path / "wl.json"
+    main(["generate-workload", "--out", str(workload), "--nodes", "6",
+          "--days", "1", "--steps-per-day", "4", "--seed", "1"])
+    world = load_workload(workload)
+    link = world.topology.links[0]
+    spec = (f"{link.src}>nowhere@2" if clause == "nowhere"
+            else f"{link.src}>{link.dst}@{world.n_steps}")
+    capsys.readouterr()
+    assert main(["run", "--scheme", scheme, "--workload", str(workload),
+                 "--link-kills", spec]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and repr(spec) in err
+    expected = "names no link" if clause == "nowhere" else "past the run"
+    assert expected in err
+
+
+def test_a_kill_at_the_last_step_is_accepted():
+    scenario = tiny_scenario(seed=0)
+    link = scenario.topology.links[0]
+    last = scenario.workload.n_steps - 1
+    for scheme in ("Pretium", "OPT"):
+        run_scheme(scheme, scenario, options=RunOptions(
+            link_kills=f"{link.src}>{link.dst}@{last}"))
+
+
 def test_runner_threads_kills_through_options():
     scenario = tiny_scenario(seed=0)
     link = scenario.topology.links[0]

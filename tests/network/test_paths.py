@@ -2,6 +2,7 @@
 
 import pickle
 
+import numpy as np
 import pytest
 
 from repro.network import (Path, PathCache, Topology, k_shortest_paths,
@@ -103,6 +104,10 @@ def test_path_cache_warm():
 def test_path_cache_validates_k():
     with pytest.raises(ValueError):
         PathCache(parallel_paths_network(), k=0)
+    for k in (2.5, True, "3"):
+        with pytest.raises(ValueError, match="k must be an integer"):
+            PathCache(parallel_paths_network(), k=k)
+    assert PathCache(parallel_paths_network(), k=np.int64(2)).k == 2
 
 
 def test_path_memoises_link_indices_and_survives_pickling():
@@ -118,7 +123,7 @@ def test_path_memoises_link_indices_and_survives_pickling():
     assert p.link_indices() is p.link_indices()
 
 
-def test_shape_is_compiled_once_per_route_set_and_dropped_by_refresh():
+def test_shape_is_compiled_once_per_route_set_and_kept_across_refresh():
     cache = PathCache(parallel_paths_network(), k=2, policy="flowlet")
     both = cache.routes("S", "T")
     shape = cache.shape(both)
@@ -134,6 +139,10 @@ def test_shape_is_compiled_once_per_route_set_and_dropped_by_refresh():
     cache.refresh(dead=[("S", "M1")])
     assert cache.shape(cache.routes("S", "T")) is not shape
     assert cache.shape(cache.routes("S", "T")).links.tolist() == [2, 3]
+    # A shape is a pure function of its key, so a refresh keeps it, and
+    # another cache over the same topology is handed the same object.
+    assert cache.shape(both) is shape
+    assert PathCache(cache.topology, k=2).shape(both) is shape
 
 
 def test_shape_touches_lists_routes_sharing_a_link():

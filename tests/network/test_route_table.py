@@ -120,23 +120,33 @@ def test_add_link_drops_the_compiled_plane():
     src, dst = next((s, d) for s, d in pairs_of(topology)
                     if not topology.has_link(s, d))
     before = k_shortest_paths(topology, src, dst, 1)
+    routes = PathCache(topology).routes(src, dst)
+    shape = PathCache(topology).shape(routes)
+    assert list(topology.route_table[3].values()) == [shape]
     topology.add_link(src, dst, capacity=5.0)
-    assert topology.route_table is None
+    assert topology.route_table is None       # candidates and shapes alike
     assert topology.to_networkx() is not stale
     assert topology.to_networkx().has_edge(src, dst)
     after = k_shortest_paths(topology, src, dst, 1)
     assert before[0].hop_count > 1 and after[0].hop_count == 1
+    assert topology.route_table[3] == {}
+    assert PathCache(topology).shape(routes) is not shape
     assert_matches_reference(topology)
 
 
 def test_add_node_drops_the_compiled_plane_but_a_region_label_does_not():
     topology = TOPOLOGIES["metro10"]()
     graph = topology.to_networkx()
+    routes = PathCache(topology).routes(*topology.nodes[:2])
+    shape = PathCache(topology).shape(routes)
     topology.add_node(topology.nodes[0], region="relabelled")
     assert topology.to_networkx() is graph
+    assert PathCache(topology).shape(routes) is shape
     topology.add_node("island")
+    assert topology.route_table is None
     assert "island" in topology.to_networkx()
     assert k_shortest_paths(topology, topology.nodes[0], "island", 2) == []
+    assert PathCache(topology).shape(routes) is not shape
 
 
 def test_scaled_copy_compiles_its_own_plane():
