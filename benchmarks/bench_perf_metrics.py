@@ -3,13 +3,14 @@
 Every admission decision touches the metrics registry several times
 (latency histograms, admit/reject counters), so the per-op cost of
 ``Counter.inc`` / ``Histogram.observe`` is genuine hot-path overhead —
-and since the live ``/metrics`` endpoint scrapes from other threads,
-each metric carries a lock.  This bench measures that lock's price:
+and since the admission service's owner thread and its submitter
+threads write the same registry, each metric carries a lock.  This
+bench measures that lock's price:
 
 - **uncontended** — one thread hammering a private counter/histogram
   (the sweep-worker steady state);
 - **contended** — ``n_threads`` threads hammering the *same* metric
-  (the worst case: service loop + snapshotter + scraper all active).
+  (the worst case: service loop and submitters all active).
 
 Recorded ops/sec land in ``benchmarks/results/bench_perf_metrics.json``
 (the repo benchmark, ``benchmarks/e2e``, has no row for lock

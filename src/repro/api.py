@@ -161,8 +161,7 @@ def sweep(grid, *, options: RunOptions | None = None,
 
 
 def campaign(spec, out_dir, *, options: RunOptions | None = None,
-             progress=None,
-             metrics_port: int | None = None) -> CampaignResult:
+             progress=None) -> CampaignResult:
     """Run a declarative campaign and write its report artifact.
 
     ``spec`` is a preset name (``"smoke"``, ``"paper-scale"``), a path
@@ -171,13 +170,11 @@ def campaign(spec, out_dir, *, options: RunOptions | None = None,
     receives ``report.md``, ``report.html`` and ``campaign.json``.
     ``options``, when given, replaces the spec's ``[options]`` table
     wholesale (partial overrides start from
-    ``spec.options.replace(...)``).  ``metrics_port`` serves live
-    fleet-wide ``/metrics`` + ``/snapshot`` on localhost while the
-    campaign runs.  See
+    ``spec.options.replace(...)``).  See
     :func:`repro.experiments.campaign.run_campaign`.
     """
     return run_campaign(campaign_spec(spec), out_dir, options=options,
-                        progress=progress, metrics_port=metrics_port)
+                        progress=progress)
 
 
 def audit(trace, *, summary: dict | None = None) -> AuditReport:

@@ -54,10 +54,8 @@ class OfflineSchedule:
 def solve_offline_schedule(workload: Workload, items: list[ScheduleItem],
                            route_count: int = 3,
                            topk_fraction: float = 0.1,
-                           topk_encoding: str = "cvar",
                            include_costs: bool = True,
                            objective: str = "weighted",
-                           paths: PathCache | None = None,
                            routing: str = "kpaths"
                            ) -> OfflineSchedule:
     """Solve the offline routing LP over the full horizon.
@@ -74,19 +72,16 @@ def solve_offline_schedule(workload: Workload, items: list[ScheduleItem],
     bytes away to save cost.
 
     Both are subject to per-request caps and per-(link, timestep)
-    capacities.  ``routing`` selects the admissible-set policy when no
-    explicit ``paths`` cache is supplied (see
+    capacities.  ``routing`` selects the admissible-set policy (see
     :data:`repro.network.ROUTING_POLICIES`), so offline baselines
     optimise over the same route sets an online scheme under the same
     policy would quote over.
     """
     if objective not in ("weighted", "bytes_then_cost"):
         raise ValueError(f"unknown objective {objective!r}")
-    if paths is None:
-        paths = PathCache(workload.topology, k=route_count, policy=routing)
+    paths = PathCache(workload.topology, k=route_count, policy=routing)
     return _solve_offline_schedule_coo(
-        workload, items, topk_fraction, topk_encoding, include_costs,
-        objective, paths)
+        workload, items, topk_fraction, include_costs, objective, paths)
 
 
 def _lexicographic_priority(topology) -> float:
@@ -105,8 +100,7 @@ def _lexicographic_priority(topology) -> float:
 def _solve_offline_schedule_coo(workload: Workload,
                                 items: list[ScheduleItem],
                                 topk_fraction: float,
-                                topk_encoding: str, include_costs: bool,
-                                objective: str,
+                                include_costs: bool, objective: str,
                                 paths: PathCache) -> OfflineSchedule:
     """Build the offline LP on :func:`~repro.lp.grouping.add_schedule`
     (the order of ``tests/reference/expr_builders.py``) and solve it;
@@ -138,8 +132,7 @@ def _solve_offline_schedule_coo(workload: Workload,
         model, incidences, counts, caps,
         np.broadcast_to(capacity, (n_steps, capacity.size)),
         metered_links=topology.metered_links() if include_costs else (),
-        billing=workload.steps_per_day, topk_fraction=topk_fraction,
-        encoding=topk_encoding)
+        billing=workload.steps_per_day, topk_fraction=topk_fraction)
     groups, costs = lp.groups, lp.costs
     values = np.repeat(weights, counts)
 

@@ -35,14 +35,12 @@ class NoPrices(OfflineScheme):
     MODES = ("bytes_then_cost", "cost_blind", "weighted")
 
     def __init__(self, route_count: int = 3, topk_fraction: float = 0.1,
-                 topk_encoding: str = "cvar",
                  mode: str = "bytes_then_cost",
                  routing: str = "kpaths") -> None:
         if mode not in self.MODES:
             raise ValueError(f"mode must be one of {self.MODES}")
         self.route_count = route_count
         self.topk_fraction = topk_fraction
-        self.topk_encoding = topk_encoding
         self.mode = mode
         self.routing = routing
 
@@ -52,7 +50,6 @@ class NoPrices(OfflineScheme):
         schedule = solve_offline_schedule(
             workload, items, route_count=self.route_count,
             topk_fraction=self.topk_fraction,
-            topk_encoding=self.topk_encoding,
             include_costs=self.mode != "cost_blind",
             objective="weighted" if self.mode == "weighted"
             else "bytes_then_cost", routing=self.routing)

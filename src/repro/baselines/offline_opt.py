@@ -24,11 +24,9 @@ class OfflineOptimal(OfflineScheme):
     name = "OPT"
 
     def __init__(self, route_count: int = 3, topk_fraction: float = 0.1,
-                 topk_encoding: str = "cvar",
                  routing: str = "kpaths") -> None:
         self.route_count = route_count
         self.topk_fraction = topk_fraction
-        self.topk_encoding = topk_encoding
         self.routing = routing
 
     def run(self, workload: Workload) -> RunResult:
@@ -36,8 +34,7 @@ class OfflineOptimal(OfflineScheme):
                  for r in workload.requests]
         schedule = solve_offline_schedule(
             workload, items, route_count=self.route_count,
-            topk_fraction=self.topk_fraction,
-            topk_encoding=self.topk_encoding, include_costs=True,
+            topk_fraction=self.topk_fraction, include_costs=True,
             routing=self.routing)
         return run_result(workload, self.name, schedule,
                           extras={"objective": schedule.objective})

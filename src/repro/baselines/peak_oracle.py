@@ -53,14 +53,12 @@ class PeakOracle(OfflineScheme):
 
     def __init__(self, grid_points: int = 6, route_count: int = 3,
                  topk_fraction: float = 0.1,
-                 topk_encoding: str = "cvar",
                  routing: str = "kpaths") -> None:
         if grid_points < 1:
             raise ValueError("grid_points must be positive")
         self.grid_points = grid_points
         self.route_count = route_count
         self.topk_fraction = topk_fraction
-        self.topk_encoding = topk_encoding
         self.routing = routing
 
     def run(self, workload: Workload) -> RunResult:
@@ -104,9 +102,8 @@ class PeakOracle(OfflineScheme):
         # it first, then minimise percentile costs at that volume.
         schedule = solve_offline_schedule(
             workload, items, topk_fraction=self.topk_fraction,
-            topk_encoding=self.topk_encoding, include_costs=True,
-            objective="bytes_then_cost", route_count=self.route_count,
-            routing=self.routing)
+            include_costs=True, objective="bytes_then_cost",
+            route_count=self.route_count, routing=self.routing)
         payments = {}
         for rid, series in schedule.per_step.items():
             payments[rid] = float(sum(price_at(t) * volume

@@ -160,10 +160,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="override the spec's worker count")
     camp.add_argument("--list", action="store_true", dest="list_presets",
                       help="list the built-in campaign presets and exit")
-    camp.add_argument("--metrics-port", type=int, metavar="PORT",
-                      help="serve live fleet-wide /metrics, /healthz and "
-                           "/snapshot on this localhost port while the "
-                           "campaign runs (0 = ephemeral)")
 
     srv = sub.add_parser("serve", help="run the live admission service "
                                        "under synthetic open-loop load")
@@ -192,10 +188,6 @@ def build_parser() -> argparse.ArgumentParser:
                           "budgets degrade to current-price menus")
     srv.add_argument("--max-pending", type=int, default=1024, metavar="N",
                      help="backpressure bound on in-flight submissions")
-    srv.add_argument("--metrics-port", type=int, metavar="PORT",
-                     help="serve live /metrics (Prometheus), /healthz "
-                          "and /snapshot on this localhost port for the "
-                          "service's lifetime (0 = ephemeral)")
     srv.add_argument("--out", help="write the load report + summary "
                                    "JSON here")
     _add_knob_flags(srv)
@@ -409,7 +401,10 @@ def _cmd_sweep(args) -> int:
         options = _options_from_args(args)
     except (FaultSpecError, KeyError, TypeError, ValueError) as exc:
         return _usage_error(exc)
-    result = api.sweep(grid, options=options, progress=_sweep_progress)
+    try:
+        result = api.sweep(grid, options=options, progress=_sweep_progress)
+    except FaultSpecError as exc:    # a link kill on a link not in a world
+        return _usage_error(exc)
     cells = cell_table(result)
     print(format_table(cells["columns"], cells["rows"]))
     print(f"{len(result.cells)} cell(s), {len(result.failures)} failed, "
@@ -450,13 +445,11 @@ def _cmd_campaign(args) -> int:
     print(f"campaign {spec.name!r}: {len(spec.sweeps)} sweep(s), "
           f"{total} cell(s), {len(spec.figures)} figure(s) -> "
           f"{args.out_dir}")
-    if args.metrics_port is not None:
-        print(f"live metrics on 127.0.0.1:{args.metrics_port or 'auto'} "
-              "(/metrics, /healthz, /snapshot) for the campaign's "
-              "duration", file=sys.stderr)
-    result = api.campaign(spec, args.out_dir, options=options,
-                          progress=_sweep_progress,
-                          metrics_port=args.metrics_port)
+    try:
+        result = api.campaign(spec, args.out_dir, options=options,
+                              progress=_sweep_progress)
+    except FaultSpecError as exc:    # a link kill on a link not in a world
+        return _usage_error(exc)
     stages = stage_section(result)
     print(format_table(stages.columns, stages.rows))
     print(f"{result.n_cells} cell(s), {len(result.failures)} failed, "
@@ -488,7 +481,7 @@ def _cmd_serve(args) -> int:
         service_options = ServiceOptions(
             batch_window=args.batch_window, batch_max=args.batch_max,
             cache_size=args.cache_size, quote_deadline=args.quote_deadline,
-            max_pending=args.max_pending, metrics_port=args.metrics_port)
+            max_pending=args.max_pending)
     except (FaultSpecError, ValueError) as exc:
         return _usage_error(exc)
     scenario = ScenarioSpec.of(args.scenario, seed=args.seed)
@@ -505,9 +498,6 @@ def _cmd_serve(args) -> int:
               f"{args.seed}): {len(requests)} requests, rate="
               f"{'max' if args.rate <= 0 else args.rate}, "
               f"price_checks={args.price_checks}")
-        if svc.service.metrics_server is not None:
-            print(f"live metrics at {svc.service.metrics_server.url}"
-                  "/metrics (also /healthz, /snapshot)", file=sys.stderr)
         report = generate_load(svc.service, requests, rate=args.rate,
                                price_checks=args.price_checks)
         cache = {name: get_registry().counter(name).value for name in (

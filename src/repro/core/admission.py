@@ -78,11 +78,6 @@ class Contract:
     def rid(self) -> int:
         return self.request.rid
 
-    @property
-    def best_effort_volume(self) -> float:
-        """Volume beyond the guarantee, served only if capacity allows."""
-        return max(0.0, self.chosen - self.guaranteed)
-
     def payment_for(self, delivered: float) -> float:
         """Price owed for ``delivered`` volume.
 

@@ -14,8 +14,6 @@ import os
 from dataclasses import dataclass, field
 from numbers import Integral
 
-from ..lp.topk import TOPK_ENCODINGS
-
 
 def _default_solver_backend() -> str:
     """Backend default: the ``REPRO_SOLVER_BACKEND`` env var, else scipy.
@@ -65,9 +63,6 @@ class PretiumConfig:
     topk_fraction:
         The percentile-cost proxy averages this fraction of the highest
         utilisation samples (top 10% in the paper).
-    topk_encoding:
-        ``"cvar"`` (compact, default) or ``"sorting"`` (the paper's
-        Theorem 4.2 comparator network); both are exact at the optimum.
     percentile:
         Billing percentile for *realised* (true) costs.
     highpri_fraction:
@@ -113,7 +108,6 @@ class PretiumConfig:
     congestion_threshold: float = 0.8
     congestion_multiplier: float = 2.0
     topk_fraction: float = 0.1
-    topk_encoding: str = "cvar"
     percentile: float = 95.0
     highpri_fraction: float = 0.0
     sam_enabled: bool = True
@@ -165,9 +159,6 @@ class PretiumConfig:
             raise ValueError("congestion_multiplier must be >= 1")
         if not 0.0 < self.topk_fraction <= 1.0:
             raise ValueError("topk_fraction must be in (0, 1]")
-        if self.topk_encoding not in TOPK_ENCODINGS:
-            raise ValueError(
-                f"unknown topk_encoding {self.topk_encoding!r}")
         if not 0.0 < self.percentile <= 100.0:
             raise ValueError("percentile out of range")
         if not 0.0 <= self.highpri_fraction < 1.0:

@@ -72,11 +72,6 @@ class PriceMenu:
         return sum(segment.quantity for segment in self.segments)
 
     @property
-    def is_empty(self) -> bool:
-        """No capacity at all (nothing can be guaranteed)."""
-        return not self.segments
-
-    @property
     def best_effort_price(self) -> float:
         """Marginal price charged for volume beyond ``x̄``."""
         if not self.segments:

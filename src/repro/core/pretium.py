@@ -314,8 +314,3 @@ class PretiumController:
     # -- introspection -------------------------------------------------------
     def contract_for(self, rid: int) -> Contract | None:
         return self._by_rid.get(rid)
-
-    def price_series(self, src: str, dst: str) -> np.ndarray:
-        """Internal price over time on the direct link src->dst (Fig 7a)."""
-        link = self.state.topology.link_between(src, dst)
-        return self.state.prices[:, link.index].copy()

@@ -136,7 +136,7 @@ class PriceComputer:
             model, incidences, counts, caps, state.capacity,
             metered_links=state.topology.metered_links(),
             billing=self.billing_window, topk_fraction=config.topk_fraction,
-            encoding=config.topk_encoding, couple_idle=True)
+            couple_idle=True)
         groups, costs = lp.groups, lp.costs
         model.set_objective_coo(
             np.concatenate([lp.flows, costs.bounds]),

@@ -266,7 +266,7 @@ class ScheduleAdjuster:
             threshold=config.congestion_threshold if smooth else None,
             metered_links=state.topology.metered_links(),
             billing=self.billing_window, topk_fraction=config.topk_fraction,
-            encoding=config.topk_encoding, now=now, realized=realized_loads)
+            now=now, realized=realized_loads)
         values = np.array(values)
         slacked = lp.slacks >= 0
         model.set_objective_coo(

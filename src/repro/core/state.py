@@ -231,10 +231,6 @@ class NetworkState:
         return [(indices, volume) for (indices, step), volume
                 in bucket.items() if step == t and volume > 1e-12]
 
-    def planned_total(self, rid: int) -> float:
-        """Total volume currently planned for ``rid`` (all timesteps)."""
-        return sum(self.plan.get(rid, {}).values())
-
     # -- price updates -----------------------------------------------------
     def set_prices(self, start: int, prices: np.ndarray) -> None:
         """Install new prices for timesteps ``start..`` (carried over).

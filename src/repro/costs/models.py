@@ -6,7 +6,8 @@ Two cost measures coexist in the reproduction, exactly as in the paper:
   percentile of its utilisation in each billing window (a day); this is
   what every scheme's *realised* welfare is scored with;
 - the **proxy cost** substitutes the top-10% mean ``z_e`` (§4.2); this is
-  what the LPs optimise, because it linearises.
+  what the LPs optimise, because it linearises (they encode it themselves,
+  see :mod:`repro.lp.grouping`).
 
 Owned links have fixed installation costs that are excluded from the
 welfare objective (§6.1), so they contribute zero here.
@@ -17,8 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..network import Topology
-from .percentile import (DEFAULT_PERCENTILE, DEFAULT_TOPK_FRACTION,
-                         percentile_usage, topk_mean)
+from .percentile import DEFAULT_PERCENTILE, percentile_usage
 
 
 class LinkCostModel:
@@ -34,23 +34,17 @@ class LinkCostModel:
         final partial window.
     percentile:
         The billing percentile (95 in the paper).
-    topk_fraction:
-        The proxy's averaging fraction (top 10% in the paper).
     """
 
     def __init__(self, topology: Topology, billing_window: int,
-                 percentile: float = DEFAULT_PERCENTILE,
-                 topk_fraction: float = DEFAULT_TOPK_FRACTION) -> None:
+                 percentile: float = DEFAULT_PERCENTILE) -> None:
         if billing_window <= 0:
             raise ValueError("billing window must be positive")
         if not 0 < percentile <= 100:
             raise ValueError("percentile out of range")
-        if not 0 < topk_fraction <= 1:
-            raise ValueError("top-k fraction out of range")
         self.topology = topology
         self.billing_window = billing_window
         self.percentile = percentile
-        self.topk_fraction = topk_fraction
         self._metered = [(link.index, link.cost_per_unit)
                          for link in topology.metered_links()]
 
@@ -77,30 +71,6 @@ class LinkCostModel:
                 total += unit_cost * percentile_usage(
                     loads[window, index], self.percentile)
         return total
-
-    def proxy_cost(self, loads: np.ndarray) -> float:
-        """Top-k-mean proxy billing of a realised schedule (what LPs see)."""
-        self._validate(loads)
-        total = 0.0
-        for window in self._windows(loads.shape[0]):
-            for index, unit_cost in self._metered:
-                total += unit_cost * topk_mean(loads[window, index],
-                                               self.topk_fraction)
-        return total
-
-    def per_link_true_cost(self, loads: np.ndarray) -> dict[int, float]:
-        """True cost broken down by link index (metered links only)."""
-        self._validate(loads)
-        breakdown: dict[int, float] = {}
-        for window in self._windows(loads.shape[0]):
-            for index, unit_cost in self._metered:
-                breakdown[index] = breakdown.get(index, 0.0) + \
-                    unit_cost * percentile_usage(loads[window, index],
-                                                 self.percentile)
-        return breakdown
-
-    def has_metered_links(self) -> bool:
-        return bool(self._metered)
 
     def __repr__(self) -> str:
         return (f"LinkCostModel({len(self._metered)} metered links, "

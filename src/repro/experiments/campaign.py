@@ -537,27 +537,49 @@ class CampaignResult:
                 for cell in result.failures]
 
 
-def _campaign_slo(registry) -> "object":
-    """The campaign-flavoured SLO tracker: batch-run objectives.
+#: The campaign SLO objectives.  Campaigns run the batch engine, so the
+#: error budget burns on engine step failures against decided requests
+#: and the degraded objective tracks resilience fallbacks.  No batch run
+#: records a quote latency, so that objective always reads "no data".
+SLO_AVAILABILITY = 0.999
+SLO_DEGRADED_RATE = 0.05
+SLO_ANSWERED = ("pretium.admitted", "pretium.rejected")
+SLO_ERRORS = ("engine.failures",)
+SLO_DEGRADED = ("resilience.fallbacks",)
 
-    Campaigns run the batch engine, not the live service, so the error
-    budget burns on engine step failures against decided requests and
-    the degraded objective tracks resilience fallbacks.  The
-    quote-latency objective stays on the service metric — absent in a
-    pure batch campaign, it simply reports no data.
+
+def _campaign_slo(registry) -> dict:
+    """The SLO objectives evaluated over a fleet metrics registry.
+
+    ``ok`` is true while every objective with data is met; an objective
+    with no data is ``None`` and does not trip it.  Reads never create
+    metrics: the registry is membership-checked first.
     """
-    from ..telemetry.live import SLOTracker
-    return SLOTracker(registry,
-                      total_metrics=("pretium.admitted",
-                                     "pretium.rejected"),
-                      error_metrics=("engine.failures",),
-                      degraded_metrics=("resilience.fallbacks",))
+    def count(names) -> int:
+        return sum(registry.counter(name).value
+                   for name in names if name in registry)
+
+    errors = count(SLO_ERRORS)
+    total = count(SLO_ANSWERED) + errors
+    objectives = {"quote_latency": None, "error_budget": None,
+                  "degraded": None}
+    if total:
+        bad_rate = errors / total
+        burn = bad_rate / (1.0 - SLO_AVAILABILITY)
+        objectives["error_budget"] = {
+            "bad_rate": bad_rate, "burn": burn, "target": SLO_AVAILABILITY,
+            "ok": burn <= 1.0}
+        rate = count(SLO_DEGRADED) / total
+        objectives["degraded"] = {"rate": rate, "target": SLO_DEGRADED_RATE,
+                                  "ok": rate <= SLO_DEGRADED_RATE}
+    return {"ok": all(objective["ok"] for objective in objectives.values()
+                      if objective is not None),
+            "objectives": objectives}
 
 
 def run_campaign(spec: CampaignSpec, out_dir: str | Path,
                  options: RunOptions | None = None,
-                 progress: Callable | None = None,
-                 metrics_port: int | None = None) -> CampaignResult:
+                 progress: Callable | None = None) -> CampaignResult:
     """Execute a campaign spec and write its report artifact.
 
     ``out_dir`` receives ``report.md``, ``report.html``,
@@ -567,57 +589,39 @@ def run_campaign(spec: CampaignSpec, out_dir: str | Path,
     override start from ``spec.options.replace(...)`` — the CLI maps
     ``--workers`` that way).  ``progress`` is
     forwarded to every underlying :func:`run_sweep`.
-
-    ``metrics_port`` (``--metrics-port``) starts a live
-    :class:`~repro.telemetry.live.LiveMetricsServer` on localhost for
-    the campaign's duration: as worker cells finish, their metrics merge
-    into this process's registry, so ``/metrics`` and ``/snapshot``
-    track fleet-wide progress of a multi-hour run mid-flight.
     """
-    from ..telemetry import get_registry
     from ..telemetry.fleet import fleet_registry_from_cells
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     run_options = spec.options if options is None else options
 
-    live_server = None
-    if metrics_port is not None:
-        from ..telemetry.live import LiveMetricsServer
-        live_server = LiveMetricsServer(
-            get_registry(), port=metrics_port,
-            slo=_campaign_slo(get_registry())).start()
-
     begin = time.perf_counter()
     stages: list[StageTiming] = []
     sweeps: dict[str, SweepResult] = {}
-    try:
-        for sweep_spec in spec.sweeps:
-            sweep_options = run_options
-            if spec.telemetry:
-                sweep_options = sweep_options.replace(
-                    telemetry=out_dir / f"{sweep_spec.name}.jsonl")
-            stage_begin = time.perf_counter()
-            result = run_sweep(sweep_spec.grid(), options=sweep_options,
-                               progress=progress)
-            sweeps[sweep_spec.name] = result
-            stages.append(StageTiming(
-                stage=f"sweep:{sweep_spec.name}",
-                wall_s=time.perf_counter() - stage_begin,
-                detail=f"{len(result.cells)} cells, "
-                       f"{result.n_workers} worker(s), "
-                       f"{len(result.failures)} failed"))
-    finally:
-        if live_server is not None:
-            live_server.stop()
+    for sweep_spec in spec.sweeps:
+        sweep_options = run_options
+        if spec.telemetry:
+            sweep_options = sweep_options.replace(
+                telemetry=out_dir / f"{sweep_spec.name}.jsonl")
+        stage_begin = time.perf_counter()
+        result = run_sweep(sweep_spec.grid(), options=sweep_options,
+                           progress=progress)
+        sweeps[sweep_spec.name] = result
+        stages.append(StageTiming(
+            stage=f"sweep:{sweep_spec.name}",
+            wall_s=time.perf_counter() - stage_begin,
+            detail=f"{len(result.cells)} cells, "
+                   f"{result.n_workers} worker(s), "
+                   f"{len(result.failures)} failed"))
 
     # The standalone fleet view: rebuilt from the cells themselves, so
-    # the report is identical whether or not a live endpoint (or an
-    # unrelated run sharing the process registry) was active.
+    # the report is identical whether or not an unrelated run shared the
+    # process registry.
     fleet = fleet_registry_from_cells(
         cell for result in sweeps.values() for cell in result.cells)
     fleet_metrics = fleet.snapshot()
-    slo_status = _campaign_slo(fleet).status()
+    slo_status = _campaign_slo(fleet)
 
     stage_begin = time.perf_counter()
     figures: dict[str, dict] = {}
@@ -713,19 +717,14 @@ def _slo_rows(slo: dict) -> list[list]:
         if not objective:
             rows.append([name, "-", "-", "no data"])
             continue
-        if name == "quote_latency":
-            observed = f"p99 {objective['p99_ms']:.2f} ms"
-            target = ("-" if objective.get("target_ms") is None
-                      else f"<= {objective['target_ms']:g} ms")
-        elif name == "error_budget":
+        if name == "error_budget":
             observed = f"burn {objective['burn']:.3f}"
             target = "<= 1.0"
         else:
             observed = f"rate {objective['rate']:.4f}"
             target = f"<= {objective['target']:g}"
-        ok = objective.get("ok")
-        status = "n/a" if ok is None else ("met" if ok else "VIOLATED")
-        rows.append([name, observed, target, status])
+        rows.append([name, observed, target,
+                     "met" if objective["ok"] else "VIOLATED"])
     return rows
 
 

@@ -72,6 +72,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
+from ..faults.links import LinkKillSchedule
 from ..options import RunOptions
 from ..sim import summarize
 from ..telemetry import get_registry, merge_traces, use_registry
@@ -621,10 +622,19 @@ def run_sweep(grid: SweepGrid, options: RunOptions | None = None,
     work on it directly.
 
     ``progress`` is invoked exactly once per finished cell with
-    ``(done, total, result)``.
+    ``(done, total, result)``.  A link-kill clause naming no link or
+    step of some (scenario, seed) column's world raises
+    :class:`~repro.faults.FaultSpecError` before any cell starts.
     """
     opts = options or RunOptions()
     cells = grid.cells()
+    if opts.link_kills is not None:
+        # Built through the cell's cache key, so serial cells reuse it.
+        kills = LinkKillSchedule.from_spec(opts.link_kills)
+        for spec, seed in dict.fromkeys((cell.scenario, cell.seed)
+                                        for cell in cells):
+            kills.check(cached_scenario(spec.with_classes(opts.classes),
+                                        seed)[0].workload)
     total = len(cells)
     trace_base = opts.telemetry
     workers = min(max(1, opts.workers), total)
@@ -639,9 +649,8 @@ def run_sweep(grid: SweepGrid, options: RunOptions | None = None,
         done += 1
         results[result.index] = result
         if result.metrics:
-            # Live aggregation: the sweeping process's registry (and any
-            # /metrics endpoint serving it) reflects the fleet as cells
-            # finish, not only after the sweep returns.
+            # The sweeping process's registry reflects the fleet as
+            # cells finish, not only after the sweep returns.
             parent_registry.merge_dump(result.metrics, worker=result.worker)
         if progress is not None:
             progress(done, total, result)

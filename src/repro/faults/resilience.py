@@ -58,10 +58,6 @@ class DeadlineBudget:
         """Seconds left before the budget is exhausted (may be < 0)."""
         return self.budget - (time.perf_counter() - self.started)
 
-    @property
-    def exceeded(self) -> bool:
-        return self.remaining() <= 0.0
-
 
 @dataclass(frozen=True)
 class RetryPolicy:

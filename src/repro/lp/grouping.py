@@ -183,13 +183,13 @@ _NO_COSTS = PercentileCosts(_NONE, np.zeros(0), _NONE, _NONE, _NONE, _NONE)
 
 def add_percentile_costs(model: Model, groups: PairGroups, metered_links,
                          billing: int, n_steps: int, topk_fraction: float,
-                         encoding: str, now: int = 0, realized=None,
+                         now: int = 0, realized=None,
                          couple_idle: bool = False) -> PercentileCosts:
     """The percentile-cost proxy of §4.2 over every touched window.
 
     For each metered link with flow variables in some billing window:
     one load variable per window step, a coupling row ``load == sum of
-    the step's flows``, and the top-k encoding over the loads, charged
+    the step's flows``, and the CVaR top-k encoding over the loads, charged
     ``C_e / k`` per unit of its bound.  Steps before ``now`` are pinned
     to ``realized[t, link]``.  A step without flows is pinned to zero —
     or, with ``couple_idle``, left free under an (empty) coupling row,
@@ -234,7 +234,7 @@ def add_percentile_costs(model: Model, groups: PairGroups, metered_links,
     # Windows of one length share k, hence one top-k template.
     k_of = {length: max(1, int(round(topk_fraction * length)))
             for length in np.unique(w_length).tolist()}
-    templates = {length: topk_template(length, k, encoding)
+    templates = {length: topk_template(length, k)
                  for length, k in k_of.items()}
     lengths = w_length.tolist()
     widths = w_length + [templates[length].n_aux for length in lengths]

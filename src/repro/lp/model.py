@@ -100,12 +100,6 @@ class ConstraintBlock:
         """Global constraint indices covered by the block."""
         return np.arange(self.start, self.stop)
 
-    def index_of(self, row: int) -> int:
-        """Global constraint index of the block-local ``row``."""
-        if not 0 <= row < self.count:
-            raise IndexError(f"row {row} out of range 0..{self.count - 1}")
-        return self.start + row
-
     def __len__(self) -> int:
         return self.count
 

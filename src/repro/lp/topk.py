@@ -21,9 +21,9 @@ becomes tight under minimisation.  Two encodings are provided, each as a
 
 Both yield the exact sum of the top-k at the optimum of a minimisation;
 tests and the ``bench_topk_encodings`` benchmark verify they agree.  The
-CVaR form is the default in the schedule-adjustment and pricing LPs because
-it is dramatically smaller; the sorting-network form exists for fidelity to
-the paper and is selectable through :class:`repro.core.config.PretiumConfig`.
+CVaR form is the one every schedule LP (SAM, PC, the offline baselines) is
+built with because it is dramatically smaller; the sorting-network form
+exists for fidelity to the paper's Theorem 4.2 construction.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ import numpy as np
 from .errors import ModelError
 from .model import EQ, GE, LE, SENSE_CODES, Model
 
-#: Selectable encodings, used by PretiumConfig.topk_encoding.
+#: The encodings :func:`topk_template` accepts.
 TOPK_ENCODINGS = ("cvar", "sorting")
 
 

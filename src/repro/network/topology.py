@@ -153,10 +153,6 @@ class Topology:
     def has_link(self, src: str, dst: str) -> bool:
         return (src, dst) in self._by_key
 
-    def out_links(self, node: str) -> list[Link]:
-        """Links leaving ``node``."""
-        return list(self._out.get(node, []))
-
     def metered_links(self) -> list[Link]:
         """Links billed on percentile usage."""
         return [link for link in self._links if link.metered]

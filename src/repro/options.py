@@ -160,13 +160,6 @@ class ServiceOptions:
         Backpressure bound: submissions in flight (queued or being
         processed) beyond this block the submitting thread until the
         service drains, or fail fast when the caller asked not to wait.
-    metrics_port:
-        When set, the service starts a
-        :class:`~repro.telemetry.live.LiveMetricsServer` on this
-        localhost port (``/metrics`` Prometheus exposition, ``/healthz``,
-        ``/snapshot``) for its lifetime.  ``0`` binds an ephemeral port
-        (read it back from ``service.metrics_server.port``); ``None``
-        (default) serves nothing.
     """
 
     batch_window: float = 0.0
@@ -174,7 +167,6 @@ class ServiceOptions:
     cache_size: int = 1024
     quote_deadline: float | None = None
     max_pending: int = 1024
-    metrics_port: int | None = None
 
     def __post_init__(self) -> None:
         if not 0 <= self.batch_window < math.inf:     # nan compares false
@@ -188,10 +180,6 @@ class ServiceOptions:
             raise ValueError("quote_deadline must be finite and positive")
         if self.max_pending < 1:
             raise ValueError("max_pending must be >= 1")
-        if self.metrics_port is not None and \
-                not 0 <= self.metrics_port <= 65535:
-            raise ValueError("metrics_port must be in [0, 65535] "
-                             "(0 binds an ephemeral port)")
 
     def replace(self, **changes) -> "ServiceOptions":
         """A copy with ``changes`` applied (``dataclasses.replace``)."""
@@ -260,7 +248,7 @@ def run_context(options: RunOptions | None):
                 env.tracer.close()
             if registry is not None:
                 # Roll the scoped registry up into the enclosing one, so
-                # an outer observer — a sweep worker capturing per-cell
-                # metrics, a campaign's live /metrics endpoint — still
-                # sees runs that installed their own scoped registry.
+                # an outer observer (a sweep worker capturing per-cell
+                # metrics) still sees runs that installed their own
+                # scoped registry.
                 outer_registry.merge_dump(registry.dump())

@@ -15,7 +15,7 @@ cache earn its keep.
 The returned :class:`LoadReport` is built from this replay's own
 samples only.  The service's ``service.latency_ms`` / ``queue_ms`` /
 ``service_ms`` histograms (enqueue → decision, and its queueing vs
-quoting split) stay on the metrics registry and ``/metrics``.
+quoting split) stay on the metrics registry.
 """
 
 from __future__ import annotations

@@ -99,7 +99,6 @@ class AdmissionService:
         self.engine = engine
         self.options = options or engine.options
         self.result = None
-        self.metrics_server = None
         self._thread: threading.Thread | None = None
         self._queue: SimpleQueue = SimpleQueue()
         self._ready = threading.Event()
@@ -123,23 +122,6 @@ class AdmissionService:
         if self._startup_error is not None:
             self._thread.join()
             raise self._startup_error
-        if self.options.metrics_port is not None:
-            from ..telemetry.live import LiveMetricsServer, SLOTracker
-            deadline = self.options.quote_deadline
-            slo = SLOTracker(
-                get_registry(),
-                quote_deadline_ms=None if deadline is None
-                else deadline * 1e3)
-            try:
-                self.metrics_server = LiveMetricsServer(
-                    get_registry(), port=self.options.metrics_port,
-                    slo=slo).start()
-            except BaseException:
-                # The owner thread is already serving; tear it down cleanly
-                # rather than leaking a serving thread behind a failed
-                # metrics bind.
-                self.stop()
-                raise
         return self
 
     def stop(self):
@@ -153,9 +135,6 @@ class AdmissionService:
                 # Everything submitted before the sentinel is still answered.
                 self._queue.put(_STOP)
         self._thread.join()
-        if self.metrics_server is not None:
-            self.metrics_server.stop()
-            self.metrics_server = None
         if self._fatal_error is not None:
             raise self._fatal_error
         return self.result

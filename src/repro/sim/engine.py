@@ -85,12 +85,6 @@ class RunResult:
         return sum(volume for t, volume in self.delivery_log.get(rid, [])
                    if t <= deadline)
 
-    def request_by_id(self, rid: int):
-        for request in self.workload.requests:
-            if request.rid == rid:
-                return request
-        raise KeyError(rid)
-
     @property
     def total_delivered(self) -> float:
         return sum(self.delivered.values())

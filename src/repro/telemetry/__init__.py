@@ -23,14 +23,10 @@ The observability layer for the whole stack (see DESIGN.md
   JSON, Prometheus text exposition, and per-request timelines;
 - :mod:`~repro.telemetry.report` — aggregate a trace into the
   per-module runtime table behind the paper's Table 4;
-- :mod:`~repro.telemetry.live` — the live operations plane: a stdlib
-  HTTP exporter (``/metrics`` Prometheus exposition, ``/healthz``,
-  ``/snapshot``), a ring-buffered :class:`Snapshotter`, and the
-  :class:`SLOTracker` (quote-latency p99 vs. deadline, error-budget
-  burn, degraded rate);
 - :mod:`~repro.telemetry.fleet` — merge per-worker registry dumps from
   sweep cells or trace shards into one fleet-wide registry (counters
-  sum, histograms merge by bucket, gauges per-worker);
+  sum, histograms merge by bucket, gauges per-worker), the view a
+  campaign report's fleet metrics and SLO table are computed from;
 - :mod:`~repro.telemetry.profile` — span-tree self-time attribution and
   collapsed-stack flamegraph export (``telemetry flame``).
 
@@ -49,7 +45,6 @@ from .export import (chrome_trace, chrome_trace_json, prometheus_exposition,
                      prometheus_text, timeline)
 from .fleet import fleet_registry, fleet_registry_from_cells, fleet_snapshot
 from .ledger import Ledger, RequestHistory, ledger_events
-from .live import LiveMetricsServer, SLOTracker, Snapshotter
 from .profile import (collapsed_stacks, flame_report, self_time_table,
                       span_nodes)
 from .registry import (Counter, Gauge, Histogram, MetricsRegistry,
@@ -62,8 +57,8 @@ from .trace import Span, Tracer, get_tracer, set_tracer, use_tracer
 
 __all__ = [
     "Counter", "Finding", "Gauge", "Histogram", "InMemoryCollector", "Ledger",
-    "LiveMetricsServer", "MetricsRegistry", "RequestHistory", "SLOTracker",
-    "Snapshotter", "Span", "TagSink", "TraceWriter", "Tracer",
+    "MetricsRegistry", "RequestHistory", "Span", "TagSink", "TraceWriter",
+    "Tracer",
     "aggregate_spans", "audit_events", "audit_trace", "chrome_trace",
     "chrome_trace_json", "collapsed_stacks", "flame_report", "fleet_registry",
     "fleet_registry_from_cells", "fleet_snapshot", "get_registry",

@@ -267,13 +267,6 @@ class Ledger:
                     loads[key] = loads.get(key, 0.0) + volume
         return loads
 
-    def capacity_grid(self):
-        """The per-(timestep, link) usable-capacity grid recorded at run
-        start, as nested lists, or ``None`` for a partial ledger."""
-        if self.run_started is None:
-            return None
-        return self.run_started.get("capacity")
-
     def total_delivered(self) -> float:
         return sum(h.delivered_total for h in self._requests.values())
 

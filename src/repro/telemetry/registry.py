@@ -8,8 +8,7 @@ engine feed every module invocation through it.
 
 All three metric kinds are **thread-safe**: the live admission service
 mutates them from its owner thread while submitter threads bump
-backpressure counters and the live ``/metrics`` exporter reads snapshots
-from HTTP handler threads.  Each metric carries its own small lock (no
+backpressure counters.  Each metric carries its own small lock (no
 global registry lock on the hot path); the contention micro-bench
 (``benchmarks/bench_perf_metrics.py``) pins the overhead at nanoseconds
 per operation.
@@ -62,10 +61,6 @@ class Gauge:
     def inc(self, delta: float = 1.0) -> None:
         with self._lock:
             self.value += delta
-
-    def dec(self, delta: float = 1.0) -> None:
-        with self._lock:
-            self.value -= delta
 
 
 class Histogram:

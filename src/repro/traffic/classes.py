@@ -64,14 +64,6 @@ class TrafficClass:
                 raise ValueError(f"{field_name} must be a positive finite "
                                  f"number, got {value!r}")
 
-    @property
-    def is_default_like(self) -> bool:
-        """True when the class changes nothing about a request."""
-        return (self.value_multiplier == 1.0
-                and self.deadline_stretch == 1.0
-                and self.price_multiplier == 1.0
-                and not self.preemptible and self.weight == 1.0)
-
 
 #: The pre-class pipeline as a class: every knob neutral.
 DEFAULT_CLASS = TrafficClass("default")

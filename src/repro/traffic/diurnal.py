@@ -68,25 +68,6 @@ class DiurnalProfile:
         reps = -(-n_steps // self.steps_per_day)
         return np.tile(self._shape, reps)[:n_steps]
 
-    def peak_window(self, fraction: float = 0.4) -> tuple[int, int]:
-        """The contiguous window of the day holding the top ``fraction``
-        of intensity, as (first_step, last_step) inclusive.
-
-        Used by the PeakOracle baseline to pick its statically-chosen peak
-        period ("the time interval when utilization is consistently over
-        the daily average", §6.1).
-        """
-        if not 0.0 < fraction < 1.0:
-            raise ValueError("fraction must be in (0, 1)")
-        width = max(1, int(round(fraction * self.steps_per_day)))
-        best_start, best_sum = 0, -math.inf
-        for start in range(self.steps_per_day):
-            idx = (np.arange(start, start + width)) % self.steps_per_day
-            total = float(self._shape[idx].sum())
-            if total > best_sum:
-                best_start, best_sum = start, total
-        return best_start, (best_start + width - 1) % self.steps_per_day
-
 
 def flat_profile(steps_per_day: int) -> DiurnalProfile:
     """A profile with no daily variation."""

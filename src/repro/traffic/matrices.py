@@ -54,19 +54,10 @@ class TrafficMatrixSeries:
             raise ValueError("negative demand")
         self.nodes = list(nodes)
         self.demand = demand
-        self._index = {node: i for i, node in enumerate(nodes)}
 
     @property
     def n_steps(self) -> int:
         return self.demand.shape[0]
-
-    def pair_series(self, src: str, dst: str) -> np.ndarray:
-        """Demand over time for one ordered pair."""
-        return self.demand[:, self._index[src], self._index[dst]]
-
-    def total_per_step(self) -> np.ndarray:
-        """Aggregate network demand per timestep."""
-        return self.demand.sum(axis=(1, 2))
 
     def total(self) -> float:
         return float(self.demand.sum())
@@ -77,17 +68,6 @@ class TrafficMatrixSeries:
             raise ValueError(f"load factor must be finite and nonnegative, "
                              f"got {factor}")
         return TrafficMatrixSeries(self.nodes, self.demand * factor)
-
-    def top_pairs(self, count: int) -> list[tuple[str, str, float]]:
-        """The ``count`` heaviest pairs by total volume."""
-        totals = self.demand.sum(axis=0)
-        flat = [
-            (self.nodes[i], self.nodes[j], float(totals[i, j]))
-            for i in range(len(self.nodes)) for j in range(len(self.nodes))
-            if i != j and totals[i, j] > 0
-        ]
-        flat.sort(key=lambda item: item[2], reverse=True)
-        return flat[:count]
 
 
 def gravity_weights(n_nodes: int, rng: np.random.Generator,

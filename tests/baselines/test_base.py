@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.baselines import ScheduleItem, solve_offline_schedule, value_grid
+from repro.baselines import ScheduleItem, base, solve_offline_schedule, \
+    value_grid
 from repro.core import ByteRequest
 from repro.experiments.scenarios import ScenarioSpec
 from repro.lp import Model
@@ -121,8 +122,8 @@ class _Captured(Exception):
     """Raised in place of a solve, once the model is in hand."""
 
 
-def offline_lp(monkeypatch, workload, items, **kwargs):
-    """The model ``solve_offline_schedule`` hands the solver."""
+def offline_lp(monkeypatch, build, *args, **kwargs):
+    """The model ``build(*args, **kwargs)`` hands the solver."""
     models = []
 
     def capture(model, *args, **solve_kwargs):
@@ -131,7 +132,7 @@ def offline_lp(monkeypatch, workload, items, **kwargs):
 
     monkeypatch.setattr(Model, "solve", capture)
     with pytest.raises(_Captured):
-        solve_offline_schedule(workload, items, **kwargs)
+        build(*args, **kwargs)
     return models[0]
 
 
@@ -140,14 +141,17 @@ def test_offline_lp_is_built_over_the_routing_policys_routes(
         monkeypatch, policy):
     """``routing=`` used to be dropped: a fresh policy-aware cache is
     empty, hence falsy, and ``paths or PathCache(...)`` swapped it for a
-    ``kpaths`` one, so offline baselines ignored the policy."""
+    ``kpaths`` one, so offline baselines ignored the policy.  The LP must
+    be the one the builder lays out over that policy's own route cache."""
     wl = ScenarioSpec.of("quick").build(seed=0).workload
     items = [ScheduleItem(r, weight=r.value, cap=r.demand)
              for r in wl.requests]
-    by_policy = offline_lp(monkeypatch, wl, items, routing=policy)
-    explicit = offline_lp(monkeypatch, wl, items,
-                          paths=PathCache(wl.topology, k=3, policy=policy))
+    by_policy = offline_lp(monkeypatch, solve_offline_schedule, wl, items,
+                           routing=policy)
+    explicit = offline_lp(
+        monkeypatch, base._solve_offline_schedule_coo, wl, items, 0.1,
+        True, "weighted", PathCache(wl.topology, k=3, policy=policy))
     assert_models_identical(by_policy, explicit)
-    kpaths = offline_lp(monkeypatch, wl, items)
+    kpaths = offline_lp(monkeypatch, solve_offline_schedule, wl, items)
     with pytest.raises(AssertionError):
         assert_models_identical(by_policy, kpaths)

@@ -104,8 +104,9 @@ def test_region_oracle_payments_match_prices():
     wl, topo = regioned_workload()
     result = RegionOracle(grid_points=4).run(wl)
     from repro.network.regions import is_inter_region
+    by_id = {r.rid: r for r in wl.requests}
     for rid, paid in result.payments.items():
-        r = result.request_by_id(rid)
+        r = by_id[rid]
         price = result.extras["inter_price"] \
             if is_inter_region(topo, r.src, r.dst) \
             else result.extras["intra_price"]

@@ -80,7 +80,7 @@ def test_menu_exhausts_capacity():
 def test_menu_empty_when_no_steps_left():
     _, _, ra = make_ra()
     menu = ra.quote(request(start=0, deadline=1), now=4)
-    assert menu.is_empty
+    assert not menu.segments
 
 
 def test_menu_starts_at_now_not_start():
@@ -116,7 +116,7 @@ def test_admit_reserves_preliminary_schedule():
     contract = ra.admit(req, menu, chosen=5.0, now=0)
     assert contract is not None
     assert contract.guaranteed == pytest.approx(5.0)
-    assert state.planned_total(req.rid) == pytest.approx(5.0)
+    assert sum(state.plan.get(req.rid, {}).values()) == pytest.approx(5.0)
     # reservations consume residual capacity
     total_reserved = state.reserved.sum()
     assert total_reserved == pytest.approx(10.0)  # 5 units x 2 links
@@ -127,7 +127,7 @@ def test_admit_declined():
     req = request()
     menu = ra.quote(req, now=0)
     assert ra.admit(req, menu, chosen=0.0, now=0) is None
-    assert state.planned_total(req.rid) == 0.0
+    assert sum(state.plan.get(req.rid, {}).values()) == 0.0
 
 
 def test_admit_rejects_overdemand():
@@ -145,9 +145,9 @@ def test_admit_best_effort_beyond_guarantee():
     assert menu.max_guaranteed == pytest.approx(60.0)
     contract = ra.admit(req, menu, chosen=80.0, now=0)
     assert contract.guaranteed == pytest.approx(60.0)
-    assert contract.best_effort_volume == pytest.approx(20.0)
+    assert contract.chosen - contract.guaranteed == pytest.approx(20.0)
     # only the guarantee is reserved
-    assert state.planned_total(req.rid) == pytest.approx(60.0)
+    assert sum(state.plan.get(req.rid, {}).values()) == pytest.approx(60.0)
 
 
 def test_contract_payment_for():

@@ -118,7 +118,8 @@ def test_guarantee_bound_respects_capacity(seed):
     # upper bound: total residual out-capacity of the source
     out_capacity = sum(
         max(0.0, state.capacity[t, link.index] - state.reserved[t, link.index])
-        for link in topology.out_links(src) for t in range(8))
+        for link in topology.links if link.src == src
+        for t in range(8))
     assert menu.max_guaranteed <= out_capacity + 1e-6
 
 

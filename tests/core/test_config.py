@@ -13,7 +13,6 @@ def test_defaults_match_paper():
     assert c.congestion_multiplier == 2.0   # doubled
     assert c.topk_fraction == 0.1           # top 10%
     assert c.percentile == 95.0
-    assert c.topk_encoding == "cvar"
     assert c.sam_enabled and c.menu_enabled
 
 
@@ -28,7 +27,7 @@ def test_defaults_match_paper():
     {"congestion_multiplier": 0.5},
     {"topk_fraction": 0.0},
     {"topk_fraction": 1.5},
-    {"topk_encoding": "bogus"},
+    {"solver_maxiter": 0},
     {"percentile": 0.0},
     {"percentile": 101.0},
     {"highpri_fraction": 1.0},
@@ -51,10 +50,6 @@ def test_invalid_configs_rejected(kwargs):
 def test_infinite_solver_time_limit_means_no_limit():
     assert PretiumConfig(solver_time_limit=math.inf).solver_time_limit \
         == math.inf
-
-
-def test_sorting_encoding_accepted():
-    assert PretiumConfig(topk_encoding="sorting").topk_encoding == "sorting"
 
 
 def test_threshold_one_means_no_congested_segment():

@@ -44,10 +44,10 @@ def build_contracts(state, ra, rng, n_requests, horizon):
     return contracts
 
 
-def sam_plan(adjuster, encoding, short_term, now, seed=13):
+def sam_plan(adjuster, short_term, now, seed=13):
     rng = random.Random(seed)
     topo = small_wan(seed=2)
-    config = PretiumConfig(window=6, lookback=6, topk_encoding=encoding,
+    config = PretiumConfig(window=6, lookback=6,
                            short_term_adjustment=short_term)
     state = NetworkState(topo, 18, config)
     ra = RequestAdmission(state)
@@ -59,11 +59,10 @@ def sam_plan(adjuster, encoding, short_term, now, seed=13):
     return sam.adjust(contracts, delivered, realized, now=now)
 
 
-@pytest.mark.parametrize("encoding", ["cvar", "sorting"])
 @pytest.mark.parametrize("short_term", [True, False])
-def test_sam_coo_matches_expression_plan(encoding, short_term):
-    expr = sam_plan(ExprAdjuster, encoding, short_term, now=4)
-    coo = sam_plan(ScheduleAdjuster, encoding, short_term, now=4)
+def test_sam_coo_matches_expression_plan(short_term):
+    expr = sam_plan(ExprAdjuster, short_term, now=4)
+    coo = sam_plan(ScheduleAdjuster, short_term, now=4)
     assert len(expr) == len(coo) and len(expr) > 0
     for te, tc in zip(expr, coo):
         assert (te.rid, te.links, te.timestep) == \
@@ -71,10 +70,10 @@ def test_sam_coo_matches_expression_plan(encoding, short_term):
         assert tc.volume == pytest.approx(te.volume, abs=1e-6)
 
 
-def pc_prices(pricer, encoding, seed=17):
+def pc_prices(pricer, seed=17):
     rng = random.Random(seed)
     topo = small_wan(seed=3)
-    config = PretiumConfig(window=6, lookback=9, topk_encoding=encoding)
+    config = PretiumConfig(window=6, lookback=9)
     state = NetworkState(topo, 24, config)
     ra = RequestAdmission(state)
     pc = pricer(state, billing_window=6)
@@ -84,11 +83,9 @@ def pc_prices(pricer, encoding, seed=17):
     return duals, covered, changed, state.prices.copy()
 
 
-@pytest.mark.parametrize("encoding", ["cvar", "sorting"])
-def test_pc_coo_matches_expression_duals_and_prices(encoding):
-    duals_e, cov_e, changed_e, prices_e = pc_prices(ExprPriceComputer,
-                                                    encoding)
-    duals_c, cov_c, changed_c, prices_c = pc_prices(PriceComputer, encoding)
+def test_pc_coo_matches_expression_duals_and_prices():
+    duals_e, cov_e, changed_e, prices_e = pc_prices(ExprPriceComputer)
+    duals_c, cov_c, changed_c, prices_c = pc_prices(PriceComputer)
     assert changed_e and changed_c
     assert np.count_nonzero(duals_e) > 0  # the LP actually priced links
     np.testing.assert_allclose(duals_c, duals_e, atol=1e-6)

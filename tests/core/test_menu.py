@@ -23,7 +23,7 @@ def make_menu(specs, best_effort=True):
 
 def test_empty_menu():
     menu = PriceMenu([])
-    assert menu.is_empty
+    assert not menu.segments
     assert menu.max_guaranteed == 0.0
     assert menu.price(0.0) == 0.0
     assert menu.price(1.0) == math.inf

@@ -124,15 +124,6 @@ def test_price_updates_happen_each_window():
     assert ctl.price_updates >= 1
 
 
-def test_price_series_accessor():
-    wl = tiny_workload()
-    ctl = PretiumController(config())
-    simulate(ctl, wl)
-    series = ctl.price_series("S", "M1")
-    assert series.shape == (wl.n_steps,)
-    assert np.all(series >= 0)
-
-
 def test_fault_recovery_reroutes():
     """A failed link mid-run: SAM shifts traffic to the other path."""
     topo = parallel_paths_network(10.0, 10.0)

@@ -140,7 +140,7 @@ def test_install_plan_rewrites_future_reservations():
     _, state, ra, _ = setup()
     req = ByteRequest(1, "S", "T", 12.0, 0, 0, 2, 5.0)
     admit(ra, req)
-    before = state.planned_total(1)
+    before = sum(state.plan.get(1, {}).values())
     assert before == pytest.approx(12.0)
     new_plan = [Transmission(1, (0, 1), 1, 5.0),
                 Transmission(1, (2, 3), 2, 7.0)]
@@ -167,20 +167,3 @@ def test_billing_window_validation():
     with pytest.raises(ValueError):
         ScheduleAdjuster(state, 0)
 
-
-def test_sorting_encoding_gives_same_plan_value():
-    """CVaR and sorting-network SAMs agree on the objective."""
-    results = {}
-    for encoding in ("cvar", "sorting"):
-        topo = Topology()
-        topo.add_link("a", "b", 10.0, metered=True, cost_per_unit=1.0)
-        _, state, ra, sam = setup(topology=topo, n_steps=5, billing_window=5,
-                                  topk_encoding=encoding)
-        req = ByteRequest(1, "a", "b", 10.0, 0, 0, 4, 5.0)
-        contract = admit(ra, req)
-        plan = sam.adjust([contract], {}, loads_for(state), 0)
-        per_step = np.zeros(5)
-        for tx in plan:
-            per_step[tx.timestep] += tx.volume
-        results[encoding] = per_step.max()
-    assert results["cvar"] == pytest.approx(results["sorting"], abs=1e-6)

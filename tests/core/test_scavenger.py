@@ -21,7 +21,6 @@ def test_scavenger_contract_shape():
     contract = Contract.scavenger(req, named_price=0.5, now=0)
     assert contract.guaranteed == 0.0
     assert contract.chosen == 10.0
-    assert contract.best_effort_volume == 10.0
     assert contract.marginal_price == 0.5
     assert contract.payment_for(4.0) == pytest.approx(2.0)
     assert contract.payment_for(0.0) == 0.0

@@ -48,7 +48,7 @@ def test_reserve_and_residual():
     assert residual[path.link_indices()[0]] == 6.0
     assert residual[path.link_indices()[1]] == 6.0
     assert state.residual_on_path(path, 3) == 6.0
-    assert state.planned_total(1) == 4.0
+    assert sum(state.plan.get(1, {}).values()) == 4.0
 
 
 def test_reserve_accepts_raw_indices():
@@ -62,7 +62,7 @@ def test_reserve_accepts_raw_indices():
 def test_reserve_zero_is_noop():
     _, state = make_state()
     state.reserve(1, (0,), 0, 0.0)
-    assert state.planned_total(1) == 0.0
+    assert sum(state.plan.get(1, {}).values()) == 0.0
     assert 1 not in state.plan
 
 
@@ -75,7 +75,7 @@ def test_release_future():
     assert state.reserved[2, 0] == 2.0
     assert state.reserved[5, 0] == 0.0
     assert state.reserved[7, 1] == 0.0
-    assert state.planned_total(1) == 2.0
+    assert sum(state.plan.get(1, {}).values()) == 2.0
 
 
 def test_release_future_removes_empty_plans():

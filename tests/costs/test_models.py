@@ -24,15 +24,6 @@ def test_true_cost_single_window():
     assert model.true_cost(loads) == pytest.approx(expected)
 
 
-def test_proxy_cost_single_window():
-    topo = metered_line()
-    model = LinkCostModel(topo, billing_window=10)
-    loads = np.zeros((10, 2))
-    loads[:, 0] = np.arange(10.0)
-    # top 10% of 10 samples = 1 sample = max = 9
-    assert model.proxy_cost(loads) == pytest.approx(2.0 * 9.0)
-
-
 def test_multiple_billing_windows_summed():
     topo = metered_line()
     model = LinkCostModel(topo, billing_window=5)
@@ -55,32 +46,6 @@ def test_no_metered_links_zero_cost():
     model = LinkCostModel(topo, billing_window=5)
     loads = np.ones((10, topo.num_links)) * 7.0
     assert model.true_cost(loads) == 0.0
-    assert model.proxy_cost(loads) == 0.0
-    assert not model.has_metered_links()
-
-
-def test_per_link_breakdown():
-    topo = Topology()
-    topo.add_link("a", "b", 10.0, metered=True, cost_per_unit=1.0)
-    topo.add_link("b", "c", 10.0, metered=True, cost_per_unit=3.0)
-    model = LinkCostModel(topo, billing_window=10)
-    loads = np.zeros((10, 2))
-    loads[:, 0] = 2.0
-    loads[:, 1] = 5.0
-    breakdown = model.per_link_true_cost(loads)
-    assert breakdown[0] == pytest.approx(2.0)
-    assert breakdown[1] == pytest.approx(15.0)
-    assert model.true_cost(loads) == pytest.approx(sum(breakdown.values()))
-
-
-def test_proxy_upper_bounds_true_cost():
-    """z_e is positively biased over y_e, so proxy >= true billing."""
-    rng = np.random.default_rng(0)
-    topo = metered_line()
-    model = LinkCostModel(topo, billing_window=24)
-    loads = np.zeros((48, 2))
-    loads[:, 0] = rng.exponential(5.0, size=48)
-    assert model.proxy_cost(loads) >= model.true_cost(loads) - 1e-9
 
 
 def test_validation():
@@ -89,13 +54,11 @@ def test_validation():
         LinkCostModel(topo, billing_window=0)
     with pytest.raises(ValueError):
         LinkCostModel(topo, billing_window=5, percentile=150)
-    with pytest.raises(ValueError):
-        LinkCostModel(topo, billing_window=5, topk_fraction=0.0)
     model = LinkCostModel(topo, billing_window=5)
     with pytest.raises(ValueError):
         model.true_cost(np.zeros((10, 5)))
     with pytest.raises(ValueError):
-        model.proxy_cost(np.zeros(10))
+        model.true_cost(np.zeros(10))
 
 
 def test_repr():

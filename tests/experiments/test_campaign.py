@@ -15,9 +15,11 @@ import pytest
 
 from repro.experiments.campaign import (CAMPAIGN_PRESETS, CampaignCheckSpec,
                                         CampaignError, CampaignSpec,
-                                        FIGURE_KINDS, campaign_spec,
-                                        evaluate_check, run_campaign)
+                                        FIGURE_KINDS, _campaign_slo,
+                                        campaign_spec, evaluate_check,
+                                        run_campaign)
 from repro.options import RunOptions
+from repro.telemetry import MetricsRegistry
 
 
 def smoke_dict(**overrides):
@@ -276,37 +278,43 @@ def test_campaign_reports_fleet_metrics_and_slo(tmp_path):
     assert record["slo"]["ok"] is True
 
 
-def test_campaign_serves_live_metrics_while_running(tmp_path, monkeypatch):
-    """metrics_port=0 exposes fleet-merged /metrics for the campaign's
-    duration; progress callbacks fire while it is up, so scrape there."""
-    import urllib.request
+def test_campaign_slo_without_data_is_ok():
+    status = _campaign_slo(MetricsRegistry())
+    assert status["ok"] is True
+    assert status["objectives"] == {"quote_latency": None,
+                                    "error_budget": None, "degraded": None}
 
-    from repro.telemetry import live as live_module
 
-    ports, scraped = [], []
-    real_server = live_module.LiveMetricsServer
+def test_campaign_slo_reads_never_create_metrics():
+    registry = MetricsRegistry()
+    registry.histogram("service.latency_ms").observe(50.0)
+    status = _campaign_slo(registry)
+    assert len(registry) == 1
+    # A batch campaign judges no quote latency, recorded or not.
+    assert status["objectives"]["quote_latency"] is None
 
-    class Spy(real_server):
-        def start(self):
-            out = real_server.start(self)
-            ports.append(self.port)
-            return out
 
-    monkeypatch.setattr(live_module, "LiveMetricsServer", Spy)
+def test_campaign_slo_error_budget_burn():
+    registry = MetricsRegistry()
+    registry.counter("pretium.admitted").inc(98)
+    registry.counter("engine.failures").inc(2)
+    # 2% bad with a 99.9% target -> burn 20x.
+    status = _campaign_slo(registry)
+    budget = status["objectives"]["error_budget"]
+    assert budget["bad_rate"] == pytest.approx(0.02)
+    assert budget["burn"] == pytest.approx(20.0)
+    assert budget["ok"] is False and status["ok"] is False
 
-    def scrape_on_progress(done, total, cell):
-        with urllib.request.urlopen(
-                f"http://127.0.0.1:{ports[0]}/metrics",
-                timeout=5) as response:
-            scraped.append(response.read().decode())
 
-    spec = CampaignSpec.from_dict(smoke_dict())
-    result = run_campaign(spec, tmp_path, metrics_port=0,
-                          progress=scrape_on_progress)
-    assert result.ok
-    assert scraped and "# TYPE" in scraped[0]
-    # By the last scrape the parent registry had aggregated cell one.
-    assert "sweep_cells" in scraped[-1]
+def test_campaign_slo_degraded_rate():
+    registry = MetricsRegistry()
+    registry.counter("pretium.admitted").inc(90)
+    registry.counter("pretium.rejected").inc(10)
+    registry.counter("resilience.fallbacks").inc(20)
+    status = _campaign_slo(registry)
+    assert status["objectives"]["degraded"]["rate"] == pytest.approx(0.2)
+    assert status["objectives"]["degraded"]["ok"] is False
+    assert status["objectives"]["error_budget"]["ok"] is True
 
 
 # -- checks -------------------------------------------------------------------

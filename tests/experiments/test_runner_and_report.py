@@ -25,7 +25,7 @@ def test_make_scheme_unknown():
 def test_quick_scenario_shape():
     scenario = quick_scenario(seed=1)
     assert scenario.workload.n_requests > 10
-    assert scenario.cost_model.has_metered_links()
+    assert scenario.workload.topology.metered_links()
     assert "load=2" in scenario.description
 
 

@@ -5,6 +5,8 @@ onto the survivors — all through the same ``NetworkState.fail_link``
 path an operator-driven outage takes.
 """
 
+import json
+
 import pytest
 
 from repro.experiments.runner import run_scheme, scheme_spec
@@ -172,6 +174,35 @@ def test_cli_checks_kills_for_every_scheme(scheme, clause, tmp_path,
     assert err.startswith("error: ") and repr(spec) in err
     expected = "names no link" if clause == "nowhere" else "past the run"
     assert expected in err
+
+
+@pytest.mark.parametrize("clause", ["nowhere", "past-horizon"])
+def test_sweep_checks_kills_before_any_cell_runs(clause, capsys):
+    from repro.cli import main
+    scenario = tiny_scenario(seed=0)
+    link = scenario.topology.links[0]
+    spec = (f"{link.src}>nowhere@2" if clause == "nowhere"
+            else f"{link.src}>{link.dst}@{scenario.workload.n_steps}")
+    assert main(["sweep", "--scenario", "tiny", "--schemes", "OPT,Pretium",
+                 "--seeds", "0", "--link-kills", spec]) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("error: ") and repr(spec) in err
+    assert len(err.splitlines()) == 1       # no "[1/2] ..." progress line
+    assert out == ""
+
+
+def test_campaign_checks_kills_before_any_cell_runs(tmp_path, capsys):
+    from repro.cli import main
+    spec = tmp_path / "kill.json"
+    spec.write_text(json.dumps({
+        "campaign": {"name": "kill"},
+        "options": {"workers": 1, "link_kills": "dc000>nowhere@2"},
+        "sweeps": [{"name": "main", "schemes": ["OPT"], "scenario": "tiny",
+                    "seeds": [0]}]}))
+    assert main(["campaign", str(spec), "--out-dir",
+                 str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
 def test_a_kill_at_the_last_step_is_accepted():

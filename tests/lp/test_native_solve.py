@@ -39,7 +39,6 @@ import repro
 from repro.api import _as_scenario
 from repro.baselines import base as offline
 from repro.core import pretium
-from repro.core.pretium import PretiumController
 from repro.faults import resilience
 from repro.lp import (EQ, GE, LE, LPError, Model, ModelError, SolverError,
                       solver)
@@ -147,14 +146,6 @@ def assert_same_lane(model, **budgets):
     assert new.objective == old.objective
 
 
-def sorting(scheme_name):
-    """The scheme with the paper's sorting-network top-k encoding."""
-    if scheme_name == "Pretium":
-        return PretiumController(
-            config_overrides={"topk_encoding": "sorting"})
-    return SCHEMES.get(scheme_name).with_kwargs(topk_encoding="sorting")
-
-
 #: (id, scheme, scenario, options, minimum LPs).  All ten schemes on
 #: ``tiny``; the nine affordable ones on ``quick`` (``VCGLike`` there is
 #: 480 per-step auction LPs); then SAM/PC under every axis that changes
@@ -174,8 +165,6 @@ RUNS += [
      RunOptions(faults="sam:infeasible@3x1"), 8),
     ("qos3-guarantees-dropped", "Pretium", "quick",
      RunOptions(classes="qos3", faults="sam:infeasible@3x1"), 8),
-    ("sorting", sorting("Pretium"), "tiny", None, 6),
-    ("sorting-offline", sorting("OPT"), "tiny", None, 1),
 ]
 
 

@@ -39,12 +39,6 @@ def test_link_key_and_repr():
     assert "metered" in repr(t.link_between("b", "c"))
 
 
-def test_out_links():
-    t = build_triangle()
-    out = t.out_links("a")
-    assert [l.dst for l in out] == ["b"]
-
-
 def test_duplicate_link_rejected():
     t = build_triangle()
     with pytest.raises(ValueError):

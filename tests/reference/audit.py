@@ -76,7 +76,8 @@ def unwaived(findings: list[Finding]) -> list[Finding]:
 
 # -- per-(link, timestep) conservation --------------------------------------
 def _check_byte_conservation(ledger: Ledger) -> list[Finding]:
-    capacity = ledger.capacity_grid()
+    capacity = None if ledger.run_started is None \
+        else ledger.run_started.get("capacity")
     loads = ledger.link_loads()
     if capacity is None:
         if not loads:

@@ -170,8 +170,7 @@ class ExprAdjuster(ScheduleAdjuster):
                         loads.append(model.add_variable(
                             f"zero[{link.index},{t}]", lb=0.0, ub=0.0))
                 bound = add_sum_topk(model, loads, k,
-                                     name=f"z[{link.index},{window_start}]",
-                                     encoding=config.topk_encoding)
+                                     name=f"z[{link.index},{window_start}]")
                 cost_terms.append((link.cost_per_unit / k) * bound)
         return cost_terms
 
@@ -246,8 +245,7 @@ class ExprPriceComputer(PriceComputer):
                     load_constraints[(link.index, t)] = constraint
                     loads.append(load)
                 bound = add_sum_topk(model, loads, k,
-                                     name=f"z[{link.index},{window_start}]",
-                                     encoding=config.topk_encoding)
+                                     name=f"z[{link.index},{window_start}]")
                 cost_terms.append((link.cost_per_unit / k) * bound)
 
         model.set_objective(quicksum(value_terms) - quicksum(cost_terms)
@@ -303,8 +301,7 @@ class ExprPriceComputer(PriceComputer):
 def _solve_offline_schedule_expr(workload: Workload,
                                  items: list[ScheduleItem],
                                  topk_fraction: float,
-                                 topk_encoding: str, include_costs: bool,
-                                 objective: str,
+                                 include_costs: bool, objective: str,
                                  paths: PathCache) -> OfflineSchedule:
     """Reference expression-API builder (differential-test baseline)."""
     topology = workload.topology
@@ -369,8 +366,7 @@ def _solve_offline_schedule_expr(workload: Workload,
                         loads.append(model.add_variable(
                             f"zero[{link.index},{t}]", lb=0.0, ub=0.0))
                 bound = add_sum_topk(model, loads, k,
-                                     name=f"z[{link.index},{window_start}]",
-                                     encoding=topk_encoding)
+                                     name=f"z[{link.index},{window_start}]")
                 cost_terms.append((link.cost_per_unit / k) * bound)
 
     if value_expr is None and not cost_terms:

@@ -262,8 +262,7 @@ class ReferenceAdjuster(ScheduleAdjuster):
                         name=f"load[{link.index}]")
                 bound = add_sum_topk_coo(
                     model, loads.indices, k,
-                    name=f"z[{link.index},{window_start}]",
-                    encoding=config.topk_encoding)
+                    name=f"z[{link.index},{window_start}]")
                 obj_cols.append(np.array([bound]))
                 obj_vals.append(np.array([-(link.cost_per_unit / k)]))
 
@@ -360,8 +359,7 @@ class ReferencePriceComputer(PriceComputer):
                 load_blocks.append((link.index, window_start, window, block))
                 bound = add_sum_topk_coo(
                     model, loads.indices, k,
-                    name=f"z[{link.index},{window_start}]",
-                    encoding=config.topk_encoding)
+                    name=f"z[{link.index},{window_start}]")
                 obj_cols.append(np.array([bound]))
                 obj_vals.append(np.array([-(link.cost_per_unit / k)]))
 
@@ -397,8 +395,7 @@ class ReferencePriceComputer(PriceComputer):
 def _solve_offline_schedule_coo(workload: Workload,
                                 items: list[ScheduleItem],
                                 topk_fraction: float,
-                                topk_encoding: str, include_costs: bool,
-                                objective: str,
+                                include_costs: bool, objective: str,
                                 paths: PathCache) -> OfflineSchedule:
     """Array-native twin of :func:`_solve_offline_schedule_expr` (same
     emission order, so the solved schedule is identical)."""
@@ -491,8 +488,7 @@ def _solve_offline_schedule_coo(workload: Workload,
                         name=f"load[{link.index}]")
                 bound = add_sum_topk_coo(
                     model, loads.indices, k,
-                    name=f"z[{link.index},{window_start}]",
-                    encoding=topk_encoding)
+                    name=f"z[{link.index},{window_start}]")
                 obj_cols.append(np.array([bound]))
                 obj_vals.append(np.array([-(link.cost_per_unit / k)]))
                 n_cost_terms += 1

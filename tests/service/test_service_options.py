@@ -34,8 +34,6 @@ def test_defaults_are_live_service_shaped():
     dict(quote_deadline=float("inf")),
     dict(quote_deadline=float("nan")),
     dict(max_pending=0),
-    dict(metrics_port=-1),
-    dict(metrics_port=65536),
 ])
 def test_invalid_values_rejected_eagerly(kwargs):
     with pytest.raises(ValueError):
@@ -83,26 +81,3 @@ def test_serve_with_cache_disabled_builds_no_cache():
         assert svc.engine.scheme.menu_cache is None
         assert svc.engine.scheme.admission.cache is None
         svc.close()
-
-
-def test_metrics_port_default_runs_no_server():
-    with repro.serve("Pretium", "tiny") as svc:
-        assert svc.service.metrics_server is None
-        svc.close()
-
-
-def test_metrics_bind_conflict_fails_start_and_stops_loop():
-    """A taken metrics port must not leave a half-started service: the
-    loop thread is torn down and the failure surfaces to the caller."""
-    from repro.telemetry import MetricsRegistry
-    from repro.telemetry.live import LiveMetricsServer
-
-    squatter = LiveMetricsServer(MetricsRegistry(), port=0,
-                                 snapshot_period=0).start()
-    try:
-        with pytest.raises(OSError):
-            repro.serve("Pretium", "tiny",
-                        service_options=ServiceOptions(
-                            metrics_port=squatter.port))
-    finally:
-        squatter.stop()

@@ -133,13 +133,6 @@ def test_module_runtimes_summary_empty():
     assert ModuleRuntimes().summary() == {}
 
 
-def test_request_by_id():
-    result = simulate(ScriptedScheme(), workload())
-    assert result.request_by_id(1).rid == 1
-    with pytest.raises(KeyError):
-        result.request_by_id(99)
-
-
 def test_scheme_name_defaults_to_class():
     class Anon(ScriptedScheme):
         name = None

@@ -97,7 +97,7 @@ def test_ledger_run_level_events():
     assert ledger.run_started["scheme"] == "Pretium"
     assert ledger.run_ended["payments_total"] == 2.0
     assert len(ledger.price_updates) == 1
-    assert ledger.capacity_grid() == [[10.0, 10.0]] * 4
+    assert ledger.run_started["capacity"] == [[10.0, 10.0]] * 4
     assert ledger.total_delivered() == pytest.approx(4.0)
     assert ledger.total_payments() == pytest.approx(2.0)
 

@@ -22,12 +22,11 @@ def test_counter_rejects_negative():
         Counter().inc(-1)
 
 
-def test_gauge_set_inc_dec():
+def test_gauge_set_and_inc():
     gauge = Gauge()
     gauge.set(10.0)
     gauge.inc(2.5)
-    gauge.dec(0.5)
-    assert gauge.value == pytest.approx(12.0)
+    assert gauge.value == pytest.approx(12.5)
 
 
 def test_histogram_empty():

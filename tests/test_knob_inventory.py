@@ -21,7 +21,7 @@ FIELDS = {
     PretiumConfig: [
         "route_count", "routing", "window", "lookback", "initial_price",
         "price_floor", "congestion_threshold", "congestion_multiplier",
-        "topk_fraction", "topk_encoding", "percentile", "highpri_fraction",
+        "topk_fraction", "percentile", "highpri_fraction",
         "sam_enabled", "menu_enabled", "short_term_adjustment",
         "allow_best_effort", "solver_backend", "solver_retries",
         "solver_time_limit", "solver_maxiter"],
@@ -30,7 +30,7 @@ FIELDS = {
         "fault_seed", "link_kills", "telemetry", "trace_tags", "workers"],
     ServiceOptions: [
         "batch_window", "batch_max", "cache_size", "quote_deadline",
-        "max_pending", "metrics_port"],
+        "max_pending"],
     RetryPolicy: ["retries", "time_limit", "maxiter"],
 }
 
@@ -46,10 +46,10 @@ OPTIONS = {
                                "--workload"]),
     "sweep": sorted(RUN_KNOBS + ["--loads", "--out", "--scenario",
                                  "--schemes", "--seeds", "--workers"]),
-    "campaign": ["--list", "--metrics-port", "--out-dir", "--workers"],
+    "campaign": ["--list", "--out-dir", "--workers"],
     "serve": sorted(RUN_KNOBS + [
         "--batch-max", "--batch-window", "--cache-size", "--max-pending",
-        "--metrics-port", "--out", "--price-checks", "--quote-deadline",
+        "--out", "--price-checks", "--quote-deadline",
         "--rate", "--scenario", "--scheme", "--seed"]),
     "figure": ["--seed", "--workers"],
     "list-schemes": [],

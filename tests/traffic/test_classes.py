@@ -20,7 +20,6 @@ from repro.traffic.classes import (CLASS_MIXES, ClassMix, DEFAULT_CLASS,
 
 def test_default_class_is_neutral():
     assert DEFAULT_CLASS.name == "default"
-    assert DEFAULT_CLASS.is_default_like
     assert DEFAULT_CLASS.value_multiplier == 1.0
     assert DEFAULT_CLASS.price_multiplier == 1.0
     assert not DEFAULT_CLASS.preemptible
@@ -47,16 +46,6 @@ def test_bad_class_specs_rejected(kwargs):
         TrafficClass(**kwargs)
 
 
-def test_any_non_neutral_knob_defeats_default_like():
-    assert not TrafficClass("x", value_multiplier=1.1).is_default_like
-    assert not TrafficClass("x", deadline_stretch=2.0).is_default_like
-    assert not TrafficClass("x", price_multiplier=0.9).is_default_like
-    assert not TrafficClass("x", preemptible=True).is_default_like
-    assert not TrafficClass("x", weight=2.0).is_default_like
-    # share only matters for assignment, not per-request behaviour.
-    assert TrafficClass("x", share=0.5).is_default_like
-
-
 # -- ClassMix -----------------------------------------------------------------
 
 def test_mix_validates_membership_and_names():
@@ -66,7 +55,6 @@ def test_mix_validates_membership_and_names():
         ClassMix.of(TrafficClass("a"), TrafficClass("a", weight=2.0))
     mix = CLASS_MIXES["qos3"]
     assert mix.names == ("interactive", "elastic", "background")
-    assert mix.by_name("elastic").is_default_like
     with pytest.raises(KeyError, match="unknown traffic class"):
         mix.by_name("platinum")
 

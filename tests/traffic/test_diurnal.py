@@ -48,23 +48,6 @@ def test_validation():
         DiurnalProfile(24, sharpness=0.5)
 
 
-def test_peak_window_contains_peak():
-    p = DiurnalProfile(steps_per_day=24, peak_step=12, amplitude=0.6)
-    first, last = p.peak_window(fraction=0.33)
-    width = (last - first) % 24 + 1
-    assert width == 8
-    covered = {(first + k) % 24 for k in range(width)}
-    assert 12 in covered
-
-
-def test_peak_window_validation():
-    p = flat_profile(24)
-    with pytest.raises(ValueError):
-        p.peak_window(fraction=0.0)
-    with pytest.raises(ValueError):
-        p.peak_window(fraction=1.0)
-
-
 def test_region_profiles_offset_peaks():
     profiles = region_profiles(24, ["us", "eu", "asia"], amplitude=0.5)
     peaks = {name: int(np.argmax(p.series(24)))

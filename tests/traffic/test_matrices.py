@@ -33,14 +33,6 @@ def test_series_determinism():
     assert not np.array_equal(a.demand, c.demand)
 
 
-def test_pair_series_and_totals():
-    topo, series = make_series()
-    nodes = series.nodes
-    pair = series.pair_series(nodes[0], nodes[1])
-    assert pair.shape == (48,)
-    assert series.total() == pytest.approx(series.total_per_step().sum())
-
-
 def test_scaled():
     _, series = make_series()
     doubled = series.scaled(2.0)
@@ -50,14 +42,6 @@ def test_scaled():
     for factor in (float("nan"), float("inf")):
         with pytest.raises(ValueError, match="finite"):
             series.scaled(factor)
-
-
-def test_top_pairs_sorted():
-    _, series = make_series()
-    top = series.top_pairs(10)
-    volumes = [v for _, _, v in top]
-    assert volumes == sorted(volumes, reverse=True)
-    assert len(top) == 10
 
 
 def test_gravity_concentration():
@@ -70,10 +54,8 @@ def test_gravity_concentration():
                                   seed=1)
 
     def top10_share(series):
-        totals = sorted((float(v) for _, _, v in
-                         series.top_pairs(series.demand.shape[1] ** 2)),
-                        reverse=True)
-        return sum(totals[:10]) / sum(totals)
+        totals = np.sort(series.demand.sum(axis=0), axis=None)[::-1]
+        return totals[:10].sum() / totals.sum()
 
     assert top10_share(skewed) > top10_share(flat)
 
@@ -83,7 +65,7 @@ def test_diurnal_modulation_visible():
     series = synthesize_tm_series(topo, 48, 24, diurnal_amplitude=0.7,
                                   noise_sigma=0.0, flash_crowd_rate=0.0,
                                   seed=2)
-    totals = series.total_per_step()
+    totals = series.demand.sum(axis=(1, 2))
     assert totals.max() / totals.min() > 1.3
 
 

@@ -132,7 +132,7 @@ def test_arrivals_track_demand_profile():
                                   noise_sigma=0.0, flash_crowd_rate=0.0,
                                   seed=1)
     requests = synthesize_requests(series, FixedValues(1.0), seed=1)
-    totals = series.total_per_step()
+    totals = series.demand.sum(axis=(1, 2))
     counts = np.zeros(48)
     for r in requests:
         counts[r.arrival] += r.demand
