@@ -65,8 +65,8 @@ from ..options import RunOptions
 from ..sim import metrics
 from ..telemetry.report import format_cell, format_table, metric_rows
 from .scenarios import LOAD_FACTORS
-from .sweep import SweepGrid, SweepResult, load_columns, peak_rss_mb, \
-    run_sweep
+from .sweep import SweepGrid, SweepResult, _run_grid, check_link_kills, \
+    load_columns, peak_rss_mb
 
 
 class CampaignError(ValueError):
@@ -588,13 +588,18 @@ def run_campaign(spec: CampaignSpec, out_dir: str | Path,
     spec's ``[options]`` table wholesale (callers wanting a partial
     override start from ``spec.options.replace(...)`` — the CLI maps
     ``--workers`` that way).  ``progress`` is
-    forwarded to every underlying :func:`run_sweep`.
+    forwarded to every underlying sweep.  Link kills are checked against
+    every sweep's worlds before the first cell starts: a clause that
+    fits one sweep's scenario but not another's raises
+    :class:`~repro.faults.FaultSpecError` and runs nothing.
     """
     from ..telemetry.fleet import fleet_registry_from_cells
 
+    run_options = spec.options if options is None else options
+    check_link_kills((sweep_spec.grid() for sweep_spec in spec.sweeps),
+                     run_options)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    run_options = spec.options if options is None else options
 
     begin = time.perf_counter()
     stages: list[StageTiming] = []
@@ -605,8 +610,7 @@ def run_campaign(spec: CampaignSpec, out_dir: str | Path,
             sweep_options = sweep_options.replace(
                 telemetry=out_dir / f"{sweep_spec.name}.jsonl")
         stage_begin = time.perf_counter()
-        result = run_sweep(sweep_spec.grid(), options=sweep_options,
-                           progress=progress)
+        result = _run_grid(sweep_spec.grid(), sweep_options, progress)
         sweeps[sweep_spec.name] = result
         stages.append(StageTiming(
             stage=f"sweep:{sweep_spec.name}",

@@ -602,6 +602,26 @@ def _run_cells_isolated(cells: list[SweepCell], options: RunOptions,
                 index += 1
 
 
+def check_link_kills(grids: Iterable[SweepGrid],
+                     options: RunOptions) -> None:
+    """Raise :class:`~repro.faults.FaultSpecError` if a clause of
+    ``options.link_kills`` names a link or step that the world of some
+    (scenario, seed) column of ``grids`` lacks.
+
+    A no-op without kills.  With kills, each distinct world is built
+    once more, outside the scenario cache, so the check leaves the cache
+    and every cell's ``cache_hit`` as they would be without it.
+    """
+    if options.link_kills is None:
+        return
+    kills = LinkKillSchedule.from_spec(options.link_kills)
+    columns = dict.fromkeys(
+        (cell.scenario.with_classes(options.classes), cell.seed)
+        for grid in grids for cell in grid.cells())
+    for spec, seed in columns:
+        kills.check(spec.build(seed=seed).workload)
+
+
 def run_sweep(grid: SweepGrid, options: RunOptions | None = None,
               progress: Callable[[int, int, CellResult], None] | None = None
               ) -> SweepResult:
@@ -624,17 +644,19 @@ def run_sweep(grid: SweepGrid, options: RunOptions | None = None,
     ``progress`` is invoked exactly once per finished cell with
     ``(done, total, result)``.  A link-kill clause naming no link or
     step of some (scenario, seed) column's world raises
-    :class:`~repro.faults.FaultSpecError` before any cell starts.
+    :class:`~repro.faults.FaultSpecError` before any cell starts
+    (:func:`check_link_kills`).
     """
     opts = options or RunOptions()
+    check_link_kills((grid,), opts)
+    return _run_grid(grid, opts, progress)
+
+
+def _run_grid(grid: SweepGrid, opts: RunOptions,
+              progress: Callable[[int, int, CellResult], None] | None
+              ) -> SweepResult:
+    """:func:`run_sweep` after its link-kill check."""
     cells = grid.cells()
-    if opts.link_kills is not None:
-        # Built through the cell's cache key, so serial cells reuse it.
-        kills = LinkKillSchedule.from_spec(opts.link_kills)
-        for spec, seed in dict.fromkeys((cell.scenario, cell.seed)
-                                        for cell in cells):
-            kills.check(cached_scenario(spec.with_classes(opts.classes),
-                                        seed)[0].workload)
     total = len(cells)
     trace_base = opts.telemetry
     workers = min(max(1, opts.workers), total)

@@ -205,6 +205,33 @@ def test_campaign_checks_kills_before_any_cell_runs(tmp_path, capsys):
     assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
+def test_campaign_checks_kills_against_every_sweep_first(tmp_path, capsys):
+    """A clause that fits the first sweep's world but names no link of
+    the second's fails before the first sweep runs a cell."""
+    from repro.cli import main
+    from repro.experiments.scenarios import multiclass_scenario
+    first = multiclass_scenario(seed=0).topology
+    second = tiny_scenario(seed=0).topology
+    link = next(link for link in first.links
+                if not second.has_link(link.src, link.dst))
+    clause = f"{link.src}>{link.dst}@2"
+    spec = tmp_path / "kill.json"
+    spec.write_text(json.dumps({
+        "campaign": {"name": "kill"},
+        "options": {"workers": 1, "link_kills": clause},
+        "sweeps": [{"name": "first", "schemes": ["OPT"],
+                    "scenario": "multiclass_medium", "seeds": [0]},
+                   {"name": "second", "schemes": ["OPT"],
+                    "scenario": "tiny", "seeds": [0]}]}))
+    out_dir = tmp_path / "out"
+    capsys.readouterr()
+    assert main(["campaign", str(spec), "--out-dir", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and repr(clause) in err
+    assert len(err.splitlines()) == 1       # no "[1/1] ..." progress line
+    assert not (out_dir / "report.md").exists()
+
+
 def test_a_kill_at_the_last_step_is_accepted():
     scenario = tiny_scenario(seed=0)
     link = scenario.topology.links[0]

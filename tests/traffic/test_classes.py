@@ -21,7 +21,9 @@ from repro.traffic.classes import (CLASS_MIXES, ClassMix, DEFAULT_CLASS,
 def test_default_class_is_neutral():
     assert DEFAULT_CLASS.name == "default"
     assert DEFAULT_CLASS.value_multiplier == 1.0
+    assert DEFAULT_CLASS.deadline_stretch == 1.0
     assert DEFAULT_CLASS.price_multiplier == 1.0
+    assert DEFAULT_CLASS.weight == 1.0
     assert not DEFAULT_CLASS.preemptible
 
 
@@ -55,6 +57,8 @@ def test_mix_validates_membership_and_names():
         ClassMix.of(TrafficClass("a"), TrafficClass("a", weight=2.0))
     mix = CLASS_MIXES["qos3"]
     assert mix.names == ("interactive", "elastic", "background")
+    # The elastic class is the paper's neutral default class.
+    assert mix.by_name("elastic") == TrafficClass("elastic", share=0.5)
     with pytest.raises(KeyError, match="unknown traffic class"):
         mix.by_name("platinum")
 
