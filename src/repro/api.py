@@ -230,10 +230,6 @@ class ServiceHandle:
     def engine(self):
         return self.service.engine
 
-    @property
-    def running(self) -> bool:
-        return self.service.running
-
     # -- lifecycle -----------------------------------------------------------
     def close(self) -> RunResult:
         """Stop the service and settle; idempotent."""

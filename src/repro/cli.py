@@ -37,10 +37,6 @@ Commands
     (byte conservation, guarantees, menu convexity, settlement and
     revenue reconciliation) in one streaming pass; non-zero exit on
     unwaived findings.
-``telemetry export``
-    Convert a trace to Chrome/Perfetto ``trace_event`` JSON
-    (``--format chrome-trace``) or Prometheus text exposition
-    (``--format prom``).
 ``telemetry timeline``
     Print one request's full economic history from a trace (streamed:
     only that request's and the run-level ledger events are kept).
@@ -72,8 +68,7 @@ from .network import ROUTING_POLICIES, wan_topology
 from .options import RunOptions
 from .registry import SCENARIOS, SCHEMES
 from .sim import save_summary
-from .telemetry import (chrome_trace_json, flame_report, iter_trace,
-                        prometheus_text, report_trace, timeline)
+from .telemetry import flame_report, iter_trace, report_trace, timeline
 from .traffic import NormalValues, build_workload, load_workload, \
     save_workload
 
@@ -216,15 +211,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="summary JSON (from run --out) to reconcile "
                           "revenue/welfare against (single-run traces "
                           "only)")
-
-    exp = tel_sub.add_parser("export", help="convert a trace to an "
-                                            "external tool format")
-    exp.add_argument("trace", help="trace file from run --telemetry")
-    exp.add_argument("--format", required=True,
-                     choices=["chrome-trace", "prom"],
-                     help="chrome-trace: Perfetto/chrome://tracing JSON; "
-                          "prom: Prometheus text exposition")
-    exp.add_argument("--out", help="write here instead of stdout")
 
     tml = tel_sub.add_parser("timeline", help="print one request's "
                                               "economic history")
@@ -591,17 +577,6 @@ def _request_events(events, rid: int, cell: int | None) -> list[dict]:
             and (event.get("rid") is None or int(event["rid"]) == rid)]
 
 
-def _emit(payload: str, out: str | None, what: str) -> int:
-    """Write ``payload`` to ``out``, or print it when no path is given."""
-    if out:
-        with open(out, "w", encoding="utf-8") as handle:
-            handle.write(payload)
-        print(f"wrote {what} to {out}")
-    else:
-        print(payload, end="" if payload.endswith("\n") else "\n")
-    return 0
-
-
 def _cmd_telemetry(args) -> int:
     try:
         events = _stream_trace(args.trace)
@@ -640,22 +615,21 @@ def _cmd_telemetry(args) -> int:
                 return 1
             return 0
         events = list(events)
+        if not any(event.get("type") == "span" for event in events):
+            raise ValueError(f"no span events in {args.trace} — run with "
+                             "--telemetry to record spans")
         if args.telemetry_command == "report":
             print(report_trace(events))
             return 0
-        if args.telemetry_command == "export":
-            if args.format == "chrome-trace":
-                payload = chrome_trace_json(events)
-            else:
-                payload = prometheus_text(events)
-                if payload is None:
-                    print(f"error: {args.trace} has no metrics snapshot "
-                          "to export", file=sys.stderr)
-                    return 1
-            return _emit(payload, args.out, f"{args.format} output")
         if args.telemetry_command == "flame":
             payload = flame_report(events, fmt=args.format)
-            return _emit(payload, args.out, f"{args.format} profile")
+            if not args.out:
+                print(payload, end="" if payload.endswith("\n") else "\n")
+                return 0
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(payload)
+            print(f"wrote {args.format} profile to {args.out}")
+            return 0
     except FileNotFoundError:
         print(f"error: no such trace file: {args.trace}", file=sys.stderr)
         return 1

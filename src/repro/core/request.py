@@ -1,13 +1,12 @@
-"""Request types (paper §3.1 and §4.4).
+"""The byte request (paper §3.1).
 
 A **byte request** asks to move ``demand`` volume units from ``src`` to
 ``dst`` within the timestep window ``[start, deadline]`` (both inclusive).
 The customer's value per unit, ``value``, is private — schemes other than
 the oracle baselines never read it directly.
 
-A **rate request** asks for a guaranteed rate over an interval; per §4.4 it
-is handled as a sequence of single-timestep byte requests, produced by
-:meth:`RateRequest.to_byte_requests`.
+The paper's rate requests (§4.4) are not reproduced: no scenario submits
+one (DESIGN.md §6).
 
 This module is a dependency leaf: both the traffic synthesizer (which
 produces requests) and the Pretium core (which serves them) import it.
@@ -119,51 +118,3 @@ class ByteRequest:
     def with_demand(self, demand: float) -> "ByteRequest":
         """Copy with an altered demand."""
         return replace(self, demand=demand)
-
-
-@dataclass(frozen=True)
-class RateRequest:
-    """A guaranteed-rate lease (e.g. 250 Mbps in/out for a VM lease).
-
-    Per §4.4 a rate request is equivalent to one byte request per timestep,
-    each demanding ``rate`` units within a single-step window.
-    """
-
-    rid: int
-    src: str
-    dst: str
-    rate: float
-    arrival: int
-    start: int
-    end: int
-    value: float
-
-    def __post_init__(self) -> None:
-        _require_finite(f"rate request {self.rid}", rate=self.rate,
-                        value=self.value)
-        if self.rate <= 0:
-            raise ValueError(f"rate request {self.rid}: rate must be positive")
-        if self.end < self.start:
-            raise ValueError(f"rate request {self.rid}: empty interval")
-        if self.start < self.arrival:
-            raise ValueError(f"rate request {self.rid}: starts before arrival")
-        if self.src == self.dst:
-            raise ValueError(f"rate request {self.rid}: src == dst")
-        if self.value < 0:
-            raise ValueError(f"rate request {self.rid}: negative value")
-        if self.arrival < 0:
-            raise ValueError(f"rate request {self.rid}: negative arrival "
-                             f"{self.arrival}")
-
-    def to_byte_requests(self, id_offset: int = 0) -> list[ByteRequest]:
-        """Expand into per-timestep byte requests (§4.4).
-
-        Sub-request ids are ``id_offset + t - start`` so they stay unique
-        when the caller reserves a contiguous id block.
-        """
-        return [
-            ByteRequest(rid=id_offset + t - self.start, src=self.src,
-                        dst=self.dst, demand=self.rate, arrival=self.arrival,
-                        start=t, deadline=t, value=self.value)
-            for t in range(self.start, self.end + 1)
-        ]

@@ -9,9 +9,6 @@ implements exactly that and is the default throughout the evaluation.
 the customer is offered only the full demand at its quoted price and
 accepts iff the deal has nonnegative utility *and* the full demand can be
 guaranteed.
-
-:class:`ThresholdUser` buys only when the average price leaves a required
-relative surplus — a simple risk-averse variant used in sensitivity tests.
 """
 
 from __future__ import annotations
@@ -58,22 +55,3 @@ class AllOrNothingUser(UserModel):
         if total_price <= request.value * request.demand + EPS:
             return request.demand
         return 0.0
-
-
-class ThresholdUser(UserModel):
-    """Buys the best-response volume only if the whole deal leaves at
-    least ``margin`` relative surplus; models price-wary customers."""
-
-    def __init__(self, margin: float = 0.1) -> None:
-        if margin < 0:
-            raise ValueError("margin must be nonnegative")
-        self.margin = margin
-
-    def choose(self, request: ByteRequest, menu: PriceMenu) -> float:
-        chosen = menu.best_response(request.value, request.demand)
-        if chosen <= EPS:
-            return 0.0
-        price = menu.price(chosen)
-        if price > (1.0 - self.margin) * request.value * chosen + EPS:
-            return 0.0
-        return chosen

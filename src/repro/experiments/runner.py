@@ -8,10 +8,10 @@ compute their whole run in one LP pass.  Both produce the same
 Schemes are registered as :class:`SchemeSpec` objects — a picklable
 (name, factory class, kwargs) triple rather than a bare lambda — so that
 grid cells can be shipped to sweep worker processes and parameterised
-variants (``make_scheme("RegionOracle", grid_points=9)``) fall out for
-free.  :func:`run_scheme` accepts a :class:`~repro.options.RunOptions`
-bundle and scopes the run environment (fault injector, telemetry trace)
-it asks for.
+variants (``SchemeSpec.of("RegionOracle", RegionOracle,
+grid_points=9)``) fall out for free.  :func:`run_scheme` accepts a
+:class:`~repro.options.RunOptions` bundle and scopes the run environment
+(fault injector, telemetry trace) it asks for.
 """
 
 from __future__ import annotations
@@ -47,12 +47,6 @@ class SchemeSpec:
     @classmethod
     def of(cls, name: str, factory: Callable, **kwargs) -> "SchemeSpec":
         return cls(name, factory, tuple(sorted(kwargs.items())))
-
-    def with_kwargs(self, **overrides) -> "SchemeSpec":
-        """A copy with ``overrides`` merged over the spec's kwargs."""
-        merged = {**dict(self.kwargs), **overrides}
-        return SchemeSpec(self.name, self.factory,
-                          tuple(sorted(merged.items())))
 
     def build(self, options: RunOptions | None = None):
         """Instantiate the scheme (applying any config-mapped options)."""
@@ -123,18 +117,6 @@ def scheme_spec(scheme: str | SchemeSpec) -> SchemeSpec:
         return spec
     from ..registry import SCHEMES
     return SCHEMES.get(scheme)
-
-
-def make_scheme(name: str, **kwargs):
-    """Instantiate a scheme by its evaluation name.
-
-    ``kwargs`` override the registry defaults, e.g.
-    ``make_scheme("RegionOracle", grid_points=9)``.
-    """
-    spec = scheme_spec(name)
-    if kwargs:
-        spec = spec.with_kwargs(**kwargs)
-    return spec.build()
 
 
 def run_scheme(scheme, scenario: Scenario,

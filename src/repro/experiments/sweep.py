@@ -331,13 +331,6 @@ def scenario_cache_stats() -> dict:
     return {**_scenario_cache_stats, "size": len(_scenario_cache)}
 
 
-def clear_scenario_cache() -> None:
-    """Drop every cached build and zero the counters (test isolation)."""
-    _scenario_cache.clear()
-    _scenario_cache_stats.update(hits=0, misses=0)
-    _scenario_cache_reported.update(hits=0, misses=0)
-
-
 # -- the unit of work ---------------------------------------------------------
 
 def _cell_trace_path(base: str | Path, index: int) -> Path:

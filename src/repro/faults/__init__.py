@@ -26,16 +26,15 @@ complete (``RunResult.extras["failures"]``).
 """
 
 from .injector import (KINDS, MODULES, FaultInjector, FaultRule,
-                       FaultSpecError, get_injector, is_injected,
-                       parse_fault_spec, set_injector, use_injector)
+                       FaultSpecError, get_injector, parse_fault_spec,
+                       set_injector, use_injector)
 from .links import LinkKill, LinkKillSchedule, parse_link_kills
 from .resilience import (DeadlineBudget, QuoteBudgetExceeded, RetryPolicy,
                          resilient_solve)
 
 __all__ = [
-    "DeadlineBudget", "FaultInjector", "FaultRule", "FaultSpecError",
-    "KINDS", "LinkKill", "LinkKillSchedule", "MODULES",
-    "QuoteBudgetExceeded", "RetryPolicy", "get_injector", "is_injected",
-    "parse_fault_spec", "parse_link_kills", "resilient_solve",
-    "set_injector", "use_injector",
+    "DeadlineBudget", "FaultInjector", "FaultRule", "FaultSpecError", "KINDS",
+    "LinkKill", "LinkKillSchedule", "MODULES", "QuoteBudgetExceeded",
+    "RetryPolicy", "get_injector", "parse_fault_spec", "parse_link_kills",
+    "resilient_solve", "set_injector", "use_injector",
 ]

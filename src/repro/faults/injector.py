@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..lp.errors import InfeasibleError, LPError, SolverError, SolverTimeout
+from ..lp.errors import InfeasibleError, SolverError, SolverTimeout
 from ..telemetry import get_registry
 
 #: Module labels the control loop injects at.
@@ -158,26 +158,11 @@ class FaultInjector:
             registry = get_registry()
             registry.counter("faults.injected").inc()
             registry.counter(f"faults.injected.{module}").inc()
-            exc = KINDS[rule.kind](
+            raise KINDS[rule.kind](
                 f"injected {rule.kind} fault at ({module}, step {step})")
-            exc.injected = True
-            raise exc
-
-    def reset(self) -> None:
-        """Forget fired counts and reseed — the next run replays the
-        identical schedule."""
-        for rule in self.rules:
-            rule.fired = 0
-        self._rng = np.random.default_rng(self.seed)
-        self.injections = []
 
     def __repr__(self) -> str:
         return f"FaultInjector({len(self.rules)} rules, seed={self.seed})"
-
-
-def is_injected(exc: BaseException) -> bool:
-    """Whether ``exc`` was raised by a :class:`FaultInjector`."""
-    return isinstance(exc, LPError) and getattr(exc, "injected", False)
 
 
 #: The disabled default: no rules, check() is a no-op loop over nothing.

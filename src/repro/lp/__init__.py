@@ -12,16 +12,13 @@ from .model import EQ, GE, LE, ConstraintBlock, Model, VariableBlock
 from .solver import (HIGHSPY_AVAILABLE, SOLVER_BACKENDS, HighsSession,
                      ScipySession, Solution, SolverSession, session_for,
                      solve_model)
-from .topk import (TOPK_ENCODINGS, add_sum_topk_coo, sum_topk_exact,
-                   topk_template)
+from .topk import TOPK_ENCODINGS, add_sum_topk_coo, topk_template
 
 __all__ = [
-    "ConstraintBlock", "EQ", "GE", "HIGHSPY_AVAILABLE",
-    "HighsSession", "InfeasibleError", "LE",
-    "LPError", "Model", "ModelError", "SOLVER_BACKENDS",
-    "ScipySession", "Solution", "SolverError",
+    "ConstraintBlock", "EQ", "GE", "HIGHSPY_AVAILABLE", "HighsSession",
+    "InfeasibleError", "LE", "LPError", "Model", "ModelError",
+    "SOLVER_BACKENDS", "ScipySession", "Solution", "SolverError",
     "SolverSession", "SolverTimeout", "TOPK_ENCODINGS", "UnboundedError",
-    "VariableBlock",
-    "add_sum_topk_coo", "session_for", "solve_model",
-    "sum_topk_exact", "topk_template",
+    "VariableBlock", "add_sum_topk_coo", "session_for", "solve_model",
+    "topk_template",
 ]

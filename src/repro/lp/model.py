@@ -14,7 +14,7 @@ and the objective as COO triplets over those indices::
     cap = m.add_constraints_coo([0, 0], x.indices, [1.0, 2.0], "<=", [8.0])
     m.set_objective_coo(x.indices, [3.0, 5.0])
     sol = m.solve()
-    sol.value_array(x), sol.objective, sol.dual_array(cap)
+    sol.x[x.start:x.stop], sol.objective, sol.dual_array(cap)
 
 Dual values follow the *user's* orientation: for a maximisation problem the
 dual of a binding ``<=`` constraint is the nonnegative shadow price

@@ -34,8 +34,7 @@ import numpy as np
 from ..telemetry import get_registry, get_tracer
 from .errors import InfeasibleError, ModelError, SolverError, SolverTimeout, \
     UnboundedError
-from .model import SENSE_CODES, ConstraintBlock, EQ, GE, LE, Model, \
-    VariableBlock
+from .model import SENSE_CODES, ConstraintBlock, EQ, GE, LE, Model
 
 #: Whether the native ``highspy`` bindings are importable.  The import is
 #: probed lazily (spec only) so merely loading this module never pays for
@@ -123,7 +122,7 @@ _CODE_EQ = SENSE_CODES[EQ]
 class Solution:
     """The result of solving a model.
 
-    Provides primal values (:meth:`value_array`, :attr:`x`), the objective
+    Provides primal values (:attr:`x`), the objective
     in the model's own orientation (:attr:`objective`) and constraint duals
     (:meth:`dual_array`, :attr:`duals`).
 
@@ -141,10 +140,6 @@ class Solution:
         self._x = x
         self.objective = objective
         self._duals = duals
-
-    def value_array(self, block: VariableBlock) -> np.ndarray:
-        """Primal values of a variable block as one array slice."""
-        return self._x[block.start:block.stop]
 
     def dual_array(self, block: ConstraintBlock) -> np.ndarray:
         """Duals of a constraint block as one array slice (row order)."""

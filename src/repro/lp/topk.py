@@ -28,7 +28,6 @@ exists for fidelity to the paper's Theorem 4.2 construction.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from typing import NamedTuple
 
 import numpy as np
@@ -38,15 +37,6 @@ from .model import EQ, GE, LE, SENSE_CODES, Model
 
 #: The encodings :func:`topk_template` accepts.
 TOPK_ENCODINGS = ("cvar", "sorting")
-
-
-def sum_topk_exact(values: Sequence[float], k: int) -> float:
-    """Exact sum of the ``k`` largest entries of ``values`` (reference)."""
-    if k <= 0:
-        return 0.0
-    arr = np.asarray(values, dtype=float)
-    k = min(k, arr.size)
-    return float(np.sort(arr)[-k:].sum())
 
 
 class TopkTemplate(NamedTuple):

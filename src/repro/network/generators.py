@@ -13,8 +13,6 @@ All generators are deterministic given a seed.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .regions import region_name
@@ -165,11 +163,6 @@ def production_wan(seed: int = 0) -> Topology:
     return topology
 
 
-def small_wan(seed: int = 0) -> Topology:
-    """Default benchmark scale: ~20 nodes / 4 regions (see DESIGN.md §5)."""
-    return wan_topology(n_nodes=20, n_regions=4, seed=seed, name="small-wan")
-
-
 def figure2_network() -> Topology:
     """The 4-node example of the paper's Figure 2.
 
@@ -181,16 +174,6 @@ def figure2_network() -> Topology:
     topology.add_link("A", "B", capacity=2.0)
     topology.add_link("A", "C", capacity=2.0)
     topology.add_link("C", "D", capacity=2.0)
-    return topology
-
-
-def line_network(n_nodes: int = 3, capacity: float = 10.0,
-                 metered: bool = False, cost_per_unit: float = 0.0) -> Topology:
-    """n0 -> n1 -> ... chain, handy for unit tests."""
-    topology = Topology(name=f"line{n_nodes}")
-    for i in range(n_nodes - 1):
-        topology.add_link(f"n{i}", f"n{i+1}", capacity, metered=metered,
-                          cost_per_unit=cost_per_unit)
     return topology
 
 

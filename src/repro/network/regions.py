@@ -8,7 +8,7 @@ the region vocabulary in one place.
 
 from __future__ import annotations
 
-from .topology import Link, Topology
+from .topology import Topology
 
 #: Region names used by the synthetic generators, mirroring the geographies
 #: in the paper's Table 2 price sheet.
@@ -35,17 +35,3 @@ def is_inter_region(topology: Topology, src: str, dst: str) -> bool:
     if region_src is None or region_dst is None:
         return True
     return region_src != region_dst
-
-
-def link_is_inter_region(topology: Topology, link: Link) -> bool:
-    """Whether a single link crosses a region boundary."""
-    return is_inter_region(topology, link.src, link.dst)
-
-
-def nodes_by_region(topology: Topology) -> dict[str, list[str]]:
-    """Group node names by their region label."""
-    groups: dict[str, list[str]] = {}
-    for node in topology.nodes:
-        region = topology.region_of(node) or f"solo:{node}"
-        groups.setdefault(region, []).append(node)
-    return groups

@@ -145,10 +145,6 @@ class AdmissionService:
     def __exit__(self, *exc) -> None:
         self.stop()
 
-    @property
-    def running(self) -> bool:
-        return not self._closed
-
     # -- submission (any thread) ---------------------------------------------
     def submit(self, request, step: int | None = None, *,
                wait: bool = True,

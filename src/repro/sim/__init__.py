@@ -3,9 +3,9 @@
 from . import metrics
 from .engine import (CAPACITY_SLACK, CapacityViolation, ModuleRuntimes,
                      RunResult, simulate)
-from .recorder import load_summary, save_summary, summarize
+from .recorder import save_summary, summarize
 
 __all__ = [
     "CAPACITY_SLACK", "CapacityViolation", "ModuleRuntimes", "RunResult",
-    "load_summary", "metrics", "save_summary", "simulate", "summarize",
+    "metrics", "save_summary", "simulate", "summarize",
 ]

@@ -112,11 +112,6 @@ def save_summary(record: dict, path: str | Path) -> None:
                                      default=_coerce))
 
 
-def load_summary(path: str | Path) -> dict:
-    """Read a summary written by :func:`save_summary`."""
-    return json.loads(Path(path).read_text())
-
-
 def _coerce(obj):
     """``json.dumps`` fallback for numpy scalars/arrays.
 

@@ -14,13 +14,12 @@ The observability layer for the whole stack (see DESIGN.md
   torn/corrupt lines with a warning);
 - :mod:`~repro.telemetry.ledger` — the event-sourced per-request
   lifecycle ledger (ARRIVED → QUOTED → ADMITTED → ALLOCATED →
-  SETTLED) and its :class:`Ledger` replay view;
+  SETTLED), its :class:`Ledger` replay view and the per-request
+  :func:`timeline` text (``telemetry timeline``);
 - :mod:`~repro.telemetry.audit` — the invariant auditor: byte
   conservation, guarantee compliance, menu convexity and
   revenue/welfare reconciliation as structured :class:`Finding` records,
   in one streaming pass whose memory grows with requests, not events;
-- :mod:`~repro.telemetry.export` — Chrome/Perfetto ``trace_event``
-  JSON, Prometheus text exposition, and per-request timelines;
 - :mod:`~repro.telemetry.report` — aggregate a trace into the
   per-module runtime table behind the paper's Table 4;
 - :mod:`~repro.telemetry.fleet` — merge per-worker registry dumps from
@@ -40,17 +39,15 @@ process registry; SAM and the price computer emit GUARANTEES_DROPPED
 and PRICE_UPDATED.
 """
 
-from .audit import Finding, audit_events, audit_trace, unwaived
-from .export import (chrome_trace, chrome_trace_json, prometheus_exposition,
-                     prometheus_text, timeline)
+from .audit import Finding, audit_events, unwaived
 from .fleet import fleet_registry, fleet_registry_from_cells, fleet_snapshot
-from .ledger import Ledger, RequestHistory, ledger_events
+from .ledger import Ledger, RequestHistory, ledger_events, timeline
 from .profile import (collapsed_stacks, flame_report, self_time_table,
                       span_nodes)
 from .registry import (Counter, Gauge, Histogram, MetricsRegistry,
                        get_registry, set_registry, use_registry)
-from .report import aggregate_spans, metrics_table, module_runtimes, \
-    report_trace, runtime_table
+from .report import aggregate_spans, metrics_table, report_trace, \
+    runtime_table
 from .sinks import (InMemoryCollector, TagSink, TraceWriter, iter_trace,
                     merge_traces, read_trace)
 from .trace import Span, Tracer, get_tracer, set_tracer, use_tracer
@@ -58,13 +55,11 @@ from .trace import Span, Tracer, get_tracer, set_tracer, use_tracer
 __all__ = [
     "Counter", "Finding", "Gauge", "Histogram", "InMemoryCollector", "Ledger",
     "MetricsRegistry", "RequestHistory", "Span", "TagSink", "TraceWriter",
-    "Tracer",
-    "aggregate_spans", "audit_events", "audit_trace", "chrome_trace",
-    "chrome_trace_json", "collapsed_stacks", "flame_report", "fleet_registry",
-    "fleet_registry_from_cells", "fleet_snapshot", "get_registry",
-    "get_tracer", "iter_trace", "ledger_events", "merge_traces",
-    "metrics_table", "module_runtimes", "prometheus_exposition",
-    "prometheus_text", "read_trace", "report_trace", "runtime_table",
-    "self_time_table", "set_registry", "set_tracer", "span_nodes", "timeline",
-    "unwaived", "use_registry", "use_tracer",
+    "Tracer", "aggregate_spans", "audit_events", "collapsed_stacks",
+    "flame_report", "fleet_registry", "fleet_registry_from_cells",
+    "fleet_snapshot", "get_registry", "get_tracer", "iter_trace",
+    "ledger_events", "merge_traces", "metrics_table", "read_trace",
+    "report_trace", "runtime_table", "self_time_table", "set_registry",
+    "set_tracer", "span_nodes", "timeline", "unwaived", "use_registry",
+    "use_tracer",
 ]

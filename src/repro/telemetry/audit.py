@@ -37,10 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from pathlib import Path
 from typing import Iterable
-
-from .sinks import iter_trace
 
 #: Relative/absolute float slack, matching the engine's capacity slack.
 REL_TOL = 1e-6
@@ -211,12 +208,6 @@ class _RunBooks:
 
     def total_payments(self) -> float:
         return sum(book.payment or 0.0 for book in self._books.values())
-
-
-def audit_trace(path: str | Path, summary: dict | None = None
-                ) -> list[Finding]:
-    """Audit a JSONL trace file (see :func:`audit_events`)."""
-    return audit_events(iter_trace(path), summary=summary)
 
 
 def audit_events(events: Iterable[dict], summary: dict | None = None

@@ -12,8 +12,7 @@ channels bring those metrics home:
 - **Trace channel** — every ``metrics`` trace event carries a mergeable
   ``states`` dump; :func:`fleet_registry` folds all of them (a merged
   sweep trace holds one per cell) into one registry, which is what
-  ``telemetry report`` and ``telemetry export --format prometheus``
-  aggregate over.
+  ``telemetry report``'s metrics table aggregates over.
 
 Merge semantics are uniform everywhere (see
 :meth:`MetricsRegistry.merge_dump`): counters and histogram buckets sum
@@ -48,10 +47,9 @@ def fleet_registry(events) -> MetricsRegistry | None:
     """Merge every ``metrics`` event's ``states`` dump in a trace.
 
     Returns ``None`` when the trace has no mergeable metrics state at
-    all — older traces whose metrics events predate the ``states`` field
-    fall back to the single-snapshot path in the callers.  Worker ids
-    come from the tags :class:`~repro.telemetry.sinks.TagSink` stamped
-    on each shard's events.
+    all.  Worker ids come from the tags
+    :class:`~repro.telemetry.sinks.TagSink` stamped on each shard's
+    events.
     """
     registry = MetricsRegistry()
     found = False
@@ -65,22 +63,8 @@ def fleet_registry(events) -> MetricsRegistry | None:
     return registry if found else None
 
 
-def fleet_snapshot(events) -> tuple[dict, dict] | None:
-    """The fleet-merged ``(snapshot, kinds)`` view of a trace's metrics.
-
-    Prefers the exact fleet merge (:func:`fleet_registry`); traces
-    without mergeable state fall back to the **last** metrics event's
-    snapshot, preserving the single-run behaviour.  Returns ``None``
-    when the trace carries no metrics at all.
-    """
+def fleet_snapshot(events) -> dict | None:
+    """The fleet-merged metrics snapshot of a trace (see
+    :func:`fleet_registry`), or ``None`` when it carries no metrics."""
     registry = fleet_registry(events)
-    if registry is not None:
-        return registry.snapshot(), registry.kinds()
-    snapshot, kinds = None, {}
-    for event in events:
-        if event.get("type") == "metrics":
-            snapshot = event.get("metrics", {})
-            kinds = event.get("kinds", {})
-    if snapshot is None:
-        return None
-    return snapshot, kinds
+    return None if registry is None else registry.snapshot()

@@ -36,9 +36,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
 
-from .sinks import read_trace
 from .trace import get_tracer
 
 #: Every ledger event name, in rough lifecycle order.
@@ -180,7 +178,8 @@ class Ledger:
     ----------
     events:
         Mixed trace events (spans, metrics, ledger, ...); only ledger
-        events are consumed.  Use :meth:`from_trace` for a JSONL file.
+        events are consumed.  Read a JSONL file with
+        :func:`~repro.telemetry.sinks.read_trace`.
     """
 
     def __init__(self, events: list[dict]) -> None:
@@ -194,10 +193,6 @@ class Ledger:
         self._requests: dict[int, RequestHistory] = {}
         for event in self.events:
             self._ingest(event)
-
-    @classmethod
-    def from_trace(cls, path: str | Path) -> "Ledger":
-        return cls(read_trace(path))
 
     def _ingest(self, event: dict) -> None:
         name = event.get("event")
@@ -272,3 +267,70 @@ class Ledger:
 
     def total_payments(self) -> float:
         return sum(h.payment or 0.0 for h in self._requests.values())
+
+
+# -- per-request timeline ----------------------------------------------------
+def timeline(events: list[dict], rid: int) -> str:
+    """One request's economic history as aligned text lines.
+
+    Raises ``KeyError`` when the ledger has no events for ``rid``.
+    """
+    ledger = Ledger(events)
+    history = ledger.request(rid)
+    lines = [f"request {rid} — status {history.status}"]
+    arrived = history.arrived
+    if arrived is not None:
+        lines.append(
+            f"  t={arrived['step']:>4}  ARRIVED    "
+            f"{arrived['src']} -> {arrived['dst']}, "
+            f"demand {float(arrived['demand']):g}, "
+            f"window [{arrived['start']}, {arrived['deadline']}]"
+            + ("  (scavenger)" if arrived.get("scavenger") else ""))
+    for quote in history.quotes:
+        n_segments = len(quote.get("breakpoints", []))
+        bound = float(quote.get("max_guaranteed") or 0.0)
+        degraded = "  [degraded]" if quote.get("degraded") else ""
+        lines.append(
+            f"  t={quote['step']:>4}  QUOTED     {n_segments} segment(s), "
+            f"x̄ = {bound:g}{degraded}")
+    admission = history.admission
+    if admission is not None:
+        flat = admission.get("flat_price")
+        marginal = admission.get("marginal_price")
+        if flat is not None:
+            price_note = f"flat price {float(flat):g}/unit"
+        elif marginal is not None:
+            price_note = f"marginal price {float(marginal):g}/unit"
+        else:
+            price_note = "marginal price n/a"
+        lines.append(
+            f"  t={admission['step']:>4}  ADMITTED   "
+            f"chose {float(admission['chosen']):g}, guaranteed "
+            f"{float(admission['guaranteed']):g}, {price_note}")
+    if history.rejection is not None:
+        lines.append(f"  t={history.rejection['step']:>4}  REJECTED   "
+                     "customer declined the menu")
+    cumulative = 0.0
+    merged = sorted(history.allocations + history.degradations,
+                    key=lambda e: int(e.get("step", 0)))
+    for event in merged:
+        if event.get("event") == "DEGRADED":
+            lines.append(
+                f"  t={event['step']:>4}  DEGRADED   {event['module']}: "
+                f"{event.get('action', '?')} ({event.get('error', '?')})")
+            continue
+        cumulative += float(event["bytes"])
+        route = ",".join(str(link) for link in event["route"])
+        price = event.get("price")
+        price_note = "" if price is None else f" @ {float(price):g}/unit"
+        lines.append(
+            f"  t={event['step']:>4}  ALLOCATED  {float(event['bytes']):g} "
+            f"bytes via links ({route}){price_note} "
+            f"(cumulative {cumulative:g})")
+    settlement = history.settlement
+    if settlement is not None:
+        lines.append(
+            f"  t={'end':>4}  SETTLED    delivered "
+            f"{float(settlement['delivered']):g}, paid "
+            f"{float(settlement['payment']):g}")
+    return "\n".join(lines)

@@ -195,8 +195,7 @@ class Histogram:
 
 
 #: Gauge-name suffix carrying a worker label after a fleet merge:
-#: ``service.queue_depth[worker=4242]``.  The Prometheus exporter turns
-#: it back into a proper ``{worker="4242"}`` label.
+#: ``service.queue_depth[worker=4242]``.
 def worker_scoped(name: str, worker) -> str:
     return f"{name}[worker={worker}]"
 
@@ -236,16 +235,6 @@ class MetricsRegistry:
             else:
                 out[name] = metric.value
         return out
-
-    def kinds(self) -> dict[str, str]:
-        """Metric kind (``counter``/``gauge``/``histogram``) by name.
-
-        Snapshot values alone cannot distinguish a counter from a gauge;
-        exporters that care about types (Prometheus exposition) read
-        this map, which the tracer stores alongside the snapshot.
-        """
-        return {name: type(metric).__name__.lower()
-                for name, metric in self._items()}
 
     # -- fleet merge --------------------------------------------------------
     def dump(self) -> dict:

@@ -46,19 +46,6 @@ def aggregate_spans(events: list[dict]) -> dict[str, dict[str, float]]:
     return out
 
 
-def module_runtimes(events: list[dict]) -> dict[str, dict[str, float]]:
-    """The ``ra``/``sam``/``pc`` rows in ``ModuleRuntimes.summary()``
-    shape (keys ``RA``/``SAM``/``PC``; median, p95, count)."""
-    stats = aggregate_spans(events)
-    out = {}
-    for name in MODULE_SPANS:
-        if name in stats:
-            row = stats[name]
-            out[name.upper()] = {"median": row["median"], "p95": row["p95"],
-                                 "count": row["count"]}
-    return out
-
-
 def runtime_table(events: list[dict]) -> str:
     """Human-readable per-module runtime table for a trace.
 
@@ -113,10 +100,10 @@ def metrics_table(events: list[dict]) -> str | None:
     """
     from .fleet import fleet_snapshot
 
-    merged = fleet_snapshot(events)
-    if merged is None or not merged[0]:
+    snapshot = fleet_snapshot(events)
+    if not snapshot:
         return None
-    return format_table(["metric", "value"], metric_rows(merged[0]))
+    return format_table(["metric", "value"], metric_rows(snapshot))
 
 
 def trace_events(trace) -> tuple[str, list[dict]]:
@@ -129,11 +116,12 @@ def trace_events(trace) -> tuple[str, list[dict]]:
 def report_trace(trace) -> str:
     """Render a trace (a JSONL path or loaded events) as its runtime
     (and, when it carries a metrics snapshot, metrics) tables — the
-    ``telemetry report`` output."""
+    ``telemetry report`` output.  Raises ``ValueError`` on a span-free
+    trace, as :func:`~repro.telemetry.profile.flame_report` does."""
     label, events = trace_events(trace)
-    spans = [e for e in events if e.get("type") == "span"]
-    if not spans:
-        return f"no span events in {label}"
+    if not any(e.get("type") == "span" for e in events):
+        raise ValueError(f"no span events in {label} — run with "
+                         "--telemetry to record spans")
     out = runtime_table(events)
     metrics = metrics_table(events)
     if metrics is not None:

@@ -113,16 +113,13 @@ class Tracer:
     def emit_metrics(self) -> None:
         """Emit a snapshot of the attached registry as a metrics event.
 
-        The event carries the registry's ``kinds`` map next to the
-        values so exporters can type each metric (Prometheus needs to
-        tell counters from gauges; the snapshot alone cannot), plus the
-        registry's full mergeable ``states`` dump so sharded sweep
-        traces can be folded into one fleet-wide registry afterwards.
+        The event carries the registry's snapshot plus its full
+        mergeable ``states`` dump, so sharded sweep traces can be
+        folded into one fleet-wide registry afterwards.
         """
         if self.registry is not None and self.enabled:
             self.emit({"type": "metrics", "ts": time.time(),
                        "metrics": self.registry.snapshot(),
-                       "kinds": self.registry.kinds(),
                        "states": self.registry.dump()})
 
     def close(self) -> None:

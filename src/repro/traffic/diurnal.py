@@ -17,7 +17,7 @@ import numpy as np
 class DiurnalProfile:
     """A smooth day-periodic intensity curve.
 
-    ``intensity(t)`` is ``1 + amplitude * cos(...)`` shaped so that the
+    The intensity at step ``t`` is ``1 + amplitude * cos(...)`` shaped so the
     mean over a full day is 1.0 — scaling a base demand by the profile
     preserves daily totals.
 
@@ -59,19 +59,10 @@ class DiurnalProfile:
         # Renormalise so a day's mean intensity is exactly 1.
         return shape / shape.mean()
 
-    def intensity(self, t: int) -> float:
-        """Relative intensity at (absolute) timestep ``t``."""
-        return float(self._shape[t % self.steps_per_day])
-
     def series(self, n_steps: int) -> np.ndarray:
         """Intensity for timesteps ``0..n_steps-1``."""
         reps = -(-n_steps // self.steps_per_day)
         return np.tile(self._shape, reps)[:n_steps]
-
-
-def flat_profile(steps_per_day: int) -> DiurnalProfile:
-    """A profile with no daily variation."""
-    return DiurnalProfile(steps_per_day, amplitude=0.0)
 
 
 def region_profiles(steps_per_day: int, region_names, amplitude: float = 0.5,

@@ -187,8 +187,3 @@ def synthesize_requests(series: TrafficMatrixSeries,
     # Stable, and rids grow in list order: the same as (arrival, rid).
     requests.sort(key=attrgetter("arrival"))
     return requests
-
-
-def total_demand(requests: list[ByteRequest]) -> float:
-    """Aggregate demand across requests."""
-    return sum(r.demand for r in requests)

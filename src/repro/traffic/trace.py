@@ -1,7 +1,7 @@
 """Workload and trace persistence.
 
-Experiments become shareable artifacts: topologies, traffic-matrix series
-and synthesized workloads round-trip through JSON, so a run can be
+Experiments become shareable artifacts: topologies and synthesized
+workloads round-trip through JSON, so a run can be
 reproduced bit-for-bit on another machine (or re-scored under a different
 scheme) without re-synthesis.  The format is versioned and validated on
 load.
@@ -12,12 +12,9 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-import numpy as np
-
 from ..core.request import ByteRequest
 from ..network import Topology
 from .classes import TrafficClass
-from .matrices import TrafficMatrixSeries
 from .workload import Workload
 
 #: Format version written into every artifact.
@@ -122,31 +119,3 @@ def load_workload(path: str | Path) -> Workload:
     """Read a workload artifact written by :func:`save_workload`."""
     return workload_from_dict(json.loads(Path(path).read_text()))
 
-
-# -- traffic-matrix series ----------------------------------------------------
-
-def series_to_dict(series: TrafficMatrixSeries) -> dict:
-    """JSON-ready description of a TM series (dense)."""
-    return {
-        "version": FORMAT_VERSION,
-        "kind": "tm-series",
-        "nodes": series.nodes,
-        "demand": series.demand.tolist(),
-    }
-
-
-def series_from_dict(payload: dict) -> TrafficMatrixSeries:
-    """Inverse of :func:`series_to_dict`."""
-    _check_version(payload, "tm-series")
-    return TrafficMatrixSeries(payload["nodes"],
-                               np.asarray(payload["demand"], dtype=float))
-
-
-def save_series(series: TrafficMatrixSeries, path: str | Path) -> None:
-    """Write a TM-series artifact as JSON."""
-    Path(path).write_text(json.dumps(series_to_dict(series)))
-
-
-def load_series(path: str | Path) -> TrafficMatrixSeries:
-    """Read a TM-series artifact written by :func:`save_series`."""
-    return series_from_dict(json.loads(Path(path).read_text()))

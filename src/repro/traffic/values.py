@@ -88,58 +88,6 @@ class ParetoValues(ValueDistribution):
         return self.scale * (1.0 + rng.pareto(self.alpha))
 
 
-class ExponentialValues(ValueDistribution):
-    """Exponential values (used in the Figure 5 traffic-model validation)."""
-
-    def __init__(self, mean: float = 1.0) -> None:
-        _require_finite("ExponentialValues", mean=mean)
-        if mean <= 0:
-            raise ValueError("mean must be positive")
-        self.mean = mean
-        self.name = f"exponential(mean={mean:g})"
-
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        return np.maximum(rng.exponential(self.mean, size), VALUE_FLOOR)
-
-    def sample_one(self, rng: np.random.Generator) -> float:
-        return max(rng.exponential(self.mean), VALUE_FLOOR)
-
-
-class UniformValues(ValueDistribution):
-    """Uniform values on [low, high] (simple test distribution)."""
-
-    def __init__(self, low: float = 0.5, high: float = 1.5) -> None:
-        _require_finite("UniformValues", low=low, high=high)
-        if not 0 <= low < high:
-            raise ValueError("need 0 <= low < high")
-        self.low = low
-        self.high = high
-        self.name = f"uniform({low:g},{high:g})"
-
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        return rng.uniform(self.low, self.high, size)
-
-    def sample_one(self, rng: np.random.Generator) -> float:
-        return rng.uniform(self.low, self.high)
-
-
-class FixedValues(ValueDistribution):
-    """Degenerate distribution (every request worth the same); for tests."""
-
-    def __init__(self, value: float = 1.0) -> None:
-        _require_finite("FixedValues", value=value)
-        if value <= 0:
-            raise ValueError("value must be positive")
-        self.value = value
-        self.name = f"fixed({value:g})"
-
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        return np.full(size, self.value)
-
-    def sample_one(self, rng: np.random.Generator) -> float:
-        return float(self.value)
-
-
 def normal_with_ratio(mu_over_sigma: float, mean: float = 1.0) -> NormalValues:
     """Normal distribution specified by its mean/stddev ratio (Fig 13)."""
     if mu_over_sigma <= 0:

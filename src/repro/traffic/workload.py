@@ -80,9 +80,6 @@ class Workload:
     def n_requests(self) -> int:
         return len(self.requests)
 
-    def total_demand(self) -> float:
-        return sum(r.demand for r in self.requests)
-
     def arrivals_at(self, t: int) -> list[ByteRequest]:
         """Requests that arrive exactly at timestep ``t``."""
         return [r for r in self.requests if r.arrival == t]

@@ -8,8 +8,7 @@ from repro.baselines import ScheduleItem, base, solve_offline_schedule, \
 from repro.core import ByteRequest
 from repro.experiments.scenarios import ScenarioSpec
 from repro.lp import Model
-from repro.network import PathCache, Topology, line_network, \
-    parallel_paths_network
+from repro.network import PathCache, Topology, parallel_paths_network
 from repro.traffic import Workload
 from tests.reference.lp import assert_models_identical
 

@@ -5,7 +5,8 @@ import pytest
 
 from repro.core import (ByteRequest, NetworkState, PretiumConfig,
                         RequestAdmission)
-from repro.network import Topology, line_network, parallel_paths_network
+from repro.network import Topology, parallel_paths_network
+from tests.builders import line_network
 
 
 def make_ra(topology=None, n_steps=6, **config_kwargs):

@@ -20,12 +20,12 @@ from repro.core import (ByteRequest, NetworkState, PretiumConfig,
                         PriceComputer, RequestAdmission, ScheduleAdjuster)
 from repro.experiments.scenarios import tiny_scenario
 from repro.lp import solver
-from repro.network import small_wan
 from repro.registry import SCHEMES
 from repro.traffic import build_workload
 from tests.lp.test_native_solve import captured_models
 from tests.reference.expr_builders import (ExprAdjuster, ExprPriceComputer,
                                            expr_builders)
+from tests.builders import small_wan
 
 
 def build_contracts(state, ra, rng, n_requests, horizon):

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import MenuSegment, PriceMenu
-from repro.network import line_network, Path
+from repro.network import Path
+from tests.builders import line_network
 
 
 def _path():

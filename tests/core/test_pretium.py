@@ -6,9 +6,10 @@ import pytest
 from repro.core import (AllOrNothingUser, ByteRequest, PretiumConfig,
                         PretiumController)
 from repro.costs import LinkCostModel
-from repro.network import parallel_paths_network, small_wan
+from repro.network import parallel_paths_network
 from repro.sim import metrics, simulate
-from repro.traffic import FixedValues, Workload, build_workload
+from repro.traffic import Workload, build_workload
+from tests.builders import small_wan
 
 
 def tiny_workload(requests=None, n_steps=6, steps_per_day=3):

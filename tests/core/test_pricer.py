@@ -5,7 +5,8 @@ import pytest
 
 from repro.core import (ByteRequest, NetworkState, PretiumConfig,
                         PriceComputer, RequestAdmission)
-from repro.network import Topology, line_network, parallel_paths_network
+from repro.network import Topology, parallel_paths_network
+from tests.builders import line_network
 
 
 def setup(topology=None, n_steps=8, window=4, **config_kwargs):

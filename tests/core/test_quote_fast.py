@@ -16,10 +16,10 @@ from hypothesis import strategies as st
 import repro
 from repro.core import (ByteRequest, NetworkState, PretiumConfig,
                         RequestAdmission)
-from repro.network import (ROUTING_POLICIES, Topology, line_network,
-                           parallel_paths_network, small_wan)
+from repro.network import ROUTING_POLICIES, Topology, parallel_paths_network
 from repro.telemetry import get_registry, use_registry
 from tests.reference.quote import quote_scan
+from tests.builders import line_network, small_wan
 
 
 def exact_key(menu):

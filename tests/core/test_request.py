@@ -5,12 +5,10 @@ import math
 
 import pytest
 
-from repro.core.request import ByteRequest, RateRequest
+from repro.core.request import ByteRequest
 
 BYTE = dict(rid=7, src="A", dst="B", demand=2.0, arrival=0, start=1,
             deadline=3, value=1.5)
-RATE = dict(rid=9, src="A", dst="B", rate=2.0, arrival=0, start=1, end=3,
-            value=1.5)
 
 
 @pytest.mark.parametrize("change, says", [
@@ -32,28 +30,9 @@ def test_byte_request_rejects(change, says):
         ByteRequest(**{**BYTE, **change})
 
 
-@pytest.mark.parametrize("change, says", [
-    (dict(rate=math.nan), "rate must be finite"),
-    (dict(rate=math.inf), "rate must be finite"),
-    (dict(value=math.nan), "value must be finite"),
-    (dict(value=-math.inf), "value must be finite"),
-    (dict(rate=0.0), "rate must be positive"),
-    (dict(end=0), "empty interval"),
-    (dict(arrival=2), "starts before arrival"),
-    (dict(dst="A"), "src == dst"),
-    (dict(value=-1.0), "negative value"),
-    (dict(arrival=-3, start=-2), "negative arrival -3"),
-])
-def test_rate_request_rejects(change, says):
-    with pytest.raises(ValueError, match=f"rate request 9: .*{says}"):
-        RateRequest(**{**RATE, **change})
-
-
 def test_valid_requests_are_accepted():
     assert ByteRequest(**BYTE).window == range(1, 4)
     assert ByteRequest(**{**BYTE, "value": 0.0}).total_value == 0.0
-    subs = RateRequest(**RATE).to_byte_requests(id_offset=100)
-    assert [r.rid for r in subs] == [100, 101, 102]
     edge = ByteRequest(**{**BYTE, "start": 0, "deadline": 0})
     assert edge.window == range(0, 1)
 

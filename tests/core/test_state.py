@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import NetworkState, PretiumConfig
-from repro.network import Path, line_network, parallel_paths_network
+from repro.network import Path, parallel_paths_network
 
 
 def make_state(n_steps=10, **config_kwargs):

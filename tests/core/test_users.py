@@ -3,8 +3,9 @@
 import pytest
 
 from repro.core import (AllOrNothingUser, BestResponseUser, ByteRequest,
-                        MenuSegment, PriceMenu, ThresholdUser, UserModel)
-from repro.network import Path, line_network
+                        MenuSegment, PriceMenu, UserModel)
+from repro.network import Path
+from tests.builders import line_network
 
 
 def menu_of(specs, best_effort=True):
@@ -49,25 +50,6 @@ def test_all_or_nothing_accepts_mixed_price_if_worth_it():
     menu = menu_of([(5.0, 1.0, 0), (5.0, 2.0, 1)])
     # total price 15 for 10 units, value 2/unit -> utility +5
     assert user.choose(request(2.0, demand=10.0), menu) == 10.0
-
-
-def test_threshold_user_requires_margin():
-    menu = menu_of([(10.0, 1.0, 0)])
-    picky = ThresholdUser(margin=0.6)
-    # price 1.0/unit vs value 2.0/unit leaves 50% surplus < 60% required
-    assert picky.choose(request(2.0), menu) == 0.0
-    relaxed = ThresholdUser(margin=0.3)
-    assert relaxed.choose(request(2.0), menu) == 10.0
-
-
-def test_threshold_user_validation():
-    with pytest.raises(ValueError):
-        ThresholdUser(margin=-0.1)
-
-
-def test_threshold_user_zero_choice_passthrough():
-    menu = menu_of([(10.0, 5.0, 0)])
-    assert ThresholdUser(0.1).choose(request(1.0), menu) == 0.0
 
 
 def test_utility_helper():

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.costs import LinkCostModel
-from repro.network import Topology, line_network
+from repro.network import Topology
+from tests.builders import line_network
 
 
 def metered_line() -> Topology:

@@ -3,23 +3,23 @@
 import numpy as np
 import pytest
 
-from repro.experiments import (format_series, format_table,
-                               make_scheme, quick_scenario, run_scheme,
-                               run_schemes, standard_scenario,
-                               standard_topology, summaries)
+from repro.experiments import (format_series, format_table, quick_scenario,
+                               run_scheme, run_schemes, scheme_spec,
+                               standard_scenario, standard_topology,
+                               summaries)
 from repro.registry import SCHEMES
 from repro.sim import metrics
 
 
 def test_all_factories_instantiable():
     for name in SCHEMES.names():
-        scheme = make_scheme(name)
+        scheme = scheme_spec(name).build()
         assert scheme is not None
 
 
 def test_make_scheme_unknown():
     with pytest.raises(KeyError):
-        make_scheme("Gurobi")
+        scheme_spec("Gurobi")
 
 
 def test_quick_scenario_shape():
@@ -39,7 +39,8 @@ def test_standard_topology_cost_factor():
 def test_standard_scenario_load_scaling():
     light = standard_scenario(load_factor=0.5, n_days=1, seed=0)
     heavy = standard_scenario(load_factor=2.0, n_days=1, seed=0)
-    assert heavy.workload.total_demand() > 2 * light.workload.total_demand()
+    assert sum(r.demand for r in heavy.workload.requests) > \
+        2 * sum(r.demand for r in light.workload.requests)
 
 
 def test_run_scheme_accepts_names_and_instances():
@@ -88,13 +89,6 @@ def test_format_series():
 def test_format_handles_nan():
     out = format_table(["x"], [[float("nan")]])
     assert "nan" in out
-
-
-def test_make_scheme_accepts_kwargs():
-    scheme = make_scheme("RegionOracle", grid_points=3)
-    assert scheme.grid_points == 3
-    default = make_scheme("RegionOracle")
-    assert default.grid_points == 5
 
 
 def test_scheme_specs_are_picklable():

@@ -7,6 +7,7 @@ injected fault schedule.  Measured module runtimes are the one summary
 entry excluded from comparisons — wall-clock is not deterministic.
 """
 
+import dataclasses
 import pickle
 
 import numpy as np
@@ -153,7 +154,8 @@ def test_serial_sweep_collects_every_cell_and_reports_progress():
 
 def test_structured_failure_capture():
     # An unknown kwarg crashes the scheme constructor inside the cell.
-    bad = SCHEME_SPECS["NoPrices"].with_kwargs(bogus_knob=1)
+    bad = dataclasses.replace(SCHEME_SPECS["NoPrices"],
+                              kwargs=(("bogus_knob", 1),))
     grid = SweepGrid(schemes=[bad, "OPT"], scenarios=["tiny"])
     result = run_sweep(grid)
     assert not result.ok
@@ -207,11 +209,9 @@ def test_fleet_merged_metrics_match_serial_run_bit_for_bit():
         with use_registry():
             result = run_sweep(grid, options=options)
         assert result.ok
-        fleet = result.fleet_metrics()
-        kinds = fleet.kinds()
-        return {name: value for name, value in fleet.snapshot().items()
-                if kinds[name] == "counter"
-                and not name.startswith("sweep.scenario_cache")}
+        counters = result.fleet_metrics().dump()["counters"]
+        return {name: value for name, value in counters.items()
+                if not name.startswith("sweep.scenario_cache")}
 
     serial = fleet_counters(RunOptions(workers=1))
     parallel = fleet_counters(RunOptions(workers=4))

@@ -41,8 +41,7 @@ from repro.experiments.runner import SCHEME_SPECS, SchemeSpec, run_scheme
 from repro.experiments.scenarios import ScenarioSpec
 from repro.experiments.sweep import (SCENARIO_CACHE_CAPACITY, SweepGrid,
                                      _pool_context, cached_scenario,
-                                     clear_scenario_cache, run_sweep,
-                                     scenario_cache_stats)
+                                     run_sweep, scenario_cache_stats)
 from repro.options import RunOptions
 from repro.sim import summarize
 from repro.telemetry import read_trace
@@ -56,6 +55,13 @@ def _fresh_cache():
     clear_scenario_cache()
     yield
     clear_scenario_cache()
+
+
+def clear_scenario_cache():
+    """Drop every cached build and zero the counters."""
+    sweep_module._scenario_cache.clear()
+    sweep_module._scenario_cache_stats.update(hits=0, misses=0)
+    sweep_module._scenario_cache_reported.update(hits=0, misses=0)
 
 
 def force_chunks(monkeypatch, size):

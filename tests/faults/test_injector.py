@@ -3,8 +3,7 @@
 import pytest
 
 from repro.faults import (FaultInjector, FaultRule, FaultSpecError,
-                          get_injector, is_injected, parse_fault_spec,
-                          use_injector)
+                          get_injector, parse_fault_spec, use_injector)
 from repro.lp import InfeasibleError, SolverError, SolverTimeout
 
 
@@ -72,9 +71,8 @@ def test_check_raises_configured_kind_at_matching_point():
         injector = FaultInjector.from_spec(f"sam:{kind}@5")
         injector.check("sam", 4)        # wrong step: no fault
         injector.check("ra", 5)         # wrong module: no fault
-        with pytest.raises(exc_type) as excinfo:
+        with pytest.raises(exc_type):
             injector.check("sam", 5)
-        assert is_injected(excinfo.value)
         assert injector.injections == [("sam", 5, kind)]
 
 
@@ -117,34 +115,6 @@ def test_probabilistic_rule_is_deterministic_per_seed():
     assert first == second          # same seed -> same fault schedule
     assert 5 < len(first) < 45      # and it actually is probabilistic
     assert schedule(8) != first     # different seed -> different draws
-
-
-def test_reset_replays_the_identical_schedule():
-    injector = FaultInjector.from_spec("sam:solver@3x1,ra:solver@p0.5",
-                                       seed=3)
-    def drain():
-        fired = []
-        for step in range(20):
-            for module in ("ra", "sam"):
-                try:
-                    injector.check(module, step)
-                except SolverError:
-                    fired.append((module, step))
-        return fired
-
-    first = drain()
-    second = drain()
-    assert ("sam", 3) in first
-    assert ("sam", 3) not in second  # x1 rule exhausted
-    assert second != first           # rng sequence moved on
-    injector.reset()
-    assert injector.injections == []
-    assert drain() == first
-
-
-def test_is_injected_distinguishes_genuine_failures():
-    assert not is_injected(SolverError("real backend failure"))
-    assert not is_injected(ValueError("not even an LP error"))
 
 
 def test_use_injector_scopes_and_restores():

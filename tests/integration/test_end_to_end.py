@@ -50,25 +50,6 @@ def test_highpri_headroom_respected_end_to_end():
     assert np.all(result.loads <= caps[None, :] * 0.7 * (1 + 1e-6) + 1e-6)
 
 
-def test_rate_requests_served_via_byte_expansion():
-    from repro.core import RateRequest
-    from repro.network import parallel_paths_network
-    from repro.traffic import Workload
-
-    topo = parallel_paths_network(10.0, 10.0)
-    rate = RateRequest(0, "S", "T", rate=5.0, arrival=0, start=1, end=3,
-                       value=2.0)
-    workload = Workload(topo, rate.to_byte_requests(id_offset=0),
-                        n_steps=5, steps_per_day=5)
-    result = simulate(PretiumController(
-        PretiumConfig(window=5, lookback=5, initial_price=0.05)), workload)
-    # every per-step sub-request delivered exactly its rate at its step
-    for sub in workload.requests:
-        assert result.delivered[sub.rid] == pytest.approx(5.0)
-        assert result.delivered_by(sub.rid, sub.deadline) == \
-            pytest.approx(5.0)
-
-
 @pytest.mark.slow
 def test_production_scale_smoke():
     """The paper-scale preset (106 nodes / ~226 edges) runs end to end."""

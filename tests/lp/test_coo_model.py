@@ -56,7 +56,7 @@ def test_block_variables_work_with_expression_api():
     m.set_objective_coo([*block.indices, y.index], [1.0, 2.0, 1.0])
     sol = m.solve()
     assert sol.objective == pytest.approx(10.5)
-    assert sol.value_array(block) == pytest.approx([2.0, 4.0])
+    assert sol.x[block.start:block.stop] == pytest.approx([2.0, 4.0])
     assert sol.value(y) == pytest.approx(0.5)
 
 

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.lp import EQ, Model, add_sum_topk_coo, sum_topk_exact
+from repro.lp import EQ, Model, add_sum_topk_coo
 from tests.reference.expr import ExprModel, quicksum
+from tests.builders import sum_topk_exact
 
 
 def test_moderately_large_sparse_model():

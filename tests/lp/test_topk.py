@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.lp import EQ, GE, Model, add_sum_topk_coo, sum_topk_exact, \
-    topk_template
+from repro.lp import EQ, GE, Model, add_sum_topk_coo, topk_template
+from tests.builders import sum_topk_exact
 
 
 def _solve_topk(values, k, encoding):

@@ -4,16 +4,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.network import (figure2_network, is_inter_region, line_network,
-                           nodes_by_region, parallel_paths_network,
-                           production_wan, small_wan, wan_topology)
+from repro.network import (figure2_network, is_inter_region,
+                           parallel_paths_network, production_wan,
+                           wan_topology)
+from tests.builders import line_network, small_wan
 
 
 def test_small_wan_shape():
     t = small_wan(seed=1)
     assert t.num_nodes == 20
     assert t.is_strongly_connected()
-    assert len(nodes_by_region(t)) == 4
+    assert len(set(t.regions().values())) == 4
 
 
 def test_wan_determinism():
@@ -80,7 +81,9 @@ def test_line_and_parallel_helpers():
 
 def test_inter_region_classification():
     t = wan_topology(n_nodes=12, n_regions=3, seed=2)
-    groups = nodes_by_region(t)
+    groups = {}
+    for node, region in t.regions().items():
+        groups.setdefault(region, []).append(node)
     regions = list(groups)
     same = groups[regions[0]]
     assert not is_inter_region(t, same[0], same[1])

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from repro.network import (Path, PathCache, Topology, k_shortest_paths,
-                           line_network, parallel_paths_network)
+                           parallel_paths_network)
+from tests.builders import line_network
 
 
 def test_path_construction_and_nodes():

@@ -12,19 +12,19 @@ import pytest
 
 import repro
 from repro.core import ByteRequest, Transmission
-from repro.experiments.runner import make_scheme, run_scheme
+from repro.experiments.runner import run_scheme, scheme_spec
 from repro.experiments.scenarios import ScenarioSpec
-from repro.network import line_network
 from repro.options import RunOptions, ServiceOptions, run_context
 from repro.service import AdmissionEngine, ServiceStateError
 from repro.sim import CapacityViolation, simulate, summarize
 from repro.telemetry import ledger_events, read_trace
 from repro.traffic import Workload
+from tests.builders import line_network
 
 
 def build_engine(workload, scheme=None, **service_kwargs):
-    return AdmissionEngine(scheme or make_scheme("Pretium"), workload,
-                           options=ServiceOptions(**service_kwargs))
+    return AdmissionEngine(scheme or scheme_spec("Pretium").build(),
+                           workload, options=ServiceOptions(**service_kwargs))
 
 
 def replay(scenario, scheme=None, price_checks=0, **service_kwargs):
@@ -60,7 +60,7 @@ def assert_results_identical(batch, live, cost_model):
                          ids=["0", "3", "0-qos3", "3-qos3"])
 def test_streamed_replay_is_bit_identical_to_batch(seed, classes):
     scenario = ScenarioSpec.of("tiny", classes=classes).build(seed=seed)
-    batch = simulate(make_scheme("Pretium"), scenario.workload)
+    batch = simulate(scheme_spec("Pretium").build(), scenario.workload)
     engine = replay(scenario)
     assert_results_identical(batch, engine.finish(), scenario.cost_model)
     admitted = {d.rid for d in engine.decisions if d.admitted}
@@ -138,7 +138,7 @@ def test_quote_only_reports_cache_hits():
 
 def test_advance_to_runs_empty_steps_like_batch():
     scenario = ScenarioSpec.of("tiny").build(seed=0)
-    batch = simulate(make_scheme("Pretium"), scenario.workload)
+    batch = simulate(scheme_spec("Pretium").build(), scenario.workload)
     engine = build_engine(scenario.workload).start()
     # jump straight past several arrival-free and arrival-bearing steps,
     # skipping the requests entirely: loads must match a no-arrival run

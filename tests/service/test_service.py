@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import repro
-from repro.experiments.runner import make_scheme
+from repro.experiments.runner import scheme_spec
 from repro.experiments.scenarios import ScenarioSpec
 from repro.options import ServiceOptions
 from repro.service import (AdmissionEngine, AdmissionService, ServiceClosed,
@@ -33,8 +33,8 @@ def ordered(workload):
 
 def live_service(scenario, **service_kwargs):
     options = ServiceOptions(**service_kwargs)
-    engine = AdmissionEngine(make_scheme("Pretium"), scenario.workload,
-                             options=options)
+    engine = AdmissionEngine(scheme_spec("Pretium").build(),
+                             scenario.workload, options=options)
     return AdmissionService(engine, options)
 
 
@@ -42,7 +42,7 @@ def live_service(scenario, **service_kwargs):
 
 def test_async_replay_with_batching_is_bit_identical_to_batch():
     scenario = ScenarioSpec.of("tiny").build(seed=3)
-    batch = simulate(make_scheme("Pretium"), scenario.workload)
+    batch = simulate(scheme_spec("Pretium").build(), scenario.workload)
     with live_service(scenario, batch_window=0.002, batch_max=16) as svc:
         futures = [svc.submit(r) for r in ordered(scenario.workload)]
         decisions = [f.result(timeout=30) for f in futures]
@@ -56,7 +56,7 @@ def test_async_replay_with_batching_is_bit_identical_to_batch():
 
 def test_interleaved_price_checks_change_no_decisions():
     scenario = ScenarioSpec.of("tiny").build(seed=3)
-    batch = simulate(make_scheme("Pretium"), scenario.workload)
+    batch = simulate(scheme_spec("Pretium").build(), scenario.workload)
     with use_registry():
         with live_service(scenario) as svc:
             report = generate_load(svc, ordered(scenario.workload),
@@ -276,7 +276,7 @@ def test_an_engine_that_fails_to_start_fails_start():
     svc = AdmissionService(engine, options)
     with pytest.raises(ZeroDivisionError):
         svc.start()
-    assert not svc.running and not svc._thread.is_alive()
+    assert svc._closed and not svc._thread.is_alive()
     with pytest.raises(ServiceClosed):
         svc.submit("r0")
 

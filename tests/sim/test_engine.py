@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from repro.core import ByteRequest, Transmission
-from repro.network import line_network
 from repro.sim import CapacityViolation, ModuleRuntimes, RunResult, simulate
 from repro.traffic import Workload
+from tests.builders import line_network
 
 
 class ScriptedScheme:

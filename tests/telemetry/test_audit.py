@@ -4,11 +4,12 @@ import json
 
 import pytest
 
+import repro
 from repro.core import PretiumController
 from repro.experiments import quick_scenario, run_scheme
 from repro.sim import simulate, summarize
 from repro.telemetry import (InMemoryCollector, Tracer, audit_events,
-                             audit_trace, unwaived, use_tracer)
+                             unwaived, use_tracer)
 
 
 def ev(event, **fields):
@@ -212,7 +213,7 @@ def test_real_pretium_run_audits_clean(tmp_path):
     path = tmp_path / "trace.jsonl"
     path.write_text("".join(json.dumps(e) + "\n"
                             for e in collector.events))
-    assert audit_trace(path, summary=summary) == []
+    assert repro.audit(path, summary=summary).findings == []
 
 
 def test_real_run_ledger_matches_ground_truth():

@@ -24,7 +24,7 @@ import repro
 from repro.experiments.scenarios import ScenarioSpec
 from repro.options import RunOptions, ServiceOptions
 from repro.sim import summarize
-from repro.telemetry import InMemoryCollector, audit_trace, read_trace
+from repro.telemetry import InMemoryCollector, read_trace
 
 from ..faults.conftest import chaos_world, run_with_faults
 from ..faults.test_chaos import FAULT_STEPS, GRID
@@ -283,6 +283,6 @@ def _peak_bytes(audit, path):
 def test_streaming_audit_peaks_below_a_quarter_of_the_reference(tmp_path):
     trace = tmp_path / "quick.jsonl"
     repro.run("Pretium", "quick", options=RunOptions(telemetry=trace))
-    streaming = _peak_bytes(audit_trace, trace)
+    streaming = _peak_bytes(repro.audit, trace)
     loaded = _peak_bytes(reference.audit_trace, trace)
     assert streaming < loaded / 4, (streaming, loaded)

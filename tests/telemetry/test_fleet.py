@@ -3,7 +3,7 @@
 import json
 
 from repro.telemetry import (MetricsRegistry, fleet_registry,
-                             fleet_registry_from_cells, fleet_snapshot)
+                             fleet_registry_from_cells)
 
 
 class FakeCell:
@@ -50,12 +50,3 @@ def test_fleet_registry_from_trace_events():
 
 def test_fleet_registry_none_without_states():
     assert fleet_registry([{"type": "run_started"}]) is None
-
-
-def test_fleet_snapshot_falls_back_to_legacy_metrics_event():
-    """Traces from before mergeable states still report something."""
-    events = [{"type": "metrics", "metrics": {"admitted": 7},
-               "kinds": {"admitted": "counter"}}]
-    snapshot, kinds = fleet_snapshot(events)
-    assert snapshot["admitted"] == 7
-    assert kinds == {"admitted": "counter"}

@@ -7,10 +7,10 @@ from repro.core import ByteRequest, PretiumController
 from repro.experiments import quick_scenario
 from repro.sim import simulate
 from repro.telemetry import (InMemoryCollector, MetricsRegistry, Tracer,
-                             module_runtimes, set_registry, use_tracer)
+                             aggregate_spans, set_registry, use_tracer)
 from repro.traffic import Workload
-from repro.network import line_network
 from tests.reference.expr import ExprModel, quicksum
+from tests.builders import line_network
 
 
 class IdleScheme:
@@ -57,10 +57,11 @@ def test_engine_emits_module_spans_matching_runtimes():
         assert span_total == pytest.approx(sum(samples)), name
 
     # and the trace-side aggregation reproduces the summary
-    from_trace = module_runtimes(collector.events)
+    from_trace = aggregate_spans(collector.events)
     for module in ("RA", "SAM"):
-        assert from_trace[module]["count"] == summary[module]["count"]
-        assert from_trace[module]["median"] == \
+        assert from_trace[module.lower()]["count"] == \
+            summary[module]["count"]
+        assert from_trace[module.lower()]["median"] == \
             pytest.approx(summary[module]["median"])
 
 

@@ -6,7 +6,7 @@ import math
 import pytest
 
 from repro.telemetry import (InMemoryCollector, Ledger, Tracer,
-                             ledger_events, use_tracer)
+                             ledger_events, read_trace, timeline, use_tracer)
 from repro.telemetry.ledger import finite_or_none, record
 
 
@@ -156,6 +156,68 @@ def test_from_trace_round_trip(tmp_path):
     path = tmp_path / "trace.jsonl"
     path.write_text("".join(json.dumps(e) + "\n"
                             for e in lifecycle_events()))
-    ledger = Ledger.from_trace(path)
+    ledger = Ledger(read_trace(path))
     assert len(ledger) == 2
     assert ledger.request(0).status == "COMPLETED"
+
+
+# -- timeline ----------------------------------------------------------------
+def timeline_events():
+    return [
+        ev("ARRIVED", rid=3, step=0, src="a", dst="b", demand=4.0,
+           value=1.0, start=0, deadline=2, scavenger=False),
+        ev("QUOTED", rid=3, step=0, degraded=False,
+           breakpoints=[[4.0, 0.5]], max_guaranteed=4.0,
+           best_effort_price=0.5),
+        ev("ADMITTED", rid=3, step=0, chosen=4.0, guaranteed=4.0,
+           marginal_price=0.5, flat_price=None),
+        ev("ALLOCATED", rid=3, step=1, bytes=3.0, route=[0, 2], price=0.5),
+        ev("DEGRADED", rid=3, step=2, module="ra",
+           action="quote_from_prices", error="LPError"),
+        ev("ALLOCATED", rid=3, step=2, bytes=1.0, route=[0], price=0.7),
+        ev("SETTLED", rid=3, delivered=4.0, payment=2.0, chosen=4.0,
+           guaranteed=4.0, flat_price=None),
+    ]
+
+
+def test_timeline_renders_full_history():
+    text = timeline(timeline_events(), 3)
+    lines = text.splitlines()
+    assert lines[0] == "request 3 — status COMPLETED"
+    stages = [line.split()[2] for line in lines[1:]]
+    assert sorted(stages) == sorted(
+        ["ARRIVED", "QUOTED", "ADMITTED", "ALLOCATED", "DEGRADED",
+         "ALLOCATED", "SETTLED"])
+    assert stages[:3] == ["ARRIVED", "QUOTED", "ADMITTED"]
+    assert stages[-1] == "SETTLED"
+    assert "a -> b" in text
+    assert "via links (0,2)" in text
+    assert "cumulative 4" in text
+    assert "quote_from_prices" in text
+    assert "paid 2" in text
+
+
+def test_timeline_handles_rejection_and_none_price():
+    events = [
+        ev("ARRIVED", rid=1, step=0, src="a", dst="b", demand=1.0,
+           value=0.1, start=0, deadline=2, scavenger=False),
+        ev("QUOTED", rid=1, step=0, degraded=True, breakpoints=[],
+           max_guaranteed=0.0, best_effort_price=None),
+        ev("REJECTED", rid=1, step=0),
+    ]
+    text = timeline(events, 1)
+    assert "status REJECTED" in text
+    assert "[degraded]" in text
+    assert "REJECTED" in text
+
+    scav = [ev("ADMITTED", rid=2, step=0, chosen=1.0, guaranteed=0.0,
+               marginal_price=None, flat_price=0.25)]
+    assert "flat price 0.25/unit" in timeline(scav, 2)
+    bare = [ev("ADMITTED", rid=4, step=0, chosen=1.0, guaranteed=1.0,
+               marginal_price=None, flat_price=None)]
+    assert "marginal price n/a" in timeline(bare, 4)
+
+
+def test_timeline_unknown_rid_raises():
+    with pytest.raises(KeyError):
+        timeline(timeline_events(), 99)

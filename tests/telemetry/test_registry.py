@@ -103,15 +103,6 @@ def test_process_registry_swap_and_restore():
     assert get_registry() is previous
 
 
-def test_registry_kinds_map():
-    registry = MetricsRegistry()
-    registry.counter("admitted")
-    registry.gauge("load")
-    registry.histogram("ra")
-    assert registry.kinds() == {"admitted": "counter", "load": "gauge",
-                                "ra": "histogram"}
-
-
 def test_histogram_state_merge_is_bucket_exact():
     """Merging shard states equals observing every sample in one
     histogram — the property fleet aggregation rests on."""

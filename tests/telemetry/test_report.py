@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.telemetry import (aggregate_spans, module_runtimes, report_trace,
+from repro.telemetry import (MetricsRegistry, aggregate_spans, report_trace,
                              runtime_table)
 
 
@@ -32,14 +32,6 @@ def test_aggregate_spans_stats():
     assert "lp.solve" in stats
 
 
-def test_module_runtimes_matches_table4_shape():
-    runtimes = module_runtimes(make_events())
-    assert set(runtimes) == {"RA", "SAM", "PC"}
-    for row in runtimes.values():
-        assert set(row) == {"median", "p95", "count"}
-    assert runtimes["RA"]["count"] == 4
-
-
 def test_runtime_table_orders_modules_first():
     table = runtime_table(make_events())
     lines = table.splitlines()
@@ -59,7 +51,8 @@ def test_report_trace_from_file(tmp_path):
 def test_report_trace_empty(tmp_path):
     path = tmp_path / "empty.jsonl"
     path.write_text("")
-    assert "no span events" in report_trace(path)
+    with pytest.raises(ValueError, match="no span events in .*empty.jsonl"):
+        report_trace(path)
 
 
 def test_aggregate_spans_skips_missing_durations():
@@ -78,10 +71,11 @@ def test_aggregate_spans_skips_missing_durations():
 
 def test_metrics_table_gauges_only():
     from repro.telemetry.report import metrics_table
-    events = [{"type": "metrics",
-               "metrics": {"resilience.pc.staleness": 2.0, "load": 0.5},
-               "kinds": {"resilience.pc.staleness": "gauge",
-                         "load": "gauge"}}]
+    registry = MetricsRegistry()
+    registry.gauge("resilience.pc.staleness").set(2.0)
+    registry.gauge("load").set(0.5)
+    events = [{"type": "metrics", "metrics": registry.snapshot(),
+               "states": registry.dump()}]
     table = metrics_table(events)
     lines = table.splitlines()
     assert lines[0].split() == ["metric", "value"]

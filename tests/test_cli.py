@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import dataclasses
 import json
 
 import pytest
@@ -70,7 +71,7 @@ def test_run_with_telemetry_writes_trace_and_report_reads_it(
     assert code == 0
     assert "telemetry trace written" in capsys.readouterr().out
 
-    from repro.telemetry import module_runtimes, read_trace
+    from repro.telemetry import aggregate_spans, read_trace
     events = read_trace(trace_path)
     names = {e["name"] for e in events if e.get("type") == "span"}
     assert {"lp.solve", "ra", "sam", "pc", "run", "scheme.run"} <= names
@@ -83,9 +84,9 @@ def test_run_with_telemetry_writes_trace_and_report_reads_it(
         assert name in out
 
     # the trace-derived module stats are the Table 4 numbers for this run
-    runtimes = module_runtimes(events)
-    assert set(runtimes) == {"RA", "SAM", "PC"}
-    assert runtimes["RA"]["count"] > 0
+    stats = aggregate_spans(events)
+    assert {"ra", "sam", "pc"} <= set(stats)
+    assert stats["ra"]["count"] > 0
 
 
 def test_telemetry_report_missing_or_malformed_trace(tmp_path, capsys):
@@ -96,6 +97,20 @@ def test_telemetry_report_missing_or_malformed_trace(tmp_path, capsys):
     with pytest.warns(UserWarning, match="corrupt trace line"):
         assert main(["telemetry", "report", str(bad)]) == 1
     assert "not a JSONL trace" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content", ["", '{"type": "metrics"}\n'],
+                         ids=["empty", "metrics-only"])
+@pytest.mark.parametrize("command", ["report", "flame"])
+def test_span_readers_reject_a_span_free_trace(tmp_path, capsys, command,
+                                               content):
+    trace = tmp_path / "spanless.jsonl"
+    trace.write_text(content)
+    assert main(["telemetry", command, str(trace)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: no span events in {trace} — run with "
+                            "--telemetry to record spans\n")
 
 
 @pytest.mark.parametrize("command", ["report", "audit"])
@@ -109,18 +124,17 @@ def test_telemetry_warns_once_per_corrupt_line(traced_run, tmp_path, capsys,
     assert sum("corrupt trace line" in str(w.message) for w in caught) == 2
 
 
-@pytest.mark.parametrize("command", ["report", "audit", "export",
-                                     "timeline", "flame"])
+@pytest.mark.parametrize("command", ["report", "audit", "timeline",
+                                     "flame"])
 def test_telemetry_treats_non_object_lines_as_corrupt(tmp_path, capsys,
                                                       command):
     # JSON values that are not objects are not events: each is warned
     # about and skipped, so the file holds no trace at all
     numbers = tmp_path / "numbers.jsonl"
     numbers.write_text("1\n2\n")
-    extra = {"export": ["--format", "prom"], "timeline": ["0"]}
+    extra = ["0"] if command == "timeline" else []
     with pytest.warns(UserWarning, match="corrupt trace line") as caught:
-        assert main(["telemetry", command, str(numbers),
-                     *extra.get(command, [])]) == 1
+        assert main(["telemetry", command, str(numbers), *extra]) == 1
     assert sum("corrupt trace line" in str(w.message) for w in caught) == 2
     assert "not a JSONL trace" in capsys.readouterr().err
 
@@ -220,41 +234,10 @@ def test_telemetry_audit_flags_tampered_trace(tmp_path, traced_run,
     assert "unwaived" in out
 
 
-def test_telemetry_export_chrome_trace(traced_run, tmp_path, capsys):
-    trace_path, _ = traced_run
-    out_path = tmp_path / "chrome.json"
-    assert main(["telemetry", "export", str(trace_path), "--format",
-                 "chrome-trace", "--out", str(out_path)]) == 0
-    capsys.readouterr()
-    doc = json.loads(out_path.read_text())
-    events = doc["traceEvents"]
-    assert events, "chrome trace should not be empty"
-    assert {e["ph"] for e in events} <= {"M", "X", "i"}
-    for event in events:
-        assert {"ph", "pid", "tid", "name"} <= set(event)
-    assert any(e["name"].startswith("ledger.") for e in events)
-    assert any(e["ph"] == "X" for e in events)
-
-
-def test_telemetry_export_prom(traced_run, capsys):
-    trace_path, _ = traced_run
-    assert main(["telemetry", "export", str(trace_path), "--format",
-                 "prom"]) == 0
-    out = capsys.readouterr().out
-    assert "# TYPE pretium_admitted counter" in out
-    import re
-    line_ok = re.compile(
-        r"^(# (HELP|TYPE) [a-zA-Z_:][a-zA-Z0-9_:]*( .*)?"
-        r"|[a-zA-Z_:][a-zA-Z0-9_:]*(\{[a-zA-Z_]+=\"[^\"]*\"\})? "
-        r"(-?\d+(\.\d+)?([eE][+-]?\d+)?|NaN))$")
-    for line in out.strip().splitlines():
-        assert line_ok.match(line), line
-
-
 def test_telemetry_timeline(traced_run, capsys):
     trace_path, _ = traced_run
-    from repro.telemetry import Ledger
-    ledger = Ledger.from_trace(trace_path)
+    from repro.telemetry import Ledger, read_trace, timeline
+    ledger = Ledger(read_trace(trace_path))
     rid = next(h.rid for h in ledger.requests()
                if h.status == "COMPLETED")
     capsys.readouterr()
@@ -265,7 +248,6 @@ def test_telemetry_timeline(traced_run, capsys):
     assert "ARRIVED" in out and "SETTLED" in out
     # streaming keeps only this request's events: same text as the
     # timeline of the whole loaded trace
-    from repro.telemetry import read_trace, timeline
     assert out == timeline(read_trace(trace_path), rid) + "\n"
 
     assert main(["telemetry", "timeline", str(trace_path), "999999"]) == 1
@@ -276,8 +258,7 @@ def test_telemetry_subcommands_reject_bad_trace(tmp_path, capsys):
     missing = str(tmp_path / "nope.jsonl")
     garbage = tmp_path / "bad.jsonl"
     garbage.write_text("not json at all\n")
-    for sub in (["audit"], ["export", "--format", "prom"],
-                ["timeline"]):
+    for sub in (["audit"], ["flame"], ["timeline"]):
         args = ["telemetry", sub[0], missing] + sub[1:]
         if sub[0] == "timeline":
             args.append("0")
@@ -363,7 +344,8 @@ def test_sweep_reports_cell_failures(tmp_path, capsys, monkeypatch):
     # Force one scheme to crash inside its cell via a bad kwarg spec.
     from repro.experiments import runner as runner_module
     from repro.experiments.runner import SCHEME_SPECS
-    broken = SCHEME_SPECS["NoPrices"].with_kwargs(explode=True)
+    broken = dataclasses.replace(SCHEME_SPECS["NoPrices"],
+                                 kwargs=(("explode", True),))
     monkeypatch.setitem(runner_module.SCHEME_SPECS, "NoPrices", broken)
     code = main(["sweep", "--schemes", "NoPrices,OPT", "--scenario",
                  "tiny"])
@@ -594,7 +576,8 @@ def test_figure_11_runs_its_slice_of_the_figures_preset(
 def test_campaign_reports_cell_failures(tmp_path, capsys, monkeypatch):
     from repro.experiments import runner as runner_module
     from repro.experiments.runner import SCHEME_SPECS
-    broken = SCHEME_SPECS["NoPrices"].with_kwargs(explode=True)
+    broken = dataclasses.replace(SCHEME_SPECS["NoPrices"],
+                                 kwargs=(("explode", True),))
     monkeypatch.setitem(runner_module.SCHEME_SPECS, "NoPrices", broken)
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps({

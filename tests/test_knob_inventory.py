@@ -57,7 +57,6 @@ OPTIONS = {
     "telemetry": [],
     "telemetry report": [],
     "telemetry audit": ["--summary"],
-    "telemetry export": ["--format", "--out"],
     "telemetry timeline": ["--cell"],
     "telemetry flame": ["--format", "--out"],
 }

@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.network import (PathCache, line_network, small_wan,
-                           wan_topology)
+from repro.network import PathCache, wan_topology
 from repro.traffic import (TrafficMatrixSeries, gravity_weights,
                            route_series_on_shortest_paths,
                            synthesize_tm_series,
                            utilization_percentile_ratios)
+from tests.builders import line_network, small_wan
 
 
 def make_series(**kwargs):

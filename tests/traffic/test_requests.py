@@ -3,11 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.core.request import ByteRequest, RateRequest
-from repro.network import small_wan
-from repro.traffic import (FixedValues, NormalValues, RequestParameters,
-                           synthesize_requests, synthesize_tm_series,
-                           total_demand)
+from repro.core.request import ByteRequest
+from repro.traffic import (NormalValues, RequestParameters,
+                           synthesize_requests, synthesize_tm_series)
+from tests.builders import FixedValues, small_wan
 
 
 def make_requests(seed=0, **params):
@@ -18,7 +17,7 @@ def make_requests(seed=0, **params):
         params=RequestParameters(**params) if params else None, seed=seed)
 
 
-# -- ByteRequest / RateRequest types ------------------------------------
+# -- ByteRequest type ---------------------------------------------------
 
 def test_byte_request_window():
     r = ByteRequest(1, "a", "b", 10.0, arrival=2, start=2, deadline=5,
@@ -50,31 +49,6 @@ def test_byte_request_with_window_and_demand():
     assert r3.demand == 4.0
 
 
-def test_rate_request_expansion():
-    rr = RateRequest(9, "a", "b", rate=5.0, arrival=0, start=2, end=4,
-                     value=2.0)
-    subs = rr.to_byte_requests(id_offset=100)
-    assert len(subs) == 3
-    assert [s.rid for s in subs] == [100, 101, 102]
-    assert all(s.demand == 5.0 for s in subs)
-    assert all(s.start == s.deadline for s in subs)
-    assert [s.start for s in subs] == [2, 3, 4]
-    assert all(s.value == 2.0 for s in subs)
-
-
-def test_rate_request_validation():
-    with pytest.raises(ValueError):
-        RateRequest(1, "a", "b", 0.0, 0, 0, 3, 1.0)
-    with pytest.raises(ValueError):
-        RateRequest(1, "a", "b", 1.0, 0, 3, 2, 1.0)
-    with pytest.raises(ValueError):
-        RateRequest(1, "a", "a", 1.0, 0, 0, 2, 1.0)
-    with pytest.raises(ValueError):
-        RateRequest(1, "a", "b", 1.0, 2, 0, 3, 1.0)
-    with pytest.raises(ValueError):
-        RateRequest(1, "a", "b", 1.0, 0, 0, 3, -1.0)
-
-
 # -- synthesis -----------------------------------------------------------
 
 @pytest.mark.parametrize("field, bad", [
@@ -95,7 +69,8 @@ def test_request_parameters_accept_the_boundaries():
 
 def test_requests_cover_tm_volume():
     series, requests = make_requests()
-    assert total_demand(requests) == pytest.approx(series.total(), rel=0.02)
+    assert sum(r.demand for r in requests) == \
+        pytest.approx(series.total(), rel=0.02)
 
 
 def test_requests_sorted_by_arrival():

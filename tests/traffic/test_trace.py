@@ -5,12 +5,10 @@ import json
 import numpy as np
 import pytest
 
-from repro.network import small_wan
-from repro.traffic import (TrafficMatrixSeries, build_workload, load_series,
-                           load_workload, save_series, save_workload,
-                           series_from_dict, series_to_dict,
+from repro.traffic import (build_workload, load_workload, save_workload,
                            topology_from_dict, topology_to_dict,
                            workload_from_dict, workload_to_dict)
+from tests.builders import small_wan
 
 
 def test_topology_roundtrip():
@@ -65,16 +63,6 @@ def test_workload_reruns_identically(tmp_path):
     assert np.allclose(first.loads, second.loads)
 
 
-def test_series_roundtrip(tmp_path):
-    series = TrafficMatrixSeries(
-        ["a", "b"], np.array([[[0.0, 1.5], [2.5, 0.0]]]))
-    path = tmp_path / "series.json"
-    save_series(series, path)
-    clone = load_series(path)
-    assert clone.nodes == ["a", "b"]
-    assert np.allclose(clone.demand, series.demand)
-
-
 def test_version_checks():
     topo = small_wan(seed=0)
     payload = topology_to_dict(topo)
@@ -84,6 +72,3 @@ def test_version_checks():
     payload = topology_to_dict(topo)
     with pytest.raises(ValueError):
         workload_from_dict(payload)  # wrong kind
-    series_payload = {"version": 1, "kind": "tm-series", "nodes": ["a"],
-                      "demand": [[[0.0]]]}
-    assert series_from_dict(series_payload).n_steps == 1

@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.traffic import (ExponentialValues, FixedValues, NormalValues,
-                           ParetoValues, UniformValues, normal_with_ratio,
+from repro.traffic import (NormalValues, ParetoValues, normal_with_ratio,
                            pareto_with_ratio)
 
 RNG = np.random.default_rng(42)
@@ -15,9 +14,6 @@ RNG = np.random.default_rng(42)
 @pytest.mark.parametrize("dist", [
     NormalValues(1.0, 0.5),
     ParetoValues(1.0, 2.5),
-    ExponentialValues(1.0),
-    UniformValues(0.5, 1.5),
-    FixedValues(2.0),
 ])
 def test_samples_positive(dist):
     samples = dist.sample(np.random.default_rng(0), 2000)
@@ -28,18 +24,10 @@ def test_samples_positive(dist):
 @pytest.mark.parametrize("dist,mean", [
     (NormalValues(2.0, 0.4), 2.0),
     (ParetoValues(2.0, 3.0), 2.0),
-    (ExponentialValues(2.0), 2.0),
-    (UniformValues(1.0, 3.0), 2.0),
-    (FixedValues(2.0), 2.0),
 ])
 def test_sample_mean_close_to_target(dist, mean):
     samples = dist.sample(np.random.default_rng(7), 60000)
     assert samples.mean() == pytest.approx(mean, rel=0.08)
-
-
-def test_sample_one():
-    dist = FixedValues(3.0)
-    assert dist.sample_one(np.random.default_rng(0)) == 3.0
 
 
 def test_pareto_heavy_tail_vs_normal():
@@ -52,7 +40,6 @@ def test_pareto_heavy_tail_vs_normal():
 def test_names_describe_distribution():
     assert "normal" in NormalValues(1, 0.5).name
     assert "pareto" in ParetoValues(1, 2).name
-    assert "exponential" in ExponentialValues(1).name
 
 
 def test_validation():
@@ -64,12 +51,6 @@ def test_validation():
         ParetoValues(1.0, 1.0)
     with pytest.raises(ValueError):
         ParetoValues(-1.0, 2.0)
-    with pytest.raises(ValueError):
-        ExponentialValues(0.0)
-    with pytest.raises(ValueError):
-        UniformValues(2.0, 1.0)
-    with pytest.raises(ValueError):
-        FixedValues(0.0)
     with pytest.raises(ValueError):
         normal_with_ratio(0.0)
     with pytest.raises(ValueError):
@@ -106,17 +87,8 @@ def test_pareto_ratio_mean_preserved():
     (lambda: ParetoValues(float("inf")), "ParetoValues: mean must be finite"),
     (lambda: ParetoValues(1, float("inf")),
      "ParetoValues: alpha must be finite"),
-    (lambda: ExponentialValues(float("nan")),
-     "ExponentialValues: mean must be finite"),
-    (lambda: UniformValues(0, float("inf")),
-     "UniformValues: high must be finite"),
-    (lambda: UniformValues(float("-inf"), 1),
-     "UniformValues: low must be finite"),
-    (lambda: FixedValues(float("inf")), "FixedValues: value must be finite"),
-    (lambda: FixedValues(float("nan")), "FixedValues: value must be finite"),
 ], ids=["normal-nan-mean", "normal-inf-sigma", "pareto-inf-mean",
-        "pareto-inf-alpha", "exponential-nan-mean", "uniform-inf-high",
-        "uniform-neg-inf-low", "fixed-inf", "fixed-nan"])
+        "pareto-inf-alpha"])
 def test_non_finite_parameters_are_rejected_by_name(build, says):
     with pytest.raises(ValueError, match=says):
         build()

@@ -5,10 +5,9 @@ import pytest
 
 from repro.core.request import ByteRequest
 from repro.experiments.scenarios import quick_scenario
-from repro.network import line_network, small_wan
-from repro.traffic import (FixedValues, TrafficMatrixSeries, Workload,
-                           build_workload, calibrate_tm,
-                           route_series_on_shortest_paths)
+from repro.traffic import (TrafficMatrixSeries, Workload, build_workload,
+                           calibrate_tm, route_series_on_shortest_paths)
+from tests.builders import FixedValues, line_network, small_wan
 
 
 def test_workload_basic_shape():
@@ -16,7 +15,7 @@ def test_workload_basic_shape():
     wl = build_workload(topo, n_days=2, steps_per_day=24, seed=0)
     assert wl.n_steps == 48
     assert wl.n_requests > 50
-    assert wl.total_demand() > 0
+    assert sum(r.demand for r in wl.requests) > 0
     assert all(r.deadline < wl.n_steps for r in wl.requests)
 
 
@@ -32,7 +31,8 @@ def test_load_factor_scales_demand():
     topo = small_wan(seed=0)
     light = build_workload(topo, n_days=1, load_factor=0.5, seed=1)
     heavy = build_workload(topo, n_days=1, load_factor=4.0, seed=1)
-    assert heavy.total_demand() > 4.0 * light.total_demand()
+    assert sum(r.demand for r in heavy.requests) > \
+        4.0 * sum(r.demand for r in light.requests)
 
 
 def test_calibration_hits_target():
