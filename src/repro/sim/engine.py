@@ -344,6 +344,10 @@ class Engine:
         apply_transmissions(transmissions, t, self.loads, self.delivered,
                             self.capacity, self.delivery_log,
                             prices=self.prices, emit=tracer.enabled)
+        if tracer.enabled:
+            # The step's events reach the trace here, behind its
+            # samples, so no RA or SAM sample pays for encoding them.
+            tracer.flush()
 
     def _record_failure(self, module: str, exc: BaseException,
                         rid: int | None = None) -> None:

@@ -194,7 +194,7 @@ class _RunBooks:
 
     def link_loads(self) -> dict[tuple[int, int], float]:
         """Total allocated bytes per (link index, timestep), summed in
-        :meth:`Ledger.link_loads`' order (requests as first seen)."""
+        the order the requests were first seen."""
         loads: dict[tuple[int, int], float] = {}
         for book in self._books.values():
             for step, volume, route in book.allocations:

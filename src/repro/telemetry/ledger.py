@@ -245,29 +245,6 @@ class Ledger:
     def __len__(self) -> int:
         return len(self._requests)
 
-    # -- aggregates ---------------------------------------------------------
-    def link_loads(self) -> dict[tuple[int, int], float]:
-        """Total allocated bytes per (link index, timestep).
-
-        Each allocation contributes its bytes to *every* link on its
-        route — the quantity byte-conservation audits against capacity.
-        """
-        loads: dict[tuple[int, int], float] = {}
-        for history in self._requests.values():
-            for allocation in history.allocations:
-                step = int(allocation["step"])
-                volume = float(allocation["bytes"])
-                for link in allocation["route"]:
-                    key = (int(link), step)
-                    loads[key] = loads.get(key, 0.0) + volume
-        return loads
-
-    def total_delivered(self) -> float:
-        return sum(h.delivered_total for h in self._requests.values())
-
-    def total_payments(self) -> float:
-        return sum(h.payment or 0.0 for h in self._requests.values())
-
 
 # -- per-request timeline ----------------------------------------------------
 def timeline(events: list[dict], rid: int) -> str:

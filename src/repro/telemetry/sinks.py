@@ -6,6 +6,16 @@ writer is line-oriented JSON so traces stream, append, and grep well;
 :func:`read_trace` loads it whole.  Tests and benchmarks use
 :class:`InMemoryCollector` to assert on emitted events without touching
 the filesystem.
+
+:class:`TraceWriter` writes behind the engine's step, not at each
+emission: ``emit`` only queues the event, and the queue is encoded and
+written when the simulation engine flushes the tracer (once per step,
+after the step's transmissions), when :data:`FLUSH_EVENTS` events are
+queued, and at ``close``.  An admission therefore never waits for its
+own trace encoding, so Table 4's RA samples in a traced run no longer
+include it.  A process killed mid-run loses at most the events of its
+current step; a line torn by the kill is still skipped by
+:func:`iter_trace`.
 """
 
 from __future__ import annotations
@@ -15,6 +25,11 @@ import warnings
 from pathlib import Path
 
 import numpy as np
+
+#: Queued events that make :meth:`TraceWriter.emit` flush without waiting
+#: for the step's end, so a step with a flood of arrivals cannot hold its
+#: whole trace in memory.
+FLUSH_EVENTS = 4096
 
 
 def _json_default(obj):
@@ -61,6 +76,11 @@ class TagSink:
     def emit(self, event: dict) -> None:
         self.sink.emit({**event, **self.tags})
 
+    def flush(self) -> None:
+        flush = getattr(self.sink, "flush", None)
+        if flush is not None:
+            flush()
+
     def close(self) -> None:
         close = getattr(self.sink, "close", None)
         if close is not None:
@@ -68,22 +88,67 @@ class TagSink:
 
 
 class TraceWriter:
-    """Appends one JSON object per event to a ``.jsonl`` file."""
+    """Appends one JSON object per event to a ``.jsonl`` file.
+
+    Events are queued by :meth:`emit` and written by :meth:`flush` (see
+    the module docstring for when that happens).
+    """
 
     def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
         self._file = self.path.open("w")
+        self._pending: list[dict] = []
+        self._encode = json.JSONEncoder(separators=(",", ":"),
+                                        default=_json_default).encode
 
     def emit(self, event: dict) -> None:
+        """Queue ``event`` for the next flush.
+
+        The writer takes ownership of ``event``: it is encoded later, so
+        the caller must not mutate it (or anything it holds) after this
+        call.
+        """
         if self._file is None:
             raise ValueError(f"trace writer for {self.path} is closed")
-        self._file.write(json.dumps(event, separators=(",", ":"),
-                                    default=_json_default) + "\n")
+        pending = self._pending
+        pending.append(event)
+        if len(pending) >= FLUSH_EVENTS:
+            self.flush()
+
+    def flush(self) -> None:
+        """Encode every queued event and write them to the file in one
+        call.
+
+        An event that cannot be encoded is dropped and, after every
+        other queued event is written, raised as the error naming it.
+        """
+        pending, self._pending = self._pending, []
+        if not pending:
+            return
+        encode, lines, failure = self._encode, [], None
+        for event in pending:
+            try:
+                lines.append(encode(event))
+            except TypeError as exc:
+                if failure is None:
+                    label = event.get("event", event.get("name"))
+                    failure = TypeError(
+                        f"cannot serialise {event.get('type')} event "
+                        f"{label!r}: {exc}")
+        if lines:
+            self._file.write("\n".join(lines) + "\n")
+            self._file.flush()
+        if failure is not None:
+            raise failure
 
     def close(self) -> None:
+        """Flush what is queued, then close the file."""
         if self._file is not None:
-            self._file.close()
-            self._file = None
+            try:
+                self.flush()
+            finally:
+                self._file.close()
+                self._file = None
 
     def __enter__(self) -> "TraceWriter":
         return self

@@ -16,6 +16,14 @@ simulation engine uses that to populate Table 4's ``ModuleRuntimes`` —
 but skips ids, attribute storage, the nesting stack, and event emission,
 so instrumented code paths cost two ``perf_counter`` calls and nothing
 else when telemetry is off.
+
+Emitting an event hands it to the sinks; a buffering sink
+(:class:`~repro.telemetry.sinks.TraceWriter`) writes it when the tracer
+is flushed.  The simulation engine calls :meth:`Tracer.flush` once per
+step, after the step's transmissions, and :meth:`Tracer.close` flushes
+too, so events reach the trace file once per engine step and at close —
+outside every ``ra`` and ``sam`` sample.  A process killed mid-run loses
+at most its current step.
 """
 
 from __future__ import annotations
@@ -80,7 +88,8 @@ class Tracer:
     Parameters
     ----------
     sinks:
-        Objects with ``emit(event: dict)`` (and optionally ``close()``),
+        Objects with ``emit(event: dict)`` (and optionally ``flush()``
+        and ``close()``),
         e.g. :class:`~repro.telemetry.sinks.TraceWriter` or
         :class:`~repro.telemetry.sinks.InMemoryCollector`.  With no
         sinks the tracer is *disabled*: spans only measure duration.
@@ -121,6 +130,13 @@ class Tracer:
             self.emit({"type": "metrics", "ts": time.time(),
                        "metrics": self.registry.snapshot(),
                        "states": self.registry.dump()})
+
+    def flush(self) -> None:
+        """Flush every sink that buffers (has ``flush()``)."""
+        for sink in self.sinks:
+            flush = getattr(sink, "flush", None)
+            if flush is not None:
+                flush()
 
     def close(self) -> None:
         """Close every sink that supports it."""

@@ -8,7 +8,10 @@ streaming suite (``tests/telemetry/test_audit_stream.py``) demands the
 same findings, in the same order, from both.
 
 Verbatim, but for importing :class:`~repro.telemetry.audit.Finding` and
-the tolerances from ``src/``.
+the tolerances from ``src/``, and for :func:`link_loads`,
+:func:`total_delivered` and :func:`total_payments`, which were
+:class:`~repro.telemetry.ledger.Ledger` methods that only this auditor
+and tests called.
 """
 
 from __future__ import annotations
@@ -69,6 +72,34 @@ def _audit_run(events: list[dict], summary: dict | None) -> list[Finding]:
     return findings
 
 
+# -- ledger aggregates -------------------------------------------------------
+def link_loads(ledger: Ledger) -> dict[tuple[int, int], float]:
+    """Total allocated bytes per (link index, timestep).
+
+    Each allocation contributes its bytes to *every* link on its route —
+    the quantity byte-conservation audits against capacity.  These
+    aggregates take requests in the order the ledger first saw them, the
+    order the streaming auditor sums in, so float totals match to the bit.
+    """
+    loads: dict[tuple[int, int], float] = {}
+    for history in ledger._requests.values():
+        for allocation in history.allocations:
+            step = int(allocation["step"])
+            volume = float(allocation["bytes"])
+            for link in allocation["route"]:
+                key = (int(link), step)
+                loads[key] = loads.get(key, 0.0) + volume
+    return loads
+
+
+def total_delivered(ledger: Ledger) -> float:
+    return sum(h.delivered_total for h in ledger._requests.values())
+
+
+def total_payments(ledger: Ledger) -> float:
+    return sum(h.payment or 0.0 for h in ledger._requests.values())
+
+
 def unwaived(findings: list[Finding]) -> list[Finding]:
     """The findings that are actual failures (not degradation-waived)."""
     return [f for f in findings if not f.waived]
@@ -78,7 +109,7 @@ def unwaived(findings: list[Finding]) -> list[Finding]:
 def _check_byte_conservation(ledger: Ledger) -> list[Finding]:
     capacity = None if ledger.run_started is None \
         else ledger.run_started.get("capacity")
-    loads = ledger.link_loads()
+    loads = link_loads(ledger)
     if capacity is None:
         if not loads:
             return []
@@ -377,8 +408,8 @@ def _check_class_conservation(ledger: Ledger, summary: dict | None
 def _check_reconciliation(ledger: Ledger, summary: dict | None
                           ) -> list[Finding]:
     findings = []
-    settled_payments = ledger.total_payments()
-    allocated = ledger.total_delivered()
+    settled_payments = total_payments(ledger)
+    allocated = total_delivered(ledger)
     ended = ledger.run_ended
     if ended is not None:
         findings += _compare("reconciliation", "RUN_ENDED payments_total",

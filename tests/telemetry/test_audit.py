@@ -10,6 +10,7 @@ from repro.experiments import quick_scenario, run_scheme
 from repro.sim import simulate, summarize
 from repro.telemetry import (InMemoryCollector, Tracer, audit_events,
                              unwaived, use_tracer)
+from tests.reference.audit import total_delivered, total_payments
 
 
 def ev(event, **fields):
@@ -224,9 +225,9 @@ def test_real_run_ledger_matches_ground_truth():
         result = simulate(controller, scenario.workload)
     from repro.telemetry import Ledger
     ledger = Ledger(collector.events)
-    assert ledger.total_payments() == pytest.approx(
+    assert total_payments(ledger) == pytest.approx(
         sum(result.payments.values()))
-    assert ledger.total_delivered() == pytest.approx(
+    assert total_delivered(ledger) == pytest.approx(
         sum(result.delivered.values()))
     for contract in controller.contracts:
         history = ledger.request(contract.rid)

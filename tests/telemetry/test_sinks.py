@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.telemetry import (InMemoryCollector, TraceWriter, Tracer,
+from repro.telemetry import (InMemoryCollector, TagSink, TraceWriter, Tracer,
                              iter_trace, merge_traces, read_trace)
+from repro.telemetry.sinks import FLUSH_EVENTS
 
 
 def test_jsonl_round_trip(tmp_path):
@@ -33,9 +34,42 @@ def test_writer_coerces_numpy_attrs(tmp_path):
 
 
 def test_writer_rejects_unserialisable_event(tmp_path):
-    with TraceWriter(tmp_path / "trace.jsonl") as writer:
-        with pytest.raises(TypeError, match="cannot serialise"):
-            writer.emit({"bad": object()})
+    """Events are encoded at flush, so that is where a bad one raises;
+    the error names it and every other queued event is still written."""
+    path = tmp_path / "trace.jsonl"
+    with TraceWriter(path) as writer:
+        writer.emit({"type": "span", "name": "ra"})
+        writer.emit({"type": "ledger", "event": "ALLOCATED", "bad": object()})
+        writer.emit({"type": "metrics"})
+        with pytest.raises(TypeError, match="cannot serialise") as caught:
+            writer.flush()
+    assert "ledger event 'ALLOCATED'" in str(caught.value)
+    assert read_trace(path) == [{"type": "span", "name": "ra"},
+                                {"type": "metrics"}]
+
+
+def test_writer_queues_events_until_flushed(tmp_path):
+    path = tmp_path / "trace.jsonl"
+    writer = TraceWriter(path)
+    tracer = Tracer(sinks=[TagSink(writer, {"cell": 0})])
+    tracer.emit({"type": "span"})
+    assert read_trace(path) == []
+    tracer.flush()
+    assert read_trace(path) == [{"type": "span", "cell": 0}]
+    tracer.emit({"type": "metrics"})
+    tracer.close()
+    assert read_trace(path) == [{"type": "span", "cell": 0},
+                                {"type": "metrics", "cell": 0}]
+
+
+def test_writer_flushes_early_at_the_queue_bound(tmp_path):
+    path = tmp_path / "trace.jsonl"
+    with TraceWriter(path) as writer:
+        for n in range(2 * FLUSH_EVENTS + 1):
+            writer.emit({"n": n})
+            assert len(writer._pending) < FLUSH_EVENTS
+        assert len(read_trace(path)) == 2 * FLUSH_EVENTS
+    assert len(read_trace(path)) == 2 * FLUSH_EVENTS + 1
 
 
 def test_writer_refuses_after_close(tmp_path):
